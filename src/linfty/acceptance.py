@@ -21,6 +21,7 @@ from linfty.algebra import (
     bracket,
     check_jacobi,
     is_mc,
+    linear_combination,
     tensor_curvature,
     twist,
     twisted_bracket,
@@ -472,7 +473,7 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
             k: tree_exponential(alg, mu, xv, k) for k in range(1, 6)
         }
         for k in range(1, 5):
-            expected = alg.zero_vector()
+            terms = []
             for parts in range(0, k + 1):
                 for comp in _compositions_of(k, parts):
                     coeff = Fraction(factorial(k))
@@ -482,8 +483,8 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
                     term = twisted_bracket(
                         alg, mu, [xv] + [eps[piece] for piece in comp]
                     )
-                    if not term.is_zero():
-                        expected = expected + term.scale(coeff)
+                    terms.append((coeff, term))
+            expected = linear_combination(alg.zero_vector(), terms)
             result.check(
                 eps[k + 1] == expected,
                 f"{name}: flow recursion fails at k={k}",

@@ -28,7 +28,7 @@ from linfty.forms import (
     wedge,
 )
 from linfty.linalg import Subspace, solve_linear
-from linfty import dupont
+from linfty import dupont, kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -76,8 +76,8 @@ class LInftyAlgebra:
 
     generators: sequence of (symbol, degree) pairs.
     brackets: mapping from tuples of argument symbols (any order) to the
-    value, given as {symbol: coefficient}.  Unlisted brackets vanish, as
-    do all brackets of arity above max_arity.
+    value, given as {symbol: coefficient}.  Unlisted brackets vanish;
+    max_arity is the largest arity with a nonzero bracket (at least 1).
     """
 
     def __init__(
@@ -85,7 +85,6 @@ class LInftyAlgebra:
         name: str,
         generators: Sequence[tuple[str, int]],
         brackets: Mapping[tuple, Mapping[str, object]] | None = None,
-        max_arity: int | None = None,
     ):
         self.name = name
         self.symbols = tuple(sym for sym, _ in generators)
@@ -108,13 +107,12 @@ class LInftyAlgebra:
                     f"bracket on {args} vanishes identically "
                     "(repeated even-degree argument)"
                 )
-            cleaned = {}
-            for sym, coeff in value.items():
+            for sym in value:
                 if sym not in self.index:
                     raise ValueError(f"unknown symbol {sym!r} in bracket value")
-                coeff = Fraction(coeff) * sign
-                if coeff:
-                    cleaned[sym] = coeff
+            cleaned = kernel.drop_zeros(
+                {sym: Fraction(coeff) * sign for sym, coeff in value.items()}
+            )
             if not cleaned:
                 continue
             expected = sum(self.degrees[s] for s in key) + 2 - len(key)
@@ -129,9 +127,7 @@ class LInftyAlgebra:
             table[key] = cleaned
             arities.append(len(key))
         self.brackets = table
-        self.max_arity = max(arities) if max_arity is None else int(max_arity)
-        if any(len(k) > self.max_arity for k in table):
-            raise ValueError("bracket table exceeds declared max_arity")
+        self.max_arity = max(arities)
         self._filtration = None
         self._basis_bracket_cache: dict = {}
 
@@ -162,9 +158,8 @@ class LInftyAlgebra:
         for i in range(1, len(items)):
             j = i
             while j > 0 and items[j - 1][0] > items[j][0]:
-                if (items[j - 1][1] * items[j][1]) % 2:
-                    sign = sign  # (-1) * (-1)^(odd*odd) = +1
-                else:
+                # a transposition costs -(-1)^(|a||b|): none for two odd symbols
+                if not (items[j - 1][1] * items[j][1]) % 2:
                     sign = -sign
                 items[j - 1], items[j] = items[j], items[j - 1]
                 j -= 1
@@ -306,7 +301,7 @@ class GVector:
 
     def __init__(self, algebra: LInftyAlgebra, coeffs: Mapping[str, Fraction]):
         self.algebra = algebra
-        self.coeffs = {s: c for s, c in coeffs.items() if c}
+        self.coeffs = kernel.drop_zeros(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -333,27 +328,16 @@ class GVector:
         ]
 
     def __add__(self, other: "GVector") -> "GVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            acc = out.get(s, _ZERO) + c
-            if acc:
-                out[s] = acc
-            else:
-                out.pop(s, None)
-        return GVector(self.algebra, out)
+        return linear_combination(self, [(1, other)])
 
     def __sub__(self, other: "GVector") -> "GVector":
-        return self + (-other)
+        return linear_combination(self, [(-1, other)])
 
     def __neg__(self) -> "GVector":
-        return GVector(self.algebra, {s: -c for s, c in self.coeffs.items()})
+        return GVector(self.algebra, kernel.scale_terms(self.coeffs, -1))
 
     def scale(self, c) -> "GVector":
-        c = Fraction(c)
-        if not c:
-            return GVector(self.algebra, {})
-        return GVector(self.algebra, {s: c * v for s, v in self.coeffs.items()})
+        return GVector(self.algebra, kernel.scale_terms(self.coeffs, Fraction(c)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -413,16 +397,15 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
             raise ValueError("bracket arguments must live in the given algebra")
     if len(args) > algebra.max_arity:
         return algebra.zero_vector()
-    total = algebra.zero_vector()
+    total: dict = {}
     for combo in itertools.product(*(list(a.coeffs.items()) for a in args)):
-        syms = [s for s, _ in combo]
-        coeff = _ONE
-        for _, c in combo:
-            coeff *= c
-        val = algebra.bracket_on_basis(syms)
-        if not val.is_zero():
-            total = total + val.scale(coeff)
-    return total
+        value = algebra.bracket_on_basis([s for s, _ in combo])
+        if value.coeffs:
+            coeff = _ONE
+            for _, c in combo:
+                coeff *= c
+            kernel.add_into(total, value.coeffs, coeff)
+    return GVector(algebra, total)
 
 
 def jacobiator(algebra: LInftyAlgebra, args: Sequence[GVector]) -> GVector:
@@ -435,7 +418,7 @@ def jacobiator(algebra: LInftyAlgebra, args: Sequence[GVector]) -> GVector:
         if len(present) != 1:
             raise ValueError("jacobiator arguments must be homogeneous")
         degs.append(present[0])
-    total = algebra.zero_vector()
+    total: dict = {}
     for k in range(1, n + 1):
         for head in itertools.combinations(range(n), k):
             tail = tuple(p for p in range(n) if p not in head)
@@ -445,9 +428,8 @@ def jacobiator(algebra: LInftyAlgebra, args: Sequence[GVector]) -> GVector:
             if inner.is_zero():
                 continue
             outer = bracket(algebra, [inner] + [args[p] for p in tail])
-            if not outer.is_zero():
-                total = total + outer.scale(sign)
-    return total
+            kernel.add_into(total, outer.coeffs, sign)
+    return GVector(algebra, total)
 
 
 @dataclass
@@ -491,12 +473,8 @@ def _basis_jacobiator(algebra: LInftyAlgebra, syms: tuple) -> dict:
             tail_syms = tuple(syms[p] for p in tail)
             for mid, c in inner.coeffs.items():
                 outer = algebra.bracket_on_basis((mid,) + tail_syms)
-                for out_sym, oc in outer.coeffs.items():
-                    acc = total.get(out_sym, _ZERO) + sign * c * oc
-                    if acc:
-                        total[out_sym] = acc
-                    else:
-                        total.pop(out_sym, None)
+                if outer.coeffs:
+                    kernel.add_into(total, outer.coeffs, sign * c)
     return total
 
 
@@ -540,13 +518,13 @@ def curvature(algebra: LInftyAlgebra, alpha):
         raise ValueError("curvature argument must live in the given algebra")
     if not alpha.is_zero() and not alpha.is_homogeneous(1):
         raise ValueError("curvature needs a degree-1 element")
-    bound = _bracket_power_bound(algebra)
-    total = bracket(algebra, [alpha])
-    for ell in range(2, bound + 1):
-        term = bracket(algebra, [alpha] * ell)
-        if not term.is_zero():
-            total = total + term.scale(Fraction(1, factorial(ell)))
-    return total
+    return linear_combination(
+        bracket(algebra, [alpha]),
+        (
+            (Fraction(1, factorial(ell)), bracket(algebra, [alpha] * ell))
+            for ell in range(2, _bracket_power_bound(algebra) + 1)
+        ),
+    )
 
 
 def _bracket_power_bound(algebra: LInftyAlgebra) -> int:
@@ -582,7 +560,6 @@ def twist(algebra: LInftyAlgebra, mu: GVector) -> LInftyAlgebra:
         f"{algebra.name}@twist",
         [(s, algebra.degrees[s]) for s in algebra.symbols],
         new_table,
-        max_arity=algebra.max_arity,
     )
 
 
@@ -591,28 +568,26 @@ def twisted_bracket(algebra: LInftyAlgebra, mu, args: Sequence):
     bound = algebra.max_arity - len(args)
     if isinstance(mu, GVector) and args and isinstance(args[0], TensorElement):
         mu = constant_tensor(args[0].n, mu)
-    total = bracket(algebra, list(args))
-    for ell in range(1, bound + 1):
-        term = bracket(algebra, [mu] * ell + list(args))
-        if not _is_zero(term):
-            total = total + term.scale(Fraction(1, factorial(ell)))
-    return total
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero()
+    return linear_combination(
+        bracket(algebra, list(args)),
+        (
+            (Fraction(1, factorial(ell)), bracket(algebra, [mu] * ell + list(args)))
+            for ell in range(1, bound + 1)
+        ),
+    )
 
 
 def bianchi_residual(algebra: LInftyAlgebra, alpha: GVector) -> GVector:
     """delta F(alpha) + sum_{l>=1} [alpha^l, F(alpha)]/l!; identically
     zero by the Jacobi rules."""
     F = curvature(algebra, alpha)
-    total = bracket(algebra, [F])
-    for ell in range(1, algebra.max_arity):
-        term = bracket(algebra, [alpha] * ell + [F])
-        if not term.is_zero():
-            total = total + term.scale(Fraction(1, factorial(ell)))
-    return total
+    return linear_combination(
+        bracket(algebra, [F]),
+        (
+            (Fraction(1, factorial(ell)), bracket(algebra, [alpha] * ell + [F]))
+            for ell in range(1, algebra.max_arity)
+        ),
+    )
 
 
 # -- strict morphisms --------------------------------------------------
@@ -661,18 +636,12 @@ class Morphism:
         if isinstance(value, GVector):
             if value.algebra is not self.source:
                 raise ValueError("vector lives in the wrong algebra")
-            out = self.target.zero_vector()
-            for sym, c in value.coeffs.items():
-                out = out + self.images[sym].scale(c)
-            return out
+            return linear_combination(
+                self.target.zero_vector(),
+                ((c, self.images[sym]) for sym, c in value.coeffs.items()),
+            )
         if isinstance(value, TensorElement):
-            out = zero_tensor(self.target, value.n)
-            for sym, form in value.comps.items():
-                for tsym, c in self.images[sym].coeffs.items():
-                    out = out + TensorElement(
-                        self.target, value.n, {tsym: form.scale(c)}
-                    )
-            return out
+            return _map_symbols(value, self.target, self.images.__getitem__)
         raise TypeError(f"cannot apply morphism to {type(value).__name__}")
 
     def is_surjective(self) -> bool:
@@ -695,7 +664,7 @@ class Morphism:
         with pivots preferred in generator order."""
         if value.algebra is not self.target:
             raise ValueError("vector lives in the wrong algebra")
-        out = self.source.zero_vector()
+        coeffs: dict = {}
         for degree in value.degrees_present():
             component = value.component(degree)
             sources = [
@@ -711,10 +680,9 @@ class Morphism:
             solution = solve_linear(columns, rhs)
             if solution is None:
                 raise ValueError("value is not in the image of the morphism")
-            out = out + GVector(
-                self.source, dict(zip(sources, solution))
-            )
-        return out
+            # the degrees have disjoint supports, so nothing cancels
+            coeffs.update(zip(sources, solution))
+        return GVector(self.source, coeffs)
 
 
 # -- tensor elements over simplicial forms -----------------------------
@@ -729,31 +697,28 @@ class TensorElement:
     def __init__(self, algebra: LInftyAlgebra, n: int, comps: Mapping[str, Form]):
         self.algebra = algebra
         self.n = n
-        cleaned = {}
         for sym, form in comps.items():
             if sym not in algebra.index:
                 raise ValueError(f"unknown symbol {sym!r}")
             if form.n != n:
                 raise ValueError("component form has the wrong simplex dimension")
-            if not form.is_zero():
-                cleaned[sym] = form
-        self.comps = cleaned
+        self.comps = kernel.drop_zeros(comps)
+
+    @classmethod
+    def from_terms(cls, algebra: LInftyAlgebra, n: int, acc: Mapping[str, dict]):
+        """Build from a {symbol: term dict} accumulator, one Form each."""
+        return cls(
+            algebra, n, {s: Form(n, t, _validated=True) for s, t in acc.items()}
+        )
 
     def is_zero(self) -> bool:
         return not self.comps
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.comps)
-        for sym, form in other.comps.items():
-            if sym in out:
-                out[sym] = out[sym] + form
-            else:
-                out[sym] = form
-        return TensorElement(self.algebra, self.n, out)
+        return linear_combination(self, [(1, other)])
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
+        return linear_combination(self, [(-1, other)])
 
     def __neg__(self) -> "TensorElement":
         return self.scale(-1)
@@ -802,11 +767,15 @@ class TensorElement:
         return sorted(degs)
 
     def component(self, total_degree: int) -> "TensorElement":
-        out = zero_tensor(self.algebra, self.n)
-        for sym, k, piece in self.atoms():
-            if self.algebra.degrees[sym] + k == total_degree:
-                out = out + TensorElement(self.algebra, self.n, {sym: piece})
-        return out
+        degrees = self.algebra.degrees
+        return TensorElement(
+            self.algebra,
+            self.n,
+            {
+                sym: form.component(total_degree - degrees[sym])
+                for sym, form in self.comps.items()
+            },
+        )
 
     def is_homogeneous(self, total_degree: int) -> bool:
         return all(
@@ -846,14 +815,9 @@ class TensorElement:
         return self.apply_even(lambda f: dupont.whitney_P(self.n, f))
 
     def delta(self) -> "TensorElement":
-        out = zero_tensor(self.algebra, self.n)
-        for sym, form in self.comps.items():
-            value = self.algebra.bracket_on_basis((sym,))
-            for tsym, c in value.coeffs.items():
-                out = out + TensorElement(
-                    self.algebra, self.n, {tsym: form.scale(c)}
-                )
-        return out
+        return _map_symbols(
+            self, self.algebra, lambda sym: self.algebra.bracket_on_basis((sym,))
+        )
 
     def d_plus_delta(self) -> "TensorElement":
         return self.d() + self.delta()
@@ -905,17 +869,49 @@ class TensorElement:
         )
 
 
+def linear_combination(start, pairs):
+    """start + sum of c * x over the (c, x) pairs, for vectors and tensor
+    elements alike; one accumulator, so no partial sum is copied."""
+    if isinstance(start, TensorElement):
+        acc = {sym: dict(form.terms) for sym, form in start.comps.items()}
+        for c, x in pairs:
+            start._check(x)
+            for sym, form in x.comps.items():
+                kernel.add_into(acc.setdefault(sym, {}), form.terms, c)
+        return TensorElement.from_terms(start.algebra, start.n, acc)
+    acc = dict(start.coeffs)
+    for c, x in pairs:
+        start._check(x)
+        kernel.add_into(acc, x.coeffs, c)
+    return GVector(start.algebra, acc)
+
+
+def _map_symbols(x: TensorElement, target: LInftyAlgebra, image) -> TensorElement:
+    """Apply the linear map sym -> image(sym), a vector of target, to the
+    algebra factor of x."""
+    acc: dict = {}
+    for sym, form in x.comps.items():
+        for tsym, c in image(sym).coeffs.items():
+            kernel.add_into(acc.setdefault(tsym, {}), form.terms, c)
+    return TensorElement.from_terms(target, x.n, acc)
+
+
 def zero_tensor(algebra: LInftyAlgebra, n: int) -> TensorElement:
     return TensorElement(algebra, n, {})
 
 
-def constant_tensor(n: int, vector: GVector) -> TensorElement:
-    """vector tensor 1, the inclusion of constants."""
+def tensor_product(vector: GVector, form: Form) -> TensorElement:
+    """vector tensor form."""
     return TensorElement(
         vector.algebra,
-        n,
-        {s: Form.constant(n, c) for s, c in vector.coeffs.items()},
+        form.n,
+        {s: form.scale(c) for s, c in vector.coeffs.items()},
     )
+
+
+def constant_tensor(n: int, vector: GVector) -> TensorElement:
+    """vector tensor 1, the inclusion of constants."""
+    return tensor_product(vector, Form.one(n))
 
 
 def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
@@ -938,7 +934,7 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
         return args[0].delta() + args[0].d()
     if len(args) > algebra.max_arity:
         return zero_tensor(algebra, n)
-    total = zero_tensor(algebra, n)
+    total: dict = {}
     atom_lists = [a.atoms() for a in args]
     for combo in itertools.product(*atom_lists):
         syms = [sym for sym, _, _ in combo]
@@ -957,45 +953,11 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
                 break
         if form.is_zero():
             continue
-        if sign < 0:
-            form = -form
         for tsym, c in value.coeffs.items():
-            total = total + TensorElement(algebra, n, {tsym: form.scale(c)})
-    return total
-
-
-class TensorAlgebra:
-    """The bracket evaluator on (algebra) tensor (forms on the
-    n-simplex): every bracket, curvature, and flatness operation of the
-    base algebra, extended over polynomial forms."""
-
-    def __init__(self, algebra: LInftyAlgebra, n: int):
-        self.algebra = algebra
-        self.n = n
-
-    def zero(self) -> TensorElement:
-        return zero_tensor(self.algebra, self.n)
-
-    def constant(self, vector: GVector) -> TensorElement:
-        return constant_tensor(self.n, vector)
-
-    def element(self, comps: Mapping[str, Form]) -> TensorElement:
-        return TensorElement(self.algebra, self.n, comps)
-
-    def bracket(self, args: Sequence[TensorElement]) -> TensorElement:
-        return tensor_bracket(self.algebra, list(args))
-
-    def curvature(self, alpha: TensorElement) -> TensorElement:
-        return tensor_curvature(alpha)
-
-    def is_mc(self, alpha: TensorElement) -> bool:
-        return tensor_curvature(alpha).is_zero()
-
-
-def tensor_with_forms(algebra: LInftyAlgebra, n: int) -> TensorAlgebra:
-    """All bracket, curvature, and flatness operations on the tensor
-    algebra over the n-simplex."""
-    return TensorAlgebra(algebra, n)
+            kernel.add_into(
+                total.setdefault(tsym, {}), form.terms, c if sign > 0 else -c
+            )
+    return TensorElement.from_terms(algebra, n, total)
 
 
 def tensor_curvature(alpha: TensorElement) -> TensorElement:
@@ -1003,10 +965,10 @@ def tensor_curvature(alpha: TensorElement) -> TensorElement:
     algebra = alpha.algebra
     if not alpha.is_zero() and not alpha.is_homogeneous(1):
         raise ValueError("curvature needs a total-degree-1 element")
-    bound = _bracket_power_bound(algebra)
-    total = alpha.d_plus_delta()
-    for ell in range(2, bound + 1):
-        term = tensor_bracket(algebra, [alpha] * ell)
-        if not term.is_zero():
-            total = total + term.scale(Fraction(1, factorial(ell)))
-    return total
+    return linear_combination(
+        alpha.d_plus_delta(),
+        (
+            (Fraction(1, factorial(ell)), tensor_bracket(algebra, [alpha] * ell))
+            for ell in range(2, _bracket_power_bound(algebra) + 1)
+        ),
+    )

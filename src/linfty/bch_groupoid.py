@@ -23,14 +23,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from linfty import dupont
+from linfty import dupont, kernel
 from linfty.algebra import (
     GVector,
     LInftyAlgebra,
-    TensorElement,
     bracket,
     constant_tensor,
     is_mc,
+    linear_combination,
+    tensor_product,
     twisted_bracket,
     zero_tensor,
 )
@@ -159,12 +160,10 @@ def tree_exponential(algebra: LInftyAlgebra, mu: GVector, x: GVector,
             cache[tree] = cached
         return cached
 
-    total = algebra.zero_vector()
-    for term in enumerate_trees(k):
-        value = evaluate(term.tree)
-        if not value.is_zero():
-            total = total + value.scale(term.coefficient)
-    return total
+    return linear_combination(
+        algebra.zero_vector(),
+        ((term.coefficient, evaluate(term.tree)) for term in enumerate_trees(k)),
+    )
 
 
 def gauge_flow_terms(algebra: LInftyAlgebra, mu: GVector, x: GVector):
@@ -186,17 +185,12 @@ def alpha1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> SimplexElement:
     """
     if not x.is_zero() and not x.is_homogeneous(0):
         raise ValueError("edge datum must have degree 0")
-    value = constant_tensor(1, mu)
+    terms = []
     for k, eps in enumerate(gauge_flow_terms(algebra, mu, x), start=1):
-        if eps.is_zero():
-            continue
-        form = Form(1, {((k,), ()): Fraction(-1, factorial(k))})
-        value = value + TensorElement(
-            algebra, 1, {s: form.scale(c) for s, c in eps.coeffs.items()}
-        )
-    value = value + TensorElement(
-        algebra, 1, {s: Form.dt(1, 1).scale(-c) for s, c in x.coeffs.items()}
-    )
+        t1_power = Form(1, {((k,), ()): _ONE})
+        terms.append((Fraction(-1, factorial(k)), tensor_product(eps, t1_power)))
+    terms.append((-1, tensor_product(x, Form.dt(1, 1))))
+    value = linear_combination(constant_tensor(1, mu), terms)
     return SimplexElement(algebra, 1, value, validate=True)
 
 
@@ -205,11 +199,13 @@ def rho1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> GVector:
 
     Coincides with the vertex-1 value of alpha1 and, for dg Lie
     algebras, with the gauge action of exp(x) on mu."""
-    total = mu
-    for k, eps in enumerate(gauge_flow_terms(algebra, mu, x), start=1):
-        if not eps.is_zero():
-            total = total - eps.scale(Fraction(1, factorial(k)))
-    return total
+    return linear_combination(
+        mu,
+        (
+            (Fraction(-1, factorial(k)), eps)
+            for k, eps in enumerate(gauge_flow_terms(algebra, mu, x), start=1)
+        ),
+    )
 
 
 # -- the generalized Campbell-Hausdorff series --------------------------
@@ -234,7 +230,7 @@ def generalized_ch(algebra: LInftyAlgebra, n: int, mu: GVector,
     the gauge with base vertex 0, and integrates over the chain
     (1, ..., n).
     """
-    witness = zero_tensor(algebra, n)
+    terms = []
     for seq, vec in inputs.items():
         seq = tuple(seq)
         if not seq or list(seq) != sorted(set(seq)) or not (
@@ -246,10 +242,9 @@ def generalized_ch(algebra: LInftyAlgebra, n: int, mu: GVector,
             raise ValueError(
                 f"input at {seq} must have degree {1 - k}"
             )
-        omega = dupont.elementary_form(seq, n).scale(Fraction(-1, factorial(k)))
-        witness = witness + TensorElement(
-            algebra, n, {s: omega.scale(c) for s, c in vec.coeffs.items()}
-        )
+        omega = dupont.elementary_form(seq, n)
+        terms.append((Fraction(-1, factorial(k)), tensor_product(vec, omega)))
+    witness = linear_combination(zero_tensor(algebra, n), terms)
     simplex = solve_gauge_fixed(
         algebra, n, 0, GaugeParameter(n=n, mu=mu, witness=witness)
     )
@@ -312,15 +307,15 @@ def deligne_action(algebra: LInftyAlgebra, x: GVector,
     if not x.is_zero() and not x.is_homogeneous(0):
         raise ValueError("action parameter must have degree 0")
     current = bracket(algebra, [x]) + bracket(algebra, [alpha, x])
-    total = alpha
+    total = dict(alpha.coeffs)
     k = 1
     while not current.is_zero():
-        total = total - current.scale(Fraction(1, factorial(k)))
+        kernel.add_into(total, current.coeffs, Fraction(-1, factorial(k)))
         current = bracket(algebra, [x, current])
         k += 1
         if k > algebra.nilpotency_index() + 1:
             raise RuntimeError("gauge action failed to terminate")
-    return total
+    return GVector(algebra, total)
 
 
 # -- exact nilpotent matrices and the monodromy oracle ------------------
@@ -452,12 +447,24 @@ class MatrixRepresentation:
         for sym in images:
             if algebra.degrees[sym] != 0:
                 raise ValueError("representation assigns only degree-0 symbols")
+        self._entries = {
+            sym: {
+                (i, j): a
+                for i, row in enumerate(m.rows)
+                for j, a in enumerate(row)
+                if a
+            }
+            for sym, m in self.images.items()
+        }
 
     def apply(self, v: GVector) -> NilMatrix:
-        total = NilMatrix.zero(self.size)
+        total: dict = {}
         for sym, c in v.coeffs.items():
-            total = total + self.images[sym].scale(c)
-        return total
+            kernel.add_into(total, self._entries[sym], c)
+        m = self.size
+        return NilMatrix(
+            [[total.get((i, j), _ZERO) for j in range(m)] for i in range(m)]
+        )
 
     def check_faithful_bracket(self) -> bool:
         """Commutators of images match images of brackets on the basis."""

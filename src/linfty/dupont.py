@@ -184,14 +184,8 @@ def _h_monomial(i: int, n: int, key) -> Form:
 
 
 def _add_upoly(upolys: dict, key, degree: int, coeff):
-    if not coeff:
-        return
-    poly = upolys.setdefault(key, {})
-    acc = poly.get(degree, _ZERO) + coeff
-    if acc:
-        poly[degree] = acc
-    else:
-        poly.pop(degree, None)
+    if coeff:
+        kernel.add_into(upolys.setdefault(key, {}), {degree: coeff})
 
 
 # -- Whitney projection ------------------------------------------------
@@ -218,13 +212,13 @@ def whitney_P(n: int, f: Form) -> Form:
         mono = _P_CACHE.get((n, key))
         if mono is None:
             single = Form(n, {key: _ONE}, _validated=True)
-            mono = Form.zero(n)
+            terms: dict = {}
             k = len(key[1])
             for seq in itertools.combinations(range(n + 1), k + 1):
                 weight = integrate_chain(seq, single)
                 if weight:
-                    mono = mono + elementary_form(seq, n).scale(weight)
-            _P_CACHE[(n, key)] = mono
+                    kernel.add_into(terms, elementary_form(seq, n).terms, weight)
+            mono = _P_CACHE[(n, key)] = Form(n, terms, _validated=True)
         kernel.add_into(out, mono.terms, coeff)
     return Form(n, out, _validated=True)
 
@@ -249,7 +243,7 @@ def dupont_s(n: int, f: Form) -> Form:
         mono = _S_CACHE.get((n, key))
         if mono is None:
             single = Form(n, {key: _ONE}, _validated=True)
-            mono = Form.zero(n)
+            terms: dict = {}
             for size in range(1, n + 1):
                 for seq in itertools.combinations(range(n + 1), size):
                     chain = single
@@ -260,8 +254,10 @@ def dupont_s(n: int, f: Form) -> Form:
                     if chain.is_zero():
                         continue
                     sign = -1 if size % 2 == 0 else 1
-                    mono = mono + elementary_form(seq, n).scale(sign) * chain
-            _S_CACHE[(n, key)] = mono
+                    kernel.add_into(
+                        terms, (elementary_form(seq, n) * chain).terms, sign
+                    )
+            mono = _S_CACHE[(n, key)] = Form(n, terms, _validated=True)
         kernel.add_into(out, mono.terms, coeff)
     return Form(n, out, _validated=True)
 
@@ -277,12 +273,6 @@ class ContractionBundle:
     n: int
     homotopy: Callable[[Form], Form]
     projection: Callable[[Form], Form]
-
-    def apply_homotopy(self, f: Form) -> Form:
-        return self.homotopy(f)
-
-    def apply_projection(self, f: Form) -> Form:
-        return self.projection(f)
 
 
 def dupont_bundle(n: int) -> ContractionBundle:
@@ -329,7 +319,7 @@ def gaugeify(bundle: ContractionBundle, max_degree: int = 3) -> ContractionBundl
     monomials up to the given polynomial degree.
     """
     n = bundle.n
-    s, P = bundle.apply_homotopy, bundle.apply_projection
+    s, P = bundle.homotopy, bundle.projection
     for mono in monomial_basis(n, max_degree):
         lhs = exterior_d(s(mono)) + s(exterior_d(mono))
         if lhs != mono - P(mono):
@@ -450,7 +440,7 @@ def check_gaugeify_fixed_point(n: int, max_degree: int) -> list[CheckResult]:
     fixed = CheckResult(f"gaugeified s = s on {n}-simplex")
     for mono in monomial_basis(n, max_degree):
         fixed.record(
-            mono.render(), twisted.apply_homotopy(mono), dupont_s(n, mono)
+            mono.render(), twisted.homotopy(mono), dupont_s(n, mono)
         )
     return [fixed]
 

@@ -25,7 +25,7 @@ from linfty.algebra import (
 from linfty.bch_groupoid import FiniteGroupoid, MatrixRepresentation
 from linfty.forms import Form
 from linfty.linalg import Subspace
-from linfty import dupont
+from linfty import dupont, kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -570,12 +570,12 @@ class Sampler:
         return zero
 
     def form(self, n: int, exterior_degree: int, max_poly_degree: int) -> Form:
-        total = Form.zero(n)
+        total: dict = {}
         for mono in dupont.monomial_basis(n, max_poly_degree):
             word = next(iter(mono.terms))[1]
             if len(word) == exterior_degree:
-                total = total + mono.scale(self.rational())
-        return total
+                kernel.add_into(total, mono.terms, self.rational())
+        return Form(n, total, _validated=True)
 
     def witness(self, algebra: LInftyAlgebra, n: int,
                 max_poly_degree: int = 1) -> TensorElement:

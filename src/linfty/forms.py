@@ -50,7 +50,7 @@ class Form:
                     raise ValueError(f"bad dt-word {word} for n={n}")
                 if not isinstance(coeff, Fraction):
                     raise TypeError(f"coefficient {coeff!r} is not a Fraction")
-            terms = {k: c for k, c in terms.items() if c}
+            terms = kernel.drop_zeros(terms)
         self.terms = terms
         self._hash = None
 
@@ -98,6 +98,9 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def exterior_degrees(self):
         """Sorted list of exterior degrees present."""
         return sorted({len(word) for _, word in self.terms})
@@ -134,9 +137,7 @@ class Form:
         return Form(self.n, out, _validated=True)
 
     def __neg__(self) -> "Form":
-        return Form(
-            self.n, {k: -c for k, c in self.terms.items()}, _validated=True
-        )
+        return Form(self.n, kernel.scale_terms(self.terms, -1), _validated=True)
 
     def scale(self, c) -> "Form":
         c = Fraction(c)
@@ -226,7 +227,7 @@ def reduce_barycentric(raw_terms: Iterable, n: int) -> Form:
     dt_0 = -sum dt_i and sorts each dt-word with alternating signs.
     Idempotent on already-reduced input.
     """
-    total = Form.zero(n)
+    total: dict = {}
     for coeff, exps, word in raw_terms:
         coeff = Fraction(coeff)
         if not coeff:
@@ -245,8 +246,8 @@ def reduce_barycentric(raw_terms: Iterable, n: int) -> Form:
             piece = piece * Form.dt(i, n)
             if piece.is_zero():
                 break
-        total = total + piece
-    return total
+        kernel.add_into(total, piece.terms)
+    return Form(n, total, _validated=True)
 
 
 _T_POWER_CACHE: dict = {}
@@ -291,9 +292,7 @@ def exterior_d(f: Form) -> Form:
                 continue
             new_exps = list(exps)
             new_exps[pos] -= 1
-            kernel.add_into(
-                out, {(tuple(new_exps), new_word): _ONE}, coeff * e * sign
-            )
+            kernel.add_into(out, {(tuple(new_exps), new_word): coeff * e * sign})
     return Form(f.n, out, _validated=True)
 
 
@@ -328,9 +327,9 @@ def contract_euler(i: int, f: Form) -> Form:
             # iota(dt_j) = t_j - delta_ij
             bumped = list(exps)
             bumped[j - 1] += 1
-            kernel.add_into(out, {(tuple(bumped), rest): _ONE}, coeff * sign)
+            kernel.add_into(out, {(tuple(bumped), rest): coeff * sign})
             if j == i:
-                kernel.add_into(out, {(exps, rest): _ONE}, -coeff * sign)
+                kernel.add_into(out, {(exps, rest): -coeff * sign})
             sign = -sign
     return Form(n, out, _validated=True)
 
@@ -438,14 +437,14 @@ def _pullback_generators(f: SimplicialMap):
     t_images = []
     dt_images = []
     for i in range(f.target + 1):
-        preimage = [j for j, v in enumerate(f.values) if v == i]
-        t_img = Form.zero(m)
-        dt_img = Form.zero(m)
-        for j in preimage:
-            t_img = t_img + Form.t(j, m)
-            dt_img = dt_img + Form.dt(j, m)
-        t_images.append(t_img)
-        dt_images.append(dt_img)
+        t_img: dict = {}
+        dt_img: dict = {}
+        for j, v in enumerate(f.values):
+            if v == i:
+                kernel.add_into(t_img, Form.t(j, m).terms)
+                kernel.add_into(dt_img, Form.dt(j, m).terms)
+        t_images.append(Form(m, t_img, _validated=True))
+        dt_images.append(Form(m, dt_img, _validated=True))
     cached = (tuple(t_images), tuple(dt_images))
     _PULLBACK_GEN_CACHE[key] = cached
     return cached
@@ -460,7 +459,7 @@ def pullback(f: SimplicialMap, form: Form) -> Form:
         )
     t_images, dt_images = _pullback_generators(f)
     m = f.source
-    out = Form.zero(m)
+    out: dict = {}
     for (exps, word), coeff in form.terms.items():
         piece = Form.constant(m, coeff)
         for pos, e in enumerate(exps):
@@ -479,63 +478,5 @@ def pullback(f: SimplicialMap, form: Form) -> Form:
             piece = piece * dt_images[j]
             if piece.is_zero():
                 break
-        out = out + piece
-    return out
-
-
-# -- parsing of the canonical rendering ------------------------------
-
-
-def parse_form(text: str, n: int) -> Form:
-    """Parse the canonical rendering back into a Form.
-
-    Inverse of Form.render on its image; accepts any +/- separated list
-    of monomials in t_i, dt_i (i >= 1).
-    """
-    text = text.strip()
-    if text in ("0", ""):
-        return Form.zero(n)
-    # normalize to '+'-separated signed monomials
-    text = text.replace(" - ", " + -").replace("- ", "-")
-    chunks = [c.strip() for c in text.split("+")]
-    terms: dict = {}
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = _ONE
-        while chunk.startswith("-"):
-            sign = -sign
-            chunk = chunk[1:].strip()
-        coeff = sign
-        exps = [0] * n
-        word: list[int] = []
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {chunk!r}")
-            if factor[0].isdigit():
-                coeff *= Fraction(factor)
-            elif factor.startswith("dt"):
-                for letter in factor.split("^"):
-                    if not letter.startswith("dt"):
-                        raise ValueError(f"bad dt-word {factor!r}")
-                    word.append(int(letter[2:]))
-            elif factor.startswith("t"):
-                if "^" in factor:
-                    var, power = factor.split("^")
-                    e = int(power)
-                else:
-                    var, e = factor, 1
-                idx = int(var[1:])
-                if not 1 <= idx <= n:
-                    raise ValueError(f"index {idx} out of range for n={n}")
-                exps[idx - 1] += e
-            else:
-                raise ValueError(f"cannot parse factor {factor!r}")
-        sorted_word, wsign = kernel.sort_word(tuple(word))
-        if wsign == 0:
-            continue
-        kernel.add_into(
-            terms, {(tuple(exps), sorted_word): _ONE}, coeff * wsign
-        )
-    return Form(n, terms)
+        kernel.add_into(out, piece.terms)
+    return Form(m, out, _validated=True)

@@ -26,8 +26,10 @@ from linfty.algebra import (
     TensorElement,
     constant_tensor,
     is_mc,
+    linear_combination,
     tensor_bracket,
     tensor_curvature,
+    tensor_product,
     zero_tensor,
 )
 from linfty.forms import SimplicialMap
@@ -166,11 +168,16 @@ def _mc_iteration(algebra: LInftyAlgebra, alpha0: TensorElement, correction,
     bound = min(algebra.max_arity, algebra.nilpotency_index() - 1)
     alpha = alpha0
     for _ in range(cap):
-        total = alpha0
-        for ell in range(2, bound + 1):
-            term = tensor_bracket(algebra, [alpha] * ell)
-            if not term.is_zero():
-                total = total - correction(term).scale(Fraction(1, factorial(ell)))
+        total = linear_combination(
+            alpha0,
+            (
+                (
+                    Fraction(-1, factorial(ell)),
+                    correction(tensor_bracket(algebra, [alpha] * ell)),
+                )
+                for ell in range(2, bound + 1)
+            ),
+        )
         if total == alpha:
             return alpha
         alpha = total
@@ -359,21 +366,17 @@ def _whitney_horn_witness(horn: Horn, base: int) -> TensorElement:
     pinned by the tests, like the sign inside the gauge itself).
     """
     n = horn.n
-    witness = zero_tensor(horn.algebra, n)
+    terms = []
     for size in range(1, n):
         sign = -1 if size % 2 == 0 else 1
         for seq in itertools.combinations(
             [v for v in range(n + 1) if v != base], size
         ):
             value = horn.integrate((base,) + seq)
-            if value.is_zero():
-                continue
-            omega = dupont.elementary_form(seq, n).scale(sign)
-            witness = witness + TensorElement(
-                horn.algebra, n,
-                {sym: omega.scale(c) for sym, c in value.coeffs.items()},
-            )
-    return witness
+            if not value.is_zero():
+                omega = dupont.elementary_form(seq, n)
+                terms.append((sign, tensor_product(value, omega)))
+    return linear_combination(zero_tensor(horn.algebra, n), terms)
 
 
 def fill_horn_gamma(horn: Horn, base: int | None = None) -> SimplexElement:
@@ -414,10 +417,7 @@ def fill_horn_relative(f: Morphism, horn: Horn, target: SimplexElement,
     top_seq = tuple(v for v in range(n + 1) if v != i)
     omega_top = dupont.elementary_form(top_seq, n)
     sign = _TOP_WITNESS_SIGN(i, n)
-    witness = witness + TensorElement(
-        horn.algebra, n,
-        {sym: omega_top.scale(sign * c) for sym, c in x.coeffs.items()},
-    )
+    witness = witness + tensor_product(x, omega_top.scale(sign))
     g = GaugeParameter(n=n, mu=horn.vertex_value(i), witness=witness)
     filler = solve_gauge_fixed(horn.algebra, n, i, g)
     _check_faces(filler, horn)

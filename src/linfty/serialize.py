@@ -3,10 +3,11 @@
 Presentation files are JSON: {"name", "generators": [{"symbol",
 "degree"}], "brackets": [{"args": [...], "value": [{"symbol", "coeff"}]}],
 optional "max_arity"}; coefficients are strings "p/q" in lowest terms.
-Unlisted brackets are zero.  Loading validates degree homogeneity and
-reports failures with file context.  Rendering is canonical and
-byte-stable; parse(render(x)) == x on forms, vectors, presentations,
-and simplices.
+Unlisted brackets are zero; the arity bound is read off the bracket
+table, and a declared "max_arity" is only checked against it.  Loading
+validates degree homogeneity and reports failures with file context.
+Rendering is canonical and byte-stable; parse(render(x)) == x on
+forms, vectors, presentations, and simplices.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from linfty import kernel
 from linfty.algebra import GVector, LInftyAlgebra, TensorElement
-from linfty.forms import Form, parse_form
+from linfty.forms import Form
 from linfty.mc_gamma import SimplexElement
+
+_ONE = Fraction(1)
 
 
 class LoadError(ValueError):
@@ -55,7 +59,12 @@ def rational_to_str(value: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    return Fraction(text)
+    """Parse 'p/q', an integer or a decimal exactly; the only rational
+    parser.  Malformed text and zero denominators raise ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def presentation_to_data(algebra: LInftyAlgebra) -> dict:
@@ -93,6 +102,11 @@ def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
             for entry in data.get("generators", [])
         ]
         brackets = {}
+        declared = data.get("max_arity")
+        if declared is not None and (
+            isinstance(declared, bool) or not isinstance(declared, int)
+        ):
+            raise ValueError(f"max_arity must be an integer, got {declared!r}")
         for entry in data.get("brackets", []):
             args = tuple(entry["args"])
             value = {
@@ -102,13 +116,20 @@ def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
             if args in brackets:
                 raise ValueError(f"bracket on {args} specified twice")
             brackets[args] = value
-        max_arity = data.get("max_arity")
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(path, f"malformed presentation: {exc}") from exc
     try:
-        return LInftyAlgebra(name, generators, brackets, max_arity=max_arity)
+        algebra = LInftyAlgebra(name, generators, brackets)
     except ValueError as exc:
         raise LoadError(path, str(exc)) from exc
+    # the arity is read off the bracket table; a declared one is only checked
+    if declared is not None and declared < algebra.max_arity:
+        raise LoadError(
+            path,
+            f"declared max_arity {declared} is below the listed arity "
+            f"{algebra.max_arity}",
+        )
+    return algebra
 
 
 def load_presentation(path) -> PresentationFile:
@@ -142,32 +163,74 @@ def render_vector(v: GVector) -> str:
     return v.render()
 
 
-def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
-    """Inverse of GVector.render: a +/- separated list of
-    coefficient*symbol factors."""
+def _signed_chunks(text: str):
+    """Split a +/- separated rendering into (sign, monomial text) pairs;
+    "0" and "" have none."""
     text = text.strip()
     if text in ("", "0"):
-        return algebra.zero_vector()
+        return
     text = text.replace(" - ", " + -").replace("- ", "-")
-    coeffs: dict = {}
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        sign = Fraction(1)
+        sign = _ONE
         while chunk.startswith("-"):
             sign = -sign
             chunk = chunk[1:].strip()
+        yield sign, chunk
+
+
+def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
+    """Inverse of GVector.render: a +/- separated list of
+    coefficient*symbol factors."""
+    coeffs: dict = {}
+    for coeff, chunk in _signed_chunks(text):
         if "*" in chunk:
             coeff_text, sym = chunk.split("*", 1)
-            coeff = sign * Fraction(coeff_text.strip())
+            coeff *= rational_from_str(coeff_text.strip())
         else:
-            sym, coeff = chunk, sign
+            sym = chunk
         sym = sym.strip()
         if sym not in algebra.index:
             raise ValueError(f"unknown symbol {sym!r}")
-        coeffs[sym] = coeffs.get(sym, Fraction(0)) + coeff
+        kernel.add_into(coeffs, {sym: _ONE}, coeff)
     return GVector(algebra, coeffs)
+
+
+def parse_form(text: str, n: int) -> Form:
+    """Inverse of Form.render on its image; accepts any +/- separated
+    list of monomials in t_i, dt_i (i >= 1)."""
+    terms: dict = {}
+    for coeff, chunk in _signed_chunks(text):
+        exps = [0] * n
+        word: list[int] = []
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ValueError(f"empty factor in {chunk!r}")
+            if factor[0].isdigit():
+                coeff *= rational_from_str(factor)
+            elif factor.startswith("dt"):
+                for letter in factor.split("^"):
+                    if not letter.startswith("dt"):
+                        raise ValueError(f"bad dt-word {factor!r}")
+                    word.append(int(letter[2:]))
+            elif factor.startswith("t"):
+                if "^" in factor:
+                    var, power = factor.split("^")
+                    e = int(power)
+                else:
+                    var, e = factor, 1
+                idx = int(var[1:])
+                if not 1 <= idx <= n:
+                    raise ValueError(f"index {idx} out of range for n={n}")
+                exps[idx - 1] += e
+            else:
+                raise ValueError(f"cannot parse factor {factor!r}")
+        sorted_word, wsign = kernel.sort_word(tuple(word))
+        kernel.add_into(terms, {(tuple(exps), sorted_word): _ONE}, coeff * wsign)
+    return Form(n, terms)
 
 
 # -- simplices -------------------------------------------------------------

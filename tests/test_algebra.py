@@ -14,6 +14,7 @@ from linfty.algebra import (
     bianchi_residual,
     bracket,
     check_jacobi,
+    constant_tensor,
     curvature,
     is_mc,
     jacobiator,
@@ -315,22 +316,18 @@ class TestTensorStructure:
         ).scale(Fraction(1, 2))
         assert tensor_curvature(alpha) == expected
 
-    def test_tensor_with_forms_evaluator(self):
-        from linfty.algebra import tensor_with_forms
-
+    def test_tensor_operations_on_constants_and_forms(self):
         heis = get_fixture("heisenberg")
-        evaluator = tensor_with_forms(heis, 1)
         # constants have vanishing unary bracket when the differential is 0
-        x = evaluator.constant(heis.basis_vector("e1"))
-        assert evaluator.bracket([x]).is_zero()
+        x = constant_tensor(1, heis.basis_vector("e1"))
+        assert tensor_bracket(heis, [x]).is_zero()
         # [x (x) t1] = delta x (x) t1 + x (x) dt1 with delta = 0
-        xt = evaluator.element({"e1": Form.t(1, 1)})
-        assert evaluator.bracket([xt]) == evaluator.element(
-            {"e1": Form.dt(1, 1)}
+        xt = TensorElement(heis, 1, {"e1": Form.t(1, 1)})
+        assert tensor_bracket(heis, [xt]) == TensorElement(
+            heis, 1, {"e1": Form.dt(1, 1)}
         )
-        alpha = evaluator.element({"e1": Form.dt(1, 1)})
-        assert evaluator.is_mc(alpha)
-        assert evaluator.curvature(alpha).is_zero()
+        alpha = TensorElement(heis, 1, {"e1": Form.dt(1, 1)})
+        assert tensor_curvature(alpha).is_zero()
 
 
 class TestMorphisms:

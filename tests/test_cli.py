@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 
 from linfty.cli import main
@@ -61,6 +62,54 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check-jacobi", "--algebra", str(path))
         assert code == 1
         assert "FAIL" in out
+
+
+class TestHostileInput:
+    @staticmethod
+    def _heisenberg_file(tmp_path, name, **extra):
+        data = json.loads(Path(bundled("heisenberg")).read_text())
+        data.pop("max_arity", None)
+        data.update(extra)
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_declared_max_arity_only_checked(self, capsys, tmp_path):
+        plain = self._heisenberg_file(tmp_path, "plain.json")
+        huge = self._heisenberg_file(tmp_path, "huge.json", max_arity=1000000)
+        expected = run(capsys, "check-jacobi", "--algebra", plain)
+        assert expected[0] == 0
+        assert run(capsys, "check-jacobi", "--algebra", huge) == expected
+
+    def test_declared_max_arity_below_listed_bracket(self, capsys, tmp_path):
+        for declared in (1, "2", True):
+            path = self._heisenberg_file(tmp_path, "low.json", max_arity=declared)
+            code, _, err = run(capsys, "check-jacobi", "--algebra", path)
+            assert code == 2
+            assert "max_arity" in err
+
+    def test_zero_denominator_in_presentation(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "bad",
+            "generators": [{"symbol": "a", "degree": 0},
+                           {"symbol": "b", "degree": 0}],
+            "brackets": [{"args": ["a", "b"],
+                          "value": [{"symbol": "b", "coeff": "1/0"}]}],
+        }))
+        code, _, err = run(capsys, "check-jacobi", "--algebra", str(path))
+        assert code == 2
+        assert "zero denominator" in err
+
+    def test_zero_denominator_in_vector_file(self, capsys, tmp_path):
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("1/0*e1\n")
+        code, _, err = run(
+            capsys, "bch", "--algebra", bundled("heisenberg"), "--n", "2",
+            "--mu", str(mu_path),
+        )
+        assert code == 2
+        assert "zero denominator" in err
 
 
 class TestVerifiers:

@@ -143,10 +143,8 @@ class TestGaugeify:
         # itself plus the projection-killed property
         bundle = gaugeify(dupont_bundle(2), max_degree=2)
         for m in monomial_basis(2, 2):
-            assert bundle.apply_homotopy(
-                bundle.apply_homotopy(m)
-            ).is_zero()
-            assert bundle.apply_homotopy(whitney_P(2, m)).is_zero()
+            assert bundle.homotopy(bundle.homotopy(m)).is_zero()
+            assert bundle.homotopy(whitney_P(2, m)).is_zero()
 
     def test_rejects_non_contraction(self):
         broken = ContractionBundle(

@@ -12,11 +12,11 @@ from linfty.forms import (
     contract_euler,
     evaluate_vertex,
     exterior_d,
-    parse_form,
     pullback,
     reduce_barycentric,
     wedge,
 )
+from linfty.serialize import parse_form
 
 
 def mono(n, exps, word=()):

@@ -1,66 +1,161 @@
-"""Both kernel lanes implement the same term arithmetic."""
+"""The term kernel and the sparse containers built on it."""
 
-import random
 from fractions import Fraction
 
-import linfty._kernel_py as pure
+from hypothesis import given, settings, strategies as st
+
 from linfty import kernel
+from linfty.algebra import (
+    GVector,
+    TensorElement,
+    bracket,
+    constant_tensor,
+    tensor_bracket,
+)
+from linfty.fixtures import (
+    get_fixture,
+    heisenberg_abelianization,
+    three_bracket_projection,
+)
+from linfty.forms import Form
 
 
 def test_sort_word_signs():
-    assert pure.sort_word(()) == ((), 1)
-    assert pure.sort_word((2,)) == ((2,), 1)
-    assert pure.sort_word((1, 2)) == ((1, 2), 1)
-    assert pure.sort_word((2, 1)) == ((1, 2), -1)
-    assert pure.sort_word((3, 1, 2)) == ((1, 2, 3), 1)
-    assert pure.sort_word((1, 1)) == ((), 0)
-    assert pure.sort_word((2, 3, 2)) == ((), 0)
+    assert kernel.sort_word(()) == ((), 1)
+    assert kernel.sort_word((2,)) == ((2,), 1)
+    assert kernel.sort_word((1, 2)) == ((1, 2), 1)
+    assert kernel.sort_word((2, 1)) == ((1, 2), -1)
+    assert kernel.sort_word((3, 1, 2)) == ((1, 2, 3), 1)
+    assert kernel.sort_word((1, 1)) == ((), 0)
+    assert kernel.sort_word((2, 3, 2)) == ((), 0)
 
 
 def test_merge_words_signs():
-    assert pure.merge_words((1,), (2,)) == ((1, 2), 1)
-    assert pure.merge_words((2,), (1,)) == ((1, 2), -1)
-    assert pure.merge_words((1, 3), (2,)) == ((1, 2, 3), -1)
-    assert pure.merge_words((1,), (1,)) == ((), 0)
-    assert pure.merge_words((), (1, 2)) == ((1, 2), 1)
+    assert kernel.merge_words((1,), (2,)) == ((1, 2), 1)
+    assert kernel.merge_words((2,), (1,)) == ((1, 2), -1)
+    assert kernel.merge_words((1, 3), (2,)) == ((1, 2, 3), -1)
+    assert kernel.merge_words((1,), (1,)) == ((), 0)
+    assert kernel.merge_words((), (1, 2)) == ((1, 2), 1)
 
 
 def test_add_into_drops_zeros():
     a = {((1,), ()): Fraction(1)}
     b = {((1,), ()): Fraction(-1, 2)}
-    out = pure.add_into(dict(a), b, Fraction(2))
+    out = kernel.add_into(dict(a), b, Fraction(2))
     assert out == {}
-
-
-def _random_terms(rng, n):
-    terms = {}
-    for _ in range(rng.randint(0, 6)):
-        exps = tuple(rng.randint(0, 3) for _ in range(n))
-        word = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
-        if coeff:
-            terms[(exps, word)] = coeff
-    return terms
-
-
-def test_lanes_agree_on_random_inputs():
-    rng = random.Random(12)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        a, b = _random_terms(rng, n), _random_terms(rng, n)
-        scale = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        assert kernel.mul_terms(a, b) == pure.mul_terms(a, b)
-        assert kernel.scale_terms(a, scale) == pure.scale_terms(a, scale)
-        d1, d2 = dict(a), dict(a)
-        assert kernel.add_into(d1, b, scale) == pure.add_into(d2, b, scale)
-        word = tuple(rng.choices(range(1, n + 1), k=rng.randint(0, 5)))
-        assert kernel.sort_word(word) == pure.sort_word(word)
 
 
 def test_mul_is_graded_commutative_at_term_level():
     a = {((0, 0), (1,)): Fraction(1)}
     b = {((0, 0), (2,)): Fraction(1)}
-    ab = pure.mul_terms(a, b)
-    ba = pure.mul_terms(b, a)
+    ab = kernel.mul_terms(a, b)
+    ba = kernel.mul_terms(b, a)
     assert ab == {((0, 0), (1, 2)): Fraction(1)}
     assert ba == {((0, 0), (1, 2)): Fraction(-1)}
+
+
+# -- properties of the shared core on random elements --------------------
+
+ALGEBRAS = ("heisenberg", "ut4", "dg_lie_01", "heis_exterior", "three_bracket")
+N = 2
+PROPERTY = settings(max_examples=40, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def vectors(draw, algebra):
+    syms = draw(st.lists(st.sampled_from(algebra.symbols), max_size=4))
+    return GVector(algebra, {s: draw(rationals) for s in syms})
+
+
+@st.composite
+def forms(draw, n=N):
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        word = tuple(i for i in range(1, n + 1) if draw(st.booleans()))
+        terms[(exps, word)] = draw(rationals)
+    return Form(n, terms)
+
+
+@st.composite
+def tensors(draw, algebra, n=N):
+    syms = draw(st.lists(st.sampled_from(algebra.symbols), max_size=3))
+    return TensorElement(algebra, n, {s: draw(forms(n)) for s in syms})
+
+
+@st.composite
+def algebra_and_args(draw):
+    algebra = get_fixture(draw(st.sampled_from(ALGEBRAS)))
+    arity = draw(st.integers(1, algebra.max_arity))
+    args = [draw(vectors(algebra)) for _ in range(arity)]
+    return algebra, args, draw(st.integers(0, arity - 1)), draw(vectors(algebra))
+
+
+@PROPERTY
+@given(algebra_and_args())
+def test_bracket_is_additive_in_each_slot(case):
+    algebra, args, slot, extra = case
+    summed = list(args)
+    summed[slot] = args[slot] + extra
+    replaced = list(args)
+    replaced[slot] = extra
+    assert bracket(algebra, summed) == (
+        bracket(algebra, args) + bracket(algebra, replaced)
+    )
+
+
+@PROPERTY
+@given(algebra_and_args())
+def test_tensor_bracket_of_constants_is_constant(case):
+    algebra, args, _, _ = case
+    constants = [constant_tensor(N, v) for v in args]
+    assert tensor_bracket(algebra, constants) == constant_tensor(
+        N, bracket(algebra, args)
+    )
+
+
+@st.composite
+def morphism_and_tensors(draw):
+    f = draw(st.sampled_from([heisenberg_abelianization(),
+                              three_bracket_projection()]))
+    return f, draw(tensors(f.source)), draw(tensors(f.source))
+
+
+@PROPERTY
+@given(morphism_and_tensors())
+def test_morphism_apply_is_additive_on_tensors(case):
+    f, x, y = case
+    assert f.apply(x + y) == f.apply(x) + f.apply(y)
+
+
+@PROPERTY
+@given(forms(), forms())
+def test_form_sum_cancels(a, b):
+    total = (a + b) - b
+    assert total == a
+    assert all((a + b).terms.values())
+
+
+@PROPERTY
+@given(st.sampled_from(ALGEBRAS).flatmap(
+    lambda name: st.tuples(*[vectors(get_fixture(name))] * 2)))
+def test_vector_sum_cancels(pair):
+    a, b = pair
+    assert (a + b) - b == a
+    assert all((a + b).coeffs.values())
+    assert (a - a).coeffs == {}
+
+
+@PROPERTY
+@given(st.sampled_from(ALGEBRAS).flatmap(
+    lambda name: st.tuples(*[tensors(get_fixture(name))] * 2)))
+def test_tensor_sum_cancels(pair):
+    a, b = pair
+    assert (a + b) - b == a
+    total = a + b
+    assert all(total.comps.values())
+    for form in total.comps.values():
+        assert all(form.terms.values())
+    assert (a - a).comps == {}

@@ -14,6 +14,7 @@ from linfty.serialize import (
     LoadError,
     load_presentation,
     load_simplex,
+    parse_form,
     parse_vector,
     presentation_from_data,
     presentation_to_data,
@@ -120,6 +121,14 @@ class TestVectorRendering:
         heis = get_fixture("heisenberg")
         with pytest.raises(ValueError):
             parse_vector("qq", heis)
+
+    def test_bad_rationals_are_value_errors(self):
+        heis = get_fixture("heisenberg")
+        for text in ("1/0*e1", "1/x*e1"):
+            with pytest.raises(ValueError):
+                parse_vector(text, heis)
+        with pytest.raises(ValueError):
+            parse_form("1/0*t1", 1)
 
 
 class TestSimplexFiles:
