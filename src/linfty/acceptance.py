@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from linfty import dupont
 from linfty.algebra import (
     GVector,
+    TensorElement,
+    _compositions,
     bianchi_residual,
     bracket,
     check_jacobi,
@@ -63,7 +66,6 @@ from linfty.mc_gamma import (
     solve_gauge_fixed,
     solve_mc,
 )
-from linfty.algebra import TensorElement
 
 BUNDLED_FIXTURES = (
     "zero",
@@ -463,8 +465,6 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
 
     # the flow recursion for k <= 4
     sampler = Sampler(seed)
-    from math import factorial
-
     for name in ("heisenberg", "ut4", "dg_lie_01", "heis_exterior"):
         alg = get_fixture(name)
         mu = sampler.mc_element(alg)
@@ -475,7 +475,7 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
         for k in range(1, 5):
             terms = []
             for parts in range(0, k + 1):
-                for comp in _compositions_of(k, parts):
+                for comp in _compositions(k, parts):
                     coeff = Fraction(factorial(k))
                     for piece in comp:
                         coeff /= factorial(piece)
@@ -527,20 +527,6 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
             good += ok
         result.note(f"{name}: action preserves flatness and matches rho1, {good}/20")
     return result
-
-
-def _compositions_of(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_of(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def criterion_dold_kan(seed: int = 0, max_degree: int = 4) -> CriterionResult:

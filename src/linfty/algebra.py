@@ -33,10 +33,6 @@ from linfty import dupont, kernel
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# exponent relating these brackets to the other common sign convention
-# for L-infinity operations: the k-th brackets differ by (-1)^binom(k+1, 2)
-ALTERNATE_CONVENTION_SIGN_EXPONENT = "binomial(k+1, 2)"
-
 
 def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     """Koszul sign of a permutation acting on graded symbols.
@@ -206,6 +202,8 @@ class LInftyAlgebra:
             [[_ONE if i == j else _ZERO for j in range(self.dim)] for i in range(self.dim)],
         )
         spaces = [full]
+        # the rows of each level as vectors, built once per level
+        row_vectors = [[self.basis_vector(s) for s in self.symbols]]
         index = None
         for level in range(2, cap + 2):
             vectors = []
@@ -214,26 +212,18 @@ class LInftyAlgebra:
                 for comp in _compositions(weight, arity):
                     if any(c >= level for c in comp):
                         continue
-                    factor_bases = [spaces[c - 1].rows for c in comp]
+                    factor_bases = [row_vectors[c - 1] for c in comp]
                     if any(not rows for rows in factor_bases):
                         continue
-                    for choice in itertools.product(*factor_bases):
-                        args = [
-                            GVector(
-                                self,
-                                {
-                                    self.symbols[i]: c
-                                    for i, c in enumerate(vec)
-                                    if c
-                                },
-                            )
-                            for vec in choice
-                        ]
+                    for args in itertools.product(*factor_bases):
                         val = bracket(self, args)
                         if not val.is_zero():
                             vectors.append(val.to_list())
             space = Subspace(self.dim, vectors)
             spaces.append(space)
+            row_vectors.append([
+                GVector(self, dict(zip(self.symbols, row))) for row in space.rows
+            ])
             if space.is_zero():
                 index = level
                 break
@@ -267,6 +257,10 @@ class LInftyAlgebra:
 
 def _compositions(total: int, parts: int):
     """Ordered compositions of total into the given number of positive parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         if total >= 1:
             yield (total,)
@@ -509,27 +503,43 @@ def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> JacobiRepo
 # -- curvature, Maurer-Cartan, twisting -------------------------------
 
 
-def curvature(algebra: LInftyAlgebra, alpha):
-    """delta(alpha) + sum_{l>=2} [alpha^l]/l!, a finite sum for
-    nilpotent algebras."""
-    if isinstance(alpha, TensorElement):
-        return tensor_curvature(alpha)
-    if not isinstance(alpha, GVector) or alpha.algebra is not algebra:
-        raise ValueError("curvature argument must live in the given algebra")
-    if not alpha.is_zero() and not alpha.is_homogeneous(1):
-        raise ValueError("curvature needs a degree-1 element")
+def bracket_series(algebra: LInftyAlgebra, mu, args: Sequence, first: int):
+    """sum_{l>=first} [mu^l, args]/l! for vectors or tensor elements.
+
+    The sum is finite: [mu^l, args] vanishes once its arity exceeds
+    max_arity and, with no args, once l reaches the nilpotency index
+    ([mu^l] lies in the l-th term of the lower central series).
+    """
+    args = list(args)
+    bound = algebra.max_arity - len(args)
+    if not args:
+        bound = min(bound, algebra.nilpotency_index() - 1)
+    zero = (
+        zero_tensor(algebra, mu.n)
+        if isinstance(mu, TensorElement)
+        else algebra.zero_vector()
+    )
     return linear_combination(
-        bracket(algebra, [alpha]),
+        zero,
         (
-            (Fraction(1, factorial(ell)), bracket(algebra, [alpha] * ell))
-            for ell in range(2, _bracket_power_bound(algebra) + 1)
+            (Fraction(1, factorial(ell)), bracket(algebra, [mu] * ell + args))
+            for ell in range(first, bound + 1)
         ),
     )
 
 
-def _bracket_power_bound(algebra: LInftyAlgebra) -> int:
-    """Largest l for which [alpha^l] can be nonzero."""
-    return min(algebra.max_arity, algebra.nilpotency_index() - 1)
+def curvature(algebra: LInftyAlgebra, alpha):
+    """[alpha] + sum_{l>=2} [alpha^l]/l!, a finite sum for nilpotent
+    algebras; the unary bracket is delta on vectors and d + delta on
+    tensor elements."""
+    if (
+        not isinstance(alpha, (GVector, TensorElement))
+        or alpha.algebra is not algebra
+    ):
+        raise ValueError("curvature argument must live in the given algebra")
+    if not alpha.is_zero() and not alpha.is_homogeneous(1):
+        raise ValueError("curvature needs an element of (total) degree 1")
+    return bracket_series(algebra, alpha, [], 1)
 
 
 def is_mc(algebra: LInftyAlgebra, alpha) -> bool:
@@ -565,29 +575,15 @@ def twist(algebra: LInftyAlgebra, mu: GVector) -> LInftyAlgebra:
 
 def twisted_bracket(algebra: LInftyAlgebra, mu, args: Sequence):
     """Evaluate [args]_mu without materializing the twisted table."""
-    bound = algebra.max_arity - len(args)
     if isinstance(mu, GVector) and args and isinstance(args[0], TensorElement):
         mu = constant_tensor(args[0].n, mu)
-    return linear_combination(
-        bracket(algebra, list(args)),
-        (
-            (Fraction(1, factorial(ell)), bracket(algebra, [mu] * ell + list(args)))
-            for ell in range(1, bound + 1)
-        ),
-    )
+    return bracket_series(algebra, mu, args, 0)
 
 
 def bianchi_residual(algebra: LInftyAlgebra, alpha: GVector) -> GVector:
     """delta F(alpha) + sum_{l>=1} [alpha^l, F(alpha)]/l!; identically
     zero by the Jacobi rules."""
-    F = curvature(algebra, alpha)
-    return linear_combination(
-        bracket(algebra, [F]),
-        (
-            (Fraction(1, factorial(ell)), bracket(algebra, [alpha] * ell + [F]))
-            for ell in range(1, algebra.max_arity)
-        ),
-    )
+    return twisted_bracket(algebra, alpha, [curvature(algebra, alpha)])
 
 
 # -- strict morphisms --------------------------------------------------
@@ -759,12 +755,6 @@ class TensorElement:
             for k in form.exterior_degrees():
                 out.append((sym, k, form.component(k)))
         return out
-
-    def total_degrees(self):
-        degs = set()
-        for sym, k, _ in self.atoms():
-            degs.add(self.algebra.degrees[sym] + k)
-        return sorted(degs)
 
     def component(self, total_degree: int) -> "TensorElement":
         degrees = self.algebra.degrees
@@ -962,13 +952,4 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
 
 def tensor_curvature(alpha: TensorElement) -> TensorElement:
     """Curvature of a tensor element under the differential d + delta."""
-    algebra = alpha.algebra
-    if not alpha.is_zero() and not alpha.is_homogeneous(1):
-        raise ValueError("curvature needs a total-degree-1 element")
-    return linear_combination(
-        alpha.d_plus_delta(),
-        (
-            (Fraction(1, factorial(ell)), tensor_bracket(algebra, [alpha] * ell))
-            for ell in range(2, _bracket_power_bound(algebra) + 1)
-        ),
-    )
+    return curvature(alpha.algebra, alpha)

@@ -34,13 +34,8 @@ from linfty.serialize import (
 PASS, CHECK_FAILURE, USAGE_ERROR = 0, 1, 2
 
 
-def _load_algebra(path):
-    loaded = load_presentation(path)
-    return loaded
-
-
 def cmd_check_jacobi(args) -> int:
-    loaded = _load_algebra(args.algebra)
+    loaded = load_presentation(args.algebra)
     print(loaded.summary())
     report = check_jacobi(loaded.algebra, args.n_max)
     print(report.summary())
@@ -75,7 +70,7 @@ def _dim_list(n):
 
 
 def cmd_fill_horn(args) -> int:
-    loaded = _load_algebra(args.algebra)
+    loaded = load_presentation(args.algebra)
     algebra = loaded.algebra
     faces = [load_simplex(path, algebra) for path in args.faces]
     positions = [j for j in range(args.n + 1) if j != args.missing]
@@ -96,7 +91,7 @@ def cmd_fill_horn(args) -> int:
 def cmd_dold_kan(args) -> int:
     from linfty.mc_gamma import dold_kan_compare
 
-    loaded = _load_algebra(args.algebra)
+    loaded = load_presentation(args.algebra)
     report = dold_kan_compare(loaded.algebra, args.n)
     print(report.summary())
     for seq, sym in report.basis:
@@ -105,7 +100,7 @@ def cmd_dold_kan(args) -> int:
 
 
 def cmd_bch(args) -> int:
-    loaded = _load_algebra(args.algebra)
+    loaded = load_presentation(args.algebra)
     algebra = loaded.algebra
     mu = algebra.zero_vector()
     if args.mu:
@@ -122,7 +117,7 @@ def cmd_bch(args) -> int:
 
 
 def cmd_compose_table(args) -> int:
-    loaded = _load_algebra(args.algebra)
+    loaded = load_presentation(args.algebra)
     algebra = loaded.algebra
     if algebra.basis_of_degree(-1) or not algebra.is_nilpotent():
         print(
@@ -198,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for the deterministic samplers")
     parser.add_argument("--max-degree", type=int, default=4,
                         help="polynomial degree bound for identity checks")
-    parser.add_argument("--format", choices=["text"], default="text",
-                        help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-jacobi", help="validate a presentation file")

@@ -191,13 +191,6 @@ def _add_upoly(upolys: dict, key, degree: int, coeff):
 # -- Whitney projection ------------------------------------------------
 
 
-def _vertex_subsets(n: int):
-    """All nonempty strictly increasing vertex sequences in 0..n."""
-    vertices = range(n + 1)
-    for size in range(1, n + 2):
-        yield from itertools.combinations(vertices, size)
-
-
 _P_CACHE: dict = {}
 
 

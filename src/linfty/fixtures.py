@@ -10,6 +10,7 @@ from a fixed set of small rationals).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -169,6 +170,7 @@ def _pair_sign_and_key(i, j, degs, order):
     return (j, i), sign
 
 
+@functools.cache
 def free_nilpotent_class3():
     """The free dg Lie algebra on x1, x2 (degree 0), x12 (degree -1)
     with freely adjoined differentials y1, y2 (degree 1), y12 (degree
@@ -179,7 +181,9 @@ def free_nilpotent_class3():
     its generator content, so terms can be filtered by how many bracket
     applications produced them.  Returns (algebra, bracket_count) where
     bracket_count maps a basis symbol to (weight - 1) + (number of
-    adjoined differential generators in its word).
+    adjoined differential generators in its word).  Built once per
+    process, so the algebra (with its cached lower central filtration)
+    is the one get_fixture("free_nilpotent_class3") returns.
     """
     gens = ["x1", "x2", "x12", "y1", "y2", "y12"]
     degs = {"x1": 0, "x2": 0, "x12": -1, "y1": 1, "y2": 1, "y12": 0}

@@ -105,12 +105,6 @@ class Form:
         """Sorted list of exterior degrees present."""
         return sorted({len(word) for _, word in self.terms})
 
-    def polynomial_degree(self) -> int:
-        """Maximal total polynomial degree, -1 for the zero form."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps, _ in self.terms)
-
     def component(self, k: int) -> "Form":
         """The exterior-degree-k part."""
         return Form(
@@ -118,9 +112,6 @@ class Form:
             {key: c for key, c in self.terms.items() if len(key[1]) == k},
             _validated=True,
         )
-
-    def constant_coefficient(self) -> Rational:
-        return self.terms.get(((0,) * self.n, ()), _ZERO)
 
     # -- arithmetic --------------------------------------------------
 

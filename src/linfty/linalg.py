@@ -75,9 +75,6 @@ class Subspace:
                 v = [a - factor * b for a, b in zip(v, row)]
         return v
 
-    def extended(self, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        return Subspace(self.width, list(self.rows) + [list(v) for v in vectors])
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from linfty import dupont
 from linfty.algebra import (
@@ -24,10 +23,10 @@ from linfty.algebra import (
     LInftyAlgebra,
     Morphism,
     TensorElement,
+    bracket_series,
     constant_tensor,
     is_mc,
     linear_combination,
-    tensor_bracket,
     tensor_curvature,
     tensor_product,
     zero_tensor,
@@ -147,9 +146,6 @@ class GaugeParameter:
         if not self.witness.is_zero() and not self.witness.is_homogeneous(0):
             raise ValueError("witness must have total degree 0")
 
-    def nu(self) -> TensorElement:
-        return self.witness.d_plus_delta()
-
 
 def _normalized_witness(g: GaugeParameter, i: int, whitney: bool) -> TensorElement:
     w = g.witness
@@ -161,30 +157,40 @@ def _normalized_witness(g: GaugeParameter, i: int, whitney: bool) -> TensorEleme
     return w
 
 
-def _mc_iteration(algebra: LInftyAlgebra, alpha0: TensorElement, correction,
-                  cap: int) -> TensorElement:
-    """Iterate alpha <- alpha0 - sum_{l>=2} correction([alpha^l]) / l!
-    to its exact fixed point."""
-    bound = min(algebra.max_arity, algebra.nilpotency_index() - 1)
+def _solve(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter,
+           gauge: bool) -> SimplexElement:
+    """Iterate alpha <- alpha0 - c(N(alpha)), N(alpha) = sum_{l>=2}
+    [alpha^l]/l!, to its exact fixed point, with the correction c = h^i,
+    or P h^i + s in the gauge; then check flatness (d + delta)alpha +
+    N(alpha) = 0 with the N of the converged pass."""
+    if g.n != n:
+        raise ValueError("gauge parameter lives on the wrong simplex")
+    if not 0 <= i <= n:
+        raise ValueError(f"base vertex {i} out of range 0..{n}")
+    if not is_mc(algebra, g.mu):
+        raise ValueError("vertex value does not satisfy Maurer-Cartan")
+    witness = _normalized_witness(g, i, whitney=gauge)
+    alpha0 = constant_tensor(n, g.mu) + witness.d_plus_delta()
     alpha = alpha0
-    for _ in range(cap):
-        total = linear_combination(
-            alpha0,
-            (
-                (
-                    Fraction(-1, factorial(ell)),
-                    correction(tensor_bracket(algebra, [alpha] * ell)),
-                )
-                for ell in range(2, bound + 1)
-            ),
-        )
+    for _ in range(algebra.nilpotency_index() + 2):
+        nonlinear = bracket_series(algebra, alpha, [], 2)
+        correction = nonlinear.h(i)
+        if gauge:
+            correction = correction.whitney() + nonlinear.s()
+        total = alpha0 - correction
         if total == alpha:
-            return alpha
+            break
         alpha = total
-    raise SolverError(
-        "Maurer-Cartan iteration failed to stabilize within the nilpotency "
-        "bound; this indicates an internal bug"
-    )
+    else:
+        raise SolverError(
+            "Maurer-Cartan iteration failed to stabilize within the nilpotency "
+            "bound; this indicates an internal bug"
+        )
+    if not (alpha.d_plus_delta() + nonlinear).is_zero():
+        raise SolverError("solver output fails the Maurer-Cartan equation")
+    if gauge and not alpha.s().is_zero():
+        raise SolverError("solver output fails the gauge condition")
+    return SimplexElement(algebra, n, alpha, validate=False)
 
 
 def solve_mc(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter) -> SimplexElement:
@@ -195,22 +201,7 @@ def solve_mc(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter) -> Simpl
     satisfies the Maurer-Cartan equation, evaluates to mu at e_i, and
     returns the normalized data under the extraction map mc_data.
     """
-    if g.n != n:
-        raise ValueError("gauge parameter lives on the wrong simplex")
-    if not 0 <= i <= n:
-        raise ValueError(f"base vertex {i} out of range 0..{n}")
-    if not is_mc(algebra, g.mu):
-        raise ValueError("vertex value does not satisfy Maurer-Cartan")
-    witness = _normalized_witness(g, i, whitney=False)
-    alpha0 = constant_tensor(n, g.mu) + witness.d_plus_delta()
-    cap = algebra.nilpotency_index() + 2
-    alpha = _mc_iteration(
-        algebra, alpha0, lambda t: t.h(i), cap
-    )
-    simplex = SimplexElement(algebra, n, alpha, validate=False)
-    if not tensor_curvature(alpha).is_zero():
-        raise SolverError("solver output fails the Maurer-Cartan equation")
-    return simplex
+    return _solve(algebra, n, i, g, gauge=False)
 
 
 def solve_gauge_fixed(algebra: LInftyAlgebra, n: int, i: int,
@@ -222,24 +213,7 @@ def solve_gauge_fixed(algebra: LInftyAlgebra, n: int, i: int,
     output satisfies the Maurer-Cartan equation and s(alpha) = 0
     exactly, and round-trips through gamma_data.
     """
-    if g.n != n:
-        raise ValueError("gauge parameter lives on the wrong simplex")
-    if not 0 <= i <= n:
-        raise ValueError(f"base vertex {i} out of range 0..{n}")
-    if not is_mc(algebra, g.mu):
-        raise ValueError("vertex value does not satisfy Maurer-Cartan")
-    witness = _normalized_witness(g, i, whitney=True)
-    alpha0 = constant_tensor(n, g.mu) + witness.d_plus_delta()
-    cap = algebra.nilpotency_index() + 2
-    alpha = _mc_iteration(
-        algebra, alpha0, lambda t: t.h(i).whitney() + t.s(), cap
-    )
-    simplex = SimplexElement(algebra, n, alpha, validate=False)
-    if not tensor_curvature(alpha).is_zero():
-        raise SolverError("solver output fails the Maurer-Cartan equation")
-    if not alpha.s().is_zero():
-        raise SolverError("solver output fails the gauge condition")
-    return simplex
+    return _solve(algebra, n, i, g, gauge=True)
 
 
 def mc_data(simplex: SimplexElement, i: int) -> GaugeParameter:

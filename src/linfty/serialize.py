@@ -159,10 +159,6 @@ def save_presentation(algebra: LInftyAlgebra, path):
 # -- vectors -------------------------------------------------------------
 
 
-def render_vector(v: GVector) -> str:
-    return v.render()
-
-
 def _signed_chunks(text: str):
     """Split a +/- separated rendering into (sign, monomial text) pairs;
     "0" and "" have none."""

@@ -27,6 +27,7 @@ from linfty.algebra import (
 )
 from linfty.fixtures import (
     Sampler,
+    free_nilpotent_class3,
     get_fixture,
     heisenberg_abelianization,
     three_bracket_projection,
@@ -153,6 +154,16 @@ class TestLowerCentral:
         # a pure ternary bracket: the chain pauses before vanishing
         alg = get_fixture("three_bracket")
         assert alg.lower_central().dims() == [5, 1, 1, 0]
+
+    def test_free_class3(self):
+        report = get_fixture("free_nilpotent_class3").lower_central()
+        assert report.dims() == [94, 88, 70, 0]
+        assert report.nilpotency_index == 4
+
+    def test_free_class3_is_built_once(self):
+        algebra, _ = free_nilpotent_class3()
+        assert algebra is get_fixture("free_nilpotent_class3")
+        assert free_nilpotent_class3()[0] is algebra
 
 
 class TestCurvatureAndTwist:
@@ -307,14 +318,18 @@ class TestTensorStructure:
             assert total.is_zero()
 
     def test_tensor_curvature_matches_defining_equation(self):
-        algebra = get_fixture("dg_lie_01")
-        sampler = Sampler(10)
-        w = sampler.witness(algebra, 2)
-        alpha = w.d_plus_delta()
-        expected = alpha.d_plus_delta() + tensor_bracket(
-            algebra, [alpha, alpha]
-        ).scale(Fraction(1, 2))
-        assert tensor_curvature(alpha) == expected
+        # three_bracket has the only ternary term; a 3-simplex carries it
+        for name, n in (("dg_lie_01", 2), ("three_bracket", 3)):
+            algebra = get_fixture(name)
+            sampler = Sampler(10)
+            w = sampler.witness(algebra, n)
+            alpha = w.d_plus_delta()
+            expected = (
+                alpha.d_plus_delta()
+                + tensor_bracket(algebra, [alpha] * 2).scale(Fraction(1, 2))
+                + tensor_bracket(algebra, [alpha] * 3).scale(Fraction(1, 6))
+            )
+            assert tensor_curvature(alpha) == expected
 
     def test_tensor_operations_on_constants_and_forms(self):
         heis = get_fixture("heisenberg")

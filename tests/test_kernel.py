@@ -10,6 +10,7 @@ from linfty.algebra import (
     TensorElement,
     bracket,
     constant_tensor,
+    curvature,
     tensor_bracket,
 )
 from linfty.fixtures import (
@@ -113,6 +114,23 @@ def test_tensor_bracket_of_constants_is_constant(case):
     constants = [constant_tensor(N, v) for v in args]
     assert tensor_bracket(algebra, constants) == constant_tensor(
         N, bracket(algebra, args)
+    )
+
+
+@st.composite
+def algebra_and_degree_one(draw):
+    algebra = get_fixture(draw(st.sampled_from(ALGEBRAS)))
+    syms = draw(st.lists(st.sampled_from(algebra.symbols), max_size=4))
+    coeffs = {s: draw(rationals) for s in syms if algebra.degrees[s] == 1}
+    return algebra, GVector(algebra, coeffs)
+
+
+@PROPERTY
+@given(algebra_and_degree_one())
+def test_curvature_of_constants_is_constant(case):
+    algebra, a = case
+    assert curvature(algebra, constant_tensor(N, a)) == constant_tensor(
+        N, curvature(algebra, a)
     )
 
 
