@@ -240,7 +240,9 @@ class LInftyAlgebra:
         return self.lower_central(cap).nilpotency_index is not None
 
     def nilpotency_index(self, cap: int = 64) -> int:
-        report = self.lower_central(cap)
+        report = self._filtration
+        if report is None or report.cap < cap:
+            report = self.lower_central(cap)
         if report.nilpotency_index is None:
             raise ValueError(f"algebra {self.name!r} is not nilpotent (cap {cap})")
         return report.nilpotency_index
@@ -402,30 +404,6 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
     return GVector(algebra, total)
 
 
-def jacobiator(algebra: LInftyAlgebra, args: Sequence[GVector]) -> GVector:
-    """The n-Jacobi sum: over all splittings into a bracketed head and
-    remaining arguments, with alternating and Koszul signs."""
-    n = len(args)
-    degs = []
-    for a in args:
-        present = a.degrees_present()
-        if len(present) != 1:
-            raise ValueError("jacobiator arguments must be homogeneous")
-        degs.append(present[0])
-    total: dict = {}
-    for k in range(1, n + 1):
-        for head in itertools.combinations(range(n), k):
-            tail = tuple(p for p in range(n) if p not in head)
-            perm = head + tail
-            sign = (-1) ** k * antisymmetric_sign(perm, degs)
-            inner = bracket(algebra, [args[p] for p in head])
-            if inner.is_zero():
-                continue
-            outer = bracket(algebra, [inner] + [args[p] for p in tail])
-            kernel.add_into(total, outer.coeffs, sign)
-    return GVector(algebra, total)
-
-
 @dataclass
 class JacobiReport:
     algebra_name: str
@@ -450,9 +428,11 @@ class JacobiReport:
         )
 
 
-def _basis_jacobiator(algebra: LInftyAlgebra, syms: tuple) -> dict:
-    """Jacobi residual on a basis tuple, as a plain coefficient dict;
-    works through the cached table to keep exhaustive sweeps cheap."""
+def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
+    """The n-Jacobi sum on basis symbols, as a plain coefficient dict:
+    over all splittings into a bracketed head and remaining arguments,
+    with alternating and Koszul signs.  Works through the cached table
+    to keep exhaustive sweeps cheap."""
     n = len(syms)
     degs = [algebra.degrees[s] for s in syms]
     total: dict = {}
@@ -493,7 +473,7 @@ def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> JacobiRepo
             ):
                 continue
             cases += 1
-            residual = _basis_jacobiator(algebra, syms)
+            residual = jacobiator(algebra, syms)
             if residual:
                 rendering = GVector(algebra, residual).render()
                 return JacobiReport(algebra.name, n_max, cases, (syms, rendering))

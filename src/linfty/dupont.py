@@ -74,11 +74,6 @@ def elementary_form(seq: Sequence[int], n: int) -> Form:
 # -- chain integration -------------------------------------------------
 
 
-def _sort_sequence(seq: Sequence[int]):
-    """Sort a vertex sequence, returning (sorted, sign); 0 on repeats."""
-    return kernel.sort_word(tuple(seq))
-
-
 def integrate_chain(seq: Sequence[int], f: Form) -> Rational:
     """Integral of f over the affine chain spanned by the vertex sequence.
 
@@ -92,7 +87,7 @@ def integrate_chain(seq: Sequence[int], f: Form) -> Rational:
     for i in seq:
         if not 0 <= i <= n:
             raise ValueError(f"vertex index {i} out of range 0..{n}")
-    sorted_seq, sign = _sort_sequence(seq)
+    sorted_seq, sign = kernel.sort_word(seq)
     if sign == 0:
         return _ZERO
     k = len(seq) - 1
@@ -154,9 +149,7 @@ def _h_monomial(i: int, n: int, key) -> Form:
             e for pos, e in enumerate(gexps) if pos + 1 != i
         )
         if i == 0:
-            _add_upoly(upolys, (gexps, gword), base + sum(gexps) - sum(
-                e for pos, e in enumerate(gexps) if pos + 1 != i
-            ), gcoeff)
+            _add_upoly(upolys, (gexps, gword), base, gcoeff)
             continue
         ei = gexps[i - 1]
         for m in range(ei + 1):

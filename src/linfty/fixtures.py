@@ -1,11 +1,11 @@
 """Bundled test algebras, morphisms, representations, and samplers.
 
 Everything the acceptance suite runs on lives here: the small named
-presentations, the free nilpotent dg Lie algebra of class 3 built by
-exact linear algebra on bracket words, the faithful matrix
-representations for the group-law oracles, surjections for relative
-horn filling, and the seeded deterministic samplers (coefficients drawn
-from a fixed set of small rationals).
+presentations, the free nilpotent dg Lie algebra of class 3 built from
+graded commutators of words in the free associative algebra, the
+faithful matrix representations for the group-law oracles, surjections
+for relative horn filling, and the seeded deterministic samplers
+(coefficients drawn from a fixed set of small rationals).
 """
 
 from __future__ import annotations
@@ -84,14 +84,11 @@ def ut4() -> LInftyAlgebra:
     name = {p: f"E{p[0]}{p[1]}" for p in pairs}
     table = {}
     for a, b in itertools.combinations(pairs, 2):
-        value: dict = {}
+        # E_ij E_kl = [j == k] E_il: at most one product is nonzero
         if a[1] == b[0]:
-            value[name[(a[0], b[1])]] = value.get(name[(a[0], b[1])], 0) + 1
-        if b[1] == a[0]:
-            value[name[(b[0], a[1])]] = value.get(name[(b[0], a[1])], 0) - 1
-        value = {s: v for s, v in value.items() if v}
-        if value:
-            table[(name[a], name[b])] = value
+            table[(name[a], name[b])] = {name[(a[0], b[1])]: 1}
+        elif b[1] == a[0]:
+            table[(name[a], name[b])] = {name[(b[0], a[1])]: -1}
     return LInftyAlgebra("ut4", [(name[p], 0) for p in pairs], table)
 
 
@@ -122,25 +119,15 @@ def heis_exterior() -> LInftyAlgebra:
     table: dict = {}
     for s1, t1 in labels.items():
         for s2, t2 in labels.items():
-            if set(s1) & set(s2):
+            # the sign of interleaving the odd exterior factors; 0 on overlap
+            merged, sign = kernel.merge_words(s1, s2)
+            if not sign:
                 continue
-            merged = tuple(sorted(s1 + s2))
-            # sign of interleaving the odd exterior factors
-            sign = 1
-            for a in s1:
-                sign *= (-1) ** sum(1 for b in s2 if b < a)
             for (a, b), value in heis_table.items():
-                key = (a + t1, b + t2)
-                out = {v + labels[merged]: c * sign for v, c in value.items()}
-                existing = table.setdefault(key, {})
-                for sym, c in out.items():
-                    existing[sym] = existing.get(sym, 0) + c
-    cleaned = {}
-    for key, value in table.items():
-        value = {s: v for s, v in value.items() if v}
-        if value:
-            cleaned[key] = value
-    return LInftyAlgebra("heis_exterior", generators, cleaned)
+                table[(a + t1, b + t2)] = {
+                    v + labels[merged]: c * sign for v, c in value.items()
+                }
+    return LInftyAlgebra("heis_exterior", generators, table)
 
 
 def three_bracket() -> LInftyAlgebra:
@@ -157,237 +144,130 @@ def three_bracket() -> LInftyAlgebra:
 # -- the free nilpotent dg Lie algebra of class 3 -----------------------
 
 
-def _pair_sign_and_key(i, j, degs, order):
-    """Canonical ordering of a weight-2 bracket word in generator
-    order; sign 0 on an even square."""
-    if i == j:
-        if degs[i] % 2 == 0:
-            return None, 0
-        return (i, j), 1
-    if order[i] < order[j]:
-        return (i, j), 1
-    sign = 1 if (degs[i] * degs[j]) % 2 else -1
-    return (j, i), sign
-
-
 @functools.cache
 def free_nilpotent_class3():
     """The free dg Lie algebra on x1, x2 (degree 0), x12 (degree -1)
     with freely adjoined differentials y1, y2 (degree 1), y12 (degree
     0), truncated at bracket words of weight 4.
 
-    Built by exact row reduction of the weight-3 bracket words modulo
-    graded antisymmetry and the Jacobi relation; every basis cell keeps
-    its generator content, so terms can be filtered by how many bracket
-    applications produced them.  Returns (algebra, bracket_count) where
-    bracket_count maps a basis symbol to (weight - 1) + (number of
-    adjoined differential generators in its word).  Built once per
-    process, so the algebra (with its cached lower central filtration)
-    is the one get_fixture("free_nilpotent_class3") returns.
+    Built in the free graded associative algebra on the six generators:
+    a Lie element is a {word: coefficient} map, the bracket is the
+    graded commutator uv - (-1)^(|u||v|) vu and delta is the derivation
+    x -> y.  The basis is the generators, the canonical pairs w[a,b]
+    and the cells w[[a,b],c] off the pivots of the relations among the
+    word expansions of each generator multiset (in characteristic 0,
+    the Jacobi relations), so every basis cell keeps its generator
+    content.  Every table entry is a word expansion read back in this
+    basis.  Returns (algebra, bracket_count) where bracket_count maps a
+    basis symbol to (weight - 1) + (number of adjoined differential
+    generators in its word).  Built once per process, so the algebra
+    (with its cached lower central filtration) is the one
+    get_fixture("free_nilpotent_class3") returns.
     """
     gens = ["x1", "x2", "x12", "y1", "y2", "y12"]
     degs = {"x1": 0, "x2": 0, "x12": -1, "y1": 1, "y2": 1, "y12": 0}
     delta = {"x1": "y1", "x2": "y2", "x12": "y12"}
-    is_partner = {g: g.startswith("y") for g in gens}
-    order = {g: i for i, g in enumerate(gens)}
 
-    # weight-2 cells: canonical pairs
-    pairs = []
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            key, sign = _pair_sign_and_key(a, b, degs, order)
-            if sign:
-                pairs.append(key)
-    pair_index = {p: q for q, p in enumerate(pairs)}
+    def odd(word):
+        return sum(degs[g] for g in word) % 2
 
-    def expand2(a, b):
-        """[a, b] for generators, as a sparse map pair -> coefficient."""
-        key, sign = _pair_sign_and_key(a, b, degs, order)
-        if sign == 0:
-            return {}
-        return {key: Fraction(sign)}
-
-    # weight-3 formal cells ((a, b), c) grouped by generator multiset
-    cells_by_multiset: dict = {}
-    cell_order: dict = {}
-    for p in pairs:
-        for c in gens:
-            multiset = tuple(sorted(p + (c,)))
-            cells = cells_by_multiset.setdefault(multiset, [])
-            cell_order[(p, c)] = len(cells)
-            cells.append((p, c))
-
-    def expand3(pair_vec, c):
-        """[pair_vec, c] as formal weight-3 coordinates, per multiset."""
+    def commutator(u, v):
         out: dict = {}
-        for p, coeff in pair_vec.items():
-            multiset = tuple(sorted(p + (c,)))
-            vec = out.setdefault(multiset, {})
-            idx = cell_order[(p, c)]
-            vec[idx] = vec.get(idx, _ZERO) + coeff
+        for wu, cu in u.items():
+            for wv, cv in v.items():
+                c = cu * cv
+                kernel.add_into(out, {wu + wv: c})
+                kernel.add_into(out, {wv + wu: c if odd(wu) and odd(wv) else -c})
         return out
 
-    # Jacobi relations per multiset: for generators (z1, z2, z3),
-    # sum over 2-element heads of the alternating Koszul-signed
-    # [[z_i, z_j], z_k]
-    relation_rows: dict = {}
-    for triple in itertools.combinations_with_replacement(gens, 3):
-        row_per_multiset: dict = {}
-        for head in itertools.combinations(range(3), 2):
-            tail = [p for p in range(3) if p not in head][0]
-            perm = head + (tail,)
-            parity = 1
-            koszul = 1
-            for u in range(3):
-                for v in range(u + 1, 3):
-                    if perm[u] > perm[v]:
-                        parity = -parity
-                        if (degs[triple[perm[u]]] * degs[triple[perm[v]]]) % 2:
-                            koszul = -koszul
-            sign = parity * koszul
-            inner = expand2(triple[head[0]], triple[head[1]])
-            if not inner:
-                continue
-            outer = expand3(
-                {p: c * sign for p, c in inner.items()}, triple[tail]
-            )
-            for multiset, vec in outer.items():
-                row = row_per_multiset.setdefault(multiset, {})
-                for idx, c in vec.items():
-                    row[idx] = row.get(idx, _ZERO) + c
-        for multiset, row in row_per_multiset.items():
-            if any(row.values()):
-                width = len(cells_by_multiset[multiset])
-                dense = [row.get(q, _ZERO) for q in range(width)]
-                relation_rows.setdefault(multiset, []).append(dense)
-
-    relation_space = {
-        multiset: Subspace(len(cells_by_multiset[multiset]), rows)
-        for multiset, rows in relation_rows.items()
-    }
-
-    # quotient basis: non-pivot cells per multiset
-    w3_symbols: dict = {}
-    for multiset, cells in cells_by_multiset.items():
-        space = relation_space.get(multiset)
-        pivots = set(space.pivots) if space else set()
-        for q, cell in enumerate(cells):
-            if q not in pivots:
-                (p, c) = cell
-                sym = f"w[[{p[0]},{p[1]}],{c}]"
-                w3_symbols[cell] = sym
-
-    def reduce3(coords_by_multiset):
-        """Reduce formal weight-3 coordinates modulo Jacobi, returning
-        {symbol: coefficient} over the quotient basis."""
+    def derivation(u):
+        """delta on words, with the Koszul sign of the letters it passes."""
         out: dict = {}
-        for multiset, vec in coords_by_multiset.items():
-            cells = cells_by_multiset[multiset]
-            dense = [vec.get(q, _ZERO) for q in range(len(cells))]
-            space = relation_space.get(multiset)
-            if space:
-                dense = space.reduce(dense)
-            for q, c in enumerate(dense):
+        for word, c in u.items():
+            for i, g in enumerate(word):
+                if g in delta:
+                    dword = word[:i] + (delta[g],) + word[i + 1:]
+                    kernel.add_into(out, {dword: -c if odd(word[:i]) else c})
+        return out
+
+    expansion: dict = {}  # basis symbol -> word expansion
+    content: dict = {}  # basis symbol -> its generators
+    readers: dict = {}  # multiset -> (words, Subspace, cell symbols)
+
+    def add_cells(cells):
+        """Per multiset, RREF the rows (word expansion | unit) of the
+        (symbol, generators, expansion) cells.  Its rows with no word
+        part are the RREF of the relations; keep the cells off their
+        pivots."""
+        groups: dict = {}
+        for cell in cells:
+            groups.setdefault(tuple(sorted(cell[1])), []).append(cell)
+        for multiset, group in groups.items():
+            words = sorted(set(itertools.permutations(multiset)))
+            reader = Subspace(len(words) + len(group), [
+                [lie.get(w, _ZERO) for w in words]
+                + [_ONE if k == q else _ZERO for k in range(len(group))]
+                for q, (_, _, lie) in enumerate(group)
+            ])
+            readers[multiset] = (words, reader, [sym for sym, _, _ in group])
+            relation_pivots = {
+                p - len(words) for p in reader.pivots if p >= len(words)
+            }
+            for q, (sym, gs, lie) in enumerate(group):
+                if q not in relation_pivots:
+                    expansion[sym] = lie
+                    content[sym] = gs
+
+    def coords(u):
+        """A Lie element in the basis: (words | 0) reduces to
+        (0 | -coordinates) in each multiset's reader."""
+        parts: dict = {}
+        for word, c in u.items():
+            parts.setdefault(tuple(sorted(word)), {})[word] = c
+        out: dict = {}
+        for multiset, part in parts.items():
+            words, reader, syms = readers[multiset]
+            rest = reader.reduce(
+                [part.get(w, _ZERO) for w in words] + [_ZERO] * len(syms)
+            )
+            for sym, c in zip(syms, rest[len(words):]):
                 if c:
-                    out[w3_symbols[cells[q]]] = out.get(
-                        w3_symbols[cells[q]], _ZERO
-                    ) + c
-        return {s: c for s, c in out.items() if c}
+                    out[sym] = -c
+        return out
 
-    pair_symbol = {p: f"w[{p[0]},{p[1]}]" for p in pairs}
-    generators = [(g, degs[g]) for g in gens]
-    weight = {g: 1 for g in gens}
-    content = {g: (g,) for g in gens}
-    for p in pairs:
-        sym = pair_symbol[p]
-        generators.append((sym, degs[p[0]] + degs[p[1]]))
-        weight[sym] = 2
-        content[sym] = tuple(sorted(p))
-    for cell, sym in w3_symbols.items():
-        (p, c) = cell
-        generators.append((sym, degs[p[0]] + degs[p[1]] + degs[c]))
-        weight[sym] = 3
-        content[sym] = tuple(sorted(p + (c,)))
+    add_cells([(g, (g,), {(g,): _ONE}) for g in gens])
+    add_cells([
+        (f"w[{a},{b}]", (a, b), commutator(expansion[a], expansion[b]))
+        for i, a in enumerate(gens)
+        for b in gens[i:]
+    ])
+    pairs = list(expansion)[len(gens):]
+    add_cells([
+        (f"w[[{','.join(content[p])}],{c}]", content[p] + (c,),
+         commutator(expansion[p], expansion[c]))
+        for p in pairs
+        for c in gens
+    ])
 
-    table: dict = {}
+    # [a, b] = w[a,b]; [c, w[a,b]] and delta are read back from words
+    table: dict = {content[p]: {p: _ONE} for p in pairs}
 
-    def add_entry(key, value):
-        value = {s: c for s, c in value.items() if c}
+    def enter(key, lie):
+        value = coords(lie)
         if value:
             table[key] = value
 
-    # generator x generator -> weight-2 cells
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            key, sign = _pair_sign_and_key(a, b, degs, order)
-            if sign == 0:
-                continue
-            if (a, b) == key:
-                add_entry((a, b), {pair_symbol[key]: Fraction(sign)})
-            elif a == b:
-                add_entry((a, b), {pair_symbol[key]: Fraction(sign)})
-
-    # generator x weight-2 -> weight-3 cells, stored as (gen, pair)
     for p in pairs:
-        psym = pair_symbol[p]
-        pdeg = degs[p[0]] + degs[p[1]]
         for c in gens:
-            # formal cell is [[p], c]; the stored key (c, psym) needs
-            # the antisymmetric swap [c, p] = -(-1)^(|c||p|) [p, c]
-            formal = reduce3(expand3({p: _ONE}, c))
-            if not formal:
-                continue
-            swap = -1 if (degs[c] * pdeg) % 2 == 0 else 1
-            add_entry(
-                (c, psym), {s: swap * v for s, v in formal.items()}
-            )
+            enter((c, p), commutator(expansion[c], expansion[p]))
+    for sym, lie in expansion.items():
+        enter((sym,), derivation(lie))
 
-    # the differential as a derivation
-    def delta_of_gen(g):
-        partner = delta.get(g)
-        return {partner: _ONE} if partner else {}
-
-    for g, partner in delta.items():
-        add_entry((g,), {partner: _ONE})
-
-    for p in pairs:
-        a, b = p
-        out: dict = {}
-        for da, ca in delta_of_gen(a).items():
-            for key, sign in [_pair_sign_and_key(da, b, degs, order)]:
-                if sign:
-                    out[pair_symbol[key]] = out.get(
-                        pair_symbol[key], _ZERO
-                    ) + ca * sign
-        sgn = -1 if degs[a] % 2 else 1
-        for db, cb in delta_of_gen(b).items():
-            for key, sign in [_pair_sign_and_key(a, db, degs, order)]:
-                if sign:
-                    out[pair_symbol[key]] = out.get(
-                        pair_symbol[key], _ZERO
-                    ) + cb * sign * sgn
-        add_entry((pair_symbol[p],), out)
-
-    for cell, sym in w3_symbols.items():
-        (p, c) = cell
-        pdeg = degs[p[0]] + degs[p[1]]
-        out: dict = {}
-        # delta[p] is a weight-2 vector; bracket with c stays weight 3
-        dp = table.get((pair_symbol[p],), {})
-        for psym2, coeff in dp.items():
-            p2 = next(q for q in pairs if pair_symbol[q] == psym2)
-            for s, v in reduce3(expand3({p2: coeff}, c)).items():
-                out[s] = out.get(s, _ZERO) + v
-        sgn = -1 if pdeg % 2 else 1
-        for dc, cc in delta_of_gen(c).items():
-            for s, v in reduce3(expand3({p: Fraction(cc * sgn)}, dc)).items():
-                out[s] = out.get(s, _ZERO) + v
-        add_entry((sym,), out)
-
+    generators = [(sym, sum(degs[g] for g in gs)) for sym, gs in content.items()]
     algebra = LInftyAlgebra("free_nilpotent_class3", generators, table)
     bracket_count = {
-        sym: weight[sym] - 1 + sum(1 for g in content[sym] if is_partner[g])
-        for sym, _ in generators
+        sym: len(gs) - 1 + sum(g in delta.values() for g in gs)
+        for sym, gs in content.items()
     }
     return algebra, bracket_count
 

@@ -568,11 +568,7 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
         [col.get(key, _ZERO) for key in image_keys]
         for col in columns
     ]
-    dense_cols = [
-        [dense[j][p] for p in range(len(image_keys))]
-        for j in range(len(mono_basis))
-    ]
-    gauge_kernel = kernel_basis(dense_cols, len(image_keys))
+    gauge_kernel = kernel_basis(dense, len(image_keys))
 
     # expand elementary cocycles in the monomial basis for comparison
     mono_index = {}

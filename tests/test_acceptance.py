@@ -8,7 +8,9 @@ that table has the opposite sign, so the literal comparison is a
 documented expected failure rather than something to tune away.
 """
 
+import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -123,3 +125,94 @@ def test_oracle_certified_rho2_expansion():
         )
 
     assert truncate(flipped) == truncate(certified)
+
+
+def test_word_bch_witness_rho2_expansion():
+    """A third, matrix-free witness for the disputed coefficient:
+    log(e^{-x2} e^{x1}), by exact truncated exp and log on words of
+    length <= 3, is the word expansion of the flipped series above at
+    x12 = 0 (bracket_count <= 2) and carries -1/12 on [x1+x2,[x1,x2]]."""
+    algebra, bracket_count = free_nilpotent_class3()
+    top = 3
+
+    def combine(*scaled):
+        out: dict = {}
+        for scale, u in scaled:
+            for word, c in u.items():
+                out[word] = out.get(word, 0) + scale * c
+        return {word: c for word, c in out.items() if c}
+
+    def mul(u, v):
+        out: dict = {}
+        for wu, cu in u.items():
+            for wv, cv in v.items():
+                if len(wu) + len(wv) <= top:
+                    out[wu + wv] = out.get(wu + wv, 0) + cu * cv
+        return {word: c for word, c in out.items() if c}
+
+    def parity(word):
+        return sum(algebra.degrees[g] for g in word) % 2
+
+    def commutator(u, v):
+        """uv - (-1)^(|u||v|) vu."""
+        terms = []
+        for wu, cu in u.items():
+            for wv, cv in v.items():
+                swap = 1 if parity(wu) and parity(wv) else -1
+                terms += [(cu * cv, {wu + wv: 1}), (swap * cu * cv, {wv + wu: 1})]
+        return combine(*terms)
+
+    def letter(g):
+        return {(g,): Fraction(1)}
+
+    def expand(sym):
+        """w[a,b] -> [a,b] and w[[a,b],c] -> [[a,b],c] on words."""
+        cell = re.fullmatch(r"w\[\[(\w+),(\w+)\],(\w+)\]", sym)
+        if cell:
+            a, b, c = cell.groups()
+            return commutator(commutator(letter(a), letter(b)), letter(c))
+        pair = re.fullmatch(r"w\[(\w+),(\w+)\]", sym)
+        if pair:
+            return commutator(letter(pair[1]), letter(pair[2]))
+        return letter(sym)
+
+    def exp(x):
+        total, power = {(): Fraction(1)}, {(): Fraction(1)}
+        for k in range(1, top + 1):
+            power = mul(power, x)
+            total = combine((1, total), (Fraction(1, factorial(k)), power))
+        return total
+
+    def log(g):
+        z = combine((1, g), (-1, {(): 1}))
+        total, power = {}, {(): Fraction(1)}
+        for k in range(1, top + 1):
+            power = mul(power, z)
+            total = combine((1, total), (Fraction((-1) ** (k + 1), k), power))
+        return total
+
+    x1, x2 = letter("x1"), letter("x2")
+    bch = log(mul(exp(combine((-1, x2))), exp(x1)))
+
+    x1_x2 = commutator(x1, x2)
+    expected = combine(
+        (1, x1),
+        (-1, x2),
+        (Fraction(1, 2), x1_x2),
+        (Fraction(-1, 12), commutator(combine((1, x1), (1, x2)), x1_x2)),
+    )
+    assert bch == expected
+
+    flipped = -generalized_ch(
+        algebra, 2, algebra.zero_vector(),
+        {
+            (1,): -algebra.basis_vector("x1"),
+            (2,): -algebra.basis_vector("x2"),
+            (1, 2): algebra.zero_vector(),
+        },
+    ).value
+    words = combine(*(
+        (c, expand(s)) for s, c in flipped.coeffs.items()
+        if bracket_count[s] <= 2
+    ))
+    assert words == bch

@@ -1,5 +1,6 @@
 """File formats, canonical rendering, and round trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -7,7 +8,12 @@ from importlib import resources
 import pytest
 
 from linfty.algebra import GVector, TensorElement
-from linfty.fixtures import FIXTURE_NAMES, Sampler, get_fixture
+from linfty.fixtures import (
+    FIXTURE_NAMES,
+    Sampler,
+    free_nilpotent_class3,
+    get_fixture,
+)
 from linfty.forms import Form
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
 from linfty.serialize import (
@@ -31,6 +37,28 @@ BUNDLED = [n for n in FIXTURE_NAMES if n != "free_nilpotent_class3"]
 
 def bundled_path(name):
     return resources.files("linfty").joinpath(f"presentations/{name}.json")
+
+
+def fingerprint(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# the built fixtures, symbol order and table included, held fixed across
+# rewrites of their constructors
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("free_nilpotent_class3", "917f80a0672fdd08"),
+        ("heis_exterior", "cdb7885e016a3998"),
+        ("ut4", "83625522d4e13458"),
+    ],
+)
+def test_built_fixture_fingerprint(name, expected):
+    assert fingerprint(presentation_to_data(get_fixture(name))) == expected
+
+
+def test_free_class3_bracket_count_fingerprint():
+    assert fingerprint(free_nilpotent_class3()[1]) == "bacfacb61fa58584"
 
 
 class TestPresentationFiles:
