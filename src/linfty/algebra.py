@@ -30,7 +30,6 @@ from linfty.forms import (
 from linfty.linalg import Subspace, solve_linear
 from linfty import dupont, kernel
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -197,13 +196,9 @@ class LInftyAlgebra:
         """
         if self._filtration is not None and self._filtration.cap >= cap:
             return self._filtration
-        full = Subspace(
-            self.dim,
-            [[_ONE if i == j else _ZERO for j in range(self.dim)] for i in range(self.dim)],
-        )
-        spaces = [full]
         # the rows of each level as vectors, built once per level
         row_vectors = [[self.basis_vector(s) for s in self.symbols]]
+        spaces = [Subspace(self.symbols, [v.coeffs for v in row_vectors[0]])]
         index = None
         for level in range(2, cap + 2):
             vectors = []
@@ -218,12 +213,10 @@ class LInftyAlgebra:
                     for args in itertools.product(*factor_bases):
                         val = bracket(self, args)
                         if not val.is_zero():
-                            vectors.append(val.to_list())
-            space = Subspace(self.dim, vectors)
+                            vectors.append(val.coeffs)
+            space = Subspace(self.symbols, vectors)
             spaces.append(space)
-            row_vectors.append([
-                GVector(self, dict(zip(self.symbols, row))) for row in space.rows
-            ])
+            row_vectors.append([GVector(self, row) for row in space.rows])
             if space.is_zero():
                 index = level
                 break
@@ -317,11 +310,6 @@ class GVector:
                 if self.algebra.degrees[s] == degree
             },
         )
-
-    def to_list(self):
-        return [
-            self.coeffs.get(s, _ZERO) for s in self.algebra.symbols
-        ]
 
     def __add__(self, other: "GVector") -> "GVector":
         return linear_combination(self, [(1, other)])
@@ -626,14 +614,11 @@ class Morphism:
                    for d in degrees)
 
     def _image_space(self, degree: int) -> Subspace:
-        targets = self.target.basis_of_degree(degree)
-        cols = []
-        for sym in self.source.symbols:
-            if self.source.degrees[sym] != degree:
-                continue
-            img = self.images[sym]
-            cols.append([img.coeffs.get(t, _ZERO) for t in targets])
-        return Subspace(len(targets), cols)
+        return Subspace(self.target.basis_of_degree(degree), [
+            self.images[sym].coeffs
+            for sym in self.source.symbols
+            if self.source.degrees[sym] == degree
+        ])
 
     def section(self, value: GVector) -> GVector:
         """Canonical preimage: degreewise reduced-echelon pseudo-inverse
@@ -647,17 +632,13 @@ class Morphism:
                 s for s in self.source.symbols
                 if self.source.degrees[s] == degree
             ]
-            targets = self.target.basis_of_degree(degree)
-            columns = [
-                [self.images[s].coeffs.get(t, _ZERO) for t in targets]
-                for s in sources
-            ]
-            rhs = [component.coeffs.get(t, _ZERO) for t in targets]
-            solution = solve_linear(columns, rhs)
+            solution = solve_linear(
+                [self.images[s].coeffs for s in sources], component.coeffs
+            )
             if solution is None:
                 raise ValueError("value is not in the image of the morphism")
             # the degrees have disjoint supports, so nothing cancels
-            coeffs.update(zip(sources, solution))
+            coeffs.update((sources[j], x) for j, x in solution.items())
         return GVector(self.source, coeffs)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from linfty import acceptance, dupont
 from linfty.algebra import check_jacobi
@@ -28,6 +27,7 @@ from linfty.serialize import (
     load_presentation,
     load_simplex,
     parse_vector,
+    read_input,
     simplex_to_data,
 )
 
@@ -104,13 +104,13 @@ def cmd_bch(args) -> int:
     algebra = loaded.algebra
     mu = algebra.zero_vector()
     if args.mu:
-        mu = parse_vector(Path(args.mu).read_text().strip(), algebra)
+        mu = parse_vector(read_input(args.mu, as_json=False).strip(), algebra)
     inputs = {}
     if args.inputs:
-        data = json.loads(Path(args.inputs).read_text())
-        for key, text in data.items():
-            seq = tuple(int(ch) for ch in key)
-            inputs[seq] = parse_vector(text, algebra)
+        for key, text in read_input(args.inputs).items():
+            if not isinstance(text, str):
+                raise LoadError(args.inputs, f"input {key!r} is not a rendered vector")
+            inputs[tuple(int(ch) for ch in key)] = parse_vector(text, algebra)
     result = generalized_ch(algebra, args.n, mu, inputs)
     print(result.value.render())
     return PASS
@@ -179,6 +179,14 @@ def cmd_run_all(args) -> int:
     return PASS if not failures else CHECK_FAILURE
 
 
+def non_negative(text: str) -> int:
+    """The argparse type of every size option: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linfty",
@@ -191,32 +199,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the deterministic samplers")
-    parser.add_argument("--max-degree", type=int, default=4,
+    parser.add_argument("--max-degree", type=non_negative, default=4,
                         help="polynomial degree bound for identity checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-jacobi", help="validate a presentation file")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=non_negative, default=None)
     p.set_defaults(fn=cmd_check_jacobi)
 
     p = sub.add_parser("verify-contraction",
                        help="homotopy/projection identities on monomials")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--max-degree", dest="max_degree", type=int,
+    p.add_argument("--n", type=non_negative, default=None)
+    p.add_argument("--max-degree", dest="max_degree", type=non_negative,
                    default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify_contraction)
 
     p = sub.add_parser("verify-gauge",
                        help="gauge property and homotopy identities")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--max-degree", dest="max_degree", type=int,
+    p.add_argument("--n", type=non_negative, default=None)
+    p.add_argument("--max-degree", dest="max_degree", type=non_negative,
                    default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify_gauge)
 
     p = sub.add_parser("fill-horn", help="fill a gauge-fixed horn")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative, required=True)
     p.add_argument("--missing", type=int, required=True)
     p.add_argument("--faces", nargs="+", required=True)
     p.set_defaults(fn=cmd_fill_horn)
@@ -224,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dold-kan",
                        help="abelian comparison with normalized cochains")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative, required=True)
     p.set_defaults(fn=cmd_dold_kan)
 
     p = sub.add_parser("bch", help="generalized Campbell-Hausdorff value")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative, required=True)
     p.add_argument("--mu", default=None,
                    help="file with the rendered base Maurer-Cartan element")
     p.add_argument("--inputs", default=None,
@@ -239,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose-table",
                        help="sampled composition table via thin fillers")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=non_negative, default=10)
     p.set_defaults(fn=cmd_compose_table)
 
     p = sub.add_parser("verify-monodromy",
                        help="exact matrix monodromy identity")
     p.add_argument("--rep", choices=["heisenberg", "ut4"], required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=non_negative, default=20)
     p.set_defaults(fn=cmd_verify_monodromy)
 
     p = sub.add_parser("run-suite", help="run one acceptance criterion")

@@ -23,12 +23,15 @@ from linfty.algebra import (
     bracket,
     is_mc,
 )
-from linfty.bch_groupoid import FiniteGroupoid, MatrixRepresentation
+from linfty.bch_groupoid import (
+    FiniteGroupoid,
+    MatrixRepresentation,
+    group_as_groupoid,
+)
 from linfty.forms import Form
 from linfty.linalg import Subspace
 from linfty import dupont, kernel
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 SAMPLE_VALUES = [
@@ -192,7 +195,7 @@ def free_nilpotent_class3():
 
     expansion: dict = {}  # basis symbol -> word expansion
     content: dict = {}  # basis symbol -> its generators
-    readers: dict = {}  # multiset -> (words, Subspace, cell symbols)
+    readers: dict = {}  # multiset -> Subspace
 
     def add_cells(cells):
         """Per multiset, RREF the rows (word expansion | unit) of the
@@ -204,17 +207,13 @@ def free_nilpotent_class3():
             groups.setdefault(tuple(sorted(cell[1])), []).append(cell)
         for multiset, group in groups.items():
             words = sorted(set(itertools.permutations(multiset)))
-            reader = Subspace(len(words) + len(group), [
-                [lie.get(w, _ZERO) for w in words]
-                + [_ONE if k == q else _ZERO for k in range(len(group))]
-                for q, (_, _, lie) in enumerate(group)
-            ])
-            readers[multiset] = (words, reader, [sym for sym, _, _ in group])
-            relation_pivots = {
-                p - len(words) for p in reader.pivots if p >= len(words)
-            }
-            for q, (sym, gs, lie) in enumerate(group):
-                if q not in relation_pivots:
+            syms = [sym for sym, _, _ in group]
+            reader = readers[multiset] = Subspace(
+                words + syms, [{**lie, sym: _ONE} for sym, _, lie in group]
+            )
+            relation_pivots = set(reader.pivots).difference(words)
+            for sym, gs, lie in group:
+                if sym not in relation_pivots:
                     expansion[sym] = lie
                     content[sym] = gs
 
@@ -226,13 +225,8 @@ def free_nilpotent_class3():
             parts.setdefault(tuple(sorted(word)), {})[word] = c
         out: dict = {}
         for multiset, part in parts.items():
-            words, reader, syms = readers[multiset]
-            rest = reader.reduce(
-                [part.get(w, _ZERO) for w in words] + [_ZERO] * len(syms)
-            )
-            for sym, c in zip(syms, rest[len(words):]):
-                if c:
-                    out[sym] = -c
+            rest = readers[multiset].reduce(part)
+            out.update((sym, -c) for sym, c in rest.items())
         return out
 
     add_cells([(g, (g,), {(g,): _ONE}) for g in gens])
@@ -382,18 +376,7 @@ def three_bracket_projection():
 
 
 def cyclic_group_groupoid(order: int = 2) -> FiniteGroupoid:
-    elements = list(range(order))
-    compose = {
-        (g, h): (g + h) % order for g in elements for h in elements
-    }
-    return FiniteGroupoid(
-        objects=["*"],
-        morphisms=elements,
-        source={g: "*" for g in elements},
-        target={g: "*" for g in elements},
-        identity={"*": 0},
-        compose=compose,
-    )
+    return group_as_groupoid(range(order), lambda g, h: (g + h) % order, 0)
 
 
 def pair_groupoid() -> FiniteGroupoid:

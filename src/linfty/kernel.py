@@ -3,7 +3,8 @@
 A term dict maps hashable keys to nonzero Fraction coefficients.  Forms
 key it by ``(exps, word)``, where ``exps`` is a tuple of exponents for
 t_1..t_n and ``word`` a strictly increasing tuple of dt-indices;
-algebra vectors key it by basis symbol.  ``add_into``, ``scale_terms``
+algebra vectors key it by basis symbol; the rows, solutions and kernel
+vectors of ``linalg`` key it by column.  ``add_into``, ``scale_terms``
 and ``drop_zeros`` are the only places a term dict is added into,
 scaled or cleared of zeros (``mul_terms`` inlines ``add_into``); the
 word helpers carry the signs of the exterior product.

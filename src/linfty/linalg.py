@@ -1,60 +1,63 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on sparse term dicts.
 
-Small dense routines on lists of Fractions: reduced row echelon form,
-span/membership bookkeeping, and a deterministic pseudo-inverse used to
-choose canonical preimages.  Everything is exact; no floating point.
+A vector is a kernel term dict {column: Fraction}; absent columns are
+zero.  An explicit column order (a sequence of column keys) decides
+which pivots come first, so the reduced row echelon form, and with it
+every span, canonical solution and kernel basis below, is unique.  The
+one row operation is ``kernel.add_into``.  Everything is exact; no
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from linfty import kernel
 
 
-def rref(rows: Iterable[Sequence[Fraction]]):
-    """Reduced row echelon form.
+def _eliminate(v: dict, rows) -> dict:
+    """In place: clear v at the pivot of each (pivot, row) pair by
+    subtracting that multiple of the row; returns v."""
+    for pivot, row in rows:
+        c = v.get(pivot)
+        if c:
+            kernel.add_into(v, row, -c)
+    return v
 
-    Returns (rows, pivots): the nonzero rows with leading ones and the
-    list of pivot column indices, pivots chosen leftmost-first.
+
+def rref(rows: Iterable[Mapping], columns: Sequence):
+    """Reduced row echelon form of the span of term dicts.
+
+    Inserts one row at a time: it is reduced by the rows already kept,
+    normalised at its leftmost column in the given order, and then
+    eliminated from the other kept rows.  Returns (rows, pivots): the
+    nonzero rows, each with a 1 at its pivot and 0 at every other pivot,
+    and their pivot columns, sorted by rank in columns.  Input rows are
+    not modified.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return [], []
-    width = len(work[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(width):
-        pivot_row = None
-        for r in range(row, len(work)):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    rank = {col: i for i, col in enumerate(columns)}
+    kept: dict = {}  # pivot -> row
+    for row in rows:
+        v = _eliminate(kernel.drop_zeros(row), kept.items())
+        if not v:
             continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        lead = work[row][col]
-        if lead != 1:
-            work[row] = [v / lead for v in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return [r for r in work[:row]], pivots
+        lead = min(v, key=rank.__getitem__)
+        if v[lead] != 1:
+            v = kernel.scale_terms(v, 1 / Fraction(v[lead]))
+        for other in kept.values():
+            _eliminate(other, ((lead, v),))
+        kept[lead] = v
+    pivots = sorted(kept, key=rank.__getitem__)
+    return [kept[p] for p in pivots], pivots
 
 
 class Subspace:
-    """Span of rational vectors of a fixed width, kept in RREF."""
+    """Span of term dicts over a fixed column order, kept in RREF."""
 
-    def __init__(self, width: int, vectors: Iterable[Sequence[Fraction]] = ()):
-        self.width = width
-        self.rows, self.pivots = rref(vectors)
+    def __init__(self, columns: Sequence, vectors: Iterable[Mapping] = ()):
+        self.columns = tuple(columns)
+        self.rows, self.pivots = rref(vectors, self.columns)
 
     @property
     def dim(self) -> int:
@@ -63,62 +66,63 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(vector))
+    def contains(self, vector: Mapping) -> bool:
+        return not self.reduce(vector)
 
-    def reduce(self, vector: Sequence[Fraction]):
+    def reduce(self, vector: Mapping) -> dict:
         """Remainder of a vector modulo the span (canonical coset rep)."""
-        v = list(vector)
-        for row, pivot in zip(self.rows, self.pivots):
-            if v[pivot]:
-                factor = v[pivot]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return v
+        return _eliminate(kernel.drop_zeros(vector), zip(self.pivots, self.rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
-            and self.width == other.width
+            and self.columns == other.columns
             and self.rows == other.rows
         )
 
     def __repr__(self):
-        return f"Subspace(width={self.width}, dim={self.dim})"
+        return f"Subspace(width={len(self.columns)}, dim={self.dim})"
 
 
-def solve_linear(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
+def _transposed(columns: Sequence[Mapping]):
+    """The rows {j: columns[j][i]} of the matrix with the given columns."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    return rows
+
+
+def solve_linear(columns: Sequence[Mapping], target: Mapping):
     """Solve sum_j x_j * columns[j] = target.
 
-    Returns the canonical solution with free variables zero and pivots
-    preferred in column order, or None if the system is inconsistent.
+    Returns the canonical solution {j: x_j} with free variables zero and
+    pivots preferred in column order, or None if the system is
+    inconsistent.
     """
-    height = len(target)
     width = len(columns)
-    augmented = []
-    for i in range(height):
-        augmented.append([Fraction(col[i]) for col in columns] + [Fraction(target[i])])
-    rows, pivots = rref(augmented)
-    solution = [_ZERO] * width
-    for row, pivot in zip(rows, pivots):
-        if pivot == width:
-            return None
-        solution[pivot] = row[width]
-    return solution
+    rows = _transposed(columns)
+    for i, c in target.items():
+        rows.setdefault(i, {})[width] = c
+    reduced, pivots = rref(rows.values(), range(width + 1))
+    if pivots and pivots[-1] == width:
+        return None
+    return {p: row[width] for p, row in zip(pivots, reduced) if width in row}
 
 
-def kernel_basis(columns: Sequence[Sequence[Fraction]], height: int):
-    """Basis of the kernel of the matrix with the given columns."""
+def kernel_basis(columns: Sequence[Mapping]):
+    """Basis {j: x_j} of the kernel of the matrix with the given
+    columns, one vector per free column in column order."""
     width = len(columns)
-    rows_in = [[columns[j][i] for j in range(width)] for i in range(height)]
-    rows, pivots = rref(rows_in)
+    rows, pivots = rref(_transposed(columns).values(), range(width))
     pivot_set = set(pivots)
     basis = []
     for free in range(width):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * width
-        vec[free] = _ONE
+        vec = {free: Fraction(1)}
         for row, pivot in zip(rows, pivots):
-            vec[pivot] = -row[free]
+            if free in row:
+                vec[pivot] = -row[free]
         basis.append(vec)
     return basis

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from linfty import dupont
+from linfty import dupont, kernel
 from linfty.algebra import (
     GVector,
     LInftyAlgebra,
@@ -33,9 +33,6 @@ from linfty.algebra import (
 )
 from linfty.forms import SimplicialMap
 from linfty.linalg import Subspace, kernel_basis
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SolverError(RuntimeError):
@@ -470,15 +467,16 @@ def _whitney_basis(algebra: LInftyAlgebra, n: int, total_degree: int):
     return out
 
 
-def _expand_whitney(element: TensorElement, basis) -> list:
-    """Coordinates of an elementary tensor element in the Whitney basis,
-    via the integral duality."""
-    coords = []
+def _expand_whitney(element: TensorElement, basis) -> dict:
+    """Coordinates {(seq, sym): c} of an elementary tensor element in the
+    Whitney basis, via the integral duality."""
+    coords = {}
     for seq, sym in basis:
         form = element.comps.get(sym)
-        coords.append(
-            dupont.integrate_chain(seq, form) if form is not None else _ZERO
-        )
+        if form is not None:
+            c = dupont.integrate_chain(seq, form)
+            if c:
+                coords[(seq, sym)] = c
     return coords
 
 
@@ -510,7 +508,6 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
         raise ValueError("cochain comparison needs an abelian algebra")
     basis1 = _whitney_basis(algebra, n, 1)
     basis2 = _whitney_basis(algebra, n, 2)
-    index2 = {key: p for p, key in enumerate(basis2)}
 
     # differential on the form side, expanded through the duality
     columns_forms = []
@@ -521,25 +518,22 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
         columns_forms.append(_expand_whitney(element.d_plus_delta(), basis2))
 
     # differential on the cochain side; the simplicial coboundary picks
-    # up the Koszul sign of moving past the coefficient symbol
+    # up the Koszul sign of moving past the coefficient symbol.  Both
+    # parts land in the degree-2 Whitney basis and on distinct cells.
     columns_cochains = []
     for seq, sym in basis1:
-        col = [_ZERO] * len(basis2)
         parity = -1 if algebra.degrees[sym] % 2 else 1
-        for bigger, sign in _simplicial_coboundary(seq, n):
-            key = (bigger, sym)
-            if key in index2:
-                col[index2[key]] += Fraction(sign * parity)
-        delta_sym = algebra.bracket_on_basis((sym,))
-        for tsym, c in delta_sym.coeffs.items():
-            key = (seq, tsym)
-            if key in index2:
-                col[index2[key]] += c
+        col = {
+            (bigger, sym): Fraction(sign * parity)
+            for bigger, sign in _simplicial_coboundary(seq, n)
+        }
+        for tsym, c in algebra.bracket_on_basis((sym,)).coeffs.items():
+            col[(seq, tsym)] = c
         columns_cochains.append(col)
 
     differential_matches = columns_forms == columns_cochains
-    ker_forms = kernel_basis(columns_forms, len(basis2))
-    ker_cochains = kernel_basis(columns_cochains, len(basis2))
+    ker_forms = kernel_basis(columns_forms)
+    ker_cochains = kernel_basis(columns_cochains)
 
     # truncated-degree check: the gauge kernel on bounded-degree forms
     # is exactly the elementary cocycle space
@@ -552,23 +546,16 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
             word = next(iter(mono.terms))[1]
             if len(word) == k:
                 mono_basis.append((sym, mono))
-    image_keys: dict = {}
     columns = []
     for sym, mono in mono_basis:
         element = TensorElement(algebra, n, {sym: mono})
         image = element.d_plus_delta() + element.s()
-        col = {}
-        for tsym, form in image.comps.items():
-            for key, coeff in form.terms.items():
-                col[(tsym, key)] = coeff
-        columns.append(col)
-        for key in col:
-            image_keys.setdefault(key, len(image_keys))
-    dense = [
-        [col.get(key, _ZERO) for key in image_keys]
-        for col in columns
-    ]
-    gauge_kernel = kernel_basis(dense, len(image_keys))
+        columns.append({
+            (tsym, key): coeff
+            for tsym, form in image.comps.items()
+            for key, coeff in form.terms.items()
+        })
+    gauge_kernel = kernel_basis(columns)
 
     # expand elementary cocycles in the monomial basis for comparison
     mono_index = {}
@@ -577,26 +564,26 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
         mono_index[key] = p
     elementary_vectors = []
     for vec in ker_forms:
-        coords = [_ZERO] * len(mono_basis)
+        coords: dict = {}
         ok = True
-        for (seq, sym), c in zip(basis1, vec):
-            if not c:
-                continue
+        for j, c in vec.items():
+            seq, sym = basis1[j]
             omega = dupont.elementary_form(seq, n)
             for key, coeff in omega.terms.items():
                 idx = mono_index.get((sym, key))
                 if idx is None:
                     ok = False
                     break
-                coords[idx] += c * coeff
+                kernel.add_into(coords, {idx: c * coeff})
             if not ok:
                 break
         if ok:
             elementary_vectors.append(coords)
+    mono_columns = range(len(mono_basis))
     same_space = (
         len(elementary_vectors) == len(ker_forms)
-        and Subspace(len(mono_basis), gauge_kernel)
-        == Subspace(len(mono_basis), elementary_vectors)
+        and Subspace(mono_columns, gauge_kernel)
+        == Subspace(mono_columns, elementary_vectors)
     )
 
     return DoldKanReport(

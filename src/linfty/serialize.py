@@ -54,6 +54,31 @@ class PresentationFile:
         )
 
 
+def read_input(path, as_json: bool = True):
+    """The JSON object in an input file, or its text with as_json=False.
+
+    The one reader of the files the CLI reads: a missing or unreadable
+    file, invalid JSON and a JSON document other than an object raise
+    LoadError.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise LoadError(path, exc.strerror) from None
+    if not as_json:
+        return text
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(
+            path, f"invalid JSON at line {exc.lineno}: {exc.msg}"
+        ) from None
+    if not isinstance(data, dict):
+        raise LoadError(path, f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def rational_to_str(value: Fraction) -> str:
     return str(value)
 
@@ -134,14 +159,7 @@ def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
 
 def load_presentation(path) -> PresentationFile:
     """Parse and validate a presentation file."""
-    path = Path(path)
-    if not path.exists():
-        raise LoadError(path, "file does not exist")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise LoadError(path, f"invalid JSON at line {exc.lineno}: {exc.msg}")
-    algebra = presentation_from_data(data, path)
+    algebra = presentation_from_data(read_input(path), path)
     report = algebra.lower_central()
     return PresentationFile(
         path=str(path),
@@ -261,11 +279,7 @@ def simplex_from_data(data: dict, algebra: LInftyAlgebra,
 
 
 def load_simplex(path, algebra: LInftyAlgebra) -> SimplexElement:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise LoadError(path, f"invalid JSON at line {exc.lineno}: {exc.msg}")
+    data = read_input(path)
     try:
         return simplex_from_data(data, algebra)
     except (KeyError, TypeError, ValueError) as exc:

@@ -4,6 +4,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import pytest
 
 from linfty.cli import main
 from linfty.fixtures import Sampler, get_fixture
@@ -110,6 +111,76 @@ class TestHostileInput:
         )
         assert code == 2
         assert "zero denominator" in err
+
+
+class TestBadFiles:
+    """Every file the CLI reads goes through one reader: a missing file,
+    invalid JSON or a document of the wrong shape exits 2."""
+
+    @staticmethod
+    def _file(tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def _bch(self, capsys, *extra):
+        return run(
+            capsys, "bch", "--algebra", bundled("heisenberg"), "--n", "2", *extra
+        )
+
+    def _fill_horn(self, capsys, *faces):
+        return run(
+            capsys, "fill-horn", "--algebra", bundled("dg_lie_01"),
+            "--n", "2", "--missing", "1", "--faces", *faces,
+        )
+
+    def test_bch_missing_mu_file(self, capsys, tmp_path):
+        code, _, err = self._bch(capsys, "--mu", str(tmp_path / "nosuch.txt"))
+        assert code == 2
+        assert "nosuch.txt" in err
+
+    def test_bch_missing_inputs_file(self, capsys, tmp_path):
+        code, _, err = self._bch(capsys, "--inputs", str(tmp_path / "nosuch.json"))
+        assert code == 2
+        assert "nosuch.json" in err
+
+    def test_bch_inputs_not_an_object(self, capsys, tmp_path):
+        path = self._file(tmp_path, "list.json", [1, 2])
+        code, _, err = self._bch(capsys, "--inputs", path)
+        assert code == 2
+        assert "JSON object" in err
+
+    def test_bch_input_not_a_string(self, capsys, tmp_path):
+        path = self._file(tmp_path, "number.json", {"1": 5})
+        code, _, err = self._bch(capsys, "--inputs", path)
+        assert code == 2
+        assert "'1'" in err
+
+    def test_fill_horn_missing_face_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "nosuch.json")
+        code, _, err = self._fill_horn(capsys, missing, missing)
+        assert code == 2
+        assert "nosuch.json" in err
+
+    def test_fill_horn_face_not_an_object(self, capsys, tmp_path):
+        path = self._file(tmp_path, "list.json", [1, 2])
+        code, _, err = self._fill_horn(capsys, path, path)
+        assert code == 2
+        assert "JSON object" in err
+
+
+class TestNegativeSizes:
+    @pytest.mark.parametrize("argv", [
+        ("dold-kan", "--algebra", bundled("abelian_delta"), "--n", "-1"),
+        ("check-jacobi", "--algebra", bundled("heisenberg"), "--n-max", "-3"),
+        ("--max-degree", "-1", "verify-contraction", "--n", "1"),
+        ("verify-monodromy", "--rep", "heisenberg", "--samples", "-2"),
+    ])
+    def test_negative_size_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "pass" not in out
+        assert "must be >= 0" in err
 
 
 class TestVerifiers:
