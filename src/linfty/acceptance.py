@@ -1,6 +1,6 @@
 """The acceptance suite: thirteen exact criteria.
 
-Each criterion is a function returning a CriterionResult; all checks
+Each criterion is a function returning a Report; all checks
 are exact (tolerance zero), deterministic for a fixed seed, and print
 one line per criterion through the runner.  Criterion 8 compares the
 computed quadratic-order composition series against a reference
@@ -11,7 +11,6 @@ reported as a failure by design (see the README and the test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -31,11 +30,11 @@ from linfty.algebra import (
 )
 from linfty.bch_groupoid import (
     alpha1,
-    check_monodromy,
     compose,
     deligne_action,
     enumerate_trees,
     generalized_ch,
+    monodromy_report,
     nerve_of_groupoid,
     oracle_bch,
     rho1,
@@ -66,6 +65,7 @@ from linfty.mc_gamma import (
     solve_gauge_fixed,
     solve_mc,
 )
+from linfty.report import Report
 
 BUNDLED_FIXTURES = (
     "zero",
@@ -87,117 +87,84 @@ SOLVER_FIXTURES = (
 )
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool = True
-    lines: list = field(default_factory=list)
-
-    def check(self, condition: bool, message: str):
-        if not condition:
-            self.passed = False
-            self.lines.append(f"FAIL: {message}")
-
-    def note(self, message: str):
-        self.lines.append(message)
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{status}  criterion {self.number:2d}: {self.name}"
-
-    def report(self) -> str:
-        out = [self.summary()]
-        out.extend(f"      {line}" for line in self.lines)
-        return "\n".join(out)
+def _criterion(number: int, title: str) -> Report:
+    return Report(f"criterion {number:2d}: {title}", number)
 
 
-def criterion_contraction(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_contraction(seed: int = 0, max_degree: int = 4) -> Report:
     """1: the homotopy/projection identities on monomial generators."""
-    result = CriterionResult(1, "contraction identities (n <= 3, degree <= %d)" % max_degree)
+    result = _criterion(
+        1, "contraction identities (n <= 3, degree <= %d)" % max_degree
+    )
     for n in (1, 2, 3):
         for check in dupont.check_contraction_identities(n, max_degree):
-            result.check(check.passed, check.summary())
-            result.note(check.summary())
+            result.include(check)
     return result
 
 
-def criterion_gauge(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_gauge(seed: int = 0, max_degree: int = 4) -> Report:
     """2: the gauge property, homotopy anticommutation, and chain
     integrals through homotopy strings."""
-    result = CriterionResult(2, "gauge theorem (s^2 = 0 and homotopy identities)")
+    result = _criterion(2, "gauge theorem (s^2 = 0 and homotopy identities)")
     for n in (1, 2, 3):
         for check in dupont.check_gauge_identities(n, max_degree):
-            result.check(check.passed, check.summary())
-            result.note(check.summary())
+            result.include(check)
     return result
 
 
-def criterion_gaugeify(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_gaugeify(seed: int = 0, max_degree: int = 4) -> Report:
     """3: gaugeification fixes the simplicial gauge."""
-    result = CriterionResult(3, "gaugeification fixed point")
+    result = _criterion(3, "gaugeification fixed point")
     for n in (1, 2, 3):
         for check in dupont.check_gaugeify_fixed_point(n, max_degree):
-            result.check(check.passed, check.summary())
-            result.note(check.summary())
+            result.include(check)
     return result
 
 
-def criterion_naturality(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_naturality(seed: int = 0, max_degree: int = 4) -> Report:
     """4: the gauge and projection commute with simplicial pullbacks."""
-    result = CriterionResult(4, "naturality under face/degeneracy pullbacks")
+    result = _criterion(4, "naturality under face/degeneracy pullbacks")
     for check in dupont.check_naturality(3, max_degree):
-        result.check(check.passed, check.summary())
-        result.note(check.summary())
+        result.include(check)
     return result
 
 
-def criterion_jacobi_twist(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_jacobi_twist(seed: int = 0, max_degree: int = 4) -> Report:
     """5: Jacobi for all bundled fixtures, Jacobi after twisting by
     sampled Maurer-Cartan elements, and exact Bianchi residuals."""
-    result = CriterionResult(5, "Jacobi, twisted Jacobi, and Bianchi residuals")
+    result = _criterion(5, "Jacobi, twisted Jacobi, and Bianchi residuals")
     for name in BUNDLED_FIXTURES:
-        algebra = get_fixture(name)
-        report = check_jacobi(algebra, 4)
-        result.check(report.passed, report.summary())
-        result.note(report.summary())
+        result.include(check_jacobi(get_fixture(name), 4))
     sampler = Sampler(seed)
     for name in BUNDLED_FIXTURES:
         algebra = get_fixture(name)
         if not algebra.basis_of_degree(1):
             continue
-        twisted_ok = 0
+        twisted = Report(f"{name}: twisted Jacobi")
         for _ in range(5):
             mu = sampler.mc_element(algebra)
             report = check_jacobi(twist(algebra, mu), 4)
-            result.check(
-                report.passed, f"twist of {name} by {mu.render()}: {report.summary()}"
+            twisted.check(
+                report.passed, f"twist by {mu.render()}: {report.summary()}"
             )
-            twisted_ok += report.passed
-        bianchi_ok = 0
+        result.include(twisted)
+        bianchi = Report(f"{name}: Bianchi residuals")
         for _ in range(20):
-            alpha = sampler.vector(algebra, 1)
-            residual = bianchi_residual(algebra, alpha)
-            result.check(
-                residual.is_zero(),
-                f"Bianchi residual on {name}: {residual.render()}",
-            )
-            bianchi_ok += residual.is_zero()
-        result.note(
-            f"{name}: twisted Jacobi {twisted_ok}/5, Bianchi {bianchi_ok}/20"
-        )
+            residual = bianchi_residual(algebra, sampler.vector(algebra, 1))
+            bianchi.record("residual", residual, algebra.zero_vector())
+        result.include(bianchi)
     return result
 
 
-def criterion_solver_roundtrip(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_solver_roundtrip(seed: int = 0, max_degree: int = 4) -> Report:
     """6: solver outputs satisfy their equations exactly and the data
     maps round-trip to syntactically equal simplices."""
-    result = CriterionResult(6, "solver round trips (20 samples per fixture per n)")
+    result = _criterion(6, "solver round trips (20 samples per fixture per n)")
     sampler = Sampler(seed)
     for name in SOLVER_FIXTURES:
         algebra = get_fixture(name)
         for n in (1, 2, 3):
-            good = 0
+            sub = Report(f"{name} n={n}")
             for _ in range(20):
                 g = GaugeParameter(
                     n=n,
@@ -205,39 +172,33 @@ def criterion_solver_roundtrip(seed: int = 0, max_degree: int = 4) -> CriterionR
                     witness=sampler.witness(algebra, n),
                 )
                 plain = solve_mc(algebra, n, 0, g)
-                result.check(
+                sub.check(
                     tensor_curvature(plain.value).is_zero(),
-                    f"{name} n={n}: plain solve fails the flatness equation",
+                    "plain solve fails the flatness equation",
                 )
                 again = solve_mc(algebra, n, 0, mc_data(plain, 0))
-                result.check(
-                    again == plain,
-                    f"{name} n={n}: plain data round trip differs",
-                )
+                sub.check(again == plain, "plain data round trip differs")
                 fixed = solve_gauge_fixed(algebra, n, 0, g)
-                result.check(
+                sub.check(
                     tensor_curvature(fixed.value).is_zero()
                     and fixed.value.s().is_zero(),
-                    f"{name} n={n}: gauge-fixed output fails its equations",
+                    "gauge-fixed output fails its equations",
                 )
                 again = solve_gauge_fixed(algebra, n, 0, gamma_data(fixed, 0))
-                result.check(
-                    again == fixed,
-                    f"{name} n={n}: gauge-fixed round trip differs",
-                )
-                good += 1
-            result.note(f"{name} n={n}: {good}/20 samples")
+                sub.check(again == fixed, "gauge-fixed round trip differs")
+            result.include(sub)
     return result
 
 
-def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> Report:
     """7: thin fillers exist at every position with exact faces, are
     unique under double runs, and relative filling hits its target."""
-    result = CriterionResult(7, "horn filling (absolute, thin, and relative)")
+    result = _criterion(7, "horn filling (absolute, thin, and relative)")
     sampler = Sampler(seed)
     for name in ("heisenberg", "dg_lie_01"):
         algebra = get_fixture(name)
         for n in (2, 3):
+            sub = Report(f"{name} n={n}: horns at every position")
             for missing in range(n + 1):
                 g = GaugeParameter(
                     n=n,
@@ -252,25 +213,21 @@ def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> CriterionResul
                 try:
                     filler = fill_horn_gamma(horn)
                 except Exception as exc:
-                    result.check(False, f"{name} n={n} horn {missing}: {exc}")
+                    sub.check(False, f"horn {missing}: {exc}")
                     continue
-                result.check(
-                    is_thin(filler),
-                    f"{name} n={n} horn {missing}: filler is not thin",
-                )
-                result.check(
+                sub.check(is_thin(filler), f"horn {missing}: filler is not thin")
+                sub.check(
                     fill_horn_gamma(horn) == filler,
-                    f"{name} n={n} horn {missing}: double run differs",
+                    f"horn {missing}: double run differs",
                 )
                 try:
                     fill_horn_mc(horn)
                 except Exception as exc:
-                    result.check(
-                        False, f"{name} n={n} plain horn {missing}: {exc}"
-                    )
-            result.note(f"{name} n={n}: all horn positions filled exactly")
+                    sub.check(False, f"plain horn {missing}: {exc}")
+            result.include(sub)
     projection = heisenberg_abelianization()
     heis = projection.source
+    relative = Report("relative filling along the abelianization")
     for missing in range(3):
         g = GaugeParameter(
             n=2, mu=heis.zero_vector(), witness=sampler.witness(heis, 2)
@@ -281,11 +238,11 @@ def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> CriterionResul
             projection.target, 2, projection.apply(simplex.value)
         )
         lifted = fill_horn_relative(projection, horn, target)
-        result.check(
+        relative.check(
             projection.apply(lifted.value) == target.value,
             f"relative fill at position {missing} misses the target",
         )
-    result.note("relative filling along the abelianization: exact")
+    result.include(relative)
     return result
 
 
@@ -301,11 +258,11 @@ DISPLAYED_RHO2_COEFFS = (
 )
 
 
-def criterion_rho2_series(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_rho2_series(seed: int = 0, max_degree: int = 4) -> Report:
     """8: the computed quadratic-order series against the reference
     coefficient table {1, -1, 1/2, 1/2, 1/12, 1/6, 1/6, -1/12},
     term by term, up to one global orientation sign."""
-    result = CriterionResult(
+    result = _criterion(
         8, "quadratic-order series coefficients against the reference table"
     )
     algebra, bracket_count = free_nilpotent_class3()
@@ -335,8 +292,6 @@ def criterion_rho2_series(seed: int = 0, max_degree: int = 4) -> CriterionResult
             {s: q for s, q in v.coeffs.items() if bracket_count[s] <= 2},
         )
 
-    matched = None
-    best = None
     for flip in (1, -1):
         computed = generalized_ch(
             algebra,
@@ -344,85 +299,64 @@ def criterion_rho2_series(seed: int = 0, max_degree: int = 4) -> CriterionResult
             algebra.zero_vector(),
             {(1,): x1.scale(flip), (2,): x2.scale(flip), (1, 2): x12},
         ).value.scale(flip)
-        best = truncate(computed)
-        if best == truncate(reference):
-            matched = flip
+        diff = truncate(computed) - truncate(reference)
+        if diff.is_zero():
             break
-    if matched is None:
-        diff = best - truncate(reference)
-        result.check(
-            False,
-            "no global orientation matches the reference table; residual "
-            f"after the orientation fixed by the monodromy oracle: {diff.render()} "
-            "(the oracle-certified cubic coefficient is -1/12 where the "
-            "table lists 1/12; all other terms match)",
-        )
-    else:
-        result.note(f"matched with global orientation {matched:+d}")
+    if result.check(
+        diff.is_zero(),
+        "no global orientation matches the reference table; residual "
+        f"after the orientation fixed by the monodromy oracle: {diff.render()} "
+        "(the oracle-certified cubic coefficient is -1/12 where the "
+        "table lists 1/12; all other terms match)",
+    ):
+        result.note(f"matched with global orientation {flip:+d}")
     return result
 
 
 def criterion_monodromy(seed: int = 0, max_degree: int = 4,
-                        samples: int = 20) -> CriterionResult:
+                        samples: int = 20) -> Report:
     """9: exp(x1) = exp(rho2(x1, x2)) exp(x2) exactly in faithful
     matrix models."""
-    result = CriterionResult(9, "matrix monodromy identity (exact)")
+    result = _criterion(9, "matrix monodromy identity (exact)")
     for name in ("heisenberg", "ut4"):
         rep = get_representation(name)
         result.check(
             rep.check_faithful_bracket(), f"{name}: representation not faithful"
         )
-        sampler = Sampler(seed)
-        good = 0
-        for _ in range(samples):
-            x1 = sampler.vector(rep.algebra, 0)
-            x2 = sampler.vector(rep.algebra, 0)
-            ok = check_monodromy(rep, x1, x2)
-            result.check(
-                ok,
-                f"{name}: monodromy fails at x1={x1.render()}, x2={x2.render()}",
-            )
-            good += ok
-        result.note(f"{name}: {good}/{samples} exact")
+        result.include(monodromy_report(name, rep, Sampler(seed), samples))
     return result
 
 
-def criterion_associativity(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_associativity(seed: int = 0, max_degree: int = 4) -> Report:
     """10: the degree -1 associator vanishes for dg Lie fixtures,
     composition is associative on samples, and the genuine three-bracket
     fixture's associator is reported."""
-    result = CriterionResult(10, "associativity (vanishing associator, table check)")
+    result = _criterion(10, "associativity (vanishing associator, table check)")
     sampler = Sampler(seed)
     for name in ("heisenberg", "ut4", "dg_lie_01"):
         algebra = get_fixture(name)
-        good = 0
+        sub = Report(f"{name}: associator zero on sampled triples")
         for _ in range(20):
             mu = sampler.mc_element(algebra)
             xs = [sampler.vector(algebra, 0) for _ in range(3)]
             ok, _ = rho3_associativity_check(algebra, mu, *xs)
-            result.check(
-                ok, f"{name}: associator nonzero at {[x.render() for x in xs]}"
-            )
-            good += ok
-        result.note(f"{name}: associator zero on {good}/20 triples")
+            sub.check(ok, f"associator nonzero at {[x.render() for x in xs]}")
+        result.include(sub)
     for name in ("heisenberg", "ut4"):
         algebra = get_fixture(name)
         zero = algebra.zero_vector()
-        good = 0
+        sub = Report(f"{name}: compose associative and self-cancelling")
         for _ in range(6):
             x, y, z = (sampler.vector(algebra, 0) for _ in range(3))
             left = compose(algebra, zero, compose(algebra, zero, x, y), z)
             right = compose(algebra, zero, x, compose(algebra, zero, y, z))
-            result.check(left == right, f"{name}: compose not associative")
-            good += left == right
+            sub.record(f"({x.render()}, {y.render()}, {z.render()})", left, right)
         x = sampler.vector(algebra, 0)
         self_cancel = generalized_ch(
             algebra, 2, zero, {(1,): x, (2,): x}
         ).value
-        result.check(
-            self_cancel.is_zero(), f"{name}: self-composition series nonzero"
-        )
-        result.note(f"{name}: compose associative on {good}/6 triples")
+        sub.record(f"self-composition of {x.render()}", self_cancel, zero)
+        result.include(sub)
     tb = get_fixture("three_bracket")
     sampler_tb = Sampler(seed + 1)
     xs = [sampler_tb.vector(tb, 0) for _ in range(3)]
@@ -434,10 +368,10 @@ def criterion_associativity(seed: int = 0, max_degree: int = 4) -> CriterionResu
     return result
 
 
-def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> Report:
     """11: tree counts and low-order terms, the flow recursion, the
     closed edge formula against the solver, and the gauge action."""
-    result = CriterionResult(11, "tree exponential, edge formula, gauge action")
+    result = _criterion(11, "tree exponential, edge formula, gauge action")
     counts = [len(enumerate_trees(k)) for k in range(1, 6)]
     result.check(
         counts == [1, 1, 2, 4, 9], f"tree counts {counts} != [1, 1, 2, 4, 9]"
@@ -452,16 +386,15 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
     def tb(*args):
         return twisted_bracket(algebra, zero, list(args))
 
-    eps1 = tree_exponential(algebra, zero, x, 1)
-    eps2 = tree_exponential(algebra, zero, x, 2)
-    eps3 = tree_exponential(algebra, zero, x, 3)
-    result.check(eps1 == tb(x), "first flow term is not the unary bracket")
-    result.check(eps2 == tb(x, tb(x)), "second flow term mismatch")
-    result.check(
-        eps3 == tb(x, tb(x, tb(x))) + tb(x, tb(x), tb(x)),
-        "third flow term mismatch (path + fork)",
+    low = Report("flow terms for k <= 3 against the nested-bracket expansion")
+    low.record("k=1", tree_exponential(algebra, zero, x, 1), tb(x))
+    low.record("k=2", tree_exponential(algebra, zero, x, 2), tb(x, tb(x)))
+    low.record(
+        "k=3 (path + fork)",
+        tree_exponential(algebra, zero, x, 3),
+        tb(x, tb(x, tb(x))) + tb(x, tb(x), tb(x)),
     )
-    result.note("flow terms for k <= 3 match the nested-bracket expansion")
+    result.include(low)
 
     # the flow recursion for k <= 4
     sampler = Sampler(seed)
@@ -472,6 +405,7 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
         eps = {
             k: tree_exponential(alg, mu, xv, k) for k in range(1, 6)
         }
+        sub = Report(f"{name}: flow recursion for k <= 4")
         for k in range(1, 5):
             terms = []
             for parts in range(0, k + 1):
@@ -485,16 +419,13 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
                     )
                     terms.append((coeff, term))
             expected = linear_combination(alg.zero_vector(), terms)
-            result.check(
-                eps[k + 1] == expected,
-                f"{name}: flow recursion fails at k={k}",
-            )
-        result.note(f"{name}: flow recursion holds for k <= 4")
+            sub.record(f"k={k}", eps[k + 1], expected)
+        result.include(sub)
 
     # closed edge formula equals the solver output
     for name in ("heisenberg", "ut4", "dg_lie_01", "heis_exterior"):
         alg = get_fixture(name)
-        good = 0
+        sub = Report(f"{name}: edge formula equals the solver")
         for _ in range(5):
             mu = sampler.mc_element(alg)
             xv = sampler.vector(alg, 0)
@@ -506,73 +437,65 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> CriterionR
             solved = solve_gauge_fixed(
                 alg, 1, 0, GaugeParameter(n=1, mu=mu, witness=witness)
             )
-            result.check(
-                edge == solved, f"{name}: closed edge formula != solver output"
-            )
-            good += edge == solved
-        result.note(f"{name}: edge formula equals solver on {good}/5 samples")
+            sub.record(f"x={xv.render()}", edge, solved)
+        result.include(sub)
 
     # the gauge action preserves flatness and matches the edge endpoint
     for name in ("dg_lie_01", "heis_exterior"):
         alg = get_fixture(name)
-        good = 0
+        sub = Report(f"{name}: action preserves flatness and matches rho1")
         for _ in range(20):
             mu = sampler.mc_element(alg)
             xv = sampler.vector(alg, 0)
             acted = deligne_action(alg, xv, mu)
-            ok = is_mc(alg, acted) and acted == rho1(alg, mu, xv)
-            result.check(
-                ok, f"{name}: gauge action mismatch at x={xv.render()}"
+            sub.check(
+                is_mc(alg, acted) and acted == rho1(alg, mu, xv),
+                f"mismatch at x={xv.render()}",
             )
-            good += ok
-        result.note(f"{name}: action preserves flatness and matches rho1, {good}/20")
+        result.include(sub)
     return result
 
 
-def criterion_dold_kan(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_dold_kan(seed: int = 0, max_degree: int = 4) -> Report:
     """12: the abelian comparison with normalized cochain cocycles."""
-    result = CriterionResult(12, "abelian comparison with normalized cochains")
+    result = _criterion(12, "abelian comparison with normalized cochains")
     for name in ("zero", "abelian_delta", "abelian_chain"):
         algebra = get_fixture(name)
         for n in (1, 2, 3):
-            report = dold_kan_compare(algebra, n)
-            result.check(report.passed, report.summary())
-            result.note(report.summary())
+            result.include(dold_kan_compare(algebra, n))
     return result
 
 
-def criterion_groupoid_nerve(seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def criterion_groupoid_nerve(seed: int = 0, max_degree: int = 4) -> Report:
     """13: unique fillers and coskeletality for finite groupoid nerves,
     and the gauge-fixed 2-truncation against the matrix group law."""
-    result = CriterionResult(13, "groupoid nerves and the group-law comparison")
+    result = _criterion(13, "groupoid nerves and the group-law comparison")
     for label, groupoid in (
         ("cyclic order 2", cyclic_group_groupoid(2)),
         ("two-object indiscrete", pair_groupoid()),
     ):
         nerve = nerve_of_groupoid(groupoid, 3)
+        sub = Report(f"{label}: unique fillers at n=2,3 and coskeletal at level 3")
         for n in (2, 3):
-            ok = nerve.check_filler_bijectivity(n)
-            result.check(ok, f"{label}: filler bijectivity fails at n={n}")
-        ok = nerve.check_coskeletal(3)
-        result.check(ok, f"{label}: coskeletal reconstruction fails")
-        result.note(
-            f"{label}: unique fillers at n=2,3 and coskeletal at level 3"
-        )
+            sub.check(
+                nerve.check_filler_bijectivity(n),
+                f"filler bijectivity fails at n={n}",
+            )
+        sub.check(nerve.check_coskeletal(3), "coskeletal reconstruction fails")
+        result.include(sub)
     rep = get_representation("heisenberg")
     algebra = rep.algebra
     sampler = Sampler(seed)
-    good = 0
+    sub = Report("thin-filler composition equals the matrix group law")
     for _ in range(20):
         x = sampler.vector(algebra, 0)
         y = sampler.vector(algebra, 0)
         z = compose(algebra, algebra.zero_vector(), x, y)
-        ok = rep.apply(z) == oracle_bch(rep.apply(x), rep.apply(y))
-        result.check(
-            ok,
+        sub.check(
+            rep.apply(z) == oracle_bch(rep.apply(x), rep.apply(y)),
             f"composition table mismatch at x={x.render()}, y={y.render()}",
         )
-        good += ok
-    result.note(f"thin-filler composition equals the matrix group law, {good}/20")
+    result.include(sub)
     return result
 
 
@@ -593,7 +516,7 @@ CRITERIA = {
 }
 
 
-def run_criterion(name: str, seed: int = 0, max_degree: int = 4) -> CriterionResult:
+def run_criterion(name: str, seed: int = 0, max_degree: int = 4) -> Report:
     if name not in CRITERIA:
         raise KeyError(
             f"unknown suite {name!r}; available: {', '.join(CRITERIA)}"

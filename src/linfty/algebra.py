@@ -29,6 +29,7 @@ from linfty.forms import (
 )
 from linfty.linalg import Subspace, solve_linear
 from linfty import dupont, kernel
+from linfty.report import Report
 
 _ONE = Fraction(1)
 
@@ -392,30 +393,6 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
     return GVector(algebra, total)
 
 
-@dataclass
-class JacobiReport:
-    algebra_name: str
-    max_arity_checked: int
-    cases: int
-    failure: tuple | None  # (symbols, residual rendering)
-
-    @property
-    def passed(self) -> bool:
-        return self.failure is None
-
-    def summary(self) -> str:
-        if self.passed:
-            return (
-                f"pass  Jacobi({self.algebra_name}) up to arity "
-                f"{self.max_arity_checked}: {self.cases} tuples"
-            )
-        syms, residual = self.failure
-        return (
-            f"FAIL  Jacobi({self.algebra_name}): tuple {syms} has "
-            f"residual {residual}"
-        )
-
-
 def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
     """The n-Jacobi sum on basis symbols, as a plain coefficient dict:
     over all splittings into a bracketed head and remaining arguments,
@@ -440,18 +417,19 @@ def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
     return total
 
 
-def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> JacobiReport:
+def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
     """Evaluate every n-Jacobi rule, n <= n_max, on basis tuples.
 
     The Jacobi sum is multilinear and graded antisymmetric, so sorted
     tuples (with repetition) span the general case; tuples repeating an
     even-degree symbol are skipped because antisymmetry forces their
-    residual to vanish identically.  Failure is data: the first
-    offending tuple and its residual.
+    residual to vanish identically.  One case per tuple; the report
+    stops at the first offending tuple and names it with its residual.
     """
     if n_max is None:
         n_max = algebra.max_arity + 2
-    cases = 0
+    report = Report(f"Jacobi({algebra.name}) up to arity {n_max}")
+    zero = algebra.zero_vector()
     even = {s for s in algebra.symbols if algebra.degrees[s] % 2 == 0}
     for n in range(1, n_max + 1):
         for syms in itertools.combinations_with_replacement(algebra.symbols, n):
@@ -460,12 +438,10 @@ def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> JacobiRepo
                 for p in range(n - 1)
             ):
                 continue
-            cases += 1
-            residual = jacobiator(algebra, syms)
-            if residual:
-                rendering = GVector(algebra, residual).render()
-                return JacobiReport(algebra.name, n_max, cases, (syms, rendering))
-    return JacobiReport(algebra.name, n_max, cases, None)
+            residual = GVector(algebra, jacobiator(algebra, syms))
+            if not report.record(f"tuple {syms}", residual, zero):
+                return report
+    return report
 
 
 # -- curvature, Maurer-Cartan, twisting -------------------------------

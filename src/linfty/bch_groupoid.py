@@ -43,6 +43,7 @@ from linfty.mc_gamma import (
     fill_horn_gamma,
     solve_gauge_fixed,
 )
+from linfty.report import Report
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -487,6 +488,21 @@ def check_monodromy(rep: MatrixRepresentation, x1: GVector,
     lhs = matrix_exp(rep.apply(x1))
     rhs = _mat_mul(matrix_exp(rep.apply(rho)), matrix_exp(rep.apply(x2)))
     return lhs == rhs
+
+
+def monodromy_report(name: str, rep: MatrixRepresentation, sampler,
+                     samples: int) -> Report:
+    """check_monodromy on `samples` degree-0 pairs drawn from the sampler,
+    one case per pair."""
+    report = Report(f"monodromy({name})")
+    for _ in range(samples):
+        x1 = sampler.vector(rep.algebra, 0)
+        x2 = sampler.vector(rep.algebra, 0)
+        report.check(
+            check_monodromy(rep, x1, x2),
+            f"x1 = {x1.render()}, x2 = {x2.render()}",
+        )
+    return report
 
 
 # -- nerves of finite groupoids -----------------------------------------

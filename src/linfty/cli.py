@@ -15,13 +15,9 @@ import sys
 
 from linfty import acceptance, dupont
 from linfty.algebra import check_jacobi
-from linfty.bch_groupoid import (
-    check_monodromy,
-    compose,
-    generalized_ch,
-)
+from linfty.bch_groupoid import compose, generalized_ch, monodromy_report
 from linfty.fixtures import Sampler, get_representation
-from linfty.mc_gamma import Horn, fill_horn_gamma, is_thin
+from linfty.mc_gamma import Horn, dold_kan_compare, fill_horn_gamma, is_thin
 from linfty.serialize import (
     LoadError,
     load_presentation,
@@ -34,35 +30,36 @@ from linfty.serialize import (
 PASS, CHECK_FAILURE, USAGE_ERROR = 0, 1, 2
 
 
+def _verdict(reports, verbose: bool = False) -> int:
+    """Print each report, in full or as its summary line; 0 if all
+    passed, else 1."""
+    reports = list(reports)
+    for report in reports:
+        print(report.report() if verbose else report.summary())
+    return PASS if all(r.passed for r in reports) else CHECK_FAILURE
+
+
 def cmd_check_jacobi(args) -> int:
     loaded = load_presentation(args.algebra)
     print(loaded.summary())
-    report = check_jacobi(loaded.algebra, args.n_max)
-    print(report.summary())
-    return PASS if report.passed else CHECK_FAILURE
+    return _verdict([check_jacobi(loaded.algebra, args.n_max)])
 
 
 def cmd_verify_contraction(args) -> int:
-    failures = 0
-    for n in _dim_list(args.n):
-        for check in dupont.check_contraction_identities(n, args.max_degree):
-            print(check.summary())
-            failures += not check.passed
-    return PASS if not failures else CHECK_FAILURE
+    return _verdict(
+        check
+        for n in _dim_list(args.n)
+        for check in dupont.check_contraction_identities(n, args.max_degree)
+    )
 
 
 def cmd_verify_gauge(args) -> int:
-    failures = 0
-    for n in _dim_list(args.n):
-        for check in dupont.check_gauge_identities(n, args.max_degree):
-            print(check.summary())
-            failures += not check.passed
-        for check in dupont.check_gaugeify_fixed_point(
-            n, min(args.max_degree, 3)
-        ):
-            print(check.summary())
-            failures += not check.passed
-    return PASS if not failures else CHECK_FAILURE
+    return _verdict(
+        check
+        for n in _dim_list(args.n)
+        for check in dupont.check_gauge_identities(n, args.max_degree)
+        + dupont.check_gaugeify_fixed_point(n, min(args.max_degree, 3))
+    )
 
 
 def _dim_list(n):
@@ -89,14 +86,8 @@ def cmd_fill_horn(args) -> int:
 
 
 def cmd_dold_kan(args) -> int:
-    from linfty.mc_gamma import dold_kan_compare
-
     loaded = load_presentation(args.algebra)
-    report = dold_kan_compare(loaded.algebra, args.n)
-    print(report.summary())
-    for seq, sym in report.basis:
-        print(f"  cell {''.join(map(str, seq))} (x) {sym}")
-    return PASS if report.passed else CHECK_FAILURE
+    return _verdict([dold_kan_compare(loaded.algebra, args.n)], verbose=True)
 
 
 def cmd_bch(args) -> int:
@@ -141,22 +132,10 @@ def cmd_verify_monodromy(args) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return USAGE_ERROR
-    sampler = Sampler(args.seed)
-    failures = 0
-    for _ in range(args.samples):
-        x1 = sampler.vector(rep.algebra, 0)
-        x2 = sampler.vector(rep.algebra, 0)
-        ok = check_monodromy(rep, x1, x2)
-        if not ok:
-            failures += 1
-            print(
-                f"FAIL: x1 = {x1.render()}, x2 = {x2.render()}"
-            )
-    print(
-        f"{'pass' if not failures else 'FAIL'}  monodromy({args.rep}): "
-        f"{args.samples - failures}/{args.samples} exact"
+    return _verdict(
+        [monodromy_report(args.rep, rep, Sampler(args.seed), args.samples)],
+        verbose=True,
     )
-    return PASS if not failures else CHECK_FAILURE
 
 
 def cmd_run_suite(args) -> int:
@@ -167,23 +146,30 @@ def cmd_run_suite(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return USAGE_ERROR
-    print(result.report() if args.verbose else result.summary())
-    return PASS if result.passed else CHECK_FAILURE
+    return _verdict([result], args.verbose)
 
 
 def cmd_run_all(args) -> int:
-    failures = 0
-    for result in acceptance.run_all(seed=args.seed, max_degree=args.max_degree):
-        print(result.report() if args.verbose else result.summary())
-        failures += not result.passed
-    return PASS if not failures else CHECK_FAILURE
+    return _verdict(
+        acceptance.run_all(seed=args.seed, max_degree=args.max_degree),
+        args.verbose,
+    )
 
 
 def non_negative(text: str) -> int:
-    """The argparse type of every size option: an integer >= 0."""
+    """The argparse type of a size option: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive(text: str) -> int:
+    """The argparse type of a size that must not be vacuous: an
+    integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -205,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-jacobi", help="validate a presentation file")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--n-max", type=non_negative, default=None)
+    p.add_argument("--n-max", type=positive, default=None)
     p.set_defaults(fn=cmd_check_jacobi)
 
     p = sub.add_parser("verify-contraction",
@@ -253,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-monodromy",
                        help="exact matrix monodromy identity")
     p.add_argument("--rep", choices=["heisenberg", "ut4"], required=True)
-    p.add_argument("--samples", type=non_negative, default=20)
+    p.add_argument("--samples", type=positive, default=20)
     p.set_defaults(fn=cmd_verify_monodromy)
 
     p = sub.add_parser("run-suite", help="run one acceptance criterion")

@@ -12,7 +12,7 @@ bottom; those checks are the core of the acceptance suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
@@ -28,6 +28,7 @@ from linfty.forms import (
     pullback,
     reduce_barycentric,
 )
+from linfty.report import Report
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -324,46 +325,15 @@ def gaugeify(bundle: ContractionBundle, max_degree: int = 3) -> ContractionBundl
 # -- identity verification harness -------------------------------------
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one operator-identity check over a case set."""
-
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, case_label: str, lhs: Form, rhs: Form):
-        self.cases += 1
-        if lhs != rhs:
-            self.failures.append(
-                (case_label, lhs.render(), rhs.render())
-            )
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        line = f"{status}  {self.name}: {self.cases} cases"
-        if self.failures:
-            label, lhs, rhs = self.failures[0]
-            line += (
-                f", {len(self.failures)} failures; first: {label}: "
-                f"{lhs} != {rhs}"
-            )
-        return line
-
-
-def check_contraction_identities(n: int, max_degree: int) -> list[CheckResult]:
+def check_contraction_identities(n: int, max_degree: int) -> list[Report]:
     """ds + sd = Id - P, the Poincare identity for every base vertex,
     and the two vanishing products P s = 0 and s P = 0."""
     monos = monomial_basis(n, max_degree)
-    main = CheckResult(f"d s + s d = Id - P on {n}-simplex")
-    poincare = CheckResult(f"d h^i + h^i d = Id - eval_i on {n}-simplex")
-    ps = CheckResult(f"P s = 0 on {n}-simplex")
-    sp = CheckResult(f"s P = 0 on {n}-simplex")
-    pp = CheckResult(f"P P = P on {n}-simplex")
+    main = Report(f"d s + s d = Id - P on {n}-simplex")
+    poincare = Report(f"d h^i + h^i d = Id - eval_i on {n}-simplex")
+    ps = Report(f"P s = 0 on {n}-simplex")
+    sp = Report(f"s P = 0 on {n}-simplex")
+    pp = Report(f"P P = P on {n}-simplex")
     zero = Form.zero(n)
     for mono in monos:
         label = mono.render()
@@ -382,13 +352,13 @@ def check_contraction_identities(n: int, max_degree: int) -> list[CheckResult]:
     return [main, poincare, ps, sp, pp]
 
 
-def check_gauge_identities(n: int, max_degree: int) -> list[CheckResult]:
+def check_gauge_identities(n: int, max_degree: int) -> list[Report]:
     """s^2 = 0, anticommutation of the homotopies, and the expression
     of chain integrals through them."""
     monos = monomial_basis(n, max_degree)
-    square = CheckResult(f"s s = 0 on {n}-simplex")
-    anti = CheckResult(f"h^i h^j + h^j h^i = 0 on {n}-simplex")
-    integrals = CheckResult(
+    square = Report(f"s s = 0 on {n}-simplex")
+    anti = Report(f"h^i h^j + h^j h^i = 0 on {n}-simplex")
+    integrals = Report(
         f"I_seq = eval h...h on {n}-simplex"
     )
     zero = Form.zero(n)
@@ -419,11 +389,11 @@ def check_gauge_identities(n: int, max_degree: int) -> list[CheckResult]:
     return [square, anti, integrals]
 
 
-def check_gaugeify_fixed_point(n: int, max_degree: int) -> list[CheckResult]:
+def check_gaugeify_fixed_point(n: int, max_degree: int) -> list[Report]:
     """Gaugeification fixes the Dupont gauge, operator equality on the
     monomial generator set."""
     twisted = gaugeify(dupont_bundle(n), max_degree=min(max_degree, 3))
-    fixed = CheckResult(f"gaugeified s = s on {n}-simplex")
+    fixed = Report(f"gaugeified s = s on {n}-simplex")
     for mono in monomial_basis(n, max_degree):
         fixed.record(
             mono.render(), twisted.homotopy(mono), dupont_s(n, mono)
@@ -431,11 +401,11 @@ def check_gaugeify_fixed_point(n: int, max_degree: int) -> list[CheckResult]:
     return [fixed]
 
 
-def check_naturality(max_dim: int, max_degree: int) -> list[CheckResult]:
+def check_naturality(max_dim: int, max_degree: int) -> list[Report]:
     """s and P commute with every face and degeneracy pullback between
     simplices of dimension <= max_dim."""
-    result_s = CheckResult("pullback s = s pullback")
-    result_p = CheckResult("pullback P = P pullback")
+    result_s = Report("pullback s = s pullback")
+    result_p = Report("pullback P = P pullback")
     maps = []
     for n in range(1, max_dim + 1):
         maps.extend(SimplicialMap.face(k, n) for k in range(n + 1))

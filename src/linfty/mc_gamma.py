@@ -33,6 +33,7 @@ from linfty.algebra import (
 )
 from linfty.forms import SimplicialMap
 from linfty.linalg import Subspace, kernel_basis
+from linfty.report import Report
 
 
 class SolverError(RuntimeError):
@@ -326,41 +327,54 @@ def fill_horn_mc(horn: Horn, base: int | None = None) -> SimplexElement:
     return filler
 
 
-def _whitney_horn_witness(horn: Horn, base: int) -> TensorElement:
-    """Elementary-form witness collecting the horn's chain integrals
-    through the base vertex.
+def chain_witness(n: int, i: int, integral) -> TensorElement:
+    """The gauge-fixed witness with the given chain integrals through
+    the base vertex i:
 
-    The solver datum of any gauge-fixed simplex puts its integral over
-    the chain (base, seq) on the elementary form of seq with an
-    alternating factor (-1)^(|seq|-1); reproducing that factor here is
-    what makes the filler restrict to the horn exactly (measured and
-    pinned by the tests, like the sign inside the gauge itself).
+        sum over seq not containing i of
+        (-1)^(|seq|-1) * integral((i,) + seq) (x) omega_seq,
+
+    with omega_seq the elementary form of seq.  The data gamma_data(x, i)
+    of a gauge-fixed simplex is chain_witness(x.n, i, x.integrate), so
+    the horn fillers build their witness from the horn's integrals.
     """
-    n = horn.n
+    zero = zero_tensor(integral((i,)).algebra, n)
     terms = []
-    for size in range(1, n):
+    others = [v for v in range(n + 1) if v != i]
+    for size in range(1, n + 1):
         sign = -1 if size % 2 == 0 else 1
-        for seq in itertools.combinations(
-            [v for v in range(n + 1) if v != base], size
-        ):
-            value = horn.integrate((base,) + seq)
+        for seq in itertools.combinations(others, size):
+            value = integral((i,) + seq)
             if not value.is_zero():
                 omega = dupont.elementary_form(seq, n)
                 terms.append((sign, tensor_product(value, omega)))
-    return linear_combination(zero_tensor(horn.algebra, n), terms)
+    return linear_combination(zero, terms)
 
 
-def fill_horn_gamma(horn: Horn, base: int | None = None) -> SimplexElement:
-    """The unique thin gauge-fixed filler of a gauge-fixed horn."""
+def _fill_gauge_fixed(horn: Horn, base: int | None, top) -> SimplexElement:
+    """The gauge-fixed filler whose integral over (base,) + the chain
+    opposite the base is top(that chain); its other integrals are the
+    horn's."""
     i = horn.missing if base is None else base
+
+    def integral(seq):
+        return top(seq) if len(seq) > horn.n else horn.integrate(seq)
+
     g = GaugeParameter(
         n=horn.n,
         mu=horn.vertex_value(i),
-        witness=_whitney_horn_witness(horn, i),
+        witness=chain_witness(horn.n, i, integral),
     )
     filler = solve_gauge_fixed(horn.algebra, horn.n, i, g)
     _check_faces(filler, horn)
     return filler
+
+
+def fill_horn_gamma(horn: Horn, base: int | None = None) -> SimplexElement:
+    """The unique thin gauge-fixed filler of a gauge-fixed horn."""
+    return _fill_gauge_fixed(
+        horn, base, lambda seq: horn.algebra.zero_vector()
+    )
 
 
 def fill_horn_relative(f: Morphism, horn: Horn, target: SimplexElement,
@@ -369,8 +383,8 @@ def fill_horn_relative(f: Morphism, horn: Horn, target: SimplexElement,
 
     f must be a surjective strict morphism, the horn lives upstairs, the
     target downstairs with matching image faces; the output maps to the
-    target exactly.  The lift of the target's top integral uses the
-    canonical echelon section.
+    target exactly.  The filler's top integral is the canonical echelon
+    section of the target's.
     """
     if horn.algebra is not f.source or target.algebra is not f.target:
         raise ValueError("horn/target do not match the morphism")
@@ -378,33 +392,15 @@ def fill_horn_relative(f: Morphism, horn: Horn, target: SimplexElement,
         raise ValueError("target dimension does not match the horn")
     if not f.is_surjective():
         raise ValueError("morphism is not surjective")
-    i = horn.missing if base is None else base
-    n = horn.n
     for j, face in horn.faces.items():
         if f.apply(face.value) != target.face(j).value:
             raise ValueError(f"image of horn face {j} differs from target face")
-    x = f.section(target.integrate(tuple(range(n + 1))))
-    witness = _whitney_horn_witness(horn, i)
-    top_seq = tuple(v for v in range(n + 1) if v != i)
-    omega_top = dupont.elementary_form(top_seq, n)
-    sign = _TOP_WITNESS_SIGN(i, n)
-    witness = witness + tensor_product(x, omega_top.scale(sign))
-    g = GaugeParameter(n=n, mu=horn.vertex_value(i), witness=witness)
-    filler = solve_gauge_fixed(horn.algebra, n, i, g)
-    _check_faces(filler, horn)
+    filler = _fill_gauge_fixed(
+        horn, base, lambda seq: f.section(target.integrate(seq))
+    )
     if f.apply(filler.value) != target.value:
         raise SolverError("relative filler does not map onto the target")
     return filler
-
-
-def _TOP_WITNESS_SIGN(i: int, n: int) -> int:
-    """Sign attaching the lifted top integral to the witness.
-
-    The unique choice making the filler's image hit the target: the
-    gauge data of any simplex carries its full-simplex integral on the
-    elementary form missing the base vertex with this coefficient
-    (measured exactly; pinned by the relative-filler tests)."""
-    return -1 if (i + n) % 2 == 0 else 1
 
 
 def _check_faces(filler: SimplexElement, horn: Horn):
@@ -416,41 +412,6 @@ def _check_faces(filler: SimplexElement, horn: Horn):
 
 
 # -- the abelian comparison with normalized cochains -------------------
-
-
-@dataclass
-class DoldKanReport:
-    """Comparison of gauge-fixed simplices of an abelian algebra with
-    normalized simplicial cochain cocycles."""
-
-    algebra_name: str
-    n: int
-    basis: list  # [(vertex sequence, symbol)] indexing both sides
-    differential_matches: bool
-    cocycle_dim: int
-    cochain_cocycle_dim: int
-    truncated_gamma_is_elementary: bool
-    truncated_degree: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.differential_matches
-            and self.cocycle_dim == self.cochain_cocycle_dim
-            and self.truncated_gamma_is_elementary
-        )
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"{status}  cochain comparison({self.algebra_name}, n={self.n}): "
-            f"dim Z = {self.cocycle_dim} (forms) vs "
-            f"{self.cochain_cocycle_dim} (cochains), differentials "
-            f"{'match' if self.differential_matches else 'DIFFER'}, "
-            f"degree<={self.truncated_degree} gauge kernel "
-            f"{'is' if self.truncated_gamma_is_elementary else 'is NOT'} "
-            "elementary"
-        )
 
 
 def _is_abelian(algebra: LInftyAlgebra) -> bool:
@@ -494,7 +455,7 @@ def _simplicial_coboundary(seq: tuple, n: int):
 
 
 def dold_kan_compare(algebra: LInftyAlgebra, n: int,
-                     truncated_degree: int = 2) -> DoldKanReport:
+                     truncated_degree: int = 2) -> Report:
     """Brute-force the isomorphism between gauge-fixed simplices of an
     abelian algebra and normalized cochain cocycles.
 
@@ -502,7 +463,8 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
     the normalized-cochain differential under the integral pairing, that
     the cocycle dimensions agree, and that on forms of bounded
     polynomial degree the kernel of (d + delta, s) is exactly the
-    elementary cocycle space.
+    elementary cocycle space: three cases.  The notes give both cocycle
+    dimensions and the cells (x) symbols indexing the two sides.
     """
     if not _is_abelian(algebra):
         raise ValueError("cochain comparison needs an abelian algebra")
@@ -531,9 +493,19 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
             col[(seq, tsym)] = c
         columns_cochains.append(col)
 
-    differential_matches = columns_forms == columns_cochains
+    report = Report(f"cochain comparison({algebra.name}, n={n})")
+    report.check(
+        columns_forms == columns_cochains,
+        "the differentials on elementary forms and on cochains differ",
+    )
     ker_forms = kernel_basis(columns_forms)
     ker_cochains = kernel_basis(columns_cochains)
+    report.note(f"dim Z = {len(ker_forms)} (forms)")
+    report.note(f"dim Z = {len(ker_cochains)} (cochains)")
+    report.check(
+        len(ker_forms) == len(ker_cochains),
+        f"dim Z = {len(ker_forms)} (forms) vs {len(ker_cochains)} (cochains)",
+    )
 
     # truncated-degree check: the gauge kernel on bounded-degree forms
     # is exactly the elementary cocycle space
@@ -580,19 +552,13 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
         if ok:
             elementary_vectors.append(coords)
     mono_columns = range(len(mono_basis))
-    same_space = (
+    report.check(
         len(elementary_vectors) == len(ker_forms)
         and Subspace(mono_columns, gauge_kernel)
-        == Subspace(mono_columns, elementary_vectors)
+        == Subspace(mono_columns, elementary_vectors),
+        f"the degree<={truncated_degree} gauge kernel is not the elementary "
+        "cocycle space",
     )
-
-    return DoldKanReport(
-        algebra_name=algebra.name,
-        n=n,
-        basis=basis1,
-        differential_matches=differential_matches,
-        cocycle_dim=len(ker_forms),
-        cochain_cocycle_dim=len(ker_cochains),
-        truncated_gamma_is_elementary=same_space,
-        truncated_degree=truncated_degree,
-    )
+    for seq, sym in basis1:
+        report.note(f"cell {''.join(map(str, seq))} (x) {sym}")
+    return report

@@ -1,0 +1,64 @@
+"""The one verdict type of every exact check.
+
+A Report counts the cases it examined and the ones that failed, and
+keeps its notes and its "FAIL: ..." lines in order.  Its summary line is
+"{pass|FAIL}  {name}: {cases} cases", followed on failure by
+", {k} failures; first: {message}".  A report with no failure passes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Report:
+    name: str
+    number: int | None = None  # the acceptance criterion, if it is one
+    cases: int = 0
+    failures: int = 0
+    lines: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def check(self, ok: bool, message: str) -> bool:
+        """One case; a failure keeps the message."""
+        self.cases += 1
+        if not ok:
+            self.failures += 1
+            self.lines.append(f"FAIL: {message}")
+        return ok
+
+    def record(self, label, lhs, rhs) -> bool:
+        """One case lhs == rhs; both sides are rendered only on failure."""
+        self.cases += 1
+        if lhs == rhs:
+            return True
+        self.failures += 1
+        self.lines.append(f"FAIL: {label}: {lhs.render()} != {rhs.render()}")
+        return False
+
+    def note(self, text: str):
+        self.lines.append(text)
+
+    def include(self, sub: "Report"):
+        """Take over the cases and failures of a sub-report, and its
+        summary line."""
+        self.cases += sub.cases
+        self.failures += sub.failures
+        self.lines.append(sub.summary())
+
+    def summary(self) -> str:
+        line = f"{'pass' if self.passed else 'FAIL'}  {self.name}: {self.cases} cases"
+        if self.failures:
+            first = next(text for text in self.lines if text.startswith("FAIL"))
+            line += (
+                f", {self.failures} failures; "
+                f"first: {first.removeprefix('FAIL: ')}"
+            )
+        return line
+
+    def report(self) -> str:
+        return "\n".join([self.summary()] + [f"      {text}" for text in self.lines])

@@ -79,13 +79,21 @@ def read_input(path, as_json: bool = True):
     return data
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rational_to_str(value: Fraction) -> str:
     return str(value)
 
 
 def rational_from_str(text: str) -> Fraction:
     """Parse 'p/q', an integer or a decimal exactly; the only rational
-    parser.  Malformed text and zero denominators raise ValueError."""
+    parser.  Malformed text, zero denominators and values that are
+    neither text nor integers (a JSON float is not exact) raise
+    ValueError."""
+    if not isinstance(text, str) and not _is_integer(text):
+        raise ValueError(f"expected a rational as text or an integer, got {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -120,20 +128,30 @@ def presentation_to_data(algebra: LInftyAlgebra) -> dict:
 
 
 def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
+    """The algebra of a presentation's JSON data.  Symbols must be
+    strings, degrees and max_arity integers (not booleans), and bracket
+    args lists of symbols; anything malformed raises LoadError."""
     try:
         name = data["name"]
-        generators = [
-            (entry["symbol"], int(entry["degree"]))
-            for entry in data.get("generators", [])
-        ]
+        generators = []
+        for entry in data.get("generators", []):
+            symbol, degree = entry["symbol"], entry["degree"]
+            if not isinstance(symbol, str):
+                raise ValueError(f"generator symbol must be a string, got {symbol!r}")
+            if not _is_integer(degree):
+                raise ValueError(
+                    f"degree of {symbol!r} must be an integer, got {degree!r}"
+                )
+            generators.append((symbol, degree))
         brackets = {}
         declared = data.get("max_arity")
-        if declared is not None and (
-            isinstance(declared, bool) or not isinstance(declared, int)
-        ):
+        if declared is not None and not _is_integer(declared):
             raise ValueError(f"max_arity must be an integer, got {declared!r}")
         for entry in data.get("brackets", []):
-            args = tuple(entry["args"])
+            args = entry["args"]
+            if not (isinstance(args, list) and all(isinstance(a, str) for a in args)):
+                raise ValueError(f"bracket args must be a list of symbols, got {args!r}")
+            args = tuple(args)
             value = {
                 item["symbol"]: rational_from_str(item["coeff"])
                 for item in entry["value"]

@@ -110,7 +110,9 @@ class TestJacobi:
         )
         report = check_jacobi(broken, 3)
         assert not report.passed
-        assert set(report.failure[0]) == {"E12", "E23", "E34"}
+        # the report stops at the first bad tuple and names its residual
+        assert report.failures == 1
+        assert report.lines == ["FAIL: tuple ('E12', 'E23', 'E34'): -2*E14 != 0"]
 
     def test_jacobiator_antisymmetric_arguments(self):
         heis = get_fixture("heisenberg")

@@ -66,6 +66,30 @@ class TestExitCodes:
 
 
 class TestHostileInput:
+    # a generator entry or bracket entry of the wrong type, as text; the
+    # loader must reject each with exit 2 and a message, not a traceback
+    @pytest.mark.parametrize("generators, args", [
+        ([{"symbol": ["x"], "degree": 0}], None),
+        ([{"symbol": "x", "degree": 0.5}], None),
+        ([{"symbol": "x", "degree": "0"}], None),
+        ([{"symbol": "x", "degree": True}], None),
+        ([{"symbol": s, "degree": 0} for s in "xyz"], "xy"),
+    ], ids=["list-symbol", "float-degree", "text-degree", "bool-degree",
+            "text-args"])
+    def test_malformed_types_are_usage_errors(self, capsys, tmp_path,
+                                              generators, args):
+        brackets = []
+        if args is not None:
+            brackets = [{"args": args, "value": [{"symbol": "z", "coeff": "1"}]}]
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(
+            {"name": "typed", "generators": generators, "brackets": brackets}
+        ))
+        code, out, err = run(capsys, "check-jacobi", "--algebra", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed presentation" in err
+
     @staticmethod
     def _heisenberg_file(tmp_path, name, **extra):
         data = json.loads(Path(bundled("heisenberg")).read_text())
@@ -170,17 +194,39 @@ class TestBadFiles:
 
 
 class TestNegativeSizes:
-    @pytest.mark.parametrize("argv", [
-        ("dold-kan", "--algebra", bundled("abelian_delta"), "--n", "-1"),
-        ("check-jacobi", "--algebra", bundled("heisenberg"), "--n-max", "-3"),
-        ("--max-degree", "-1", "verify-contraction", "--n", "1"),
-        ("verify-monodromy", "--rep", "heisenberg", "--samples", "-2"),
+    # (arguments, the least size the option accepts); --n-max and
+    # --samples reject 0 too, since a check of no case proves nothing
+    @pytest.mark.parametrize("argv, least", [
+        pytest.param(
+            ("dold-kan", "--algebra", bundled("abelian_delta"), "--n", "-1"),
+            0, id="argv0",
+        ),
+        pytest.param(
+            ("check-jacobi", "--algebra", bundled("heisenberg"), "--n-max", "-3"),
+            1, id="argv1",
+        ),
+        pytest.param(
+            ("--max-degree", "-1", "verify-contraction", "--n", "1"),
+            0, id="argv2",
+        ),
+        pytest.param(
+            ("verify-monodromy", "--rep", "heisenberg", "--samples", "-2"),
+            1, id="argv3",
+        ),
+        pytest.param(
+            ("check-jacobi", "--algebra", bundled("heisenberg"), "--n-max", "0"),
+            1, id="argv4",
+        ),
+        pytest.param(
+            ("verify-monodromy", "--rep", "heisenberg", "--samples", "0"),
+            1, id="argv5",
+        ),
     ])
-    def test_negative_size_is_usage_error(self, capsys, argv):
+    def test_negative_size_is_usage_error(self, capsys, argv, least):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "pass" not in out
-        assert "must be >= 0" in err
+        assert f"must be >= {least}" in err
 
 
 class TestVerifiers:
@@ -202,7 +248,7 @@ class TestVerifiers:
             "--samples", "5",
         )
         assert code == 0
-        assert "5/5 exact" in out
+        assert "pass  monodromy(heisenberg): 5 cases" in out
 
     def test_deterministic_output(self, capsys):
         first = run(

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfty.dupont import (
     ContractionBundle,
@@ -20,7 +21,7 @@ from linfty.dupont import (
     poincare_h,
     whitney_P,
 )
-from linfty.forms import Form, exterior_d
+from linfty.forms import Form, evaluate_vertex, exterior_d
 
 
 def mono(n, exps, word=()):
@@ -159,3 +160,50 @@ class TestGaugeify:
 def test_naturality_small():
     for check in check_naturality(2, 2):
         assert check.passed, check.summary()
+
+
+# -- the identities on random sparse forms ----------------------------------
+
+PROPERTY = settings(max_examples=50, deadline=None)
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def simplex_forms(draw):
+    """(n, a random sparse form on the n-simplex), n = 1..3."""
+    n = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        word = tuple(i for i in range(1, n + 1) if draw(st.booleans()))
+        terms[(exps, word)] = draw(rationals)
+    return n, Form(n, terms)
+
+
+@PROPERTY
+@given(simplex_forms())
+def test_contraction_identity_on_random_forms(nf):
+    n, f = nf
+    lhs = exterior_d(dupont_s(n, f)) + dupont_s(n, exterior_d(f))
+    assert lhs == f - whitney_P(n, f)
+
+
+@PROPERTY
+@given(simplex_forms())
+def test_gauge_and_projection_identities_on_random_forms(nf):
+    n, f = nf
+    zero = Form.zero(n)
+    s_f, p_f = dupont_s(n, f), whitney_P(n, f)
+    assert dupont_s(n, s_f) == zero
+    assert whitney_P(n, p_f) == p_f
+    assert whitney_P(n, s_f) == zero
+    assert dupont_s(n, p_f) == zero
+
+
+@PROPERTY
+@given(simplex_forms(), st.integers(0, 3))
+def test_poincare_identity_on_random_forms(nf, vertex):
+    n, f = nf
+    i = vertex % (n + 1)
+    lhs = exterior_d(poincare_h(i, n, f)) + poincare_h(i, n, exterior_d(f))
+    assert lhs == f - Form.constant(n, evaluate_vertex(i, f))

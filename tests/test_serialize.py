@@ -6,6 +6,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfty.algebra import GVector, TensorElement
 from linfty.fixtures import (
@@ -126,6 +127,114 @@ class TestPresentationFiles:
         with pytest.raises(LoadError) as excinfo:
             load_presentation(path)
         assert "line" in str(excinfo.value)
+
+
+def _presentation(generators, brackets=()):
+    return {"name": "bad", "generators": list(generators),
+            "brackets": list(brackets)}
+
+
+MALFORMED = {
+    "symbol not a string": _presentation([{"symbol": ["x"], "degree": 0}]),
+    "fractional degree": _presentation([{"symbol": "x", "degree": 0.5}]),
+    "degree as text": _presentation([{"symbol": "x", "degree": "0"}]),
+    "boolean degree": _presentation([{"symbol": "x", "degree": True}]),
+    "args as text": _presentation(
+        [{"symbol": "x", "degree": 0}, {"symbol": "y", "degree": 0},
+         {"symbol": "z", "degree": 0}],
+        [{"args": "xy", "value": [{"symbol": "z", "coeff": "1"}]}],
+    ),
+    "coefficient as a float": _presentation(
+        [{"symbol": "x", "degree": 0}, {"symbol": "y", "degree": 0},
+         {"symbol": "z", "degree": 0}],
+        [{"args": ["x", "y"], "value": [{"symbol": "z", "coeff": 0.5}]}],
+    ),
+}
+
+
+class TestMalformedPresentations:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_with_load_error(self, case):
+        with pytest.raises(LoadError) as excinfo:
+            presentation_from_data(MALFORMED[case])
+        assert "malformed presentation" in str(excinfo.value)
+
+    def test_integer_coefficients_stay_exact(self):
+        data = _presentation(
+            [{"symbol": "x", "degree": 0}, {"symbol": "y", "degree": 0},
+             {"symbol": "z", "degree": 0}],
+            [{"args": ["x", "y"], "value": [{"symbol": "z", "coeff": -2}]}],
+        )
+        algebra = presentation_from_data(data)
+        assert algebra.brackets == {("x", "y"): {"z": Fraction(-2)}}
+
+
+# -- the parsers on arbitrary input -----------------------------------------
+
+FUZZ = settings(max_examples=100, deadline=None)
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False) | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+symbols = st.sampled_from(["x", "y", "z"])
+
+
+def _maybe(good):
+    """Mostly well-formed values, sometimes any JSON value."""
+    return good | json_values
+
+
+presentations = st.fixed_dictionaries({
+    "name": _maybe(st.just("fuzz")),
+    "generators": _maybe(st.lists(st.fixed_dictionaries({
+        "symbol": _maybe(symbols),
+        "degree": _maybe(st.integers(-1, 2)),
+    }), max_size=3)),
+    "brackets": _maybe(st.lists(st.fixed_dictionaries({
+        "args": _maybe(st.lists(symbols, max_size=3)),
+        "value": _maybe(st.lists(st.fixed_dictionaries({
+            "symbol": _maybe(symbols),
+            "coeff": _maybe(st.sampled_from(["1", "-1/2", "0"])),
+        }), max_size=2)),
+    }), max_size=2)),
+}) | json_values
+
+
+@FUZZ
+@given(presentations)
+def test_loader_accepts_only_well_typed_data(data):
+    """presentation_from_data raises nothing but LoadError, and what it
+    accepts has string symbols, integer degrees and lists of symbols as
+    bracket args."""
+    try:
+        presentation_from_data(data)
+    except LoadError:
+        return
+    for entry in data.get("generators", []):
+        assert isinstance(entry["symbol"], str)
+        assert type(entry["degree"]) is int
+    for entry in data.get("brackets", []):
+        assert isinstance(entry["args"], list)
+        assert all(isinstance(a, str) for a in entry["args"])
+
+
+@FUZZ
+@given(st.text(alphabet="ey123tdt^*/+- 0.x", max_size=12) | st.text(max_size=12),
+       st.integers(1, 3))
+def test_text_parsers_raise_only_value_errors(text, n):
+    heis = get_fixture("heisenberg")
+    for parse in (lambda: parse_vector(text, heis), lambda: parse_form(text, n)):
+        try:
+            parse()
+        except ValueError:
+            pass
 
 
 class TestVectorRendering:
