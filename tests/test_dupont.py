@@ -1,6 +1,8 @@
 """The simplicial de Rham operators and their exact identities."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,13 @@ from linfty.dupont import (
     poincare_h,
     whitney_P,
 )
-from linfty.forms import Form, evaluate_vertex, exterior_d
+from linfty.forms import (
+    Form,
+    SimplicialMap,
+    evaluate_vertex,
+    exterior_d,
+    pullback,
+)
 
 
 def mono(n, exps, word=()):
@@ -207,3 +215,44 @@ def test_poincare_identity_on_random_forms(nf, vertex):
     i = vertex % (n + 1)
     lhs = exterior_d(poincare_h(i, n, f)) + poincare_h(i, n, exterior_d(f))
     assert lhs == f - Form.constant(n, evaluate_vertex(i, f))
+
+
+# -- the operators pinned by fingerprint ---------------------------------
+
+
+def fingerprint(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _images(op):
+    """[source rendering, label, image rendering] for every monomial of
+    the 3-simplex basis of degree <= 3 under the named operator."""
+    n, rows = 3, []
+    for m in monomial_basis(n, 3):
+        if op == "poincare_h":
+            rows += [[m.render(), i, poincare_h(i, n, m).render()]
+                     for i in range(n + 1)]
+        elif op == "dupont_s":
+            rows.append([m.render(), None, dupont_s(n, m).render()])
+        elif op == "whitney_P":
+            rows.append([m.render(), None, whitney_P(n, m).render()])
+        else:
+            maps = [SimplicialMap.face(k, n) for k in range(n + 1)]
+            maps += [SimplicialMap.degeneracy(k, n + 1) for k in range(n + 1)]
+            rows += [[m.render(), list(f.values), pullback(f, m).render()]
+                     for f in maps]
+    return rows
+
+
+# the exact images, held fixed across rewrites of the operators
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        ("poincare_h", "eaf9bc276f07c30a"),
+        ("dupont_s", "775645af24a5e4d4"),
+        ("whitney_P", "6cac743f7a2c0fe8"),
+        ("pullback", "9975a8f63af83b39"),
+    ],
+)
+def test_operator_image_fingerprint(op, expected):
+    assert fingerprint(_images(op)) == expected
