@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from linfty import acceptance, dupont
 from linfty.algebra import check_jacobi
@@ -45,7 +46,39 @@ def cmd_check_jacobi(args) -> int:
     return _verdict([check_jacobi(loaded.algebra, args.n_max)])
 
 
+# The most Dupont harness work verify-contraction and verify-gauge
+# start, in monomial x gauge-sequence pairs (harness_size).  The benchmark
+# sweep (n = 4, degree 3) is 16,800 pairs and the default dimensions 1..3
+# at degree 4 are 4,300; over the budget are n = 4 at degree 4 (33,600,
+# verify-gauge 12 s) and n = 5 at degree 2 (41,664, 8.6 s).
+HARNESS_BUDGET = 20_000
+
+
+def harness_size(dims, max_degree: int) -> int:
+    """Monomials of degree <= max_degree times the increasing vertex
+    sequences of sizes 1..n that dupont_s walks, summed over dims."""
+    return sum(
+        2 ** n * comb(max_degree + n, n) * (2 ** (n + 1) - 2) for n in dims
+    )
+
+
+def _within_budget(command: str, args) -> bool:
+    dims = _dim_list(args.n)
+    size = harness_size(dims, args.max_degree)
+    if size > HARNESS_BUDGET:
+        print(
+            f"{command} on dimension {', '.join(map(str, dims))} at degree "
+            f"{args.max_degree} would check {size} monomial x vertex-sequence "
+            f"pairs, over the budget of {HARNESS_BUDGET}; lower --n or "
+            f"--max-degree",
+            file=sys.stderr,
+        )
+    return size <= HARNESS_BUDGET
+
+
 def cmd_verify_contraction(args) -> int:
+    if not _within_budget("verify-contraction", args):
+        return USAGE_ERROR
     return _verdict(
         check
         for n in _dim_list(args.n)
@@ -54,6 +87,8 @@ def cmd_verify_contraction(args) -> int:
 
 
 def cmd_verify_gauge(args) -> int:
+    if not _within_budget("verify-gauge", args):
+        return USAGE_ERROR
     return _verdict(
         check
         for n in _dim_list(args.n)

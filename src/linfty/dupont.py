@@ -140,46 +140,53 @@ def poincare_h(i: int, n: int, f: Form) -> Form:
 
 
 def _h_monomial(i: int, n: int, key) -> Form:
-    exps, word = key
+    """h^i of one monomial, integrated in closed form.
+
+    Substituting t_j -> u t_j + (1-u) delta_ij turns each term of the
+    contracted monomial into u^base (u t_i + 1 - u)^e times a key; the
+    m-th binomial piece carries u^(b-1) (1-u)^(e-m) after the division
+    by u, with b = base + m, and integrates over [0,1] to the Beta value
+    (b-1)! (e-m)! / (b+e-m)! when b >= 1.  When b = 0 the piece is
+    (1-u)^e / u: its u^0 part -H_e (H_e the e-th harmonic number) is
+    integrated, and its 1/u part is a remainder that must cancel across
+    the terms of the key, since h is polynomial.  The remainder is kept
+    per key and checked, so a sign or reduction bug upstream still
+    raises instead of being integrated away.
+    """
     g = contract_euler(i, Form(n, {key: _ONE}, _validated=True))
-    # substitute t_j -> u t_j + (1-u) delta_ij; coefficients become
-    # polynomials in u, collected per reduced key
-    upolys: dict = {}
+    terms: dict = {}
+    remainders: dict = {}
     for (gexps, gword), gcoeff in g.terms.items():
         base = len(gword) + sum(
             e for pos, e in enumerate(gexps) if pos + 1 != i
         )
-        if i == 0:
-            _add_upoly(upolys, (gexps, gword), base, gcoeff)
-            continue
-        ei = gexps[i - 1]
-        for m in range(ei + 1):
-            # C(ei, m) u^m (1-u)^(ei-m) t_i^m
+        # at i = 0 (t_0 eliminated) no factor u t_i + 1 - u appears
+        e = gexps[i - 1] if i else 0
+        for m in range(e + 1):
             new_exps = list(gexps)
-            new_exps[i - 1] = m
-            for j in range(ei - m + 1):
-                c = gcoeff * comb(ei, m) * comb(ei - m, j) * (-1) ** j
-                _add_upoly(upolys, (tuple(new_exps), gword), base + m + j, c)
-    # divide by u (remainder must vanish) and integrate u over [0,1]
-    terms: dict = {}
-    for key2, poly in upolys.items():
-        if poly.get(0):
-            raise ArithmeticError(
-                "nonzero remainder in division by the dilation parameter; "
-                "this indicates an internal sign or reduction bug"
-            )
-        total = _ZERO
-        for deg, c in poly.items():
-            if deg:
-                total += Fraction(c, deg)
-        if total:
-            terms[key2] = total
+            if i:
+                new_exps[i - 1] = m
+            key2 = (tuple(new_exps), gword)
+            c = gcoeff * comb(e, m)
+            b = base + m
+            if b:
+                c *= Fraction(factorial(b - 1) * factorial(e - m),
+                              factorial(base + e))
+            else:
+                kernel.add_into(remainders, {key2: c})
+                c *= -_harmonic(e)
+            if c:
+                kernel.add_into(terms, {key2: c})
+    if remainders:
+        raise ArithmeticError(
+            "nonzero remainder in division by the dilation parameter; "
+            "this indicates an internal sign or reduction bug"
+        )
     return Form(n, terms, _validated=True)
 
 
-def _add_upoly(upolys: dict, key, degree: int, coeff):
-    if coeff:
-        kernel.add_into(upolys.setdefault(key, {}), {degree: coeff})
+def _harmonic(e: int) -> Rational:
+    return sum((Fraction(1, k) for k in range(1, e + 1)), _ZERO)
 
 
 # -- Whitney projection ------------------------------------------------
@@ -223,30 +230,36 @@ def dupont_s(n: int, f: Form) -> Form:
     (-1)^k * (Whitney form of the sequence) * h^{i_k} ... h^{i_0};
     the alternating factor is forced by the contraction identity at the
     normalization I_seq(elementary_form(seq)) = 1 (checked exactly by
-    the harness below).
+    the harness below).  Each monomial's chains are built by a
+    depth-first walk over the increasing sequences of sizes 1..n: the
+    chain of a sequence is h of the chain of its prefix, so every chain
+    costs one h application, and the walk stops at a chain that
+    vanishes, as do all its extensions.
     """
     out: dict = {}
     for key, coeff in f.terms.items():
         mono = _S_CACHE.get((n, key))
         if mono is None:
-            single = Form(n, {key: _ONE}, _validated=True)
             terms: dict = {}
-            for size in range(1, n + 1):
-                for seq in itertools.combinations(range(n + 1), size):
-                    chain = single
-                    for idx in seq:
-                        chain = poincare_h(idx, n, chain)
-                        if chain.is_zero():
-                            break
-                    if chain.is_zero():
-                        continue
-                    sign = -1 if size % 2 == 0 else 1
-                    kernel.add_into(
-                        terms, (elementary_form(seq, n) * chain).terms, sign
-                    )
+            _gauge_walk(n, (), Form(n, {key: _ONE}, _validated=True), terms)
             mono = _S_CACHE[(n, key)] = Form(n, terms, _validated=True)
         kernel.add_into(out, mono.terms, coeff)
     return Form(n, out, _validated=True)
+
+
+def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
+    """Add the terms of every extension of seq (of size <= n) into terms;
+    chain is h^{i_k} ... h^{i_0} of the monomial for seq = (i_0..i_k)."""
+    if len(seq) == n:
+        return
+    for idx in range(seq[-1] + 1 if seq else 0, n + 1):
+        ext = poincare_h(idx, n, chain)
+        if ext.is_zero():
+            continue
+        longer = seq + (idx,)
+        sign = -1 if len(longer) % 2 == 0 else 1
+        kernel.add_into(terms, (elementary_form(longer, n) * ext).terms, sign)
+        _gauge_walk(n, longer, ext, terms)
 
 
 # -- contraction bundles and gaugeification ----------------------------

@@ -10,6 +10,7 @@ increasing dt-word) to rational coefficients.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -419,13 +420,15 @@ _PULLBACK_GEN_CACHE: dict = {}
 
 
 def _pullback_generators(f: SimplicialMap):
-    """Reduced images of the target generators t_i, dt_i under f^*."""
+    """Reduced images under f^* of the target generators: a table of
+    the powers of the t_i, keyed (i, e) and filled on demand from
+    (i, 1), the image of t_i; and the tuple of images of the dt_i."""
     key = (f.source, f.target, f.values)
     cached = _PULLBACK_GEN_CACHE.get(key)
     if cached is not None:
         return cached
     m = f.source
-    t_images = []
+    t_powers = {}
     dt_images = []
     for i in range(f.target + 1):
         t_img: dict = {}
@@ -434,40 +437,48 @@ def _pullback_generators(f: SimplicialMap):
             if v == i:
                 kernel.add_into(t_img, Form.t(j, m).terms)
                 kernel.add_into(dt_img, Form.dt(j, m).terms)
-        t_images.append(Form(m, t_img, _validated=True))
+        t_powers[(i, 1)] = Form(m, t_img, _validated=True)
         dt_images.append(Form(m, dt_img, _validated=True))
-    cached = (tuple(t_images), tuple(dt_images))
+    cached = (t_powers, tuple(dt_images))
     _PULLBACK_GEN_CACHE[key] = cached
     return cached
 
 
+def _t_power_image(t_powers: dict, i: int, e: int) -> Form:
+    """The image of t_i^e, e >= 1, from a map's power table."""
+    image = t_powers.get((i, e))
+    if image is None:
+        base = t_powers[(i, 1)]
+        if not base.is_zero():
+            base = _t_power_image(t_powers, i, e - 1) * base
+        image = t_powers[(i, e)] = base
+    return image
+
+
 def pullback(f: SimplicialMap, form: Form) -> Form:
     """Pull a form on the target simplex back along f; an algebra map
-    commuting with the differential."""
+    commuting with the differential.  Each monomial's image is the
+    product of the cached images of its t-powers and dt-letters, taken
+    with coefficient 1 and added in scaled by the monomial's
+    coefficient."""
     if form.n != f.target:
         raise ValueError(
             f"form lives on the {form.n}-simplex, map targets [{f.target}]"
         )
-    t_images, dt_images = _pullback_generators(f)
+    t_powers, dt_images = _pullback_generators(f)
     m = f.source
     out: dict = {}
     for (exps, word), coeff in form.terms.items():
-        piece = Form.constant(m, coeff)
-        for pos, e in enumerate(exps):
-            if not e:
-                continue
-            img = t_images[pos + 1]
-            for _ in range(e):
-                piece = piece * img
-                if piece.is_zero():
-                    break
-            if piece.is_zero():
+        image = None
+        for factor in itertools.chain(
+            (_t_power_image(t_powers, pos + 1, e)
+             for pos, e in enumerate(exps) if e),
+            (dt_images[j] for j in word),
+        ):
+            image = factor if image is None else image * factor
+            if image.is_zero():
                 break
-        if piece.is_zero():
-            continue
-        for j in word:
-            piece = piece * dt_images[j]
-            if piece.is_zero():
-                break
-        kernel.add_into(out, piece.terms)
+        if image is None:
+            image = Form.one(m)
+        kernel.add_into(out, image.terms, coeff)
     return Form(m, out, _validated=True)

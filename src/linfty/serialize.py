@@ -13,6 +13,7 @@ forms, vectors, presentations, and simplices.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -87,13 +88,30 @@ def rational_to_str(value: Fraction) -> str:
     return str(value)
 
 
+# the largest decimal exponent rational_from_str accepts: 10^1000 has
+# 3322 bits, while an unbounded exponent lets a few bytes of input cost
+# any amount of time and memory (1e4000000 is a 13-million-bit integer)
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
 def rational_from_str(text: str) -> Fraction:
     """Parse 'p/q', an integer or a decimal exactly; the only rational
-    parser.  Malformed text, zero denominators and values that are
-    neither text nor integers (a JSON float is not exact) raise
-    ValueError."""
+    parser.  Malformed text, zero denominators, decimal exponents beyond
+    MAX_DECIMAL_EXPONENT in size and values that are neither text nor
+    integers (a JSON float is not exact) raise ValueError."""
     if not isinstance(text, str) and not _is_integer(text):
         raise ValueError(f"expected a rational as text or an integer, got {text!r}")
+    exponent = isinstance(text, str) and _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or (
+            digits and int(digits) > MAX_DECIMAL_EXPONENT
+        ):
+            raise ValueError(
+                f"decimal exponent in {text!r} is beyond "
+                f"+-{MAX_DECIMAL_EXPONENT}"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -128,11 +146,13 @@ def presentation_to_data(algebra: LInftyAlgebra) -> dict:
 
 
 def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
-    """The algebra of a presentation's JSON data.  Symbols must be
-    strings, degrees and max_arity integers (not booleans), and bracket
+    """The algebra of a presentation's JSON data.  The name and symbols
+    must be strings, degrees and max_arity integers (not booleans), and bracket
     args lists of symbols; anything malformed raises LoadError."""
     try:
         name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"presentation name must be a string, got {name!r}")
         generators = []
         for entry in data.get("generators", []):
             symbol, degree = entry["symbol"], entry["degree"]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from linfty import cli
 from linfty.cli import main
 from linfty.fixtures import Sampler, get_fixture
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
@@ -126,6 +127,37 @@ class TestHostileInput:
         assert code == 2
         assert "zero denominator" in err
 
+    def test_non_string_name_is_a_usage_error(self, capsys, tmp_path):
+        data = json.loads(Path(bundled("heisenberg")).read_text())
+        data["name"] = ["x"]
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check-jacobi", "--algebra", str(path))
+        assert code == 2
+        assert out == ""
+        assert "name must be a string" in err
+
+    def test_huge_decimal_exponent_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "name": "huge",
+            "generators": [{"symbol": "a", "degree": 0},
+                           {"symbol": "b", "degree": 0}],
+            "brackets": [{"args": ["a", "b"],
+                          "value": [{"symbol": "b", "coeff": "1e1000000"}]}],
+        }))
+        code, _, err = run(capsys, "check-jacobi", "--algebra", str(path))
+        assert code == 2
+        assert "decimal exponent" in err
+        mu_path = tmp_path / "mu.txt"
+        mu_path.write_text("1e-1000000*e1\n")
+        code, _, err = run(
+            capsys, "bch", "--algebra", bundled("heisenberg"), "--n", "2",
+            "--mu", str(mu_path),
+        )
+        assert code == 2
+        assert "decimal exponent" in err
+
     def test_zero_denominator_in_vector_file(self, capsys, tmp_path):
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("1/0*e1\n")
@@ -241,6 +273,22 @@ class TestVerifiers:
         code, out, _ = run(capsys, "--max-degree", "2", "verify-gauge", "--n", "1")
         assert code == 0
         assert "s s = 0" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--max-degree", "2", "verify-gauge", "--n", "5"),
+        ("verify-contraction", "--n", "4"),
+        ("--max-degree", "30", "verify-contraction"),
+    ])
+    def test_work_over_the_budget_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--n" in err and "--max-degree" in err
+
+    def test_budget_admits_the_sizes_in_use(self):
+        # the benchmark sweep and run-all's dimensions at the default degree
+        for dims, degree in (((4,), 3), ((1, 2, 3), 4)):
+            assert cli.harness_size(dims, degree) <= cli.HARNESS_BUDGET
 
     def test_monodromy(self, capsys):
         code, out, _ = run(

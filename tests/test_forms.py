@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfty.forms import (
     Form,
@@ -261,3 +262,65 @@ class TestRendering:
             [(Fraction(1, 3), (1, 1, 1), (0, 2)), (2, (0, 2, 0), (1,))], 2
         )
         assert f.render() == f.render()
+
+
+# -- pullback and d on random sparse forms ---------------------------------
+
+PROPERTY = settings(max_examples=50, deadline=None)
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def sparse_forms(n):
+    """Random sparse forms on the n-simplex, n >= 1."""
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.lists(st.integers(1, n), unique=True, max_size=n).map(
+            lambda w: tuple(sorted(w))
+        ),
+    )
+    return st.dictionaries(term, rationals, min_size=1, max_size=4).map(
+        lambda terms: Form(n, terms)
+    )
+
+
+@st.composite
+def maps_and_forms(draw):
+    """(a random monotone map [m] -> [n], two forms on the n-simplex),
+    n = 1..3, m = 0..4."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    values = sorted(draw(st.lists(st.integers(0, n), min_size=m + 1,
+                                  max_size=m + 1)))
+    return SimplicialMap(m, n, values), draw(sparse_forms(n)), draw(sparse_forms(n))
+
+
+@PROPERTY
+@given(maps_and_forms())
+def test_pullback_is_a_dg_algebra_map_on_random_forms(case):
+    f, a, b = case
+    assert pullback(f, a * b) == pullback(f, a) * pullback(f, b)
+    assert pullback(f, exterior_d(a)) == exterior_d(pullback(f, a))
+
+
+@PROPERTY
+@given(maps_and_forms())
+def test_pullback_along_the_factors_on_random_forms(case):
+    f, a, _ = case
+    # f is the composite factors[0] o factors[1] o ..., so the pullbacks
+    # apply in list order
+    pulled = a
+    for factor in f.factorize():
+        pulled = pullback(factor, pulled)
+    assert pulled == pullback(f, a)
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(sparse_forms(n),
+                                                      sparse_forms(n))))
+def test_d_obeys_graded_leibniz_on_random_forms(pair):
+    # d(ab) = (da) b + (-1)^k a (db) on the exterior-degree-k part of a
+    a, b = pair
+    rhs = Form.zero(a.n)
+    for k in a.exterior_degrees():
+        a_k = a.component(k)
+        rhs = rhs + exterior_d(a_k) * b + (a_k * exterior_d(b)).scale((-1) ** k)
+    assert exterior_d(a * b) == rhs

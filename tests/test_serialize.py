@@ -18,6 +18,7 @@ from linfty.fixtures import (
 from linfty.forms import Form
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
 from linfty.serialize import (
+    MAX_DECIMAL_EXPONENT,
     LoadError,
     load_presentation,
     load_simplex,
@@ -25,6 +26,7 @@ from linfty.serialize import (
     parse_vector,
     presentation_from_data,
     presentation_to_data,
+    rational_from_str,
     render,
     save_presentation,
     save_simplex,
@@ -144,6 +146,13 @@ MALFORMED = {
          {"symbol": "z", "degree": 0}],
         [{"args": "xy", "value": [{"symbol": "z", "coeff": "1"}]}],
     ),
+    "name not a string": dict(_presentation([{"symbol": "x", "degree": 0}]),
+                              name=["x"]),
+    "decimal exponent beyond the cap": _presentation(
+        [{"symbol": "x", "degree": 0}, {"symbol": "y", "degree": 0},
+         {"symbol": "z", "degree": 0}],
+        [{"args": ["x", "y"], "value": [{"symbol": "z", "coeff": "1e1000000"}]}],
+    ),
     "coefficient as a float": _presentation(
         [{"symbol": "x", "degree": 0}, {"symbol": "y", "degree": 0},
          {"symbol": "z", "degree": 0}],
@@ -158,6 +167,15 @@ class TestMalformedPresentations:
         with pytest.raises(LoadError) as excinfo:
             presentation_from_data(MALFORMED[case])
         assert "malformed presentation" in str(excinfo.value)
+
+    def test_decimal_exponents_are_capped(self):
+        cap = MAX_DECIMAL_EXPONENT
+        assert rational_from_str(f"1e{cap}") == 10 ** cap
+        assert rational_from_str(f"2.5E-{cap}") == Fraction(5, 2 * 10 ** cap)
+        for text in ("1e1000000", "1e-1000000", f"1e{cap + 1}", "1e1_001",
+                     "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                rational_from_str(text)
 
     def test_integer_coefficients_stay_exact(self):
         data = _presentation(
@@ -211,12 +229,13 @@ presentations = st.fixed_dictionaries({
 @given(presentations)
 def test_loader_accepts_only_well_typed_data(data):
     """presentation_from_data raises nothing but LoadError, and what it
-    accepts has string symbols, integer degrees and lists of symbols as
+    accepts has a string name, string symbols, integer degrees and lists of symbols as
     bracket args."""
     try:
         presentation_from_data(data)
     except LoadError:
         return
+    assert isinstance(data["name"], str)
     for entry in data.get("generators", []):
         assert isinstance(entry["symbol"], str)
         assert type(entry["degree"]) is int
