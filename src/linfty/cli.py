@@ -49,8 +49,8 @@ def cmd_check_jacobi(args) -> int:
 # The most Dupont harness work verify-contraction and verify-gauge
 # start, in monomial x gauge-sequence pairs (harness_size).  The benchmark
 # sweep (n = 4, degree 3) is 16,800 pairs and the default dimensions 1..3
-# at degree 4 are 4,300; over the budget are n = 4 at degree 4 (33,600,
-# verify-gauge 12 s) and n = 5 at degree 2 (41,664, 8.6 s).
+# at degree 4 are 4,300; over the budget are n = 4 at degree 4 (33,600)
+# and n = 5 at degree 2 (41,664), each a check of several seconds or more.
 HARNESS_BUDGET = 20_000
 
 

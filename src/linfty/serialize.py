@@ -105,9 +105,9 @@ def rational_from_str(text: str) -> Fraction:
     exponent = isinstance(text, str) and _EXPONENT.search(text)
     if exponent:
         digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or (
-            digits and int(digits) > MAX_DECIMAL_EXPONENT
-        ):
+        # the length test spares int() a huge digit string
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
             raise ValueError(
                 f"decimal exponent in {text!r} is beyond "
                 f"+-{MAX_DECIMAL_EXPONENT}"
@@ -147,8 +147,8 @@ def presentation_to_data(algebra: LInftyAlgebra) -> dict:
 
 def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
     """The algebra of a presentation's JSON data.  The name and symbols
-    must be strings, degrees and max_arity integers (not booleans), and bracket
-    args lists of symbols; anything malformed raises LoadError."""
+    must be strings, degrees and max_arity integers (not booleans), and
+    bracket args lists of symbols; anything malformed raises LoadError."""
     try:
         name = data["name"]
         if not isinstance(name, str):

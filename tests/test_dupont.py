@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfty import dupont
 from linfty.dupont import (
     ContractionBundle,
     check_contraction_identities,
@@ -129,6 +130,12 @@ class TestGauge:
         assert dupont_s(1, f) == expected
         assert dupont_s(1, Form.dt(1, 1)).is_zero()
         assert dupont_s(2, Form.t(1, 2)).is_zero()
+
+    def test_point_has_no_gauge_sequences(self):
+        # on the 0-simplex the walk visits no sequence and applies no h
+        before = len(dupont._H_CACHE)
+        assert dupont_s(0, Form.one(0)).is_zero()
+        assert len(dupont._H_CACHE) == before
 
     def test_identity_checks_small(self):
         for n in (1, 2):
