@@ -1,9 +1,12 @@
 """Solvers, horns, thinness, and the abelian cochain comparison."""
 
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfty.acceptance import SOLVER_FIXTURES
 from linfty.algebra import (
     LInftyAlgebra,
     Morphism,
@@ -11,6 +14,7 @@ from linfty.algebra import (
     constant_tensor,
     tensor_curvature,
 )
+from linfty.bch_groupoid import compose, generalized_ch
 from linfty.fixtures import (
     Sampler,
     get_fixture,
@@ -553,3 +557,54 @@ def test_gamma_data_is_the_chain_witness(name, n, vertex, seed):
     simplex = solve_gauge_fixed(algebra, n, 0, g)
     i = vertex % (n + 1)
     assert gamma_data(simplex, i).witness == chain_witness(n, i, simplex.integrate)
+
+
+# -- the solver outputs pinned by fingerprint --------------------------------
+
+
+def fingerprint(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _solver_outputs():
+    """[fixture, n, plain rendering, gauge-fixed rendering] for two
+    seeded data per solver fixture and simplex dimension 1..3."""
+    rows = []
+    for name in SOLVER_FIXTURES:
+        algebra = get_fixture(name)
+        for n in (1, 2, 3):
+            sampler = Sampler(100 + n)
+            for _ in range(2):
+                g = GaugeParameter(
+                    n=n, mu=sampler.mc_element(algebra),
+                    witness=sampler.witness(algebra, n),
+                )
+                rows.append([name, n, solve_mc(algebra, n, 0, g).render(),
+                             solve_gauge_fixed(algebra, n, 0, g).render()])
+    return rows
+
+
+def _series_outputs():
+    """Renderings of 5 generalized_ch (n = 2) values and simplices on the
+    free class-3 algebra and of 20 compose values on ut4."""
+    free, ut4 = get_fixture("free_nilpotent_class3"), get_fixture("ut4")
+    sampler = Sampler(7)
+    rows = []
+    for _ in range(5):
+        inputs = {(1,): sampler.vector(free, 0), (2,): sampler.vector(free, 0),
+                  (1, 2): sampler.vector(free, -1)}
+        ch = generalized_ch(free, 2, free.zero_vector(), inputs)
+        rows.append([ch.value.render(), ch.simplex.render()])
+    for _ in range(20):
+        x, y = sampler.vector(ut4, 0), sampler.vector(ut4, 0)
+        rows.append(compose(ut4, ut4.zero_vector(), x, y).render())
+    return rows
+
+
+# the exact outputs, held fixed across rewrites of the solver
+def test_solver_output_fingerprint():
+    assert fingerprint(_solver_outputs()) == "9eff813db8633270"
+
+
+def test_series_output_fingerprint():
+    assert fingerprint(_series_outputs()) == "344643a240c49ba4"
