@@ -29,7 +29,7 @@ from linfty.forms import (
 )
 from linfty.linalg import Subspace, solve_linear
 from linfty import dupont, kernel
-from linfty.report import Report
+from linfty.report import Report, quote
 
 _ONE = Fraction(1)
 
@@ -96,7 +96,7 @@ class LInftyAlgebra:
             args = tuple(args)
             for sym in args:
                 if sym not in self.index:
-                    raise ValueError(f"unknown symbol {sym!r} in bracket key")
+                    raise ValueError(f"unknown symbol {quote(sym)} in bracket key")
             key, sign = self._canonical_key(args)
             if sign == 0:
                 raise ValueError(
@@ -105,7 +105,7 @@ class LInftyAlgebra:
                 )
             for sym in value:
                 if sym not in self.index:
-                    raise ValueError(f"unknown symbol {sym!r} in bracket value")
+                    raise ValueError(f"unknown symbol {quote(sym)} in bracket value")
             cleaned = kernel.drop_zeros(
                 {sym: Fraction(coeff) * sign for sym, coeff in value.items()}
             )
@@ -371,7 +371,8 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
     """Multilinear bracket of vectors or tensor elements.
 
     Arity above the presentation bound gives zero; mixing algebras or
-    simplex dimensions is an error.
+    simplex dimensions is an error.  A run of one odd vector repeated,
+    as in [mu^l], is summed over multisets of its terms (_atom_tuples).
     """
     if not args:
         raise ValueError("bracket needs at least one argument")
@@ -380,17 +381,74 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
     for a in args:
         if not isinstance(a, GVector) or a.algebra is not algebra:
             raise ValueError("bracket arguments must live in the given algebra")
-    if len(args) > algebra.max_arity:
+    if len(args) > algebra.max_arity or not all(a.coeffs for a in args):
         return algebra.zero_vector()
+    degrees = algebra.degrees
+    combos, runs = _atom_tuples(
+        args, lambda a: list(a.coeffs.items()), lambda atom: degrees[atom[0]] % 2
+    )
     total: dict = {}
-    for combo in itertools.product(*(list(a.coeffs.items()) for a in args)):
+    for combo in combos:
         value = algebra.bracket_on_basis([s for s, _ in combo])
         if value.coeffs:
             coeff = _ONE
             for _, c in combo:
                 coeff *= c
+            if runs:
+                coeff *= _run_weight(runs, combo)
             kernel.add_into(total, value.coeffs, coeff)
     return GVector(algebra, total)
+
+
+def _atom_tuples(args: Sequence, atoms_of, is_odd):
+    """(atom tuples, runs): the atom tuples of a bracket's expansion,
+    enumerated lazily, and the runs that _run_weight weights them by.
+
+    A run is one object repeated m > 1 times in a row whose atoms all
+    have odd total degree.  Moving two such atoms past each other costs
+    -(-1)^((|x|+|a|)(|y|+|b|)) = +1, so the summand is symmetric over the
+    run and one multiset of its atoms (a combination with replacement)
+    stands for all of its m!/prod(mult!) orderings.  With no run, the
+    tuples are the plain ordered product and runs is None.
+    """
+    if len(set(map(id, args))) == len(args):
+        return itertools.product(*map(atoms_of, args)), None
+    runs: list = []
+    for _, group in itertools.groupby(args, id):
+        group = list(group)
+        atoms = atoms_of(group[0])
+        if len(group) > 1 and all(map(is_odd, atoms)):
+            runs.append((atoms, len(group)))
+        else:
+            runs.extend((atoms, 1) for _ in group)
+    if len(runs) == len(args):
+        return itertools.product(*(atoms for atoms, _ in runs)), None
+    return _run_product(runs), runs
+
+
+def _run_product(runs: list):
+    atoms, m = runs[0]
+    if m == 1:
+        heads = zip(atoms)
+    else:
+        heads = itertools.combinations_with_replacement(atoms, m)
+    if len(runs) == 1:
+        return heads
+    return (head + tail for head in heads for tail in _run_product(runs[1:]))
+
+
+def _run_weight(runs: list, combo: tuple) -> int:
+    """How many orderings an atom tuple of _atom_tuples stands for: the
+    product over the runs of m!/prod(mult!), with the equal atoms of a
+    multiset next to each other."""
+    weight, start = 1, 0
+    for _, m in runs:
+        repeat = 1
+        for p in range(start + 1, start + m):
+            repeat = repeat + 1 if combo[p] is combo[p - 1] else 1
+            weight = weight * (p - start + 1) // repeat
+        start += m
+    return weight
 
 
 def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
@@ -632,7 +690,7 @@ class TensorElement:
         self.n = n
         for sym, form in comps.items():
             if sym not in algebra.index:
-                raise ValueError(f"unknown symbol {sym!r}")
+                raise ValueError(f"unknown symbol {quote(sym)}")
             if form.n != n:
                 raise ValueError("component form has the wrong simplex dimension")
         self.comps = kernel.drop_zeros(comps)
@@ -849,7 +907,9 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
     Koszul sign (-1)^(sum_{i<j} |a_i| |x_j|) of commuting each form
     past the later elements.  This is the unique sign compatible with
     the unary convention: the total differential is then a graded
-    derivation of the bracket (an exact test in the suite).
+    derivation of the bracket (an exact test in the suite).  A run of
+    one total-degree-odd element repeated, as in [alpha^l], is summed
+    over multisets of its atoms (_atom_tuples).
     """
     for a in args:
         if not isinstance(a, TensorElement) or a.algebra is not algebra:
@@ -859,11 +919,14 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
     n = args[0].n
     if len(args) == 1:
         return args[0].delta() + args[0].d()
-    if len(args) > algebra.max_arity:
+    if len(args) > algebra.max_arity or not all(a.comps for a in args):
         return zero_tensor(algebra, n)
+    degrees = algebra.degrees
+    combos, runs = _atom_tuples(
+        args, TensorElement.atoms, lambda atom: (degrees[atom[0]] + atom[1]) % 2
+    )
     total: dict = {}
-    atom_lists = [a.atoms() for a in args]
-    for combo in itertools.product(*atom_lists):
+    for combo in combos:
         syms = [sym for sym, _, _ in combo]
         value = algebra.bracket_on_basis(syms)
         if value.is_zero():
@@ -880,9 +943,12 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
                 break
         if form.is_zero():
             continue
+        if runs:
+            sign *= _run_weight(runs, combo)
         for tsym, c in value.coeffs.items():
             kernel.add_into(
-                total.setdefault(tsym, {}), form.terms, c if sign > 0 else -c
+                total.setdefault(tsym, {}), form.terms,
+                c if sign == 1 else -c if sign == -1 else sign * c,
             )
     return TensorElement.from_terms(algebra, n, total)
 

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfty.algebra import (
+    GVector,
     LInftyAlgebra,
     Morphism,
     TensorElement,
@@ -18,6 +20,7 @@ from linfty.algebra import (
     curvature,
     is_mc,
     jacobiator,
+    _atom_tuples,
     koszul_sign,
     tensor_bracket,
     tensor_curvature,
@@ -387,3 +390,111 @@ class TestMorphisms:
         assert not f.is_surjective()
         with pytest.raises(ValueError):
             f.section(target.basis_vector("z"))
+
+
+# -- random tensors: multiset brackets and the graded Leibniz rule ----------
+
+PROPERTY = settings(max_examples=40, deadline=None)
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+DG_LIE = ("heisenberg", "ut4", "dg_lie_01", "heis_exterior",
+          "free_nilpotent_class3")
+
+
+@st.composite
+def homogeneous_tensors(draw, algebra, n, total_degree):
+    """A tensor element of the given total degree on the n-simplex, on at
+    most three symbols with at most two terms each."""
+    eligible = [s for s in algebra.symbols
+                if 0 <= total_degree - algebra.degrees[s] <= n]
+    if not eligible:
+        return zero_tensor(algebra, n)
+    comps = {}
+    for sym in draw(st.lists(st.sampled_from(eligible), unique=True,
+                             min_size=1, max_size=3)):
+        k = total_degree - algebra.degrees[sym]
+        word = st.lists(st.integers(1, n), unique=True, min_size=k,
+                        max_size=k).map(lambda w: tuple(sorted(w)))
+        key = st.tuples(st.tuples(*[st.integers(0, 2)] * n), word)
+        comps[sym] = Form(n, draw(st.dictionaries(key, rationals, min_size=1,
+                                                  max_size=2)))
+    return TensorElement(algebra, n, comps)
+
+
+def copies(x, m):
+    """m equal but distinct copies of x, which the bracket expands as an
+    ordered product (a run is one object repeated)."""
+    return [x.scale(1) for _ in range(m)]
+
+
+def random_case(data, names):
+    algebra = get_fixture(data.draw(st.sampled_from(names)))
+    return algebra, data.draw(st.integers(1, 3))
+
+
+@PROPERTY
+@given(st.data())
+def test_square_of_a_degree_one_tensor_is_the_ordered_bracket(data):
+    algebra, n = random_case(data, ("heisenberg", "ut4", "dg_lie_01",
+                                    "heis_exterior", "three_bracket"))
+    x = data.draw(homogeneous_tensors(algebra, n, 1))
+    assert bracket(algebra, [x, x]) == bracket(algebra, copies(x, 2))
+
+
+@PROPERTY
+@given(st.data())
+def test_cube_and_mixed_runs_are_the_ordered_bracket(data):
+    # three_bracket has the only ternary bracket
+    algebra, n = random_case(data, ("three_bracket",))
+    x = data.draw(homogeneous_tensors(algebra, n, 1))
+    y = data.draw(homogeneous_tensors(algebra, n, data.draw(st.integers(-1, 2))))
+    assert bracket(algebra, [x, x, x]) == bracket(algebra, copies(x, 3))
+    assert bracket(algebra, [x, x, y]) == bracket(algebra, copies(x, 2) + [y])
+    assert bracket(algebra, [y, x, x]) == bracket(algebra, [y] + copies(x, 2))
+
+
+@st.composite
+def odd_vectors(draw, algebra):
+    """A random degree-1 vector."""
+    return GVector(algebra, {
+        s: draw(rationals) for s in algebra.basis_of_degree(1)
+    })
+
+
+@PROPERTY
+@given(st.data())
+def test_square_of_a_degree_one_vector_is_the_ordered_bracket(data):
+    algebra, _ = random_case(data, ("dg_lie_01", "heis_exterior",
+                                    "free_nilpotent_class3"))
+    x = data.draw(odd_vectors(algebra))
+    y = data.draw(odd_vectors(algebra))
+    assert bracket(algebra, [x, x]) == bracket(algebra, copies(x, 2))
+    assert bracket(algebra, [x, y]) == bracket(algebra, [x, y.scale(1)])
+
+
+def test_runs_merge_only_a_repeated_odd_argument():
+    algebra = get_fixture("dg_lie_01")
+    x = TensorElement(algebra, 1, {"e1": Form.dt(1, 1), "f1": Form.t(1, 1)})
+    y = TensorElement(algebra, 1, {"e1": Form.t(1, 1)})
+
+    def runs(args):
+        return _atom_tuples(args, TensorElement.atoms,
+                            lambda atom: (algebra.degrees[atom[0]] + atom[1]) % 2)[1]
+
+    # x has total degree 1 and forms one run; y (degree 0) repeats unmerged
+    assert [m for _, m in runs([x, x, x, y, y])] == [3, 1, 1]
+    assert runs([y, y]) is None and runs([x, x.scale(1)]) is None
+
+
+@PROPERTY
+@given(st.data())
+def test_tensor_bracket_obeys_graded_leibniz(data):
+    # (d+delta)[x, y] = [(d+delta)x, y] + (-1)^|x| [x, (d+delta)y]
+    algebra, n = random_case(data, DG_LIE)
+    degree = data.draw(st.integers(-1, 2))
+    x = data.draw(homogeneous_tensors(algebra, n, degree))
+    y = data.draw(homogeneous_tensors(algebra, n, data.draw(st.integers(-1, 2))))
+    lhs = tensor_bracket(algebra, [x, y]).d_plus_delta()
+    rhs = tensor_bracket(algebra, [x.d_plus_delta(), y]) + tensor_bracket(
+        algebra, [x, y.d_plus_delta()]
+    ).scale((-1) ** degree)
+    assert lhs == rhs

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from linfty.algebra import (
     Morphism,
     TensorElement,
     constant_tensor,
+    tensor_bracket,
     tensor_curvature,
+    zero_tensor,
 )
 from linfty.bch_groupoid import compose, generalized_ch
 from linfty.fixtures import (
@@ -557,6 +560,53 @@ def test_gamma_data_is_the_chain_witness(name, n, vertex, seed):
     simplex = solve_gauge_fixed(algebra, n, 0, g)
     i = vertex % (n + 1)
     assert gamma_data(simplex, i).witness == chain_witness(n, i, simplex.integrate)
+
+
+
+# -- the graded solve against the fixed-point iteration ----------------------
+
+
+def fixed_point_solve(algebra, n, i, g, gauge):
+    """Reference: iterate alpha <- alpha0 - c(N(alpha)) until it stops
+    changing, with N(alpha) = sum_l [alpha^l]/l! expanded as ordered
+    products over distinct copies of alpha."""
+    witness = g.witness - constant_tensor(n, g.witness.evaluate_vertex(i))
+    if gauge:
+        witness = witness.whitney()
+    alpha0 = constant_tensor(n, g.mu) + witness.d_plus_delta()
+    alpha = alpha0
+    for _ in range(algebra.nilpotency_index() + 2):
+        nonlinear, factorial = zero_tensor(algebra, n), 1
+        for ell in range(2, algebra.max_arity + 1):
+            factorial *= ell
+            ordered = tensor_bracket(algebra, [alpha.scale(1) for _ in range(ell)])
+            nonlinear = nonlinear + ordered.scale(Fraction(1, factorial))
+        correction = nonlinear.h(i)
+        if gauge:
+            correction = correction.whitney() + nonlinear.s()
+        if alpha0 - correction == alpha:
+            return alpha
+        alpha = alpha0 - correction
+    raise AssertionError("the reference iteration did not stabilize")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(SOLVER_FIXTURES),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_graded_solve_is_the_fixed_point(name, n, vertex, gauge, seed):
+    algebra = get_fixture(name)
+    sampler = Sampler(seed)
+    g = GaugeParameter(
+        n=n, mu=sampler.mc_element(algebra), witness=sampler.witness(algebra, n)
+    )
+    i = vertex % (n + 1)
+    solve = solve_gauge_fixed if gauge else solve_mc
+    assert solve(algebra, n, i, g).value == fixed_point_solve(algebra, n, i, g, gauge)
 
 
 # -- the solver outputs pinned by fingerprint --------------------------------
