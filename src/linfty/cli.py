@@ -19,6 +19,7 @@ from linfty.algebra import check_jacobi
 from linfty.bch_groupoid import compose, generalized_ch, monodromy_report
 from linfty.fixtures import Sampler, get_representation
 from linfty.mc_gamma import Horn, dold_kan_compare, fill_horn_gamma, is_thin
+from linfty.report import quote
 from linfty.serialize import (
     LoadError,
     load_presentation,
@@ -46,11 +47,13 @@ def cmd_check_jacobi(args) -> int:
     return _verdict([check_jacobi(loaded.algebra, args.n_max)])
 
 
-# The most Dupont harness work verify-contraction and verify-gauge
-# start, in monomial x gauge-sequence pairs (harness_size).  The benchmark
+# The most Dupont harness work one check starts, in monomial x
+# gauge-sequence pairs (harness_size): verify-contraction and
+# verify-gauge, and criteria 1-4 of run-suite and run-all.  The benchmark
 # sweep (n = 4, degree 3) is 16,800 pairs and the default dimensions 1..3
-# at degree 4 are 4,300; over the budget are n = 4 at degree 4 (33,600)
-# and n = 5 at degree 2 (41,664), each a check of several seconds or more.
+# at degree 4 are 4,300; over the budget are n = 4 at degree 4 (33,600),
+# n = 5 at degree 2 (41,664) and dimensions 1..3 at degree 9 (26,000),
+# each a check of several seconds or more.
 HARNESS_BUDGET = 20_000
 
 
@@ -62,22 +65,21 @@ def harness_size(dims, max_degree: int) -> int:
     )
 
 
-def _within_budget(command: str, args) -> bool:
-    dims = _dim_list(args.n)
-    size = harness_size(dims, args.max_degree)
+def _within_budget(command: str, dims, max_degree: int, options: str) -> bool:
+    size = harness_size(dims, max_degree)
     if size > HARNESS_BUDGET:
         print(
             f"{command} on dimension {', '.join(map(str, dims))} at degree "
-            f"{args.max_degree} would check {size} monomial x vertex-sequence "
-            f"pairs, over the budget of {HARNESS_BUDGET}; lower --n or "
-            f"--max-degree",
+            f"{max_degree} would check {size} monomial x vertex-sequence "
+            f"pairs, over the budget of {HARNESS_BUDGET}; lower {options}",
             file=sys.stderr,
         )
     return size <= HARNESS_BUDGET
 
 
 def cmd_verify_contraction(args) -> int:
-    if not _within_budget("verify-contraction", args):
+    if not _within_budget("verify-contraction", _dim_list(args.n),
+                          args.max_degree, "--n or --max-degree"):
         return USAGE_ERROR
     return _verdict(
         check
@@ -87,7 +89,8 @@ def cmd_verify_contraction(args) -> int:
 
 
 def cmd_verify_gauge(args) -> int:
-    if not _within_budget("verify-gauge", args):
+    if not _within_budget("verify-gauge", _dim_list(args.n), args.max_degree,
+                          "--n or --max-degree"):
         return USAGE_ERROR
     return _verdict(
         check
@@ -135,7 +138,7 @@ def cmd_bch(args) -> int:
     if args.inputs:
         for key, text in read_input(args.inputs).items():
             if not isinstance(text, str):
-                raise LoadError(args.inputs, f"input {key!r} is not a rendered vector")
+                raise LoadError(args.inputs, f"input {quote(key)} is not a rendered vector")
             inputs[tuple(int(ch) for ch in key)] = parse_vector(text, algebra)
     result = generalized_ch(algebra, args.n, mu, inputs)
     print(result.value.render())
@@ -174,6 +177,11 @@ def cmd_verify_monodromy(args) -> int:
 
 
 def cmd_run_suite(args) -> int:
+    if args.suite in acceptance.HARNESS_CRITERIA and not _within_budget(
+        f"run-suite {args.suite}", acceptance.HARNESS_DIMS, args.max_degree,
+        "--max-degree",
+    ):
+        return USAGE_ERROR
     try:
         result = acceptance.run_criterion(
             args.suite, seed=args.seed, max_degree=args.max_degree
@@ -185,6 +193,9 @@ def cmd_run_suite(args) -> int:
 
 
 def cmd_run_all(args) -> int:
+    if not _within_budget("run-all", acceptance.HARNESS_DIMS, args.max_degree,
+                          "--max-degree"):
+        return USAGE_ERROR
     return _verdict(
         acceptance.run_all(seed=args.seed, max_degree=args.max_degree),
         args.verbose,

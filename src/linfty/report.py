@@ -62,3 +62,19 @@ class Report:
 
     def report(self) -> str:
         return "\n".join([self.summary()] + [f"      {text}" for text in self.lines])
+
+
+# the most characters of a value's repr an error message quotes
+QUOTE_LIMIT = 60
+
+
+def quote(value) -> str:
+    """repr(value) for an error message, cut to its first QUOTE_LIMIT
+    characters and followed by the length of the text (or of the repr)
+    when longer, so that bad input of any size gives a message of
+    bounded size."""
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:QUOTE_LIMIT]}... ({size} chars)"

@@ -22,6 +22,7 @@ from linfty import kernel
 from linfty.algebra import GVector, LInftyAlgebra, TensorElement
 from linfty.forms import Form
 from linfty.mc_gamma import SimplexElement
+from linfty.report import quote
 
 _ONE = Fraction(1)
 
@@ -101,7 +102,7 @@ def rational_from_str(text: str) -> Fraction:
     MAX_DECIMAL_EXPONENT in size and values that are neither text nor
     integers (a JSON float is not exact) raise ValueError."""
     if not isinstance(text, str) and not _is_integer(text):
-        raise ValueError(f"expected a rational as text or an integer, got {text!r}")
+        raise ValueError(f"expected a rational as text or an integer, got {quote(text)}")
     exponent = isinstance(text, str) and _EXPONENT.search(text)
     if exponent:
         digits = exponent.group(1).replace("_", "").lstrip("0")
@@ -109,13 +110,15 @@ def rational_from_str(text: str) -> Fraction:
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                 or int(digits or 0) > MAX_DECIMAL_EXPONENT):
             raise ValueError(
-                f"decimal exponent in {text!r} is beyond "
+                f"decimal exponent in {quote(text)} is beyond "
                 f"+-{MAX_DECIMAL_EXPONENT}"
             )
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {quote(text)}") from None
+    except ValueError:
+        raise ValueError(f"not a rational: {quote(text)}") from None
 
 
 def presentation_to_data(algebra: LInftyAlgebra) -> dict:
@@ -152,25 +155,25 @@ def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
     try:
         name = data["name"]
         if not isinstance(name, str):
-            raise ValueError(f"presentation name must be a string, got {name!r}")
+            raise ValueError(f"presentation name must be a string, got {quote(name)}")
         generators = []
         for entry in data.get("generators", []):
             symbol, degree = entry["symbol"], entry["degree"]
             if not isinstance(symbol, str):
-                raise ValueError(f"generator symbol must be a string, got {symbol!r}")
+                raise ValueError(f"generator symbol must be a string, got {quote(symbol)}")
             if not _is_integer(degree):
                 raise ValueError(
-                    f"degree of {symbol!r} must be an integer, got {degree!r}"
+                    f"degree of {quote(symbol)} must be an integer, got {quote(degree)}"
                 )
             generators.append((symbol, degree))
         brackets = {}
         declared = data.get("max_arity")
         if declared is not None and not _is_integer(declared):
-            raise ValueError(f"max_arity must be an integer, got {declared!r}")
+            raise ValueError(f"max_arity must be an integer, got {quote(declared)}")
         for entry in data.get("brackets", []):
             args = entry["args"]
             if not (isinstance(args, list) and all(isinstance(a, str) for a in args)):
-                raise ValueError(f"bracket args must be a list of symbols, got {args!r}")
+                raise ValueError(f"bracket args must be a list of symbols, got {quote(args)}")
             args = tuple(args)
             value = {
                 item["symbol"]: rational_from_str(item["coeff"])
@@ -245,7 +248,7 @@ def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
             sym = chunk
         sym = sym.strip()
         if sym not in algebra.index:
-            raise ValueError(f"unknown symbol {sym!r}")
+            raise ValueError(f"unknown symbol {quote(sym)}")
         kernel.add_into(coeffs, {sym: _ONE}, coeff)
     return GVector(algebra, coeffs)
 
@@ -260,13 +263,13 @@ def parse_form(text: str, n: int) -> Form:
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
-                raise ValueError(f"empty factor in {chunk!r}")
+                raise ValueError(f"empty factor in {quote(chunk)}")
             if factor[0].isdigit():
                 coeff *= rational_from_str(factor)
             elif factor.startswith("dt"):
                 for letter in factor.split("^"):
                     if not letter.startswith("dt"):
-                        raise ValueError(f"bad dt-word {factor!r}")
+                        raise ValueError(f"bad dt-word {quote(factor)}")
                     word.append(int(letter[2:]))
             elif factor.startswith("t"):
                 if "^" in factor:
@@ -279,7 +282,7 @@ def parse_form(text: str, n: int) -> Form:
                     raise ValueError(f"index {idx} out of range for n={n}")
                 exps[idx - 1] += e
             else:
-                raise ValueError(f"cannot parse factor {factor!r}")
+                raise ValueError(f"cannot parse factor {quote(factor)}")
         sorted_word, wsign = kernel.sort_word(tuple(word))
         kernel.add_into(terms, {(tuple(exps), sorted_word): _ONE}, coeff * wsign)
     return Form(n, terms)
@@ -304,8 +307,8 @@ def simplex_from_data(data: dict, algebra: LInftyAlgebra,
                       validate: bool = True) -> SimplexElement:
     if data.get("algebra") != algebra.name:
         raise ValueError(
-            f"simplex belongs to algebra {data.get('algebra')!r}, "
-            f"expected {algebra.name!r}"
+            f"simplex belongs to algebra {quote(data.get('algebra'))}, "
+            f"expected {quote(algebra.name)}"
         )
     n = int(data["n"])
     comps = {}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from linfty import cli
+from linfty import acceptance, cli
 from linfty.cli import main
 from linfty.fixtures import Sampler, get_fixture
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
@@ -261,6 +261,16 @@ class TestNegativeSizes:
         assert f"must be >= {least}" in err
 
 
+def test_bad_input_message_is_bounded(capsys, tmp_path):
+    mu = tmp_path / "mu.txt"
+    mu.write_text("1e" + "9" * 5000 + "*e1\n")
+    code, out, err = run(capsys, "bch", "--algebra", bundled("heisenberg"),
+                         "--n", "1", "--mu", str(mu))
+    assert code == 2
+    assert out == ""
+    assert "decimal exponent" in err and len(err) < 200
+
+
 class TestVerifiers:
     def test_contraction_small(self, capsys):
         code, out, _ = run(
@@ -289,6 +299,24 @@ class TestVerifiers:
         # the benchmark sweep and run-all's dimensions at the default degree
         for dims, degree in (((4,), 3), ((1, 2, 3), 4)):
             assert cli.harness_size(dims, degree) <= cli.HARNESS_BUDGET
+        assert cli.harness_size(acceptance.HARNESS_DIMS, 4) <= cli.HARNESS_BUDGET
+
+    @pytest.mark.parametrize("argv", [
+        ("--max-degree", "10", "run-suite", "contraction"),
+        ("--max-degree", "9", "run-suite", "naturality"),
+        ("--max-degree", "10", "run-all"),
+    ])
+    def test_suite_work_over_the_budget_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "over the budget" in err and "--max-degree" in err
+
+    def test_budget_leaves_criteria_without_a_harness_alone(self, capsys):
+        code, out, _ = run(capsys, "--max-degree", "30", "run-suite",
+                           "groupoid-nerve")
+        assert code == 0
+        assert out.startswith("pass  criterion 13")
 
     def test_monodromy(self, capsys):
         code, out, _ = run(

@@ -177,6 +177,29 @@ class TestMalformedPresentations:
             with pytest.raises(ValueError, match="decimal exponent"):
                 rational_from_str(text)
 
+    def test_messages_quote_a_bounded_prefix_of_the_input(self):
+        algebra = get_fixture("heisenberg")
+        long = 5000
+        cases = [
+            (rational_from_str, "1e" + "9" * long),
+            (rational_from_str, "x" * long),
+            (rational_from_str, "1/" + "0" * long),
+            (lambda text: parse_vector(text, algebra), "2*" + "q" * long),
+            (lambda text: parse_form(text, 2), "t1*" + "z" * long),
+        ]
+        for parse, text in cases:
+            with pytest.raises(ValueError) as excinfo:
+                parse(text)
+            message = str(excinfo.value)
+            assert len(message) < 200, message
+            assert "chars)" in message
+        with pytest.raises(ValueError, match=r"\(5002 chars\)"):
+            rational_from_str("1e" + "9" * 5000)
+        data = _presentation([{"symbol": "x" * long, "degree": 0.5}], [])
+        with pytest.raises(LoadError) as excinfo:
+            presentation_from_data(data)
+        assert len(str(excinfo.value)) < 250
+
     def test_integer_coefficients_stay_exact(self):
         data = _presentation(
             [{"symbol": "x", "degree": 0}, {"symbol": "y", "degree": 0},
