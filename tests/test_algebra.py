@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfty.algebra import (
+    _atom_tuples,
     GVector,
     LInftyAlgebra,
     Morphism,
@@ -20,7 +21,6 @@ from linfty.algebra import (
     curvature,
     is_mc,
     jacobiator,
-    _atom_tuples,
     koszul_sign,
     tensor_bracket,
     tensor_curvature,
@@ -465,10 +465,9 @@ def odd_vectors(draw, algebra):
 def test_square_of_a_degree_one_vector_is_the_ordered_bracket(data):
     algebra, _ = random_case(data, ("dg_lie_01", "heis_exterior",
                                     "free_nilpotent_class3"))
+    # no fixture has both degree-1 vectors and a ternary bracket
     x = data.draw(odd_vectors(algebra))
-    y = data.draw(odd_vectors(algebra))
     assert bracket(algebra, [x, x]) == bracket(algebra, copies(x, 2))
-    assert bracket(algebra, [x, y]) == bracket(algebra, [x, y.scale(1)])
 
 
 def test_runs_merge_only_a_repeated_odd_argument():
