@@ -27,6 +27,7 @@ from linfty.dupont import (
 from linfty.forms import (
     Form,
     SimplicialMap,
+    contract_euler,
     evaluate_vertex,
     exterior_d,
     pullback,
@@ -243,6 +244,14 @@ def _images(op):
             rows.append([m.render(), None, dupont_s(n, m).render()])
         elif op == "whitney_P":
             rows.append([m.render(), None, whitney_P(n, m).render()])
+        elif op == "exterior_d":
+            # a unit and a non-unit coefficient, so both paths are pinned
+            rows += [[f.render(), None, exterior_d(f).render()]
+                     for f in (m, m.scale(Fraction(-2, 3)))]
+        elif op == "contract_euler":
+            rows += [[f.render(), i, contract_euler(i, f).render()]
+                     for f in (m, m.scale(Fraction(-2, 3)))
+                     for i in range(n + 1)]
         else:
             maps = [SimplicialMap.face(k, n) for k in range(n + 1)]
             maps += [SimplicialMap.degeneracy(k, n + 1) for k in range(n + 1)]
@@ -259,6 +268,8 @@ def _images(op):
         ("dupont_s", "775645af24a5e4d4"),
         ("whitney_P", "6cac743f7a2c0fe8"),
         ("pullback", "9975a8f63af83b39"),
+        ("exterior_d", "30a1df25f3129062"),
+        ("contract_euler", "7da8b5a9b4719ef5"),
     ],
 )
 def test_operator_image_fingerprint(op, expected):
