@@ -461,12 +461,11 @@ def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
     total: dict = {}
     for k in range(1, n + 1):
         for head in itertools.combinations(range(n), k):
-            tail = tuple(p for p in range(n) if p not in head)
-            perm = head + tail
-            sign = (-1) ** k * antisymmetric_sign(perm, degs)
             inner = algebra.bracket_on_basis(tuple(syms[p] for p in head))
             if inner.is_zero():
                 continue
+            tail = tuple(p for p in range(n) if p not in head)
+            sign = (-1) ** k * antisymmetric_sign(head + tail, degs)
             tail_syms = tuple(syms[p] for p in tail)
             for mid, c in inner.coeffs.items():
                 outer = algebra.bracket_on_basis((mid,) + tail_syms)

@@ -167,16 +167,18 @@ def _h_monomial(i: int, n: int, key) -> Form:
             if i:
                 new_exps[i - 1] = m
             key2 = (tuple(new_exps), gword)
-            c = gcoeff * comb(e, m)
             b = base + m
             if b:
-                c *= Fraction(factorial(b - 1) * factorial(e - m),
-                              factorial(base + e))
+                c = gcoeff * Fraction(
+                    comb(e, m) * factorial(b - 1) * factorial(e - m),
+                    factorial(base + e),
+                )
             else:
-                kernel.add_into(remainders, {key2: c})
-                c *= -_harmonic(e)
+                # b = 0 forces m = 0, where the binomial is 1
+                kernel.add_term(remainders, key2, gcoeff)
+                c = gcoeff * -_harmonic(e)
             if c:
-                kernel.add_into(terms, {key2: c})
+                kernel.add_term(terms, key2, c)
     if remainders:
         raise ArithmeticError(
             "nonzero remainder in division by the dilation parameter; "
@@ -350,16 +352,17 @@ def check_contraction_identities(n: int, max_degree: int) -> list[Report]:
     zero = Form.zero(n)
     for mono in monos:
         label = mono.render()
+        d_mono = exterior_d(mono)
         s_mono = dupont_s(n, mono)
         p_mono = whitney_P(n, mono)
-        lhs = exterior_d(s_mono) + dupont_s(n, exterior_d(mono))
+        lhs = exterior_d(s_mono) + dupont_s(n, d_mono)
         main.record(label, lhs, mono - p_mono)
         ps.record(label, whitney_P(n, s_mono), zero)
         sp.record(label, dupont_s(n, p_mono), zero)
         pp.record(label, whitney_P(n, p_mono), p_mono)
         for i in range(n + 1):
             h_mono = poincare_h(i, n, mono)
-            lhs = exterior_d(h_mono) + poincare_h(i, n, exterior_d(mono))
+            lhs = exterior_d(h_mono) + poincare_h(i, n, d_mono)
             rhs = mono - Form.constant(n, evaluate_vertex(i, mono))
             poincare.record(f"h^{i} on {label}", lhs, rhs)
     return [main, poincare, ps, sp, pp]
@@ -375,25 +378,28 @@ def check_gauge_identities(n: int, max_degree: int) -> list[Report]:
         f"I_seq = eval h...h on {n}-simplex"
     )
     zero = Form.zero(n)
+    vertices = range(n + 1)
     for mono in monos:
         label = mono.render()
         square.record(label, dupont_s(n, dupont_s(n, mono)), zero)
-        for i in range(n + 1):
-            h_i = poincare_h(i, n, mono)
+        # the homotopy strings of length <= 2, keyed by their vertex
+        # sequence: strings[i, j] = h^j h^i mono, each computed once
+        strings = {(): mono}
+        for i in vertices:
+            strings[i,] = poincare_h(i, n, mono)
+        for i in vertices:
+            for j in vertices:
+                strings[i, j] = poincare_h(j, n, strings[i,])
+        for i in vertices:
             for j in range(i, n + 1):
-                lhs = poincare_h(j, n, h_i) + poincare_h(
-                    i, n, poincare_h(j, n, mono)
-                )
+                lhs = strings[i, j] + strings[j, i]
                 anti.record(f"h^{i},h^{j} on {label}", lhs, zero)
         # chain integrals through homotopy strings: at the duality
         # normalization I_seq(elementary_form(seq)) = 1 the string
         # carries no alternating sign
         for size in range(1, min(4, n + 2)):
-            for seq in itertools.combinations(range(n + 1), size):
-                chain = mono
-                for idx in seq[:-1]:
-                    chain = poincare_h(idx, n, chain)
-                value = evaluate_vertex(seq[-1], chain)
+            for seq in itertools.combinations(vertices, size):
+                value = evaluate_vertex(seq[-1], strings[seq[:-1]])
                 integrals.record(
                     f"I_{''.join(map(str, seq))} on {label}",
                     Form.constant(n, value),
@@ -426,14 +432,15 @@ def check_naturality(max_dim: int, max_degree: int) -> list[Report]:
     for f in maps:
         for mono in monomial_basis(f.target, max_degree):
             label = f"{f.values} on {mono.render()}"
+            pulled = pullback(f, mono)
             result_s.record(
                 label,
                 pullback(f, dupont_s(f.target, mono)),
-                dupont_s(f.source, pullback(f, mono)),
+                dupont_s(f.source, pulled),
             )
             result_p.record(
                 label,
                 pullback(f, whitney_P(f.target, mono)),
-                whitney_P(f.source, pullback(f, mono)),
+                whitney_P(f.source, pulled),
             )
     return [result_s, result_p]

@@ -179,8 +179,8 @@ def free_nilpotent_class3():
         for wu, cu in u.items():
             for wv, cv in v.items():
                 c = cu * cv
-                kernel.add_into(out, {wu + wv: c})
-                kernel.add_into(out, {wv + wu: c if odd(wu) and odd(wv) else -c})
+                kernel.add_term(out, wu + wv, c)
+                kernel.add_term(out, wv + wu, c if odd(wu) and odd(wv) else -c)
         return out
 
     def derivation(u):
@@ -190,7 +190,7 @@ def free_nilpotent_class3():
             for i, g in enumerate(word):
                 if g in delta:
                     dword = word[:i] + (delta[g],) + word[i + 1:]
-                    kernel.add_into(out, {dword: -c if odd(word[:i]) else c})
+                    kernel.add_term(out, dword, -c if odd(word[:i]) else c)
         return out
 
     expansion: dict = {}  # basis symbol -> word expansion

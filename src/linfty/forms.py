@@ -278,14 +278,24 @@ def exterior_d(f: Form) -> Form:
         for pos, e in enumerate(exps):
             if not e:
                 continue
-            j = pos + 1
-            new_word, sign = kernel.merge_words((j,), word)
+            new_word, sign = kernel.merge_words((pos + 1,), word)
             if sign == 0:
                 continue
             new_exps = list(exps)
             new_exps[pos] -= 1
-            kernel.add_into(out, {(tuple(new_exps), new_word): coeff * e * sign})
+            kernel.add_term(out, (tuple(new_exps), new_word),
+                            _times(coeff, e * sign))
     return Form(f.n, out, _validated=True)
+
+
+def _times(coeff: Fraction, factor: int) -> Fraction:
+    """coeff * factor for a nonzero int factor, multiplying only when
+    the factor is not +-1."""
+    if factor == 1:
+        return coeff
+    if factor == -1:
+        return -coeff
+    return coeff * factor
 
 
 # -- vertex evaluation and Euler contraction -------------------------
@@ -313,16 +323,18 @@ def contract_euler(i: int, f: Form) -> Form:
     n = f.n
     out: dict = {}
     for (exps, word), coeff in f.terms.items():
-        sign = 1
+        if not word:
+            continue
+        negated = -coeff
         for pos, j in enumerate(word):
             rest = word[:pos] + word[pos + 1 :]
-            # iota(dt_j) = t_j - delta_ij
+            # iota(dt_j) = t_j - delta_ij, with sign (-1)^pos
+            plus, minus = (coeff, negated) if pos % 2 == 0 else (negated, coeff)
             bumped = list(exps)
             bumped[j - 1] += 1
-            kernel.add_into(out, {(tuple(bumped), rest): coeff * sign})
+            kernel.add_term(out, (tuple(bumped), rest), plus)
             if j == i:
-                kernel.add_into(out, {(exps, rest): -coeff * sign})
-            sign = -sign
+                kernel.add_term(out, (exps, rest), minus)
     return Form(n, out, _validated=True)
 
 

@@ -4,11 +4,22 @@ A term dict maps hashable keys to nonzero Fraction coefficients.  Forms
 key it by ``(exps, word)``, where ``exps`` is a tuple of exponents for
 t_1..t_n and ``word`` a strictly increasing tuple of dt-indices;
 algebra vectors key it by basis symbol; the rows, solutions and kernel
-vectors of ``linalg`` key it by column.  ``add_into``, ``scale_terms``
-and ``drop_zeros`` are the only places a term dict is added into,
-scaled or cleared of zeros (``mul_terms`` inlines ``add_into``); the
-word helpers carry the signs of the exterior product.
+vectors of ``linalg`` key it by column.  ``add_into``, ``add_term``
+(one term), ``scale_terms`` and ``drop_zeros`` are the only places a
+term dict is added into, scaled or cleared of zeros (``mul_terms``
+inlines ``add_term``); the word helpers carry the signs of the exterior
+product.
+
+Unit fast paths: a product with a factor of 1 or -1 is never
+multiplied out.  ``mul_terms`` copies or negates the other coefficient
+(testing each left coefficient once per left term), and ``add_into``
+negates under the scale -1 and stores +-scale for a source coefficient
+of +-1 under a Fraction scale.  Every stored coefficient is a Fraction:
+an int scale is only ever multiplied into one.
 """
+
+from fractions import Fraction
+from operator import add
 
 IMPLEMENTATION = "python"
 
@@ -66,12 +77,36 @@ def merge_words(w1, w2):
 
 def add_exps(e1, e2):
     """Componentwise sum of two exponent tuples."""
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def drop_zeros(terms):
     """A copy of terms without its zero (falsy) values."""
     return {key: value for key, value in terms.items() if value}
+
+
+def _unit(coeff):
+    """1 or -1 when coeff is 1 or -1, else 0."""
+    if coeff == 1:
+        return 1
+    if coeff == -1:
+        return -1
+    return 0
+
+
+def _scaled(src, scale):
+    """The items of src scaled by the Fraction scale; a unit coefficient
+    yields scale or -scale without a multiplication."""
+    negated = None
+    for key, coeff in src.items():
+        if coeff == 1:
+            yield key, scale
+        elif coeff == -1:
+            if negated is None:
+                negated = -scale
+            yield key, negated
+        else:
+            yield key, scale * coeff
 
 
 def add_into(dst, src, scale=1):
@@ -81,9 +116,14 @@ def add_into(dst, src, scale=1):
     """
     if not src or not scale:
         return dst
-    items = src.items()
-    if scale != 1:
-        items = ((key, scale * coeff) for key, coeff in items)
+    if scale == 1:
+        items = src.items()
+    elif scale == -1:
+        items = ((key, -coeff) for key, coeff in src.items())
+    elif isinstance(scale, Fraction):
+        items = _scaled(src, scale)
+    else:
+        items = ((key, scale * coeff) for key, coeff in src.items())
     for key, coeff in items:
         acc = dst.get(key)
         if acc is None:
@@ -94,6 +134,21 @@ def add_into(dst, src, scale=1):
                 dst[key] = acc
             else:
                 del dst[key]
+    return dst
+
+
+def add_term(dst, key, coeff):
+    """In-place dst[key] += coeff for one nonzero Fraction coeff,
+    dropping the key if it cancels; returns dst."""
+    acc = dst.get(key)
+    if acc is None:
+        dst[key] = coeff
+    else:
+        acc = acc + coeff
+        if acc:
+            dst[key] = acc
+        else:
+            del dst[key]
     return dst
 
 
@@ -109,14 +164,21 @@ def scale_terms(terms, scale):
 def mul_terms(a, b):
     """Graded product of two form term dicts over the same n."""
     out = {}
+    right = [(e2, w2, c2, _unit(c2)) for (e2, w2), c2 in b.items()]
     for (e1, w1), c1 in a.items():
-        for (e2, w2), c2 in b.items():
+        u1 = _unit(c1)
+        for e2, w2, c2, u2 in right:
             word, sign = merge_words(w1, w2)
             if sign == 0:
                 continue
             key = (add_exps(e1, e2), word)
-            coeff = c1 * c2 if sign > 0 else -(c1 * c2)
-            # add_into inlined: this is the innermost loop of the package
+            if u1:
+                coeff = c2 if sign == u1 else -c2
+            elif u2:
+                coeff = c1 if sign == u2 else -c1
+            else:
+                coeff = c1 * c2 if sign > 0 else -(c1 * c2)
+            # add_term inlined: this is the innermost loop of the package
             acc = out.get(key)
             if acc is None:
                 out[key] = coeff

@@ -579,7 +579,7 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
                 if idx is None:
                     ok = False
                     break
-                kernel.add_into(coords, {idx: c * coeff})
+                kernel.add_term(coords, idx, c * coeff)
             if not ok:
                 break
         if ok:
