@@ -116,6 +116,15 @@ def cmd_fill_horn(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
+    # the filler is defined for gauge-fixed horns only; checked here, on
+    # input, so that fill_horn_gamma (on the series path) does not pay
+    for j, path, face in zip(positions, args.faces, faces):
+        if not face.is_gauge_fixed():
+            print(
+                f"face {j} ({quote(path)}) is not gauge-fixed: s(value) != 0",
+                file=sys.stderr,
+            )
+            return USAGE_ERROR
     horn = Horn(args.n, args.missing, dict(zip(positions, faces)))
     filler = fill_horn_gamma(horn)
     print(json.dumps(simplex_to_data(filler), indent=2))

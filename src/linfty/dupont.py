@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Sequence
 
 from linfty import kernel
@@ -162,6 +162,10 @@ def _h_monomial(i: int, n: int, key) -> Form:
         )
         # at i = 0 (t_0 eliminated) no factor u t_i + 1 - u appears
         e = gexps[i - 1] if i else 0
+        # the Beta value times comb(e, m) is e! (b-1)! / (m! (base+e)!);
+        # its numerator steps from m to m + 1 by the factor b / (m + 1)
+        numerator = factorial(e) * factorial(max(base - 1, 0))
+        denominator = factorial(base + e)
         for m in range(e + 1):
             new_exps = list(gexps)
             if i:
@@ -169,10 +173,8 @@ def _h_monomial(i: int, n: int, key) -> Form:
             key2 = (tuple(new_exps), gword)
             b = base + m
             if b:
-                c = gcoeff * Fraction(
-                    comb(e, m) * factorial(b - 1) * factorial(e - m),
-                    factorial(base + e),
-                )
+                c = gcoeff * Fraction(numerator, denominator)
+                numerator = numerator * b // (m + 1)
             else:
                 # b = 0 forces m = 0, where the binomial is 1
                 kernel.add_term(remainders, key2, gcoeff)

@@ -457,13 +457,21 @@ def _pullback_generators(f: SimplicialMap):
 
 
 def _t_power_image(t_powers: dict, i: int, e: int) -> Form:
-    """The image of t_i^e, e >= 1, from a map's power table."""
+    """The image of t_i^e, e >= 1, from a map's power table: the highest
+    cached power below e multiplied up by t_i's image, storing each
+    power on the way."""
     image = t_powers.get((i, e))
     if image is None:
         base = t_powers[(i, 1)]
-        if not base.is_zero():
-            base = _t_power_image(t_powers, i, e - 1) * base
-        image = t_powers[(i, e)] = base
+        if base.is_zero():
+            image = t_powers[(i, e)] = base
+            return image
+        k = e - 1
+        while (i, k) not in t_powers:
+            k -= 1
+        image = t_powers[(i, k)]
+        for power in range(k + 1, e + 1):
+            image = t_powers[(i, power)] = image * base
     return image
 
 

@@ -158,6 +158,24 @@ class TestHostileInput:
         assert code == 2
         assert "decimal exponent" in err
 
+    # Maurer-Cartan faces with s(value) != 0, for which the gauge-fixed
+    # filler is not defined; the second power is past the recursion limit
+    @pytest.mark.parametrize("form", ["t1^2*dt1", "t1^2000*dt1"])
+    def test_faces_not_gauge_fixed_are_usage_errors(self, capsys, tmp_path,
+                                                    form):
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps({
+            "algebra": "heisenberg", "n": 1,
+            "components": [{"generator": "e1", "form": form}],
+        }))
+        code, out, err = run(
+            capsys, "fill-horn", "--algebra", bundled("heisenberg"),
+            "--n", "2", "--missing", "1", "--faces", str(path), str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "face 0" in err and "not gauge-fixed" in err
+
     def test_zero_denominator_in_vector_file(self, capsys, tmp_path):
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("1/0*e1\n")

@@ -180,6 +180,14 @@ class TestPullback:
         s0 = SimplicialMap.degeneracy(0, 2)
         assert pullback(s0, Form.t(1, 1)) == Form.t(2, 2)
 
+    def test_high_powers_pull_back(self):
+        # the power table is filled iteratively, so an exponent far past
+        # the recursion limit is no error
+        form = mono(2, (2000, 0), (1,))
+        assert pullback(SimplicialMap.face(2, 2), form) == mono(1, (2000,), (1,))
+        assert pullback(SimplicialMap.face(1, 2), form).is_zero()
+        assert pullback(SimplicialMap.face(0, 1), mono(1, (2000,))) == Form.one(0)
+
     def test_commutes_with_differential_and_product(self):
         rng = random.Random(6)
         for f in _all_face_degeneracy_maps(3):

@@ -55,6 +55,55 @@ def test_mul_is_graded_commutative_at_term_level():
     assert ba == {((0, 0), (1, 2)): Fraction(-1)}
 
 
+# -- the unit fast paths against plain Fraction products --------------------
+
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)
+)
+# few keys, so that sums collide and cancel; half the coefficients are +-1
+term_dicts = st.dictionaries(
+    st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+              st.sampled_from([(), (1,), (2,), (1, 2)])),
+    st.sampled_from([Fraction(1), Fraction(-1)]) | nonzero_rationals,
+    max_size=5,
+)
+scales = st.sampled_from([1, -1, 2, -2]) | nonzero_rationals
+
+
+def _reference_product(a, b):
+    out = {}
+    for (e1, w1), c1 in a.items():
+        for (e2, w2), c2 in b.items():
+            word, sign = kernel.merge_words(w1, w2)
+            if sign:
+                key = (tuple(x + y for x, y in zip(e1, e2)), word)
+                out[key] = out.get(key, Fraction(0)) + Fraction(sign) * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _reference_sum(dst, src, scale):
+    zero = Fraction(0)
+    out = {key: dst.get(key, zero) + Fraction(scale) * src.get(key, zero)
+           for key in {**dst, **src}}
+    return {key: c for key, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_dicts, term_dicts, scales)
+def test_unit_fast_paths_match_plain_products(a, b, scale):
+    product = kernel.mul_terms(a, b)
+    summed = kernel.add_into(dict(a), b, scale)
+    single = dict(a)
+    for key, coeff in b.items():
+        kernel.add_term(single, key, Fraction(scale) * coeff)
+    assert product == _reference_product(a, b)
+    assert summed == _reference_sum(a, b, scale)
+    assert single == summed
+    for out in (product, summed, single):
+        # no zero is stored, and an int scale is never stored as-is
+        assert all(c and isinstance(c, Fraction) for c in out.values())
+
+
 # -- properties of the shared core on random elements --------------------
 
 ALGEBRAS = ("heisenberg", "ut4", "dg_lie_01", "heis_exterior", "three_bracket")

@@ -279,6 +279,48 @@ def test_text_parsers_raise_only_value_errors(text, n):
             pass
 
 
+# -- render/parse round trips on random values --------------------------------
+
+ROUND_TRIP = settings(max_examples=100, deadline=None)
+wide_rationals = st.builds(
+    Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12)
+)
+
+
+@st.composite
+def sparse_forms(draw):
+    """Random sparse forms on the n-simplex, n = 0..3."""
+    n = draw(st.integers(0, 3))
+    key = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.sets(st.integers(1, n), max_size=n).map(lambda w: tuple(sorted(w)))
+        if n else st.just(()),
+    )
+    return Form(n, draw(st.dictionaries(key, wide_rationals, max_size=5)))
+
+
+@ROUND_TRIP
+@given(sparse_forms())
+def test_form_render_parse_round_trip(f):
+    assert parse_form(f.render(), f.n) == f
+
+
+@st.composite
+def fixture_vectors(draw):
+    """Random vectors over every bundled fixture (none but 0 over zero)."""
+    algebra = get_fixture(draw(st.sampled_from(FIXTURE_NAMES)))
+    syms = []
+    if algebra.symbols:
+        syms = draw(st.lists(st.sampled_from(algebra.symbols), max_size=5))
+    return GVector(algebra, {s: draw(wide_rationals) for s in syms})
+
+
+@ROUND_TRIP
+@given(fixture_vectors())
+def test_vector_render_parse_round_trip(v):
+    assert parse_vector(v.render(), v.algebra) == v
+
+
 class TestVectorRendering:
     def test_round_trip(self):
         heis = get_fixture("heisenberg")
