@@ -6,16 +6,17 @@ t_1..t_n and ``word`` a strictly increasing tuple of dt-indices;
 algebra vectors key it by basis symbol; the rows, solutions and kernel
 vectors of ``linalg`` key it by column.  ``add_into``, ``add_term``
 (one term), ``scale_terms`` and ``drop_zeros`` are the only places a
-term dict is added into, scaled or cleared of zeros (``mul_terms``
-inlines ``add_term``); the word helpers carry the signs of the exterior
-product.
+term dict is added into, scaled or cleared of zeros (``add_into`` and
+``mul_terms``, the innermost loops, inline ``add_term``); the word
+helpers carry the signs of the exterior product.
 
 Unit fast paths: a product with a factor of 1 or -1 is never
 multiplied out.  ``mul_terms`` copies or negates the other coefficient
-(testing each left coefficient once per left term), and ``add_into``
-negates under the scale -1 and stores +-scale for a source coefficient
-of +-1 under a Fraction scale.  Every stored coefficient is a Fraction:
-an int scale is only ever multiplied into one.
+(testing each left coefficient once per left term, and a right one only
+when the left is not a unit), and ``add_into`` negates under the scale
+-1 and stores +-scale for a source coefficient of +-1 under a Fraction
+scale.  Every stored coefficient is a Fraction: an int scale is only
+ever multiplied into one.
 """
 
 from fractions import Fraction
@@ -164,20 +165,21 @@ def scale_terms(terms, scale):
 def mul_terms(a, b):
     """Graded product of two form term dicts over the same n."""
     out = {}
-    right = [(e2, w2, c2, _unit(c2)) for (e2, w2), c2 in b.items()]
     for (e1, w1), c1 in a.items():
         u1 = _unit(c1)
-        for e2, w2, c2, u2 in right:
+        for (e2, w2), c2 in b.items():
             word, sign = merge_words(w1, w2)
             if sign == 0:
                 continue
             key = (add_exps(e1, e2), word)
             if u1:
                 coeff = c2 if sign == u1 else -c2
-            elif u2:
-                coeff = c1 if sign == u2 else -c1
             else:
-                coeff = c1 * c2 if sign > 0 else -(c1 * c2)
+                u2 = _unit(c2)
+                if u2:
+                    coeff = c1 if sign == u2 else -c1
+                else:
+                    coeff = c1 * c2 if sign > 0 else -(c1 * c2)
             # add_term inlined: this is the innermost loop of the package
             acc = out.get(key)
             if acc is None:
