@@ -116,8 +116,8 @@ def cmd_fill_horn(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    # the filler is defined for gauge-fixed horns only; checked here, on
-    # input, so that fill_horn_gamma (on the series path) does not pay
+    # the filler is defined for gauge-fixed horns only; checked here on
+    # input, not in fill_horn_gamma, which every series evaluation calls
     for j, path, face in zip(positions, args.faces, faces):
         if not face.is_gauge_fixed():
             print(

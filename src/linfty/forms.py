@@ -278,7 +278,8 @@ def exterior_d(f: Form) -> Form:
         for pos, e in enumerate(exps):
             if not e:
                 continue
-            new_word, sign = kernel.merge_words((pos + 1,), word)
+            j = pos + 1
+            new_word, sign = kernel.merge_words((j,), word)
             if sign == 0:
                 continue
             new_exps = list(exps)
@@ -461,17 +462,18 @@ def _t_power_image(t_powers: dict, i: int, e: int) -> Form:
     cached power below e multiplied up by t_i's image, storing each
     power on the way."""
     image = t_powers.get((i, e))
-    if image is None:
-        base = t_powers[(i, 1)]
-        if base.is_zero():
-            image = t_powers[(i, e)] = base
-            return image
-        k = e - 1
-        while (i, k) not in t_powers:
-            k -= 1
-        image = t_powers[(i, k)]
-        for power in range(k + 1, e + 1):
-            image = t_powers[(i, power)] = image * base
+    if image is not None:
+        return image
+    base = t_powers[(i, 1)]
+    if base.is_zero():
+        t_powers[(i, e)] = base
+        return base
+    k = e - 1
+    while (i, k) not in t_powers:
+        k -= 1
+    image = t_powers[(i, k)]
+    for power in range(k + 1, e + 1):
+        image = t_powers[(i, power)] = image * base
     return image
 
 
