@@ -322,7 +322,7 @@ class GVector:
         return GVector(self.algebra, kernel.scale_terms(self.coeffs, -1))
 
     def scale(self, c) -> "GVector":
-        return GVector(self.algebra, kernel.scale_terms(self.coeffs, Fraction(c)))
+        return GVector(self.algebra, kernel.scale_terms(self.coeffs, c))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -692,7 +692,7 @@ class TensorElement:
                 raise ValueError(f"unknown symbol {quote(sym)}")
             if form.n != n:
                 raise ValueError("component form has the wrong simplex dimension")
-        self.comps = kernel.drop_zeros(comps)
+        self.comps = {sym: form for sym, form in comps.items() if form}
 
     @classmethod
     def from_terms(cls, algebra: LInftyAlgebra, n: int, acc: Mapping[str, dict]):
@@ -714,7 +714,7 @@ class TensorElement:
         return self.scale(-1)
 
     def scale(self, c) -> "TensorElement":
-        c = Fraction(c)
+        c = kernel.as_fraction(c)
         return TensorElement(
             self.algebra, self.n, {s: f.scale(c) for s, f in self.comps.items()}
         )

@@ -93,7 +93,8 @@ def integrate_chain(seq: Sequence[int], f: Form) -> Rational:
         return _ZERO
     k = len(seq) - 1
     if k == 0:
-        return sign * evaluate_vertex(sorted_seq[0], f)
+        value = evaluate_vertex(sorted_seq[0], f)
+        return value if sign > 0 else kernel.frac_neg(value)
     part = f.component(k)
     if part.is_zero():
         return _ZERO
@@ -102,8 +103,10 @@ def integrate_chain(seq: Sequence[int], f: Form) -> Rational:
     total = _ZERO
     for (exps, word), coeff in pulled.terms.items():
         # on the k-simplex the only exterior-top word is (1, ..., k)
-        total += coeff * _standard_integral(exps)
-    return sign * total
+        total = kernel.frac_add(
+            total, kernel.frac_mul(coeff, _standard_integral(exps))
+        )
+    return total if sign > 0 else kernel.frac_neg(total)
 
 
 def _standard_integral(exps: Sequence[int]) -> Rational:
@@ -173,12 +176,12 @@ def _h_monomial(i: int, n: int, key) -> Form:
             key2 = (tuple(new_exps), gword)
             b = base + m
             if b:
-                c = gcoeff * Fraction(numerator, denominator)
+                c = kernel.frac_mul(gcoeff, Fraction(numerator, denominator))
                 numerator = numerator * b // (m + 1)
             else:
                 # b = 0 forces m = 0, where the binomial is 1
                 kernel.add_term(remainders, key2, gcoeff)
-                c = gcoeff * -_harmonic(e)
+                c = kernel.frac_mul(gcoeff, kernel.frac_neg(_harmonic(e)))
             if c:
                 kernel.add_term(terms, key2, c)
     if remainders:

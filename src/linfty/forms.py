@@ -63,7 +63,7 @@ class Form:
 
     @staticmethod
     def constant(n: int, value) -> "Form":
-        value = Fraction(value)
+        value = kernel.as_fraction(value)
         if not value:
             return Form.zero(n)
         return Form(n, {((0,) * n, ()): value}, _validated=True)
@@ -119,20 +119,19 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         self._check_same(other)
         out = dict(self.terms)
-        kernel.add_into(out, other.terms, _ONE)
+        kernel.add_into(out, other.terms)
         return Form(self.n, out, _validated=True)
 
     def __sub__(self, other: "Form") -> "Form":
         self._check_same(other)
         out = dict(self.terms)
-        kernel.add_into(out, other.terms, -_ONE)
+        kernel.add_into(out, other.terms, -1)
         return Form(self.n, out, _validated=True)
 
     def __neg__(self) -> "Form":
         return Form(self.n, kernel.scale_terms(self.terms, -1), _validated=True)
 
     def scale(self, c) -> "Form":
-        c = Fraction(c)
         return Form(self.n, kernel.scale_terms(self.terms, c), _validated=True)
 
     def __mul__(self, other):
@@ -285,18 +284,8 @@ def exterior_d(f: Form) -> Form:
             new_exps = list(exps)
             new_exps[pos] -= 1
             kernel.add_term(out, (tuple(new_exps), new_word),
-                            _times(coeff, e * sign))
+                            kernel.frac_mul(coeff, Fraction(e * sign)))
     return Form(f.n, out, _validated=True)
-
-
-def _times(coeff: Fraction, factor: int) -> Fraction:
-    """coeff * factor for a nonzero int factor, multiplying only when
-    the factor is not +-1."""
-    if factor == 1:
-        return coeff
-    if factor == -1:
-        return -coeff
-    return coeff * factor
 
 
 # -- vertex evaluation and Euler contraction -------------------------
@@ -310,7 +299,7 @@ def evaluate_vertex(i: int, f: Form) -> Rational:
         if word:
             continue
         if all(e == 0 for pos, e in enumerate(exps) if pos + 1 != i):
-            total += coeff
+            total = kernel.frac_add(total, coeff)
     return total
 
 
@@ -326,7 +315,7 @@ def contract_euler(i: int, f: Form) -> Form:
     for (exps, word), coeff in f.terms.items():
         if not word:
             continue
-        negated = -coeff
+        negated = kernel.frac_neg(coeff)
         for pos, j in enumerate(word):
             rest = word[:pos] + word[pos + 1 :]
             # iota(dt_j) = t_j - delta_ij, with sign (-1)^pos

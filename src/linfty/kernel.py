@@ -10,19 +10,78 @@ term dict is added into, scaled or cleared of zeros (``add_into`` and
 ``mul_terms``, the innermost loops, inline ``add_term``); the word
 helpers carry the signs of the exterior product.
 
-Unit fast paths: a product with a factor of 1 or -1 is never
-multiplied out.  ``mul_terms`` copies or negates the other coefficient
-(testing each left coefficient once per left term, and a right one only
-when the left is not a unit), and ``add_into`` negates under the scale
--1 and stores +-scale for a source coefficient of +-1 under a Fraction
-scale.  Every stored coefficient is a Fraction: an int scale is only
-ever multiplied into one.
+Exact arithmetic: ``frac_add``, ``frac_mul`` and ``frac_neg``, the
+package's internal primitives, compute a + b, a * b and -a of
+Fractions from their numerators and denominators.  They run the gcd
+steps of the ``fractions`` module but skip its operator dispatch and
+constructor checks, which cost about three times the arithmetic
+itself, and build each result in place as CPython 3.12's
+``Fraction._from_coprime_ints`` does: a true Fraction in lowest terms
+with a positive denominator, equal and hashing equal to what the
+operator gives.  They rely on Fraction's two slots, ``_numerator`` and
+``_denominator``, a layout the tests pin.  Every coefficient the
+kernel computes goes through them, and every stored coefficient is a
+Fraction: ``drop_zeros`` converts coefficients that come from outside,
+and a scale that is not a Fraction is converted once per call by
+``as_fraction``.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 IMPLEMENTATION = "python"
+
+_new = object.__new__
+
+
+def _fraction(numerator, denominator):
+    """The Fraction numerator/denominator of two coprime ints with
+    denominator > 0, built without normalising."""
+    value = _new(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
+
+
+def frac_add(a, b):
+    """a + b for two Fractions."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _fraction(t // g2, s * (db // g2))
+
+
+def frac_mul(a, b):
+    """a * b for two Fractions."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _fraction(na * nb, db * da)
+
+
+def frac_neg(a):
+    """-a for a Fraction."""
+    return _fraction(-a._numerator, a._denominator)
+
+
+def as_fraction(value):
+    """value as a Fraction, converting only a value that is not one."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def sort_word(word):
@@ -82,32 +141,8 @@ def add_exps(e1, e2):
 
 
 def drop_zeros(terms):
-    """A copy of terms without its zero (falsy) values."""
-    return {key: value for key, value in terms.items() if value}
-
-
-def _unit(coeff):
-    """1 or -1 when coeff is 1 or -1, else 0."""
-    if coeff == 1:
-        return 1
-    if coeff == -1:
-        return -1
-    return 0
-
-
-def _scaled(src, scale):
-    """The items of src scaled by the Fraction scale; a unit coefficient
-    yields scale or -scale without a multiplication."""
-    negated = None
-    for key, coeff in src.items():
-        if coeff == 1:
-            yield key, scale
-        elif coeff == -1:
-            if negated is None:
-                negated = -scale
-            yield key, negated
-        else:
-            yield key, scale * coeff
+    """A copy of terms without its zeros, each coefficient a Fraction."""
+    return {key: as_fraction(value) for key, value in terms.items() if value}
 
 
 def add_into(dst, src, scale=1):
@@ -117,21 +152,18 @@ def add_into(dst, src, scale=1):
     """
     if not src or not scale:
         return dst
-    if scale == 1:
-        items = src.items()
-    elif scale == -1:
-        items = ((key, -coeff) for key, coeff in src.items())
-    elif isinstance(scale, Fraction):
-        items = _scaled(src, scale)
-    else:
-        items = ((key, scale * coeff) for key, coeff in src.items())
-    for key, coeff in items:
+    scaled = scale != 1
+    if scaled:
+        scale = as_fraction(scale)
+    for key, coeff in src.items():
+        if scaled:
+            coeff = frac_mul(scale, coeff)
         acc = dst.get(key)
         if acc is None:
             dst[key] = coeff
         else:
-            acc = acc + coeff
-            if acc:
+            acc = frac_add(acc, coeff)
+            if acc._numerator:
                 dst[key] = acc
             else:
                 del dst[key]
@@ -145,8 +177,8 @@ def add_term(dst, key, coeff):
     if acc is None:
         dst[key] = coeff
     else:
-        acc = acc + coeff
-        if acc:
+        acc = frac_add(acc, coeff)
+        if acc._numerator:
             dst[key] = acc
         else:
             del dst[key]
@@ -155,38 +187,30 @@ def add_term(dst, key, coeff):
 
 def scale_terms(terms, scale):
     """Return a new term dict equal to scale * terms."""
+    scale = as_fraction(scale)
     if not scale:
         return {}
-    if scale == -1:
-        return {key: -coeff for key, coeff in terms.items()}
-    return {key: scale * coeff for key, coeff in terms.items()}
+    return {key: frac_mul(scale, coeff) for key, coeff in terms.items()}
 
 
 def mul_terms(a, b):
     """Graded product of two form term dicts over the same n."""
     out = {}
     for (e1, w1), c1 in a.items():
-        u1 = _unit(c1)
+        negated = frac_neg(c1)
         for (e2, w2), c2 in b.items():
             word, sign = merge_words(w1, w2)
             if sign == 0:
                 continue
             key = (add_exps(e1, e2), word)
-            if u1:
-                coeff = c2 if sign == u1 else -c2
-            else:
-                u2 = _unit(c2)
-                if u2:
-                    coeff = c1 if sign == u2 else -c1
-                else:
-                    coeff = c1 * c2 if sign > 0 else -(c1 * c2)
+            coeff = frac_mul(c1 if sign > 0 else negated, c2)
             # add_term inlined: this is the innermost loop of the package
             acc = out.get(key)
             if acc is None:
                 out[key] = coeff
             else:
-                acc = acc + coeff
-                if acc:
+                acc = frac_add(acc, coeff)
+                if acc._numerator:
                     out[key] = acc
                 else:
                     del out[key]

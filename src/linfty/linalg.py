@@ -44,7 +44,7 @@ def rref(rows: Iterable[Mapping], columns: Sequence):
             continue
         lead = min(v, key=rank.__getitem__)
         if v[lead] != 1:
-            v = kernel.scale_terms(v, 1 / Fraction(v[lead]))
+            v = kernel.scale_terms(v, 1 / v[lead])
         for other in kept.values():
             _eliminate(other, ((lead, v),))
         kept[lead] = v

@@ -1,8 +1,9 @@
 """The term kernel and the sparse containers built on it."""
 
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linfty import kernel
 from linfty.algebra import (
@@ -55,11 +56,57 @@ def test_mul_is_graded_commutative_at_term_level():
     assert ba == {((0, 0), (1, 2)): Fraction(-1)}
 
 
-# -- the unit fast paths against plain Fraction products --------------------
+# -- the exact primitives against the fractions operators ------------------
 
-nonzero_rationals = st.builds(
+
+def _assert_canonical(values):
+    """Each value is a true Fraction in lowest terms with a positive
+    denominator, hashing like the Fraction the constructor builds."""
+    for c in values:
+        assert type(c) is Fraction
+        assert gcd(c.numerator, c.denominator) == 1
+        assert c.denominator > 0
+        assert hash(c) == hash(Fraction(c.numerator, c.denominator))
+
+
+def test_fraction_layout_is_the_one_the_primitives_fill():
+    # the primitives build a Fraction by setting these two slots
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+small_rationals = st.builds(
     Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)
 )
+wide_rationals = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)
+)
+any_rationals = small_rationals | wide_rationals | st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1)]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_rationals, any_rationals)
+# one example per gcd branch of the sum: coprime denominators; a common
+# factor of the denominators that the new numerator does not share; one
+# that it does; equal denominators; a sum that cancels to zero.  Then a
+# product that cancels on both sides, and a zero factor
+@example(Fraction(1, 2), Fraction(1, 3))
+@example(Fraction(1, 6), Fraction(1, 4))
+@example(Fraction(1, 6), Fraction(1, 10))
+@example(Fraction(5, 7), Fraction(-3, 7))
+@example(Fraction(7, 10**6), Fraction(-7, 10**6))
+@example(Fraction(2, 3), Fraction(9, 4))
+@example(Fraction(0), Fraction(-999_983, 999_979))
+def test_primitives_equal_the_fractions_operators(a, b):
+    results = (kernel.frac_add(a, b), kernel.frac_mul(a, b), kernel.frac_neg(a))
+    assert results == (a + b, a * b, -a)
+    _assert_canonical(results)
+
+
+# -- the kernel against plain Fraction sums and products --------------------
+
+nonzero_rationals = (small_rationals | wide_rationals).filter(bool)
 # few keys, so that sums collide and cancel; half the coefficients are +-1
 term_dicts = st.dictionaries(
     st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)),
@@ -91,6 +138,8 @@ def _reference_sum(dst, src, scale):
 @settings(max_examples=200, deadline=None)
 @given(term_dicts, term_dicts, scales)
 def test_unit_fast_paths_match_plain_products(a, b, scale):
+    """mul_terms, add_into, add_term and scale_terms on unit, small and
+    wide coefficients equal plain Fraction arithmetic."""
     product = kernel.mul_terms(a, b)
     summed = kernel.add_into(dict(a), b, scale)
     single = dict(a)
@@ -102,6 +151,22 @@ def test_unit_fast_paths_match_plain_products(a, b, scale):
     for out in (product, summed, single):
         # no zero is stored, and an int scale is never stored as-is
         assert all(c and isinstance(c, Fraction) for c in out.values())
+        _assert_canonical(out.values())
+    scaled = kernel.scale_terms(b, scale)
+    assert scaled == {key: Fraction(scale) * c for key, c in b.items()}
+    _assert_canonical(scaled.values())
+
+
+def test_containers_store_fractions_for_int_input():
+    heis = get_fixture("heisenberg")
+    values = [
+        *GVector(heis, {"e1": 2, "e3": -1}).coeffs.values(),
+        *GVector(heis, {"e1": Fraction(1, 2)}).scale(4).coeffs.values(),
+        *Form.constant(2, 3).scale(-1).terms.values(),
+        *kernel.add_into({"x": Fraction(1, 3)}, {"x": Fraction(1)}, 2).values(),
+    ]
+    assert values == [2, -1, 2, -3, Fraction(7, 3)]
+    _assert_canonical(values)
 
 
 # -- properties of the shared core on random elements --------------------

@@ -321,6 +321,35 @@ def test_vector_render_parse_round_trip(v):
     assert parse_vector(v.render(), v.algebra) == v
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_presentation_data_round_trip(name):
+    algebra = get_fixture(name)
+    data = presentation_to_data(algebra)
+    loaded = presentation_from_data(data)
+    assert (loaded.name, loaded.symbols, loaded.degrees, loaded.max_arity) == (
+        algebra.name, algebra.symbols, algebra.degrees, algebra.max_arity
+    )
+    assert loaded.brackets == algebra.brackets
+    assert presentation_to_data(loaded) == data
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.integers(1, 3), st.data())
+def test_simplex_data_round_trip(name, n, data):
+    """Gauge-fixed simplices on the 1- to 3-simplex, solved from random
+    vertex values and witnesses at a random base vertex."""
+    algebra = get_fixture(name)
+    sampler = Sampler(data.draw(st.integers(0, 10**6)))
+    g = GaugeParameter(
+        n=n, mu=sampler.mc_element(algebra), witness=sampler.witness(algebra, n)
+    )
+    simplex = solve_gauge_fixed(algebra, n, data.draw(st.integers(0, n)), g)
+    data_out = simplex_to_data(simplex)
+    loaded = simplex_from_data(data_out, algebra)
+    assert loaded == simplex
+    assert simplex_to_data(loaded) == data_out
+
+
 class TestVectorRendering:
     def test_round_trip(self):
         heis = get_fixture("heisenberg")
