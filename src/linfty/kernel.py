@@ -14,8 +14,8 @@ Exact arithmetic: ``frac_add``, ``frac_mul`` and ``frac_neg``, the
 package's internal primitives, compute a + b, a * b and -a of
 Fractions from their numerators and denominators.  They run the gcd
 steps of the ``fractions`` module but skip its operator dispatch and
-constructor checks, which cost about three times the arithmetic
-itself, and build each result in place as CPython 3.12's
+constructor checks (an operator call takes about three times as long
+as the primitive), and build each result in place as CPython 3.12's
 ``Fraction._from_coprime_ints`` does: a true Fraction in lowest terms
 with a positive denominator, equal and hashing equal to what the
 operator gives.  They rely on Fraction's two slots, ``_numerator`` and
