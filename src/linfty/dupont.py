@@ -80,6 +80,17 @@ def integrate_chain(seq: Sequence[int], f: Form) -> Rational:
 
     Zero unless f has a component of exterior degree len(seq)-1;
     alternating in the sequence, zero on repeats.
+
+    Integrated in closed form, with no pullback: on the sorted chain
+    v_0 < ... < v_k a term c t^e dt_W with |W| = k is zero unless every
+    j with e_j > 0 and every letter of W lie on the chain.  Otherwise
+    it pulls back to c s^e ds_W on the standard k-simplex, s_a = t_{v_a}
+    (s_0 carries the exponent e_{v_0}), and W misses exactly one chain
+    position b: b = 0 gives ds_1...ds_k, and b > 0, where v_0 lies in W,
+    gives (-1)^b ds_1...ds_k through ds_0 = -(ds_1 + ... + ds_k).  The
+    Dirichlet integral of s_0^a_0 ... s_k^a_k ds_1...ds_k over the
+    k-simplex is a_0! ... a_k! / (|a| + k)!, so the term contributes
+    c (-1)^b prod e_j! / (|e| + k)!.
     """
     seq = tuple(seq)
     if not seq:
@@ -88,34 +99,27 @@ def integrate_chain(seq: Sequence[int], f: Form) -> Rational:
     for i in seq:
         if not 0 <= i <= n:
             raise ValueError(f"vertex index {i} out of range 0..{n}")
-    sorted_seq, sign = kernel.sort_word(seq)
+    chain, sign = kernel.sort_word(seq)
     if sign == 0:
         return _ZERO
-    k = len(seq) - 1
-    if k == 0:
-        value = evaluate_vertex(sorted_seq[0], f)
-        return value if sign > 0 else kernel.frac_neg(value)
-    part = f.component(k)
-    if part.is_zero():
-        return _ZERO
-    chain = SimplicialMap(k, n, sorted_seq)
-    pulled = pullback(chain, part).component(k)
+    k = len(chain) - 1
+    # the word of a term that can contribute, by the chain position b it
+    # misses, with its sign (-1)^b; the words holding vertex 0 never occur
+    faces = {chain[:b] + chain[b + 1:]: 1 - 2 * (b & 1) for b in range(k + 1)}
+    off_chain = [j - 1 for j in range(1, n + 1) if j not in chain]
     total = _ZERO
-    for (exps, word), coeff in pulled.terms.items():
-        # on the k-simplex the only exterior-top word is (1, ..., k)
+    for (exps, word), coeff in f.terms.items():
+        face_sign = faces.get(word)
+        if face_sign is None or any(exps[pos] for pos in off_chain):
+            continue
+        weight = factorial(sum(exps) + k)
+        for e in exps:
+            if e > 1:
+                weight //= factorial(e)
         total = kernel.frac_add(
-            total, kernel.frac_mul(coeff, _standard_integral(exps))
+            total, kernel.frac_mul_int(coeff, face_sign, weight)
         )
     return total if sign > 0 else kernel.frac_neg(total)
-
-
-def _standard_integral(exps: Sequence[int]) -> Rational:
-    """Integral of t^exps dt_1...dt_k over the standard k-simplex."""
-    k = len(exps)
-    num = 1
-    for e in exps:
-        num *= factorial(e)
-    return Fraction(num, factorial(sum(exps) + k))
 
 
 # -- Poincare homotopies ----------------------------------------------

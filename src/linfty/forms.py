@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from linfty import kernel
@@ -284,7 +285,7 @@ def exterior_d(f: Form) -> Form:
             new_exps = list(exps)
             new_exps[pos] -= 1
             kernel.add_term(out, (tuple(new_exps), new_word),
-                            kernel.frac_mul(coeff, Fraction(e * sign)))
+                            kernel.frac_mul_int(coeff, e * sign))
     return Form(f.n, out, _validated=True)
 
 
@@ -418,78 +419,96 @@ class SimplicialMap:
         return f"SimplicialMap([{self.source}]->[{self.target}], {self.values})"
 
 
-_PULLBACK_GEN_CACHE: dict = {}
-
-
-def _pullback_generators(f: SimplicialMap):
-    """Reduced images under f^* of the target generators: a table of
-    the powers of the t_i, keyed (i, e) and filled on demand from
-    (i, 1), the image of t_i; and the tuple of images of the dt_i."""
-    key = (f.source, f.target, f.values)
-    cached = _PULLBACK_GEN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    m = f.source
-    t_powers = {}
-    dt_images = []
-    for i in range(f.target + 1):
-        t_img: dict = {}
-        dt_img: dict = {}
-        for j, v in enumerate(f.values):
-            if v == i:
-                kernel.add_into(t_img, Form.t(j, m).terms)
-                kernel.add_into(dt_img, Form.dt(j, m).terms)
-        t_powers[(i, 1)] = Form(m, t_img, _validated=True)
-        dt_images.append(Form(m, dt_img, _validated=True))
-    cached = (t_powers, tuple(dt_images))
-    _PULLBACK_GEN_CACHE[key] = cached
-    return cached
-
-
-def _t_power_image(t_powers: dict, i: int, e: int) -> Form:
-    """The image of t_i^e, e >= 1, from a map's power table: the highest
-    cached power below e multiplied up by t_i's image, storing each
-    power on the way."""
-    image = t_powers.get((i, e))
-    if image is not None:
-        return image
-    base = t_powers[(i, 1)]
-    if base.is_zero():
-        t_powers[(i, e)] = base
-        return base
-    k = e - 1
-    while (i, k) not in t_powers:
-        k -= 1
-    image = t_powers[(i, k)]
-    for power in range(k + 1, e + 1):
-        image = t_powers[(i, power)] = image * base
-    return image
-
-
 def pullback(f: SimplicialMap, form: Form) -> Form:
     """Pull a form on the target simplex back along f; an algebra map
-    commuting with the differential.  Each monomial's image is the
-    product of the cached images of its t-powers and dt-letters, taken
-    with coefficient 1 and added in scaled by the monomial's
-    coefficient."""
+    commuting with the differential.
+
+    Substitutes t_j -> sum of s_a and dt_j -> sum of ds_a over the
+    preimage f^-1(j) of each j >= 1.  The preimages are disjoint blocks
+    of consecutive source vertices, so a monomial c t^e dt_W expands
+    into c times a multinomial coefficient for each way of spreading
+    every t_j^e_j over its block and choosing one ds-letter from the
+    block of every letter of W; the chosen letters come out sorted.  Two
+    different expansions, of one monomial or of two, never give the same
+    key, so these terms are stored without adding.  Only the terms that
+    involve s_0 = 1 - s_1 - ... - s_m, eliminated on the source, need
+    reduction; they occur when f(0) > 0, as on a d_0 face.  They are
+    collected by their power p of s_0, with ds_0 = -(ds_1 + ... + ds_m)
+    expanded at once, and each collection is reduced by one product with
+    the cached image of t_0^p.
+    """
     if form.n != f.target:
         raise ValueError(
             f"form lives on the {form.n}-simplex, map targets [{f.target}]"
         )
-    t_powers, dt_images = _pullback_generators(f)
     m = f.source
+    blocks = [[] for _ in range(f.target + 1)]
+    for a, v in enumerate(f.values):
+        blocks[v].append(a)
     out: dict = {}
+    # the terms with a factor s_0^p (p > 0) or ds_0, by p, with s_0^p
+    # left out and ds_0 expanded
+    pending: dict = {}
     for (exps, word), coeff in form.terms.items():
-        image = None
-        for factor in itertools.chain(
-            (_t_power_image(t_powers, pos + 1, e)
-             for pos, e in enumerate(exps) if e),
-            (dt_images[j] for j in word),
-        ):
-            image = factor if image is None else image * factor
-            if image.is_zero():
-                break
-        if image is None:
-            image = Form.one(m)
-        kernel.add_into(out, image.terms, coeff)
+        words = list(itertools.product(*[blocks[j] for j in word]))
+        if not words:
+            continue
+        src = [0] * (m + 1)
+        tables = []
+        for j, e in enumerate(exps, start=1):
+            if not e:
+                continue
+            block = blocks[j]
+            if len(block) == 1:
+                src[block[0]] = e
+            else:
+                tables.append(_spread(block, e))
+        images = [(src, coeff)]
+        for table in tables:
+            images = [_apply_spread(image, part, count)
+                      for image in images for part, count in table]
+        for image, c in images:
+            p = image[0]
+            exps_key = tuple(image[1:])
+            for w in words:
+                if w and not w[0]:
+                    # ds_0 = -(ds_1 + ... + ds_m)
+                    group = pending.setdefault(p, {})
+                    rest = w[1:]
+                    for a in range(1, m + 1):
+                        merged, sign = kernel.merge_words((a,), rest)
+                        if sign:
+                            kernel.add_term(
+                                group, (exps_key, merged),
+                                kernel.frac_neg(c) if sign > 0 else c,
+                            )
+                elif p:
+                    kernel.add_term(pending.setdefault(p, {}), (exps_key, w), c)
+                else:
+                    out[exps_key, w] = c
+    for p, group in pending.items():
+        # on the point, s_0 = 1
+        if p and m:
+            group = kernel.mul_terms(_t_power(0, p, m).terms, group)
+        kernel.add_into(out, group)
     return Form(m, out, _validated=True)
+
+
+def _apply_spread(image, part, count):
+    """An image (source exponents, coefficient) times one term of a
+    spread."""
+    exps, coeff = image
+    exps = list(exps)
+    for a, x in part:
+        exps[a] = x
+    return exps, coeff if count == 1 else kernel.frac_mul_int(coeff, count)
+
+
+def _spread(block, e: int) -> list:
+    """The terms of (s_a + s_b + ...)^e over a block of source vertices:
+    pairs (((a, exponent), ...), multinomial); none for an empty block."""
+    if len(block) <= 1:
+        return [(((block[0], e),), 1)] if block else []
+    first, rest = block[0], block[1:]
+    return [(((first, x),) + part, comb(e, x) * count)
+            for x in range(e + 1) for part, count in _spread(rest, e - x)]

@@ -10,20 +10,24 @@ term dict is added into, scaled or cleared of zeros (``add_into`` and
 ``mul_terms``, the innermost loops, inline ``add_term``); the word
 helpers carry the signs of the exterior product.
 
-Exact arithmetic: ``frac_add``, ``frac_mul`` and ``frac_neg``, the
-package's internal primitives, compute a + b, a * b and -a of
-Fractions from their numerators and denominators.  They run the gcd
-steps of the ``fractions`` module but skip its operator dispatch and
-constructor checks (an operator call takes about three times as long
-as the primitive), and build each result in place as CPython 3.12's
+Exact arithmetic: the package's four internal primitives compute
+from numerators and denominators: ``frac_add``, ``frac_mul`` and
+``frac_neg`` give a + b, a * b and -a of Fractions, and
+``frac_mul_int`` gives a * m / d of a Fraction a and ints m and d > 0
+with one gcd (``exterior_d`` scales by exponents, ``pullback`` by
+multinomial coefficients and ``integrate_chain`` by the Dirichlet
+integral's factorials through it).  They run the gcd steps of the
+``fractions`` module but skip its operator dispatch and constructor
+checks (an operator call takes about three times as long as the
+primitive), and build each result in place as CPython 3.12's
 ``Fraction._from_coprime_ints`` does: a true Fraction in lowest terms
 with a positive denominator, equal and hashing equal to what the
 operator gives.  They rely on Fraction's two slots, ``_numerator`` and
 ``_denominator``, a layout the tests pin.  Every coefficient the
 kernel computes goes through them, and every stored coefficient is a
 Fraction: ``drop_zeros`` converts coefficients that come from outside,
-and a scale that is not a Fraction is converted once per call by
-``as_fraction``.
+and ``add_into`` and ``scale_terms`` convert a scale that is not a
+Fraction once per call.
 """
 
 from fractions import Fraction
@@ -72,6 +76,16 @@ def frac_mul(a, b):
         nb //= g2
         da //= g2
     return _fraction(na * nb, db * da)
+
+
+def frac_mul_int(a, m, d=1):
+    """a * m / d for a Fraction a and ints m and d > 0."""
+    numerator = a._numerator * m
+    denominator = a._denominator * d
+    g = gcd(numerator, denominator)
+    if g == 1:
+        return _fraction(numerator, denominator)
+    return _fraction(numerator // g, denominator // g)
 
 
 def frac_neg(a):
@@ -150,11 +164,21 @@ def add_into(dst, src, scale=1):
 
     src must hold no zeros; returns dst.
     """
-    if not src or not scale:
+    if not src:
         return dst
-    scaled = scale != 1
-    if scaled:
+    # the scale is tested by value as an int and by its slots as a
+    # Fraction, so that no test dispatches into ``fractions``
+    if type(scale) is int:
+        if not scale:
+            return dst
+        scaled = scale != 1
+        if scaled:
+            scale = _fraction(scale, 1)
+    else:
         scale = as_fraction(scale)
+        if not scale._numerator:
+            return dst
+        scaled = scale._numerator != 1 or scale._denominator != 1
     for key, coeff in src.items():
         if scaled:
             coeff = frac_mul(scale, coeff)

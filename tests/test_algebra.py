@@ -470,6 +470,16 @@ def test_square_of_a_degree_one_vector_is_the_ordered_bracket(data):
     assert bracket(algebra, [x, x]) == bracket(algebra, copies(x, 2))
 
 
+@PROPERTY
+@given(st.sampled_from(("dg_lie_01", "heis_exterior")), st.integers(0, 2**32 - 1))
+def test_twist_at_a_random_mc_element_passes_jacobi(name, seed):
+    # criterion 5 twists by five sampled elements per fixture; here the
+    # sampler's seed is random
+    algebra = get_fixture(name)
+    mu = Sampler(seed).mc_element(algebra)
+    assert check_jacobi(twist(algebra, mu), 4).passed
+
+
 def test_runs_merge_only_a_repeated_odd_argument():
     algebra = get_fixture("dg_lie_01")
     x = TensorElement(algebra, 1, {"e1": Form.dt(1, 1), "f1": Form.t(1, 1)})

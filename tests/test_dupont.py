@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,106 @@ def test_poincare_identity_on_random_forms(nf, vertex):
     assert lhs == f - Form.constant(n, evaluate_vertex(i, f))
 
 
+# -- pullback and chain integration against the product algorithms ---------
+
+
+def _pullback_by_products(f, form):
+    """The pullback as the product of the images of the generators: each
+    monomial maps to its coefficient times the images of its t-factors
+    and dt-letters, the image of t_j (dt_j) being the sum of the source
+    t_a (dt_a) over a in f^-1(j)."""
+    m = f.source
+    t_images = [Form.zero(m)] * (f.target + 1)
+    dt_images = [Form.zero(m)] * (f.target + 1)
+    for a, v in enumerate(f.values):
+        t_images[v] = t_images[v] + Form.t(a, m)
+        dt_images[v] = dt_images[v] + Form.dt(a, m)
+    total = Form.zero(m)
+    for (exps, word), coeff in form.terms.items():
+        image = Form.constant(m, coeff)
+        for j, e in enumerate(exps, start=1):
+            for _ in range(e):
+                image = image * t_images[j]
+        for j in word:
+            image = image * dt_images[j]
+        total = total + image
+    return total
+
+
+def _integral_by_pullback(seq, f):
+    """The chain integral as the pullback of f to the standard k-simplex
+    spanned by the sorted sequence, integrated term by term, with the
+    sign of the sorting permutation."""
+    if len(set(seq)) != len(seq):
+        return Fraction(0)
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    k = len(seq) - 1
+    chain = SimplicialMap(k, f.n, sorted(seq))
+    pulled = _pullback_by_products(chain, f.component(k)).component(k)
+    total = Fraction(0)
+    for (exps, _), coeff in pulled.terms.items():
+        weight = math.prod(math.factorial(e) for e in exps)
+        total += coeff * Fraction(weight, math.factorial(sum(exps) + k))
+    return -total if inversions % 2 else total
+
+
+@st.composite
+def forms_on(draw, n):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        word = tuple(i for i in range(1, n + 1) if draw(st.booleans()))
+        terms[(exps, word)] = draw(rationals)
+    return Form(n, terms)
+
+
+@st.composite
+def maps_and_forms(draw):
+    """A random monotone map [m] -> [n], not necessarily injective or
+    surjective, and a form on the n-simplex; n = 0..3, m = 0..4."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    values = sorted(draw(st.lists(st.integers(0, n), min_size=m + 1,
+                                  max_size=m + 1)))
+    return SimplicialMap(m, n, values), draw(forms_on(n))
+
+
+@st.composite
+def sequences_and_forms(draw):
+    """A random vertex sequence, often without repeats but unsorted, and
+    a form on the n-simplex whose terms often have the sequence's
+    exterior degree; n = 0..3."""
+    n = draw(st.integers(0, 3))
+    vertices = st.integers(0, n)
+    seq = draw(st.lists(vertices, min_size=1, max_size=n + 1, unique=True)
+               | st.lists(vertices, min_size=1, max_size=n + 2))
+    k = min(len(seq) - 1, n)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        size = k if draw(st.booleans()) else draw(st.integers(0, n))
+        # (on the point, size is 0 and no letter is drawn)
+        word = draw(st.lists(st.integers(1, max(n, 1)), min_size=size,
+                             max_size=size, unique=True))
+        terms[(exps, tuple(sorted(word)))] = draw(rationals)
+    return tuple(seq), Form(n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_forms())
+def test_pullback_equals_the_product_of_generator_images(case):
+    f, form = case
+    assert pullback(f, form) == _pullback_by_products(f, form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences_and_forms())
+def test_chain_integral_equals_the_integral_of_the_pullback(case):
+    seq, form = case
+    value = integrate_chain(seq, form)
+    assert type(value) is Fraction
+    assert value == _integral_by_pullback(seq, form)
+
+
 # -- the operators pinned by fingerprint ---------------------------------
 
 
@@ -252,6 +353,13 @@ def _images(op):
             rows += [[f.render(), i, contract_euler(i, f).render()]
                      for f in (m, m.scale(Fraction(-2, 3)))
                      for i in range(n + 1)]
+        elif op == "integrate_chain":
+            # every vertex sequence of length <= 4: sorted, unsorted, with
+            # repeats, and not starting at 0
+            rows += [[f.render(), list(seq), str(integrate_chain(seq, f))]
+                     for f in (m, m.scale(Fraction(-2, 3)))
+                     for size in range(1, n + 2)
+                     for seq in itertools.product(range(n + 1), repeat=size)]
         else:
             maps = [SimplicialMap.face(k, n) for k in range(n + 1)]
             maps += [SimplicialMap.degeneracy(k, n + 1) for k in range(n + 1)]
@@ -270,6 +378,7 @@ def _images(op):
         ("pullback", "9975a8f63af83b39"),
         ("exterior_d", "30a1df25f3129062"),
         ("contract_euler", "7da8b5a9b4719ef5"),
+        ("integrate_chain", "bf1bd78ac6faa12d"),
     ],
 )
 def test_operator_image_fingerprint(op, expected):

@@ -181,8 +181,8 @@ class TestPullback:
         assert pullback(s0, Form.t(1, 1)) == Form.t(2, 2)
 
     def test_high_powers_pull_back(self):
-        # the power table is filled iteratively, so an exponent far past
-        # the recursion limit is no error
+        # the substitution sets each exponent directly, so an exponent
+        # far past the recursion limit is no error
         form = mono(2, (2000, 0), (1,))
         assert pullback(SimplicialMap.face(2, 2), form) == mono(1, (2000,), (1,))
         assert pullback(SimplicialMap.face(1, 2), form).is_zero()

@@ -1,5 +1,7 @@
 """The term kernel and the sparse containers built on it."""
 
+import fractions
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +21,8 @@ from linfty.fixtures import (
     heisenberg_abelianization,
     three_bracket_projection,
 )
-from linfty.forms import Form
+from linfty.dupont import integrate_chain
+from linfty.forms import Form, SimplicialMap, exterior_d, pullback
 
 
 def test_sort_word_signs():
@@ -104,6 +107,21 @@ def test_primitives_equal_the_fractions_operators(a, b):
     _assert_canonical(results)
 
 
+@settings(max_examples=500, deadline=None)
+@given(any_rationals, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+# an int that cancels the denominator, one that does not, a divisor
+# that cancels the numerator, a zero factor and a zero Fraction
+@example(Fraction(5, 6), 4, 1)
+@example(Fraction(5, 6), 7, 1)
+@example(Fraction(-9, 7), 1, 6)
+@example(Fraction(2, 3), 0, 5)
+@example(Fraction(0), -3, 4)
+def test_integer_scaling_equals_the_fractions_operators(a, m, d):
+    results = (kernel.frac_mul_int(a, m), kernel.frac_mul_int(a, m, d))
+    assert results == (a * m, a * m / d)
+    _assert_canonical(results)
+
+
 # -- the kernel against plain Fraction sums and products --------------------
 
 nonzero_rationals = (small_rationals | wide_rationals).filter(bool)
@@ -167,6 +185,49 @@ def test_containers_store_fractions_for_int_input():
     ]
     assert values == [2, -1, 2, -3, Fraction(7, 3)]
     _assert_canonical(values)
+
+
+# -- no operator dispatch on the hot paths ---------------------------------
+
+
+def _fractions_calls(action):
+    """The names of the ``fractions`` functions entered while action runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_hot_paths_make_no_call_into_fractions():
+    terms = {((1, 0, 2), (1,)): Fraction(-2, 3), ((0, 1, 1), (1, 3)): Fraction(5, 7),
+             ((2, 0, 0), (2, 3)): Fraction(1), ((0, 0, 1), ()): Fraction(3, 2)}
+    form = Form(3, terms)
+    top = Form(3, {((1, 0, 2), (1, 2)): Fraction(-2, 3),
+                   ((0, 2, 1), (2, 3)): Fraction(5, 7),
+                   ((1, 1, 1), (1, 3)): Fraction(4)})
+    d0, s1 = SimplicialMap.face(0, 3), SimplicialMap.degeneracy(1, 4)
+    scale = Fraction(-2, 3)
+    actions = {
+        "add_into": lambda: kernel.add_into(dict(terms), top.terms, scale),
+        "exterior_d": lambda: exterior_d(form),
+        "pullback along d_0": lambda: pullback(d0, form),
+        "pullback along s_1": lambda: pullback(s1, form),
+        "integrate_chain from vertex 1": lambda: integrate_chain((1, 2, 3), top),
+    }
+    for name, action in actions.items():
+        # the first pullback along d_0 fills the cached powers of t_0
+        action()
+        assert _fractions_calls(action) == [], name
+    assert integrate_chain((1, 2, 3), top) != 0
+    assert pullback(d0, form).terms
 
 
 # -- properties of the shared core on random elements --------------------
