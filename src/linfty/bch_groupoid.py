@@ -339,22 +339,10 @@ class NilMatrix:
         self.size = m
         self.rows = rows
 
-    @staticmethod
-    def zero(m: int) -> "NilMatrix":
-        return NilMatrix([[_ZERO] * m for _ in range(m)])
-
     def __add__(self, other: "NilMatrix") -> "NilMatrix":
         return NilMatrix(
             [
                 [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other: "NilMatrix") -> "NilMatrix":
-        return NilMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ]
         )

@@ -180,13 +180,13 @@ def _h_monomial(i: int, n: int, key) -> Form:
             key2 = (tuple(new_exps), gword)
             b = base + m
             if b:
-                c = kernel.frac_mul(gcoeff, Fraction(numerator, denominator))
+                c = kernel.frac_mul_int(gcoeff, numerator, denominator)
                 numerator = numerator * b // (m + 1)
             else:
                 # b = 0 forces m = 0, where the binomial is 1
                 kernel.add_term(remainders, key2, gcoeff)
                 c = kernel.frac_mul(gcoeff, kernel.frac_neg(_harmonic(e)))
-            if c:
+            if c._numerator:
                 kernel.add_term(terms, key2, c)
     if remainders:
         raise ArithmeticError(

@@ -1,11 +1,12 @@
 """Bundled test algebras, morphisms, representations, and samplers.
 
 Everything the acceptance suite runs on lives here: the small named
-presentations, the free nilpotent dg Lie algebra of class 3 built from
-graded commutators of words in the free associative algebra, the
-faithful matrix representations for the group-law oracles, surjections
-for relative horn filling, and the seeded deterministic samplers
-(coefficients drawn from a fixed set of small rationals).
+presentations, the word product and graded commutator of the free
+associative algebra and the free nilpotent dg Lie algebras of any class
+built on them (class 3 is the series fixture), the faithful matrix
+representations for the group-law oracles, surjections for relative
+horn filling, and the seeded deterministic samplers (coefficients
+drawn from a fixed set of small rationals).
 """
 
 from __future__ import annotations
@@ -144,126 +145,136 @@ def three_bracket() -> LInftyAlgebra:
     )
 
 
-# -- the free nilpotent dg Lie algebra of class 3 -----------------------
+# -- free nilpotent dg Lie algebras, built on words ----------------------
+
+
+def word_product(u: dict, v: dict) -> dict:
+    """The concatenation product of two {word tuple: Fraction} maps."""
+    out: dict = {}
+    for wu, cu in u.items():
+        for wv, cv in v.items():
+            kernel.add_term(out, wu + wv, kernel.frac_mul(cu, cv))
+    return out
+
+
+def word_commutator(u: dict, v: dict, degrees) -> dict:
+    """The graded commutator uv - (-1)^(|u||v|) vu of two homogeneous
+    word maps; degrees gives the degree of each letter."""
+    if not u or not v:
+        return {}
+    odd = all(sum(degrees[g] for g in next(iter(x))) % 2 for x in (u, v))
+    return kernel.add_into(word_product(u, v), word_product(v, u),
+                           1 if odd else -1)
+
+
+def free_nilpotent(name: str, generators, delta, top: int):
+    """The free dg Lie algebra on (symbol, degree) generators with the
+    differential delta (generator -> generator, a derivation on words
+    with the Koszul sign of the letters it passes), truncated above
+    bracket weight top; returns (algebra, expansion), expansion mapping
+    each basis symbol to its word expansion.
+
+    A Lie element is a map {word: coefficient} in the free graded
+    associative algebra and the bracket is word_commutator.  The cells
+    of weight w > 1 are [p, g] for p of weight w - 1 and g a generator
+    (g from p on at w = 2), named w[a,b], w[[a,b],c], ...; the basis
+    keeps the cells off the pivots of the relations among the word
+    expansions of each letter multiset (in characteristic 0, the Jacobi
+    relations).  Every table entry is a word expansion read back in
+    this basis.
+    """
+    degrees = dict(generators)
+    gens = list(degrees)
+    expansion: dict = {}  # basis symbol -> word expansion
+    readers: dict = {}  # sorted letters -> Subspace
+
+    def add_cells(cells):
+        """Per multiset, RREF the rows (word expansion | unit) of the
+        (symbol, letters, expansion) cells.  Its rows with no word part
+        are the RREF of the relations; keep the cells off their pivots."""
+        groups: dict = {}
+        for sym, letters, lie in cells:
+            groups.setdefault(tuple(sorted(letters)), []).append((sym, lie))
+        for multiset, group in groups.items():
+            words = sorted(set(itertools.permutations(multiset)))
+            reader = readers[multiset] = Subspace(
+                words + [sym for sym, _ in group],
+                [{**lie, sym: _ONE} for sym, lie in group],
+            )
+            relation_pivots = set(reader.pivots).difference(words)
+            expansion.update(
+                (sym, lie) for sym, lie in group if sym not in relation_pivots
+            )
+
+    add_cells([(g, (g,), {(g,): _ONE}) for g in gens])
+    layer = gens
+    for weight in range(2, top + 1):
+        before = len(expansion)
+        add_cells([
+            (f"w[{p if weight == 2 else p[1:]},{g}]",
+             next(iter(expansion[p])) + (g,),
+             word_commutator(expansion[p], expansion[g], degrees))
+            for i, p in enumerate(layer)
+            for g in (gens[i:] if weight == 2 else gens)
+        ])
+        layer = list(expansion)[before:]
+
+    table: dict = {}
+
+    def enter(key, lie):
+        """(words | 0) reduces to (0 | -coordinates) in the readers."""
+        parts: dict = {}
+        for word, c in lie.items():
+            parts.setdefault(tuple(sorted(word)), {})[word] = c
+        value: dict = {}
+        for multiset, part in parts.items():
+            rest = readers[multiset].reduce(part)
+            value.update((sym, kernel.frac_neg(c)) for sym, c in rest.items())
+        if value:
+            table[key] = value
+
+    letters = {sym: next(iter(lie)) for sym, lie in expansion.items()}
+    for a, b in itertools.combinations_with_replacement(expansion, 2):
+        if len(letters[a]) + len(letters[b]) <= top:
+            enter((a, b), word_commutator(expansion[a], expansion[b], degrees))
+    for sym, lie in expansion.items():
+        dlie: dict = {}
+        for word, c in lie.items():
+            for i, g in enumerate(word):
+                if g in delta:
+                    odd = sum(degrees[x] for x in word[:i]) % 2
+                    kernel.add_term(dlie, word[:i] + (delta[g],) + word[i + 1:],
+                                    kernel.frac_neg(c) if odd else c)
+        enter((sym,), dlie)
+
+    generators = [(sym, sum(degrees[g] for g in word))
+                  for sym, word in letters.items()]
+    return LInftyAlgebra(name, generators, table), expansion
+
+
+CLASS3_GENERATORS = (
+    ("x1", 0), ("x2", 0), ("x12", -1), ("y1", 1), ("y2", 1), ("y12", 0)
+)
+CLASS3_DELTA = {"x1": "y1", "x2": "y2", "x12": "y12"}
 
 
 @functools.cache
 def free_nilpotent_class3():
-    """The free dg Lie algebra on x1, x2 (degree 0), x12 (degree -1)
-    with freely adjoined differentials y1, y2 (degree 1), y12 (degree
-    0), truncated at bracket words of weight 4.
-
-    Built in the free graded associative algebra on the six generators:
-    a Lie element is a {word: coefficient} map, the bracket is the
-    graded commutator uv - (-1)^(|u||v|) vu and delta is the derivation
-    x -> y.  The basis is the generators, the canonical pairs w[a,b]
-    and the cells w[[a,b],c] off the pivots of the relations among the
-    word expansions of each generator multiset (in characteristic 0,
-    the Jacobi relations), so every basis cell keeps its generator
-    content.  Every table entry is a word expansion read back in this
-    basis.  Returns (algebra, bracket_count) where bracket_count maps a
-    basis symbol to (weight - 1) + (number of adjoined differential
-    generators in its word).  Built once per process, so the algebra
-    (with its cached lower central filtration) is the one
-    get_fixture("free_nilpotent_class3") returns.
+    """free_nilpotent of class 3 on x1, x2 (degree 0), x12 (degree -1)
+    and their differentials y1, y2, y12.  Returns (algebra,
+    bracket_count), bracket_count mapping a basis symbol to (weight - 1)
+    + (number of differentials in its word).  Built once per process,
+    so the algebra (with its cached lower central filtration) is the
+    one get_fixture("free_nilpotent_class3") returns.
     """
-    gens = ["x1", "x2", "x12", "y1", "y2", "y12"]
-    degs = {"x1": 0, "x2": 0, "x12": -1, "y1": 1, "y2": 1, "y12": 0}
-    delta = {"x1": "y1", "x2": "y2", "x12": "y12"}
-
-    def odd(word):
-        return sum(degs[g] for g in word) % 2
-
-    def commutator(u, v):
-        out: dict = {}
-        for wu, cu in u.items():
-            for wv, cv in v.items():
-                c = cu * cv
-                kernel.add_term(out, wu + wv, c)
-                kernel.add_term(out, wv + wu, c if odd(wu) and odd(wv) else -c)
-        return out
-
-    def derivation(u):
-        """delta on words, with the Koszul sign of the letters it passes."""
-        out: dict = {}
-        for word, c in u.items():
-            for i, g in enumerate(word):
-                if g in delta:
-                    dword = word[:i] + (delta[g],) + word[i + 1:]
-                    kernel.add_term(out, dword, -c if odd(word[:i]) else c)
-        return out
-
-    expansion: dict = {}  # basis symbol -> word expansion
-    content: dict = {}  # basis symbol -> its generators
-    readers: dict = {}  # multiset -> Subspace
-
-    def add_cells(cells):
-        """Per multiset, RREF the rows (word expansion | unit) of the
-        (symbol, generators, expansion) cells.  Its rows with no word
-        part are the RREF of the relations; keep the cells off their
-        pivots."""
-        groups: dict = {}
-        for cell in cells:
-            groups.setdefault(tuple(sorted(cell[1])), []).append(cell)
-        for multiset, group in groups.items():
-            words = sorted(set(itertools.permutations(multiset)))
-            syms = [sym for sym, _, _ in group]
-            reader = readers[multiset] = Subspace(
-                words + syms, [{**lie, sym: _ONE} for sym, _, lie in group]
-            )
-            relation_pivots = set(reader.pivots).difference(words)
-            for sym, gs, lie in group:
-                if sym not in relation_pivots:
-                    expansion[sym] = lie
-                    content[sym] = gs
-
-    def coords(u):
-        """A Lie element in the basis: (words | 0) reduces to
-        (0 | -coordinates) in each multiset's reader."""
-        parts: dict = {}
-        for word, c in u.items():
-            parts.setdefault(tuple(sorted(word)), {})[word] = c
-        out: dict = {}
-        for multiset, part in parts.items():
-            rest = readers[multiset].reduce(part)
-            out.update((sym, -c) for sym, c in rest.items())
-        return out
-
-    add_cells([(g, (g,), {(g,): _ONE}) for g in gens])
-    add_cells([
-        (f"w[{a},{b}]", (a, b), commutator(expansion[a], expansion[b]))
-        for i, a in enumerate(gens)
-        for b in gens[i:]
-    ])
-    pairs = list(expansion)[len(gens):]
-    add_cells([
-        (f"w[[{','.join(content[p])}],{c}]", content[p] + (c,),
-         commutator(expansion[p], expansion[c]))
-        for p in pairs
-        for c in gens
-    ])
-
-    # [a, b] = w[a,b]; [c, w[a,b]] and delta are read back from words
-    table: dict = {content[p]: {p: _ONE} for p in pairs}
-
-    def enter(key, lie):
-        value = coords(lie)
-        if value:
-            table[key] = value
-
-    for p in pairs:
-        for c in gens:
-            enter((c, p), commutator(expansion[c], expansion[p]))
-    for sym, lie in expansion.items():
-        enter((sym,), derivation(lie))
-
-    generators = [(sym, sum(degs[g] for g in gs)) for sym, gs in content.items()]
-    algebra = LInftyAlgebra("free_nilpotent_class3", generators, table)
-    bracket_count = {
-        sym: len(gs) - 1 + sum(g in delta.values() for g in gs)
-        for sym, gs in content.items()
+    algebra, expansion = free_nilpotent(
+        "free_nilpotent_class3", CLASS3_GENERATORS, CLASS3_DELTA, 3
+    )
+    ys = set(CLASS3_DELTA.values())
+    words = {sym: next(iter(lie)) for sym, lie in expansion.items()}
+    return algebra, {
+        sym: len(w) - 1 + sum(g in ys for g in w) for sym, w in words.items()
     }
-    return algebra, bracket_count
 
 
 # -- registry ------------------------------------------------------------

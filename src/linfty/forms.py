@@ -65,7 +65,7 @@ class Form:
     @staticmethod
     def constant(n: int, value) -> "Form":
         value = kernel.as_fraction(value)
-        if not value:
+        if not value._numerator:
             return Form.zero(n)
         return Form(n, {((0,) * n, ()): value}, _validated=True)
 
@@ -246,15 +246,14 @@ _T_POWER_CACHE: dict = {}
 
 
 def _t_power(i: int, e: int, n: int) -> Form:
-    key = (n, i, e)
-    cached = _T_POWER_CACHE.get(key)
-    if cached is None:
-        cached = Form.one(n)
-        base = Form.t(i, n)
-        for _ in range(e):
-            cached = cached * base
-        _T_POWER_CACHE[key] = cached
-    return cached
+    """t_i^e, each power one product from the cached power below it."""
+    below = e
+    while below and (n, i, below) not in _T_POWER_CACHE:
+        below -= 1
+    power = _T_POWER_CACHE[(n, i, below)] if below else Form.one(n)
+    for k in range(below + 1, e + 1):
+        power = _T_POWER_CACHE[(n, i, k)] = power * Form.t(i, n)
+    return power
 
 
 # -- the graded product ----------------------------------------------

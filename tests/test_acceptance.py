@@ -8,16 +8,22 @@ that table has the opposite sign, so the literal comparison is a
 documented expected failure rather than something to tune away.
 """
 
-import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from linfty import acceptance
+from linfty import acceptance, kernel
 from linfty.algebra import GVector, bracket
 from linfty.bch_groupoid import generalized_ch
-from linfty.fixtures import free_nilpotent_class3
+from linfty.fixtures import (
+    CLASS3_DELTA,
+    CLASS3_GENERATORS,
+    free_nilpotent,
+    free_nilpotent_class3,
+    word_commutator,
+    word_product,
+)
 
 
 def _run(name):
@@ -133,74 +139,43 @@ def test_word_bch_witness_rho2_expansion():
     length <= 3, is the word expansion of the flipped series above at
     x12 = 0 (bracket_count <= 2) and carries -1/12 on [x1+x2,[x1,x2]]."""
     algebra, bracket_count = free_nilpotent_class3()
+    _, expansion = free_nilpotent(
+        "words", CLASS3_GENERATORS, CLASS3_DELTA, 3
+    )
     top = 3
-
-    def combine(*scaled):
-        out: dict = {}
-        for scale, u in scaled:
-            for word, c in u.items():
-                out[word] = out.get(word, 0) + scale * c
-        return {word: c for word, c in out.items() if c}
+    one = {(): Fraction(1)}
 
     def mul(u, v):
-        out: dict = {}
-        for wu, cu in u.items():
-            for wv, cv in v.items():
-                if len(wu) + len(wv) <= top:
-                    out[wu + wv] = out.get(wu + wv, 0) + cu * cv
-        return {word: c for word, c in out.items() if c}
-
-    def parity(word):
-        return sum(algebra.degrees[g] for g in word) % 2
-
-    def commutator(u, v):
-        """uv - (-1)^(|u||v|) vu."""
-        terms = []
-        for wu, cu in u.items():
-            for wv, cv in v.items():
-                swap = 1 if parity(wu) and parity(wv) else -1
-                terms += [(cu * cv, {wu + wv: 1}), (swap * cu * cv, {wv + wu: 1})]
-        return combine(*terms)
-
-    def letter(g):
-        return {(g,): Fraction(1)}
-
-    def expand(sym):
-        """w[a,b] -> [a,b] and w[[a,b],c] -> [[a,b],c] on words."""
-        cell = re.fullmatch(r"w\[\[(\w+),(\w+)\],(\w+)\]", sym)
-        if cell:
-            a, b, c = cell.groups()
-            return commutator(commutator(letter(a), letter(b)), letter(c))
-        pair = re.fullmatch(r"w\[(\w+),(\w+)\]", sym)
-        if pair:
-            return commutator(letter(pair[1]), letter(pair[2]))
-        return letter(sym)
+        return {w: c for w, c in word_product(u, v).items() if len(w) <= top}
 
     def exp(x):
-        total, power = {(): Fraction(1)}, {(): Fraction(1)}
+        total, power = dict(one), one
         for k in range(1, top + 1):
             power = mul(power, x)
-            total = combine((1, total), (Fraction(1, factorial(k)), power))
+            kernel.add_into(total, power, Fraction(1, factorial(k)))
         return total
 
     def log(g):
-        z = combine((1, g), (-1, {(): 1}))
-        total, power = {}, {(): Fraction(1)}
+        z = kernel.add_into(dict(g), one, -1)
+        total, power = {}, one
         for k in range(1, top + 1):
             power = mul(power, z)
-            total = combine((1, total), (Fraction((-1) ** (k + 1), k), power))
+            kernel.add_into(total, power, Fraction((-1) ** (k + 1), k))
         return total
 
-    x1, x2 = letter("x1"), letter("x2")
-    bch = log(mul(exp(combine((-1, x2))), exp(x1)))
+    x1, x2 = expansion["x1"], expansion["x2"]
+    bch = log(mul(exp(kernel.scale_terms(x2, -1)), exp(x1)))
 
-    x1_x2 = commutator(x1, x2)
-    expected = combine(
+    x1_x2 = word_commutator(x1, x2, algebra.degrees)
+    x1_plus_x2 = kernel.add_into(dict(x1), x2)
+    expected: dict = {}
+    for scale, u in (
         (1, x1),
         (-1, x2),
         (Fraction(1, 2), x1_x2),
-        (Fraction(-1, 12), commutator(combine((1, x1), (1, x2)), x1_x2)),
-    )
+        (Fraction(-1, 12), word_commutator(x1_plus_x2, x1_x2, algebra.degrees)),
+    ):
+        kernel.add_into(expected, u, scale)
     assert bch == expected
 
     flipped = -generalized_ch(
@@ -211,8 +186,8 @@ def test_word_bch_witness_rho2_expansion():
             (1, 2): algebra.zero_vector(),
         },
     ).value
-    words = combine(*(
-        (c, expand(s)) for s, c in flipped.coeffs.items()
-        if bracket_count[s] <= 2
-    ))
+    words: dict = {}
+    for s, c in flipped.coeffs.items():
+        if bracket_count[s] <= 2:
+            kernel.add_into(words, expansion[s], c)
     assert words == bch

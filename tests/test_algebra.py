@@ -29,7 +29,10 @@ from linfty.algebra import (
     zero_tensor,
 )
 from linfty.fixtures import (
+    CLASS3_DELTA,
+    CLASS3_GENERATORS,
     Sampler,
+    free_nilpotent,
     free_nilpotent_class3,
     get_fixture,
     heisenberg_abelianization,
@@ -167,6 +170,22 @@ class TestLowerCentral:
         algebra, _ = free_nilpotent_class3()
         assert algebra is get_fixture("free_nilpotent_class3")
         assert free_nilpotent_class3()[0] is algebra
+
+    def test_free_two_generators_has_witt_dimensions(self):
+        # the free Lie algebra on two letters has 2, 1, 2, 3, 6, 9
+        # basis elements of weight 1..6
+        algebra, _ = free_nilpotent("xy", [("x", 0), ("y", 0)], {}, 6)
+        assert algebra.lower_central().dims() == [23, 21, 20, 18, 15, 9, 0]
+
+    def test_free_class3_generators_at_weight_two(self):
+        algebra, _ = free_nilpotent(
+            "pairs", CLASS3_GENERATORS, CLASS3_DELTA, 2
+        )
+        assert algebra.dim == 24
+        assert algebra.lower_central().dims() == [24, 18, 0]
+        report = check_jacobi(algebra, 3)
+        assert report.passed
+        assert report.cases == 2624
 
 
 class TestCurvatureAndTwist:

@@ -5,9 +5,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from linfty import kernel
 from linfty.algebra import (
     LInftyAlgebra,
     TensorElement,
@@ -39,10 +41,13 @@ from linfty.bch_groupoid import (
 from linfty.fixtures import (
     Sampler,
     cyclic_group_groupoid,
+    free_nilpotent,
     free_nilpotent_class3,
     get_fixture,
     get_representation,
     pair_groupoid,
+    word_commutator,
+    word_product,
 )
 from linfty.forms import Form
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
@@ -233,12 +238,7 @@ class TestGeneralizedSeries:
             rho = generalized_ch(
                 heis, 2, heis.zero_vector(), {(1,): x1, (2,): x2}
             ).value
-            expected = matrix_log(
-                _mat_mul(
-                    matrix_exp(rep.apply(x1)),
-                    matrix_exp(rep.apply(x2).scale(-1)),
-                )
-            )
+            expected = oracle_bch(rep.apply(x1), rep.apply(x2).scale(-1))
             assert rep.apply(rho) == expected
 
     def test_input_validation(self):
@@ -251,14 +251,6 @@ class TestGeneralizedSeries:
             generalized_ch(
                 heis, 2, heis.zero_vector(), {(1, 2): heis.basis_vector("e1")}
             )
-
-
-def _mat_mul(a, b):
-    m = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
 
 
 class TestCompose:
@@ -316,6 +308,102 @@ class TestCompose:
             left = compose(algebra, mu, compose(algebra, mu, x, y), z)
             right = compose(algebra, mu, x, compose(algebra, mu, y, z))
             assert left == right
+
+
+class TestWordOracle:
+    """The series on the free nilpotent Lie algebra on two degree-0
+    letters against log(e^x e^y) on words truncated at the same weight:
+    exact, matrix-free and with no coefficient table."""
+
+    LETTERS = [("x", 0), ("y", 0)]
+
+    @staticmethod
+    def _exp_log(top):
+        """Truncated exp and log in the free associative algebra, and
+        the product they are truncated in."""
+        one = {(): Fraction(1)}
+
+        def by_length(u):
+            pieces: dict = {}
+            for w, c in u.items():
+                pieces.setdefault(len(w), {})[w] = c
+            return pieces
+
+        def mul(u, v):
+            # word_product piece by piece, skipping the pairs of pieces
+            # whose words are all longer than top
+            out: dict = {}
+            v_pieces = by_length(v)
+            for k, uk in by_length(u).items():
+                for j, vj in v_pieces.items():
+                    if k + j <= top:
+                        kernel.add_into(out, word_product(uk, vj))
+            return out
+
+        def exp(x):
+            total, power = dict(one), one
+            for k in range(1, top + 1):
+                power = mul(power, x)
+                kernel.add_into(total, power, Fraction(1, factorial(k)))
+            return total
+
+        def log(g):
+            z = kernel.add_into(dict(g), one, -1)
+            total, power = {}, one
+            for k in range(1, top + 1):
+                power = mul(power, z)
+                kernel.add_into(total, power, Fraction((-1) ** (k + 1), k))
+            return total
+
+        return exp, log, mul
+
+    @staticmethod
+    def _words(expansion, v):
+        out: dict = {}
+        for sym, c in v.coeffs.items():
+            kernel.add_into(out, expansion[sym], c)
+        return out
+
+    @pytest.mark.parametrize("top", [5, 6])
+    def test_series_are_log_of_exponentials(self, top):
+        algebra, expansion = free_nilpotent("xy", self.LETTERS, {}, top)
+        exp, log, mul = self._exp_log(top)
+        zero = algebra.zero_vector()
+        sampler = Sampler(60 + top)
+        for _ in range(3):
+            x, y = sampler.vector(algebra, 0), sampler.vector(algebra, 0)
+            wx, wy = self._words(expansion, x), self._words(expansion, y)
+            z = compose(algebra, zero, x, y)
+            assert self._words(expansion, z) == log(mul(exp(wx), exp(wy)))
+            rho = generalized_ch(algebra, 2, zero, {(1,): x, (2,): y}).value
+            minus_wy = kernel.scale_terms(wy, -1)
+            assert self._words(expansion, rho) == log(
+                mul(exp(wx), exp(minus_wy))
+            )
+
+    def test_goldberg_coefficients_to_weight_four(self):
+        algebra, expansion = free_nilpotent("xy", self.LETTERS, {}, 4)
+        z = compose(
+            algebra, algebra.zero_vector(),
+            algebra.basis_vector("x"), algebra.basis_vector("y"),
+        )
+        x, y = expansion["x"], expansion["y"]
+
+        def br(u, v):
+            return word_commutator(u, v, algebra.degrees)
+
+        xy = br(x, y)
+        expected: dict = {}
+        for scale, u in (
+            (1, x),
+            (1, y),
+            (Fraction(1, 2), xy),
+            (Fraction(1, 12), br(x, xy)),
+            (Fraction(-1, 12), br(y, xy)),
+            (Fraction(-1, 24), br(y, br(x, xy))),
+        ):
+            kernel.add_into(expected, u, scale)
+        assert self._words(expansion, z) == expected
 
 
 class TestAssociativity:

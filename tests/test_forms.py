@@ -3,13 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfty import forms, kernel
 from linfty.forms import (
     Form,
     SimplicialMap,
+    _t_power,
     contract_euler,
     evaluate_vertex,
     exterior_d,
@@ -242,6 +245,37 @@ class TestPullback:
     def test_malformed_map(self):
         with pytest.raises(ValueError):
             SimplicialMap(1, 2, (2, 1))
+
+
+class TestPowersOfT:
+    def test_each_power_is_one_product_from_the_one_below(self, monkeypatch):
+        monkeypatch.setattr(forms, "_T_POWER_CACHE", {})
+        _t_power(0, 5, 3)
+        calls = []
+
+        def counted(a, b, mul_terms=kernel.mul_terms):
+            calls.append((a, b))
+            return mul_terms(a, b)
+
+        monkeypatch.setattr(kernel, "mul_terms", counted)
+        _t_power(0, 6, 3)
+        assert len(calls) == 1
+        _t_power(0, 6, 3)
+        assert len(calls) == 1
+
+    def test_powers_are_the_multinomial_expansion(self):
+        # t_0^e = (1 - t_1 - ... - t_n)^e, expanded term by term
+        for n, e in ((1, 7), (2, 5), (3, 4)):
+            terms = {}
+            for exps in itertools.product(range(e + 1), repeat=n):
+                rest = e - sum(exps)
+                if rest >= 0:
+                    count = factorial(e) // (
+                        factorial(rest) * prod(map(factorial, exps))
+                    )
+                    terms[(exps, ())] = Fraction((-1) ** sum(exps) * count)
+            assert _t_power(0, e, n) == Form(n, terms)
+            assert _t_power(n, e, n) == mono(n, (0,) * (n - 1) + (e,))
 
 
 class TestRendering:

@@ -21,7 +21,7 @@ from linfty.fixtures import (
     heisenberg_abelianization,
     three_bracket_projection,
 )
-from linfty.dupont import integrate_chain
+from linfty.dupont import _h_monomial, integrate_chain
 from linfty.forms import Form, SimplicialMap, exterior_d, pullback
 
 
@@ -221,7 +221,13 @@ def test_hot_paths_make_no_call_into_fractions():
         "pullback along d_0": lambda: pullback(d0, form),
         "pullback along s_1": lambda: pullback(s1, form),
         "integrate_chain from vertex 1": lambda: integrate_chain((1, 2, 3), top),
+        "Form.constant": lambda: Form.constant(3, scale),
     }
+    for i in range(4):
+        for key in top.terms:
+            actions[f"h^{i} of {key}"] = (
+                lambda i=i, key=key: _h_monomial(i, 3, key)
+            )
     for name, action in actions.items():
         # the first pullback along d_0 fills the cached powers of t_0
         action()
