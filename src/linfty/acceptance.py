@@ -23,19 +23,18 @@ from linfty.algebra import (
     bracket,
     check_jacobi,
     is_mc,
-    linear_combination,
     tensor_curvature,
     twist,
     twisted_bracket,
 )
 from linfty.bch_groupoid import (
+    NerveTruncation,
     alpha1,
     compose,
     deligne_action,
     enumerate_trees,
     generalized_ch,
     monodromy_report,
-    nerve_of_groupoid,
     oracle_bch,
     rho1,
     rho3_associativity_check,
@@ -320,8 +319,7 @@ def criterion_rho2_series(seed: int = 0, max_degree: int = 4) -> Report:
     return result
 
 
-def criterion_monodromy(seed: int = 0, max_degree: int = 4,
-                        samples: int = 20) -> Report:
+def criterion_monodromy(seed: int = 0, max_degree: int = 4) -> Report:
     """9: exp(x1) = exp(rho2(x1, x2)) exp(x2) exactly in faithful
     matrix models."""
     result = _criterion(9, "matrix monodromy identity (exact)")
@@ -330,7 +328,7 @@ def criterion_monodromy(seed: int = 0, max_degree: int = 4,
         result.check(
             rep.check_faithful_bracket(), f"{name}: representation not faithful"
         )
-        result.include(monodromy_report(name, rep, Sampler(seed), samples))
+        result.include(monodromy_report(name, rep, Sampler(seed), 20))
     return result
 
 
@@ -425,7 +423,7 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> Report:
                         alg, mu, [xv] + [eps[piece] for piece in comp]
                     )
                     terms.append((coeff, term))
-            expected = linear_combination(alg.zero_vector(), terms)
+            expected = alg.zero_vector().combine(terms)
             sub.record(f"k={k}", eps[k + 1], expected)
         result.include(sub)
 
@@ -481,7 +479,7 @@ def criterion_groupoid_nerve(seed: int = 0, max_degree: int = 4) -> Report:
         ("cyclic order 2", cyclic_group_groupoid(2)),
         ("two-object indiscrete", pair_groupoid()),
     ):
-        nerve = nerve_of_groupoid(groupoid, 3)
+        nerve = NerveTruncation(groupoid, 3)
         sub = Report(f"{label}: unique fillers at n=2,3 and coskeletal at level 3")
         for n in (2, 3):
             sub.check(

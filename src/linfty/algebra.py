@@ -33,6 +33,10 @@ from linfty.report import Report, quote
 
 _ONE = Fraction(1)
 
+# the deepest level of the lower central filtration that is built; an
+# algebra whose filtration has not vanished by then counts as not nilpotent
+NILPOTENCY_CAP = 64
+
 
 def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     """Koszul sign of a permutation acting on graded symbols.
@@ -187,7 +191,7 @@ class LInftyAlgebra:
 
     # -- the lower central filtration ----------------------------------
 
-    def lower_central(self, cap: int = 64) -> "FiltrationReport":
+    def lower_central(self) -> "FiltrationReport":
         """Iterated-bracket filtration and the nilpotency index.
 
         Successive terms are spans of brackets of at least two earlier
@@ -195,13 +199,13 @@ class LInftyAlgebra:
         above the level push the sum up, which keeps the chain
         decreasing).  Nilpotent iff the chain reaches zero.
         """
-        if self._filtration is not None and self._filtration.cap >= cap:
+        if self._filtration is not None:
             return self._filtration
         # the rows of each level as vectors, built once per level
         row_vectors = [[self.basis_vector(s) for s in self.symbols]]
         spaces = [Subspace(self.symbols, [v.coeffs for v in row_vectors[0]])]
         index = None
-        for level in range(2, cap + 2):
+        for level in range(2, NILPOTENCY_CAP + 2):
             vectors = []
             for arity in range(2, self.max_arity + 1):
                 weight = max(level, arity)
@@ -221,24 +225,20 @@ class LInftyAlgebra:
             if space.is_zero():
                 index = level
                 break
-        report = FiltrationReport(
-            algebra=self,
-            subspaces=spaces,
-            nilpotency_index=index,
-            cap=cap,
-        )
-        self._filtration = report
-        return report
+        self._filtration = FiltrationReport(spaces, index)
+        return self._filtration
 
-    def is_nilpotent(self, cap: int = 64) -> bool:
-        return self.lower_central(cap).nilpotency_index is not None
+    def is_nilpotent(self) -> bool:
+        return self.lower_central().nilpotency_index is not None
 
-    def nilpotency_index(self, cap: int = 64) -> int:
+    def nilpotency_index(self) -> int:
         report = self._filtration
-        if report is None or report.cap < cap:
-            report = self.lower_central(cap)
+        if report is None:
+            report = self.lower_central()
         if report.nilpotency_index is None:
-            raise ValueError(f"algebra {self.name!r} is not nilpotent (cap {cap})")
+            raise ValueError(
+                f"algebra {self.name!r} is not nilpotent (cap {NILPOTENCY_CAP})"
+            )
         return report.nilpotency_index
 
     def require_nilpotent(self):
@@ -271,10 +271,11 @@ class FiltrationReport:
     """Lower central filtration: subspaces, nilpotency index (least
     level whose subspace vanishes) or None when the cap was hit."""
 
-    algebra: "LInftyAlgebra"
     subspaces: list
     nilpotency_index: int | None
-    cap: int
+    # not a field: every report is built to the one cap; the benchmark's
+    # tracer reads it to tell a cached filtration from a new build
+    cap = NILPOTENCY_CAP
 
     @property
     def diverged(self) -> bool:
@@ -284,17 +285,31 @@ class FiltrationReport:
         return [s.dim for s in self.subspaces]
 
 
-class GVector:
+class GVector(kernel.Linear):
     """An element of an algebra: a finite basis-coefficient map."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ()
+    algebra = kernel.Linear.space
+    coeffs = kernel.Linear.entries
 
     def __init__(self, algebra: LInftyAlgebra, coeffs: Mapping[str, Fraction]):
         self.algebra = algebra
         self.coeffs = kernel.drop_zeros(coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    # -- the vector-space hooks of kernel.Linear ----------------------
+
+    def scale(self, c) -> "GVector":
+        return GVector(self.algebra, kernel.scale_terms(self.coeffs, c))
+
+    def combine(self, pairs) -> "GVector":
+        """self + sum of c * x over the (c, x) pairs."""
+        acc = dict(self.coeffs)
+        for c, x in pairs:
+            self._check(x)
+            kernel.add_into(acc, x.coeffs, c)
+        return GVector(self.algebra, acc)
+
+    # -- grading -------------------------------------------------------
 
     def degrees_present(self):
         return sorted({self.algebra.degrees[s] for s in self.coeffs})
@@ -312,35 +327,6 @@ class GVector:
             },
         )
 
-    def __add__(self, other: "GVector") -> "GVector":
-        return linear_combination(self, [(1, other)])
-
-    def __sub__(self, other: "GVector") -> "GVector":
-        return linear_combination(self, [(-1, other)])
-
-    def __neg__(self) -> "GVector":
-        return GVector(self.algebra, kernel.scale_terms(self.coeffs, -1))
-
-    def scale(self, c) -> "GVector":
-        return GVector(self.algebra, kernel.scale_terms(self.coeffs, c))
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GVector)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.coeffs.items())))
-
-    def _check(self, other):
-        if not isinstance(other, GVector) or other.algebra is not self.algebra:
-            raise ValueError("vectors over different algebras")
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"
@@ -356,9 +342,6 @@ class GVector:
             else:
                 pieces.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(pieces)
-
-    def __str__(self):
-        return self.render()
 
     def __repr__(self):
         return f"GVector({self.algebra.name!r}, {self.render()!r})"
@@ -520,12 +503,9 @@ def bracket_series(algebra: LInftyAlgebra, mu, args: Sequence, first: int):
         if isinstance(mu, TensorElement)
         else algebra.zero_vector()
     )
-    return linear_combination(
-        zero,
-        (
-            (Fraction(1, factorial(ell)), bracket(algebra, [mu] * ell + args))
-            for ell in range(first, bound + 1)
-        ),
+    return zero.combine(
+        (Fraction(1, factorial(ell)), bracket(algebra, [mu] * ell + args))
+        for ell in range(first, bound + 1)
     )
 
 
@@ -599,7 +579,6 @@ class Morphism:
         source: LInftyAlgebra,
         target: LInftyAlgebra,
         images: Mapping[str, "GVector"],
-        check: bool = True,
     ):
         self.source = source
         self.target = target
@@ -613,8 +592,7 @@ class Morphism:
             if not img.is_zero() and not img.is_homogeneous(source.degrees[sym]):
                 raise ValueError(f"image of {sym} is not degree preserving")
             self.images[sym] = img
-        if check:
-            self._check_strict()
+        self._check_strict()
 
     def _check_strict(self):
         arity_bound = max(self.source.max_arity, self.target.max_arity)
@@ -633,9 +611,8 @@ class Morphism:
         if isinstance(value, GVector):
             if value.algebra is not self.source:
                 raise ValueError("vector lives in the wrong algebra")
-            return linear_combination(
-                self.target.zero_vector(),
-                ((c, self.images[sym]) for sym, c in value.coeffs.items()),
+            return self.target.zero_vector().combine(
+                (c, self.images[sym]) for sym, c in value.coeffs.items()
             )
         if isinstance(value, TensorElement):
             return _map_symbols(value, self.target, self.images.__getitem__)
@@ -678,15 +655,17 @@ class Morphism:
 # -- tensor elements over simplicial forms -----------------------------
 
 
-class TensorElement:
+class TensorElement(kernel.Linear):
     """An element of (algebra) tensor (forms on the n-simplex): a finite
     map from basis symbols to Forms."""
 
-    __slots__ = ("algebra", "n", "comps")
+    __slots__ = ("algebra", "n")
+    comps = kernel.Linear.entries
 
     def __init__(self, algebra: LInftyAlgebra, n: int, comps: Mapping[str, Form]):
         self.algebra = algebra
         self.n = n
+        self.space = (algebra, n)
         for sym, form in comps.items():
             if sym not in algebra.index:
                 raise ValueError(f"unknown symbol {quote(sym)}")
@@ -701,17 +680,7 @@ class TensorElement:
             algebra, n, {s: Form(n, t, _validated=True) for s, t in acc.items()}
         )
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        return linear_combination(self, [(1, other)])
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return linear_combination(self, [(-1, other)])
-
-    def __neg__(self) -> "TensorElement":
-        return self.scale(-1)
+    # -- the vector-space hooks of kernel.Linear ----------------------
 
     def scale(self, c) -> "TensorElement":
         c = kernel.as_fraction(c)
@@ -719,26 +688,14 @@ class TensorElement:
             self.algebra, self.n, {s: f.scale(c) for s, f in self.comps.items()}
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra is other.algebra
-            and self.n == other.n
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash(
-            (id(self.algebra), self.n, frozenset(self.comps.items()))
-        )
-
-    def _check(self, other):
-        if (
-            not isinstance(other, TensorElement)
-            or other.algebra is not self.algebra
-            or other.n != self.n
-        ):
-            raise ValueError("tensor elements over different algebras or simplices")
+    def combine(self, pairs) -> "TensorElement":
+        """self + sum of c * x over the (c, x) pairs."""
+        acc = {sym: dict(form.terms) for sym, form in self.comps.items()}
+        for c, x in pairs:
+            self._check(x)
+            for sym, form in x.comps.items():
+                kernel.add_into(acc.setdefault(sym, {}), form.terms, c)
+        return TensorElement.from_terms(self.algebra, self.n, acc)
 
     # -- grading -------------------------------------------------------
 
@@ -843,31 +800,11 @@ class TensorElement:
                 pieces.append(f"{sym} (x) [{form.render()}]")
         return " + ".join(pieces)
 
-    def __str__(self):
-        return self.render()
-
     def __repr__(self):
         return (
             f"TensorElement({self.algebra.name!r}, n={self.n}, "
             f"{self.render()!r})"
         )
-
-
-def linear_combination(start, pairs):
-    """start + sum of c * x over the (c, x) pairs, for vectors and tensor
-    elements alike; one accumulator, so no partial sum is copied."""
-    if isinstance(start, TensorElement):
-        acc = {sym: dict(form.terms) for sym, form in start.comps.items()}
-        for c, x in pairs:
-            start._check(x)
-            for sym, form in x.comps.items():
-                kernel.add_into(acc.setdefault(sym, {}), form.terms, c)
-        return TensorElement.from_terms(start.algebra, start.n, acc)
-    acc = dict(start.coeffs)
-    for c, x in pairs:
-        start._check(x)
-        kernel.add_into(acc, x.coeffs, c)
-    return GVector(start.algebra, acc)
 
 
 def _map_symbols(x: TensorElement, target: LInftyAlgebra, image) -> TensorElement:

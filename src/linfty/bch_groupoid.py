@@ -30,7 +30,6 @@ from linfty.algebra import (
     bracket,
     constant_tensor,
     is_mc,
-    linear_combination,
     tensor_product,
     twisted_bracket,
     zero_tensor,
@@ -161,9 +160,8 @@ def tree_exponential(algebra: LInftyAlgebra, mu: GVector, x: GVector,
             cache[tree] = cached
         return cached
 
-    return linear_combination(
-        algebra.zero_vector(),
-        ((term.coefficient, evaluate(term.tree)) for term in enumerate_trees(k)),
+    return algebra.zero_vector().combine(
+        (term.coefficient, evaluate(term.tree)) for term in enumerate_trees(k)
     )
 
 
@@ -191,7 +189,7 @@ def alpha1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> SimplexElement:
         t1_power = Form(1, {((k,), ()): _ONE})
         terms.append((Fraction(-1, factorial(k)), tensor_product(eps, t1_power)))
     terms.append((-1, tensor_product(x, Form.dt(1, 1))))
-    value = linear_combination(constant_tensor(1, mu), terms)
+    value = constant_tensor(1, mu).combine(terms)
     return SimplexElement(algebra, 1, value, validate=True)
 
 
@@ -200,12 +198,9 @@ def rho1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> GVector:
 
     Coincides with the vertex-1 value of alpha1 and, for dg Lie
     algebras, with the gauge action of exp(x) on mu."""
-    return linear_combination(
-        mu,
-        (
-            (Fraction(-1, factorial(k)), eps)
-            for k, eps in enumerate(gauge_flow_terms(algebra, mu, x), start=1)
-        ),
+    return mu.combine(
+        (Fraction(-1, factorial(k)), eps)
+        for k, eps in enumerate(gauge_flow_terms(algebra, mu, x), start=1)
     )
 
 
@@ -245,7 +240,7 @@ def generalized_ch(algebra: LInftyAlgebra, n: int, mu: GVector,
             )
         omega = dupont.elementary_form(seq, n)
         terms.append((Fraction(-1, factorial(k)), tensor_product(vec, omega)))
-    witness = linear_combination(zero_tensor(algebra, n), terms)
+    witness = zero_tensor(algebra, n).combine(terms)
     simplex = solve_gauge_fixed(
         algebra, n, 0, GaugeParameter(n=n, mu=mu, witness=witness)
     )
@@ -679,10 +674,6 @@ class NerveTruncation:
         return sorted(boundaries) == sorted(
             map(tuple, self.compatible_boundaries(n))
         )
-
-
-def nerve_of_groupoid(groupoid: FiniteGroupoid, bound: int) -> NerveTruncation:
-    return NerveTruncation(groupoid, bound)
 
 
 def group_as_groupoid(elements, multiply, identity) -> FiniteGroupoid:

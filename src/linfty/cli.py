@@ -191,13 +191,9 @@ def cmd_run_suite(args) -> int:
         "--max-degree",
     ):
         return USAGE_ERROR
-    try:
-        result = acceptance.run_criterion(
-            args.suite, seed=args.seed, max_degree=args.max_degree
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return USAGE_ERROR
+    result = acceptance.run_criterion(
+        args.suite, seed=args.seed, max_degree=args.max_degree
+    )
     return _verdict([result], args.verbose)
 
 

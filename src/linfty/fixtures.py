@@ -310,37 +310,27 @@ def get_fixture(name: str) -> LInftyAlgebra:
 # -- matrix representations ----------------------------------------------
 
 
-def heisenberg_representation() -> MatrixRepresentation:
-    z = [[0] * 3 for _ in range(3)]
-
-    def basis(i, j):
-        m = [row[:] for row in z]
-        m[i][j] = 1
-        return m
-
-    return MatrixRepresentation(
-        get_fixture("heisenberg"),
-        3,
-        {"e1": basis(0, 1), "e2": basis(1, 2), "e3": basis(0, 2)},
-    )
-
-
-def ut4_representation() -> MatrixRepresentation:
-    algebra = get_fixture("ut4")
+def matrix_unit_representation(name: str, size: int,
+                               units: dict) -> MatrixRepresentation:
+    """The fixture with each symbol sent to the size x size matrix unit
+    at the (row, column) that units gives it, counted from 0."""
     images = {}
-    for sym in algebra.symbols:
-        i, j = int(sym[1]), int(sym[2])
-        m = [[0] * 4 for _ in range(4)]
-        m[i - 1][j - 1] = 1
+    for sym, (i, j) in units.items():
+        m = [[0] * size for _ in range(size)]
+        m[i][j] = 1
         images[sym] = m
-    return MatrixRepresentation(algebra, 4, images)
+    return MatrixRepresentation(get_fixture(name), size, images)
 
 
 def get_representation(name: str) -> MatrixRepresentation:
     if name == "heisenberg":
-        return heisenberg_representation()
+        return matrix_unit_representation(
+            name, 3, {"e1": (0, 1), "e2": (1, 2), "e3": (0, 2)}
+        )
     if name == "ut4":
-        return ut4_representation()
+        return matrix_unit_representation(
+            name, 4, {f"E{i}{j}": (i - 1, j - 1) for i, j in _ut_symbols(4)}
+        )
     raise KeyError(f"no matrix representation for {name!r}")
 
 
@@ -429,15 +419,16 @@ class Sampler:
             {s: self.rational() for s in algebra.basis_of_degree(degree)},
         )
 
-    def mc_element(self, algebra: LInftyAlgebra, attempts: int = 64) -> GVector:
-        """A Maurer-Cartan element: rejection sampling over the pool,
-        falling back to scaling central directions, finally to zero."""
-        for _ in range(attempts):
+    def mc_element(self, algebra: LInftyAlgebra) -> GVector:
+        """A Maurer-Cartan element: rejection sampling over the pool (64
+        draws), falling back to scaling central directions (64 more
+        draws), finally to zero."""
+        for _ in range(64):
             candidate = self.vector(algebra, 1)
             if is_mc(algebra, candidate):
                 return candidate
         zero = algebra.zero_vector()
-        for _ in range(attempts):
+        for _ in range(64):
             candidate = self.vector(algebra, 1)
             if bracket(algebra, [candidate]).is_zero():
                 # kill the quadratic part by scaling a central line

@@ -23,7 +23,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class Form:
+class Form(kernel.Linear):
     """A differential form on the n-simplex in reduced normal form.
 
     Immutable; term keys are pairs (exps, word) with exps a tuple of
@@ -32,7 +32,9 @@ class Form:
     exterior degree.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ()
+    n = kernel.Linear.space
+    terms = kernel.Linear.entries
 
     def __init__(self, n: int, terms: dict | None = None, _validated: bool = False):
         if n < 0:
@@ -54,7 +56,6 @@ class Form:
                     raise TypeError(f"coefficient {coeff!r} is not a Fraction")
             terms = kernel.drop_zeros(terms)
         self.terms = terms
-        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -95,13 +96,25 @@ class Form:
             return Form(n, terms, _validated=True)
         return Form(n, {((0,) * n, (i,)): _ONE}, _validated=True)
 
-    # -- basic queries -----------------------------------------------
+    # -- the vector-space hooks of kernel.Linear ----------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def scale(self, c) -> "Form":
+        return Form(self.n, kernel.scale_terms(self.terms, c), _validated=True)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def combine(self, pairs) -> "Form":
+        """self + sum of c * x over the (c, x) pairs."""
+        out = dict(self.terms)
+        for c, x in pairs:
+            self._check(x)
+            kernel.add_into(out, x.terms, c)
+        return Form(self.n, out, _validated=True)
+
+    def __mul__(self, other):
+        if isinstance(other, Form):
+            return wedge(self, other)
+        return self.scale(other)
+
+    # -- grading -----------------------------------------------------
 
     def exterior_degrees(self):
         """Sorted list of exterior degrees present."""
@@ -114,52 +127,6 @@ class Form:
             {key: c for key, c in self.terms.items() if len(key[1]) == k},
             _validated=True,
         )
-
-    # -- arithmetic --------------------------------------------------
-
-    def __add__(self, other: "Form") -> "Form":
-        self._check_same(other)
-        out = dict(self.terms)
-        kernel.add_into(out, other.terms)
-        return Form(self.n, out, _validated=True)
-
-    def __sub__(self, other: "Form") -> "Form":
-        self._check_same(other)
-        out = dict(self.terms)
-        kernel.add_into(out, other.terms, -1)
-        return Form(self.n, out, _validated=True)
-
-    def __neg__(self) -> "Form":
-        return Form(self.n, kernel.scale_terms(self.terms, -1), _validated=True)
-
-    def scale(self, c) -> "Form":
-        return Form(self.n, kernel.scale_terms(self.terms, c), _validated=True)
-
-    def __mul__(self, other):
-        if isinstance(other, Form):
-            return wedge(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Form)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
-        return self._hash
-
-    def _check_same(self, other: "Form"):
-        if not isinstance(other, Form):
-            raise TypeError(f"expected Form, got {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
 
     # -- rendering ---------------------------------------------------
 
@@ -190,9 +157,6 @@ class Form:
             else:
                 pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
         return " ".join(pieces)
-
-    def __str__(self):
-        return self.render()
 
     def __repr__(self):
         return f"Form({self.n}, {self.render()!r})"
@@ -261,7 +225,7 @@ def _t_power(i: int, e: int, n: int) -> Form:
 
 def wedge(a: Form, b: Form) -> Form:
     """Graded-commutative product of two forms over the same n."""
-    a._check_same(b)
+    a._check(b)
     if not a.terms or not b.terms:
         return Form.zero(a.n)
     return Form(a.n, kernel.mul_terms(a.terms, b.terms), _validated=True)

@@ -28,6 +28,13 @@ kernel computes goes through them, and every stored coefficient is a
 Fraction: ``drop_zeros`` converts coefficients that come from outside,
 and ``add_into`` and ``scale_terms`` convert a scale that is not a
 Fraction once per call.
+
+``Linear`` is the vector-space surface of every container over a term
+dict (``Form``, ``GVector``, ``TensorElement``): sum, difference,
+negation, scalar multiple, equality, hash and zero test, written once
+on the dict it holds (``entries``) and the space it lives in
+(``space``).  A container supplies ``scale(c)`` and ``combine(pairs)``,
+the linear combination self + sum of c * x built in one accumulator.
 """
 
 from fractions import Fraction
@@ -239,3 +246,61 @@ def mul_terms(a, b):
                 else:
                     del out[key]
     return out
+
+
+class Linear:
+    """The vector-space operations of a sparse container.
+
+    ``entries`` is the container's dict of nonzero values and ``space``
+    what two operands must share: a simplex dimension, an algebra, or
+    both.  A subclass may give either slot its own name as well
+    (``terms = Linear.entries``), and supplies ``scale(c)`` and
+    ``combine(pairs)``, self + the sum of c * x over the (c, x) pairs in
+    one accumulator, calling ``_check`` on each x.  An operand of
+    another type raises TypeError, one over another space ValueError;
+    zero is falsy.
+    """
+
+    __slots__ = ("entries", "space")
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
+    def __add__(self, other):
+        return self.combine(((1, other),))
+
+    def __sub__(self, other):
+        return self.combine(((-1, other),))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.entries == other.entries
+            and self.space == other.space
+        )
+
+    def __hash__(self):
+        return hash((self.space, frozenset(self.entries.items())))
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                f"expected {type(self).__name__}, got {type(other).__name__}"
+            )
+        if other.space != self.space:
+            raise ValueError(
+                f"{type(self).__name__}s over different spaces: "
+                f"{self.space!r} != {other.space!r}"
+            )
+
+    def __str__(self):
+        return self.render()

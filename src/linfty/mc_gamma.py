@@ -29,7 +29,6 @@ from linfty.algebra import (
     bracket_series,
     constant_tensor,
     is_mc,
-    linear_combination,
     tensor_bracket,
     tensor_curvature,
     tensor_product,
@@ -192,13 +191,13 @@ def _solve(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter,
     pieces = {1: alpha0}
     graded = []
     for w in range(2, algebra.nilpotency_index()):
-        part = linear_combination(zero, (
+        part = zero.combine(
             (Fraction(1, prod(map(factorial, Counter(parts).values()))),
              tensor_bracket(algebra, [pieces[v] for v in parts]))
             for ell in range(2, algebra.max_arity + 1)
             for parts in itertools.combinations_with_replacement(pieces, ell)
             if sum(parts) == w
-        ))
+        )
         if part.is_zero():
             continue
         graded.append(part)
@@ -207,9 +206,9 @@ def _solve(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter,
             correction = correction.whitney() + part.s()
         if not correction.is_zero():
             pieces[w] = -correction
-    alpha = linear_combination(zero, ((1, piece) for piece in pieces.values()))
+    alpha = zero.combine((1, piece) for piece in pieces.values())
     nonlinear = bracket_series(algebra, alpha, [], 2)
-    if nonlinear != linear_combination(zero, ((1, part) for part in graded)):
+    if nonlinear != zero.combine((1, part) for part in graded):
         raise SolverError(
             "the graded Maurer-Cartan solve missed part of the bracket "
             "series; this indicates an internal bug"
@@ -345,14 +344,14 @@ def _degeneracy_extension(horn: Horn) -> TensorElement:
     return rho
 
 
-def fill_horn_mc(horn: Horn, base: int | None = None) -> SimplexElement:
+def fill_horn_mc(horn: Horn) -> SimplexElement:
     """Fill a horn in the Maurer-Cartan nerve.
 
     Extends the horn linearly via degeneracies and re-solves with the
     extension's data; the faces away from the missing index are
     reproduced exactly.
     """
-    i = horn.missing if base is None else base
+    i = horn.missing
     rho = _degeneracy_extension(horn)
     g = GaugeParameter(n=horn.n, mu=rho.evaluate_vertex(i), witness=rho.h(i))
     filler = solve_mc(horn.algebra, horn.n, i, g)
@@ -381,14 +380,14 @@ def chain_witness(n: int, i: int, integral) -> TensorElement:
             if not value.is_zero():
                 omega = dupont.elementary_form(seq, n)
                 terms.append((sign, tensor_product(value, omega)))
-    return linear_combination(zero, terms)
+    return zero.combine(terms)
 
 
-def _fill_gauge_fixed(horn: Horn, base: int | None, top) -> SimplexElement:
-    """The gauge-fixed filler whose integral over (base,) + the chain
-    opposite the base is top(that chain); its other integrals are the
-    horn's."""
-    i = horn.missing if base is None else base
+def _fill_gauge_fixed(horn: Horn, top) -> SimplexElement:
+    """The gauge-fixed filler whose integral over (i,) + the chain
+    opposite the missing vertex i is top(that chain); its other
+    integrals are the horn's."""
+    i = horn.missing
 
     def integral(seq):
         return top(seq) if len(seq) > horn.n else horn.integrate(seq)
@@ -403,15 +402,13 @@ def _fill_gauge_fixed(horn: Horn, base: int | None, top) -> SimplexElement:
     return filler
 
 
-def fill_horn_gamma(horn: Horn, base: int | None = None) -> SimplexElement:
+def fill_horn_gamma(horn: Horn) -> SimplexElement:
     """The unique thin gauge-fixed filler of a gauge-fixed horn."""
-    return _fill_gauge_fixed(
-        horn, base, lambda seq: horn.algebra.zero_vector()
-    )
+    return _fill_gauge_fixed(horn, lambda seq: horn.algebra.zero_vector())
 
 
-def fill_horn_relative(f: Morphism, horn: Horn, target: SimplexElement,
-                       base: int | None = None) -> SimplexElement:
+def fill_horn_relative(f: Morphism, horn: Horn,
+                       target: SimplexElement) -> SimplexElement:
     """Fill a gauge-fixed horn over a prescribed image simplex.
 
     f must be a surjective strict morphism, the horn lives upstairs, the
@@ -429,7 +426,7 @@ def fill_horn_relative(f: Morphism, horn: Horn, target: SimplexElement,
         if f.apply(face.value) != target.face(j).value:
             raise ValueError(f"image of horn face {j} differs from target face")
     filler = _fill_gauge_fixed(
-        horn, base, lambda seq: f.section(target.integrate(seq))
+        horn, lambda seq: f.section(target.integrate(seq))
     )
     if f.apply(filler.value) != target.value:
         raise SolverError("relative filler does not map onto the target")
@@ -487,15 +484,14 @@ def _simplicial_coboundary(seq: tuple, n: int):
     return out
 
 
-def dold_kan_compare(algebra: LInftyAlgebra, n: int,
-                     truncated_degree: int = 2) -> Report:
+def dold_kan_compare(algebra: LInftyAlgebra, n: int) -> Report:
     """Brute-force the isomorphism between gauge-fixed simplices of an
     abelian algebra and normalized cochain cocycles.
 
     Verifies that the differential on elementary tensor elements equals
     the normalized-cochain differential under the integral pairing, that
-    the cocycle dimensions agree, and that on forms of bounded
-    polynomial degree the kernel of (d + delta, s) is exactly the
+    the cocycle dimensions agree, and that on forms of polynomial
+    degree <= 2 the kernel of (d + delta, s) is exactly the
     elementary cocycle space: three cases.  The notes give both cocycle
     dimensions and the cells (x) symbols indexing the two sides.
     """
@@ -547,7 +543,7 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
         k = 1 - algebra.degrees[sym]
         if not 0 <= k <= n:
             continue
-        for mono in dupont.monomial_basis(n, truncated_degree):
+        for mono in dupont.monomial_basis(n, 2):
             word = next(iter(mono.terms))[1]
             if len(word) == k:
                 mono_basis.append((sym, mono))
@@ -589,7 +585,7 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int,
         len(elementary_vectors) == len(ker_forms)
         and Subspace(mono_columns, gauge_kernel)
         == Subspace(mono_columns, elementary_vectors),
-        f"the degree<={truncated_degree} gauge kernel is not the elementary "
+        "the degree<=2 gauge kernel is not the elementary "
         "cocycle space",
     )
     for seq, sym in basis1:

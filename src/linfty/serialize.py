@@ -303,8 +303,7 @@ def simplex_to_data(simplex: SimplexElement) -> dict:
     }
 
 
-def simplex_from_data(data: dict, algebra: LInftyAlgebra,
-                      validate: bool = True) -> SimplexElement:
+def simplex_from_data(data: dict, algebra: LInftyAlgebra) -> SimplexElement:
     if data.get("algebra") != algebra.name:
         raise ValueError(
             f"simplex belongs to algebra {quote(data.get('algebra'))}, "
@@ -314,9 +313,7 @@ def simplex_from_data(data: dict, algebra: LInftyAlgebra,
     comps = {}
     for entry in data.get("components", []):
         comps[entry["generator"]] = parse_form(entry["form"], n)
-    return SimplexElement(
-        algebra, n, TensorElement(algebra, n, comps), validate=validate
-    )
+    return SimplexElement(algebra, n, TensorElement(algebra, n, comps))
 
 
 def load_simplex(path, algebra: LInftyAlgebra) -> SimplexElement:

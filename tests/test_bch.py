@@ -19,6 +19,7 @@ from linfty.algebra import (
 )
 from linfty.bch_groupoid import (
     FiniteGroupoid,
+    NerveTruncation,
     NilMatrix,
     alpha1,
     canonical_tree,
@@ -31,7 +32,6 @@ from linfty.bch_groupoid import (
     group_as_groupoid,
     matrix_exp,
     matrix_log,
-    nerve_of_groupoid,
     oracle_bch,
     rho1,
     rho3_associativity_check,
@@ -518,13 +518,13 @@ class TestNilMatrices:
 
 class TestGroupoidNerve:
     def test_cyclic_two_element_nerve(self):
-        nerve = nerve_of_groupoid(cyclic_group_groupoid(2), 3)
+        nerve = NerveTruncation(cyclic_group_groupoid(2), 3)
         assert len(nerve.simplices[2]) == 4
         filler = nerve.unique_filler(2, 1, ((1,), None, (1,)))
         assert nerve.face(2, 1, filler) == (0,)
 
     def test_composite_edge_of_inner_horn(self):
-        z4 = nerve_of_groupoid(cyclic_group_groupoid(4), 3)
+        z4 = NerveTruncation(cyclic_group_groupoid(4), 3)
         for g in range(4):
             for h in range(4):
                 filler = z4.unique_filler(2, 1, ((g,), None, (h,)))
@@ -542,12 +542,12 @@ class TestGroupoidNerve:
                 (("q", "q"), ("q", "q")): ("q", "q"),
             },
         )
-        nerve = nerve_of_groupoid(discrete, 3)
+        nerve = NerveTruncation(discrete, 3)
         assert all(len(nerve.simplices[n]) == 2 for n in range(4))
 
     def test_bijectivity_and_coskeletal(self):
         for groupoid in (cyclic_group_groupoid(2), pair_groupoid()):
-            nerve = nerve_of_groupoid(groupoid, 3)
+            nerve = NerveTruncation(groupoid, 3)
             assert nerve.check_filler_bijectivity(2)
             assert nerve.check_filler_bijectivity(3)
             assert nerve.check_coskeletal(3)
