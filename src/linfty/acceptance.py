@@ -41,6 +41,7 @@ from linfty.bch_groupoid import (
     tree_exponential,
 )
 from linfty.fixtures import (
+    BUNDLED,
     Sampler,
     cyclic_group_groupoid,
     free_nilpotent_class3,
@@ -65,17 +66,6 @@ from linfty.mc_gamma import (
     solve_mc,
 )
 from linfty.report import Report
-
-BUNDLED_FIXTURES = (
-    "zero",
-    "abelian_delta",
-    "abelian_chain",
-    "heisenberg",
-    "ut4",
-    "dg_lie_01",
-    "heis_exterior",
-    "three_bracket",
-)
 
 SOLVER_FIXTURES = (
     "heisenberg",
@@ -139,10 +129,10 @@ def criterion_jacobi_twist(seed: int = 0, max_degree: int = 4) -> Report:
     """5: Jacobi for all bundled fixtures, Jacobi after twisting by
     sampled Maurer-Cartan elements, and exact Bianchi residuals."""
     result = _criterion(5, "Jacobi, twisted Jacobi, and Bianchi residuals")
-    for name in BUNDLED_FIXTURES:
+    for name in BUNDLED:
         result.include(check_jacobi(get_fixture(name), 4))
     sampler = Sampler(seed)
-    for name in BUNDLED_FIXTURES:
+    for name in BUNDLED:
         algebra = get_fixture(name)
         if not algebra.basis_of_degree(1):
             continue

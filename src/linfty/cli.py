@@ -42,9 +42,13 @@ def _verdict(reports, verbose: bool = False) -> int:
 
 
 def cmd_check_jacobi(args) -> int:
-    loaded = load_presentation(args.algebra)
-    print(loaded.summary())
-    return _verdict([check_jacobi(loaded.algebra, args.n_max)])
+    algebra = load_presentation(args.algebra)
+    index = algebra.lower_central().nilpotency_index
+    nil = ("NOT nilpotent within the iteration cap" if index is None
+           else f"nilpotent of index {index}")
+    print(f"{algebra.name}: {algebra.dim} generators, "
+          f"max arity {algebra.max_arity}, {nil}")
+    return _verdict([check_jacobi(algebra, args.n_max)])
 
 
 # The most Dupont harness work one check starts, in monomial x
@@ -105,8 +109,7 @@ def _dim_list(n):
 
 
 def cmd_fill_horn(args) -> int:
-    loaded = load_presentation(args.algebra)
-    algebra = loaded.algebra
+    algebra = load_presentation(args.algebra)
     faces = [load_simplex(path, algebra) for path in args.faces]
     positions = [j for j in range(args.n + 1) if j != args.missing]
     if len(faces) != len(positions):
@@ -133,13 +136,12 @@ def cmd_fill_horn(args) -> int:
 
 
 def cmd_dold_kan(args) -> int:
-    loaded = load_presentation(args.algebra)
-    return _verdict([dold_kan_compare(loaded.algebra, args.n)], verbose=True)
+    algebra = load_presentation(args.algebra)
+    return _verdict([dold_kan_compare(algebra, args.n)], verbose=True)
 
 
 def cmd_bch(args) -> int:
-    loaded = load_presentation(args.algebra)
-    algebra = loaded.algebra
+    algebra = load_presentation(args.algebra)
     mu = algebra.zero_vector()
     if args.mu:
         mu = parse_vector(read_input(args.mu, as_json=False).strip(), algebra)
@@ -155,8 +157,7 @@ def cmd_bch(args) -> int:
 
 
 def cmd_compose_table(args) -> int:
-    loaded = load_presentation(args.algebra)
-    algebra = loaded.algebra
+    algebra = load_presentation(args.algebra)
     if algebra.basis_of_degree(-1) or not algebra.is_nilpotent():
         print(
             "compose-table needs a nilpotent algebra in degrees >= 0",
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bch", help="generalized Campbell-Hausdorff value")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=non_negative, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--mu", default=None,
                    help="file with the rendered base Maurer-Cartan element")
     p.add_argument("--inputs", default=None,

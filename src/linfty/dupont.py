@@ -12,7 +12,6 @@ bottom; those checks are the core of the acceptance suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
@@ -273,25 +272,7 @@ def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
         _gauge_walk(n, longer, ext, terms)
 
 
-# -- contraction bundles and gaugeification ----------------------------
-
-
-@dataclass(frozen=True)
-class ContractionBundle:
-    """A candidate contraction: a homotopy and a projection on forms
-    over a fixed simplex dimension."""
-
-    n: int
-    homotopy: Callable[[Form], Form]
-    projection: Callable[[Form], Form]
-
-
-def dupont_bundle(n: int) -> ContractionBundle:
-    return ContractionBundle(
-        n=n,
-        homotopy=lambda f: dupont_s(n, f),
-        projection=lambda f: whitney_P(n, f),
-    )
+# -- monomial bases and gaugeification -------------------------------
 
 
 def monomial_basis(n: int, max_degree: int) -> list[Form]:
@@ -321,21 +302,23 @@ def _exponent_vectors(n: int, max_degree: int):
             yield tuple(exps)
 
 
-def gaugeify(bundle: ContractionBundle, max_degree: int = 3) -> ContractionBundle:
+def gaugeify(n: int, homotopy: Callable[[Form], Form],
+             projection: Callable[[Form], Form],
+             max_degree: int = 3) -> Callable[[Form], Form]:
     """Lambe-Stasheff twist of a contraction into a gauge.
 
-    Returns the bundle with homotopy s d s (Id - P); the result is a
-    contraction whose homotopy squares to zero, and a gauge is a fixed
+    Returns the homotopy s d s (Id - P) of the contraction (homotopy s,
+    projection P) of forms on the n-simplex; it is a contraction with
+    the same P whose homotopy squares to zero, and a gauge is a fixed
     point.  The input must satisfy the contraction identity, checked on
     monomials up to the given polynomial degree.
     """
-    n = bundle.n
-    s, P = bundle.homotopy, bundle.projection
+    s, P = homotopy, projection
     for mono in monomial_basis(n, max_degree):
         lhs = exterior_d(s(mono)) + s(exterior_d(mono))
         if lhs != mono - P(mono):
             raise ValueError(
-                "input bundle fails the contraction identity on "
+                "input contraction fails the contraction identity on "
                 f"{mono.render()}"
             )
 
@@ -343,7 +326,7 @@ def gaugeify(bundle: ContractionBundle, max_degree: int = 3) -> ContractionBundl
         g = f - P(f)
         return s(exterior_d(s(g)))
 
-    return ContractionBundle(n=n, homotopy=twisted, projection=P)
+    return twisted
 
 
 # -- identity verification harness -------------------------------------
@@ -420,12 +403,11 @@ def check_gauge_identities(n: int, max_degree: int) -> list[Report]:
 def check_gaugeify_fixed_point(n: int, max_degree: int) -> list[Report]:
     """Gaugeification fixes the Dupont gauge, operator equality on the
     monomial generator set."""
-    twisted = gaugeify(dupont_bundle(n), max_degree=min(max_degree, 3))
+    twisted = gaugeify(n, lambda f: dupont_s(n, f), lambda f: whitney_P(n, f),
+                       max_degree=min(max_degree, 3))
     fixed = Report(f"gaugeified s = s on {n}-simplex")
     for mono in monomial_basis(n, max_degree):
-        fixed.record(
-            mono.render(), twisted.homotopy(mono), dupont_s(n, mono)
-        )
+        fixed.record(mono.render(), twisted(mono), dupont_s(n, mono))
     return [fixed]
 
 

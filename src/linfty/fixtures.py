@@ -1,12 +1,14 @@
 """Bundled test algebras, morphisms, representations, and samplers.
 
-Everything the acceptance suite runs on lives here: the small named
-presentations, the word product and graded commutator of the free
-associative algebra and the free nilpotent dg Lie algebras of any class
-built on them (class 3 is the series fixture), the faithful matrix
-representations for the group-law oracles, surjections for relative
-horn filling, and the seeded deterministic samplers (coefficients
-drawn from a fixed set of small rationals).
+Everything the acceptance suite runs on lives here: the registry of the
+small named presentations (BUNDLED; each is defined once, by its file
+presentations/<name>.json, which get_fixture loads with the command
+line's own load_presentation), the word product and graded commutator
+of the free associative algebra and the free nilpotent dg Lie algebras
+of any class built on them (class 3 is the series fixture), the
+faithful matrix representations for the group-law oracles, surjections
+for relative horn filling, and the seeded deterministic samplers
+(coefficients drawn from a fixed set of small rationals).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from linfty.algebra import (
     GVector,
@@ -31,6 +34,7 @@ from linfty.bch_groupoid import (
 )
 from linfty.forms import Form
 from linfty.linalg import Subspace
+from linfty.serialize import load_presentation
 from linfty import dupont, kernel
 
 _ONE = Fraction(1)
@@ -44,105 +48,6 @@ SAMPLE_VALUES = [
     Fraction(2),
     Fraction(-2),
 ]
-
-
-# -- named presentations ------------------------------------------------
-
-
-def zero_algebra() -> LInftyAlgebra:
-    return LInftyAlgebra("zero", [])
-
-
-def abelian_delta() -> LInftyAlgebra:
-    """One differential a -> b, no brackets."""
-    return LInftyAlgebra(
-        "abelian_delta", [("a", 0), ("b", 1)], {("a",): {"b": 1}}
-    )
-
-
-def abelian_chain() -> LInftyAlgebra:
-    """Abelian with generators spread over degrees -1, 0, 1 and two
-    differential steps; the cochain-comparison fixture."""
-    return LInftyAlgebra(
-        "abelian_chain",
-        [("c", -1), ("a0", 0), ("a2", 0), ("b", 1)],
-        {("c",): {"a0": 1}, ("a2",): {"b": 1}},
-    )
-
-
-def heisenberg() -> LInftyAlgebra:
-    return LInftyAlgebra(
-        "heisenberg",
-        [("e1", 0), ("e2", 0), ("e3", 0)],
-        {("e1", "e2"): {"e3": 1}},
-    )
-
-
-def _ut_symbols(size: int):
-    return [(i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
-
-
-def ut4() -> LInftyAlgebra:
-    """Strictly upper-triangular 4x4 matrices under the commutator."""
-    pairs = _ut_symbols(4)
-    name = {p: f"E{p[0]}{p[1]}" for p in pairs}
-    table = {}
-    for a, b in itertools.combinations(pairs, 2):
-        # E_ij E_kl = [j == k] E_il: at most one product is nonzero
-        if a[1] == b[0]:
-            table[(name[a], name[b])] = {name[(a[0], b[1])]: 1}
-        elif b[1] == a[0]:
-            table[(name[a], name[b])] = {name[(b[0], a[1])]: -1}
-    return LInftyAlgebra("ut4", [(name[p], 0) for p in pairs], table)
-
-
-def dg_lie_01() -> LInftyAlgebra:
-    """Heisenberg in degree 0 with a differential into a trivial
-    degree-1 module: nonabelian, nonzero differential, degrees {0, 1}."""
-    return LInftyAlgebra(
-        "dg_lie_01",
-        [("e1", 0), ("e2", 0), ("e3", 0), ("f1", 1), ("f2", 1)],
-        {
-            ("e1", "e2"): {"e3": 1},
-            ("e1",): {"f1": 1},
-            ("e2",): {"f2": 1},
-        },
-    )
-
-
-def heis_exterior() -> LInftyAlgebra:
-    """Heisenberg tensored with a rank-2 exterior algebra on odd
-    generators: degrees {0, 1, 2}, nontrivial Maurer-Cartan locus."""
-    heis_syms = ["e1", "e2", "e3"]
-    heis_table = {("e1", "e2"): {"e3": 1}}
-    labels = {(): "", (1,): "_q1", (2,): "_q2", (1, 2): "_q12"}
-    generators = []
-    for subset, tag in labels.items():
-        for sym in heis_syms:
-            generators.append((sym + tag, len(subset)))
-    table: dict = {}
-    for s1, t1 in labels.items():
-        for s2, t2 in labels.items():
-            # the sign of interleaving the odd exterior factors; 0 on overlap
-            merged, sign = kernel.merge_words(s1, s2)
-            if not sign:
-                continue
-            for (a, b), value in heis_table.items():
-                table[(a + t1, b + t2)] = {
-                    v + labels[merged]: c * sign for v, c in value.items()
-                }
-    return LInftyAlgebra("heis_exterior", generators, table)
-
-
-def three_bracket() -> LInftyAlgebra:
-    """A minimal genuine L-infinity structure: one ternary bracket into
-    degree -1, plus a spectator degree -1 generator used by the
-    relative-filler fixtures."""
-    return LInftyAlgebra(
-        "three_bracket",
-        [("a", 0), ("b", 0), ("c", 0), ("w", -1), ("v", -1)],
-        {("a", "b", "c"): {"w": 1}},
-    )
 
 
 # -- free nilpotent dg Lie algebras, built on words ----------------------
@@ -280,30 +185,35 @@ def free_nilpotent_class3():
 # -- registry ------------------------------------------------------------
 
 
-_BUILDERS = {
-    "zero": zero_algebra,
-    "abelian_delta": abelian_delta,
-    "abelian_chain": abelian_chain,
-    "heisenberg": heisenberg,
-    "ut4": ut4,
-    "dg_lie_01": dg_lie_01,
-    "heis_exterior": heis_exterior,
-    "three_bracket": three_bracket,
-    "free_nilpotent_class3": lambda: free_nilpotent_class3()[0],
-}
+# the presentations/<name>.json files, the one definition of each
+BUNDLED = (
+    "zero",
+    "abelian_delta",
+    "abelian_chain",
+    "heisenberg",
+    "ut4",
+    "dg_lie_01",
+    "heis_exterior",
+    "three_bracket",
+)
 
-FIXTURE_NAMES = tuple(_BUILDERS)
+FIXTURE_NAMES = BUNDLED + ("free_nilpotent_class3",)
 
 _CACHE: dict = {}
 
 
 def get_fixture(name: str) -> LInftyAlgebra:
-    if name not in _BUILDERS:
+    if name not in FIXTURE_NAMES:
         raise KeyError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
     if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
+        if name == "free_nilpotent_class3":
+            _CACHE[name] = free_nilpotent_class3()[0]
+        else:
+            _CACHE[name] = load_presentation(
+                Path(__file__).with_name("presentations") / f"{name}.json"
+            )
     return _CACHE[name]
 
 
@@ -329,7 +239,8 @@ def get_representation(name: str) -> MatrixRepresentation:
         )
     if name == "ut4":
         return matrix_unit_representation(
-            name, 4, {f"E{i}{j}": (i - 1, j - 1) for i, j in _ut_symbols(4)}
+            name, 4, {f"E{i + 1}{j + 1}": (i, j)
+                      for i, j in itertools.combinations(range(4), 2)}
         )
     raise KeyError(f"no matrix representation for {name!r}")
 

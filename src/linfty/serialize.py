@@ -4,8 +4,10 @@ Presentation files are JSON: {"name", "generators": [{"symbol",
 "degree"}], "brackets": [{"args": [...], "value": [{"symbol", "coeff"}]}],
 optional "max_arity"}; coefficients are strings "p/q" in lowest terms.
 Unlisted brackets are zero; the arity bound is read off the bracket
-table, and a declared "max_arity" is only checked against it.  Loading
-validates degree homogeneity and reports failures with file context.
+table, and a declared "max_arity" is only checked against it.
+load_presentation returns the algebra itself; it validates degree
+homogeneity and reports failures with file context.  The bundled
+fixtures are such files, under presentations/.
 Rendering is canonical and byte-stable; parse(render(x)) == x on
 forms, vectors, presentations, and simplices.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,26 +35,6 @@ class LoadError(ValueError):
         self.path = str(path)
         self.message = message
         super().__init__(f"{path}: {message}")
-
-
-@dataclass
-class PresentationFile:
-    """A loaded presentation plus its validation summary."""
-
-    path: str
-    algebra: LInftyAlgebra
-    nilpotency_index: int | None
-
-    def summary(self) -> str:
-        nil = (
-            f"nilpotent of index {self.nilpotency_index}"
-            if self.nilpotency_index is not None
-            else "NOT nilpotent within the iteration cap"
-        )
-        return (
-            f"{self.algebra.name}: {self.algebra.dim} generators, "
-            f"max arity {self.algebra.max_arity}, {nil}"
-        )
 
 
 def read_input(path, as_json: bool = True):
@@ -198,15 +179,9 @@ def presentation_from_data(data: dict, path="<memory>") -> LInftyAlgebra:
     return algebra
 
 
-def load_presentation(path) -> PresentationFile:
-    """Parse and validate a presentation file."""
-    algebra = presentation_from_data(read_input(path), path)
-    report = algebra.lower_central()
-    return PresentationFile(
-        path=str(path),
-        algebra=algebra,
-        nilpotency_index=report.nilpotency_index,
-    )
+def load_presentation(path) -> LInftyAlgebra:
+    """The algebra of a presentation file, parsed and validated."""
+    return presentation_from_data(read_input(path), path)
 
 
 def save_presentation(algebra: LInftyAlgebra, path):
@@ -309,10 +284,20 @@ def simplex_from_data(data: dict, algebra: LInftyAlgebra) -> SimplexElement:
             f"simplex belongs to algebra {quote(data.get('algebra'))}, "
             f"expected {quote(algebra.name)}"
         )
-    n = int(data["n"])
+    n = data["n"]
+    if not _is_integer(n) or n < 0:
+        raise ValueError(
+            f"simplex dimension n must be an integer >= 0, got {quote(n)}"
+        )
     comps = {}
     for entry in data.get("components", []):
-        comps[entry["generator"]] = parse_form(entry["form"], n)
+        generator, form = entry["generator"], entry["form"]
+        if not (isinstance(generator, str) and isinstance(form, str)):
+            raise ValueError(
+                f"component generator and form must be strings, got "
+                f"{quote(generator)} and {quote(form)}"
+            )
+        comps[generator] = parse_form(form, n)
     return SimplexElement(algebra, n, TensorElement(algebra, n, comps))
 
 

@@ -176,6 +176,31 @@ class TestHostileInput:
         assert out == ""
         assert "face 0" in err and "not gauge-fixed" in err
 
+    # a simplex field of the wrong type: exit 2, not a traceback (a form
+    # that is not text) or a silent cast (a fractional or boolean n)
+    @pytest.mark.parametrize("field, value", [
+        ("form", 5), ("form", None), ("form", ["dt1"]), ("generator", 5),
+        ("n", 1.9), ("n", True), ("n", -1),
+    ], ids=["int-form", "null-form", "list-form", "int-generator",
+            "float-n", "bool-n", "negative-n"])
+    def test_malformed_simplex_fields_are_usage_errors(self, capsys, tmp_path,
+                                                       field, value):
+        face = {"algebra": "dg_lie_01", "n": 1,
+                "components": [{"generator": "f1", "form": "0"}]}
+        if field == "n":
+            face["n"] = value
+        else:
+            face["components"][0][field] = value
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(face))
+        code, out, err = run(
+            capsys, "fill-horn", "--algebra", bundled("dg_lie_01"),
+            "--n", "2", "--missing", "1", "--faces", str(path), str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "face.json" in err
+
     def test_zero_denominator_in_vector_file(self, capsys, tmp_path):
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("1/0*e1\n")
@@ -277,6 +302,18 @@ class TestNegativeSizes:
         assert code == 2
         assert "pass" not in out
         assert f"must be >= {least}" in err
+
+
+    def test_bch_n_zero_is_usage_error(self, capsys, tmp_path):
+        # the chain (1..n) is empty at n = 0, with or without a base point
+        mu = tmp_path / "mu.txt"
+        mu.write_text("f1\n")
+        argv = ("bch", "--algebra", bundled("dg_lie_01"), "--n", "0")
+        for extra in ((), ("--mu", str(mu))):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 2
+            assert out == ""
+            assert "must be >= 1" in err
 
 
 def test_bad_input_message_is_bounded(capsys, tmp_path):

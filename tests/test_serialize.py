@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from linfty.algebra import GVector, TensorElement
 from linfty.fixtures import (
+    BUNDLED,
     FIXTURE_NAMES,
     Sampler,
     free_nilpotent_class3,
@@ -35,9 +36,6 @@ from linfty.serialize import (
 )
 
 
-BUNDLED = [n for n in FIXTURE_NAMES if n != "free_nilpotent_class3"]
-
-
 def bundled_path(name):
     return resources.files("linfty").joinpath(f"presentations/{name}.json")
 
@@ -46,14 +44,20 @@ def fingerprint(data):
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# the built fixtures, symbol order and table included, held fixed across
-# rewrites of their constructors
+# every fixture, symbol order and table included, held fixed across
+# rewrites of its file or constructor and of the loader
 @pytest.mark.parametrize(
     "name, expected",
     [
-        ("free_nilpotent_class3", "917f80a0672fdd08"),
-        ("heis_exterior", "cdb7885e016a3998"),
+        ("zero", "e0fccac6057268e1"),
+        ("abelian_delta", "ab94bdbd658aff54"),
+        ("abelian_chain", "2f3e4c50218abfb7"),
+        ("heisenberg", "76a8907924fea9ff"),
         ("ut4", "83625522d4e13458"),
+        ("dg_lie_01", "2b9f7e0e6db82e9b"),
+        ("heis_exterior", "cdb7885e016a3998"),
+        ("three_bracket", "dcdddb9c008c6dfd"),
+        ("free_nilpotent_class3", "917f80a0672fdd08"),
     ],
 )
 def test_built_fixture_fingerprint(name, expected):
@@ -65,16 +69,14 @@ def test_free_class3_bracket_count_fingerprint():
 
 
 class TestPresentationFiles:
-    def test_bundled_files_load(self):
-        for name in BUNDLED:
-            loaded = load_presentation(bundled_path(name))
-            expected = get_fixture(name)
-            assert loaded.algebra.brackets == expected.brackets
-            assert loaded.algebra.degrees == expected.degrees
+    def test_presentation_files_are_the_bundled_fixtures(self):
+        directory = resources.files("linfty").joinpath("presentations")
+        files = {p.name for p in directory.iterdir() if p.name.endswith(".json")}
+        assert files == {f"{name}.json" for name in BUNDLED}
 
     def test_heisenberg_index(self):
         loaded = load_presentation(bundled_path("heisenberg"))
-        assert loaded.nilpotency_index == 3
+        assert loaded.nilpotency_index() == 3
 
     def test_round_trip(self, tmp_path):
         for name in ("heisenberg", "dg_lie_01", "three_bracket"):
@@ -82,10 +84,8 @@ class TestPresentationFiles:
             path = tmp_path / f"{name}.json"
             save_presentation(algebra, path)
             loaded = load_presentation(path)
-            assert loaded.algebra.brackets == algebra.brackets
-            assert presentation_to_data(loaded.algebra) == presentation_to_data(
-                algebra
-            )
+            assert loaded.brackets == algebra.brackets
+            assert presentation_to_data(loaded) == presentation_to_data(algebra)
 
     def test_degree_violation_reported(self, tmp_path):
         data = {
