@@ -198,30 +198,48 @@ class LInftyAlgebra:
         terms whose weights sum to the current level (brackets of arity
         above the level push the sum up, which keeps the chain
         decreasing).  Nilpotent iff the chain reaches zero.
+
+        Two savings keep the span the same.  The RREF rows of a level
+        are homogeneous, so permuting a bracket's arguments changes only
+        its sign: one nondecreasing composition of levels stands for all
+        its orderings, and a level repeated m times takes the multisets
+        of m of its rows.  A basis tuple holding a symbol that occurs in
+        no stored key of arity >= 2 brackets to zero, so each row enters
+        a bracket cut down to the other (active) symbols; a row with no
+        active symbol is dropped as a factor but kept in its level.
         """
         if self._filtration is not None:
             return self._filtration
-        # the rows of each level as vectors, built once per level
-        row_vectors = [[self.basis_vector(s) for s in self.symbols]]
-        spaces = [Subspace(self.symbols, [v.coeffs for v in row_vectors[0]])]
+        active = {s for key in self.brackets if len(key) > 1 for s in key}
+        spaces = [Subspace(self.symbols, [{s: _ONE} for s in self.symbols])]
+        # the bracket factors of each level: its rows on the active symbols
+        factors = [[self.basis_vector(s) for s in self.symbols if s in active]]
         index = None
         for level in range(2, NILPOTENCY_CAP + 2):
             vectors = []
             for arity in range(2, self.max_arity + 1):
                 weight = max(level, arity)
                 for comp in _compositions(weight, arity):
-                    if any(c >= level for c in comp):
+                    # one order per multiset of levels: the nondecreasing one
+                    if comp != tuple(sorted(comp)) or comp[-1] >= level:
                         continue
-                    factor_bases = [row_vectors[c - 1] for c in comp]
-                    if any(not rows for rows in factor_bases):
-                        continue
-                    for args in itertools.product(*factor_bases):
-                        val = bracket(self, args)
+                    runs = [
+                        (factors[c - 1], len(list(group)))
+                        for c, group in itertools.groupby(comp)
+                    ]
+                    for parts in itertools.product(*(
+                        itertools.combinations_with_replacement(rows, m)
+                        for rows, m in runs
+                    )):
+                        val = bracket(self, sum(parts, ()))
                         if not val.is_zero():
                             vectors.append(val.coeffs)
             space = Subspace(self.symbols, vectors)
             spaces.append(space)
-            row_vectors.append([GVector(self, row) for row in space.rows])
+            factors.append([
+                GVector(self, cut) for row in space.rows
+                if (cut := {s: c for s, c in row.items() if s in active})
+            ])
             if space.is_zero():
                 index = level
                 break

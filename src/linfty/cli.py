@@ -119,9 +119,16 @@ def cmd_fill_horn(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    # the filler is defined for gauge-fixed horns only; checked here on
-    # input, not in fill_horn_gamma, which every series evaluation calls
     for j, path, face in zip(positions, args.faces, faces):
+        if face.n != args.n - 1:
+            print(
+                f"face {j} ({quote(path)}) has dimension {face.n}, "
+                f"the horn needs dimension {args.n - 1}",
+                file=sys.stderr,
+            )
+            return USAGE_ERROR
+        # the filler is defined for gauge-fixed horns only; checked here on
+        # input, not in fill_horn_gamma, which every series evaluation calls
         if not face.is_gauge_fixed():
             print(
                 f"face {j} ({quote(path)}) is not gauge-fixed: s(value) != 0",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import linfty
 from linfty import kernel
 from linfty.algebra import (
+    NILPOTENCY_CAP,
     _atom_tuples,
     GVector,
     LInftyAlgebra,
@@ -33,6 +34,7 @@ from linfty.algebra import (
 from linfty.fixtures import (
     CLASS3_DELTA,
     CLASS3_GENERATORS,
+    FIXTURE_NAMES,
     Sampler,
     free_nilpotent,
     free_nilpotent_class3,
@@ -41,6 +43,7 @@ from linfty.fixtures import (
     three_bracket_projection,
 )
 from linfty.forms import Form
+from linfty.linalg import Subspace
 
 
 class TestKoszulSign:
@@ -144,15 +147,7 @@ class TestLowerCentral:
         assert get_fixture("ut4").lower_central().nilpotency_index == 4
 
     def test_non_nilpotent_flagged(self):
-        sl2ish = LInftyAlgebra(
-            "split",
-            [("h", 0), ("e", 0), ("f", 0)],
-            {
-                ("h", "e"): {"e": 2},
-                ("h", "f"): {"f": -2},
-                ("e", "f"): {"h": 1},
-            },
-        )
+        sl2ish = split_algebra()
         report = sl2ish.lower_central()
         assert report.diverged
         with pytest.raises(ValueError):
@@ -188,6 +183,37 @@ class TestLowerCentral:
         report = check_jacobi(algebra, 3)
         assert report.passed
         assert report.cases == 2624
+
+    def test_free_class3_generators_at_weight_four(self):
+        # in a free nilpotent algebra level k is spanned by the cells whose
+        # word has length >= k, an oracle independent of the bracket loop
+        algebra, expansion = free_nilpotent(
+            "c3w4", CLASS3_GENERATORS, CLASS3_DELTA, 4
+        )
+        assert algebra.dim == 418
+        weight = {sym: len(next(iter(lie))) for sym, lie in expansion.items()}
+        report = algebra.lower_central()
+        assert report.dims() == [418, 412, 394, 324, 0]
+        for k, space in enumerate(report.subspaces, start=1):
+            assert space == Subspace(algebra.symbols, [
+                {s: 1} for s in algebra.symbols if weight[s] >= k
+            ])
+
+    def test_free_class3_bracket_count(self, monkeypatch):
+        # one bracket per multiset of active rows: 300 at level 2, 432 at
+        # level 3, 171 at level 4 (ordered products of full rows made 46,284)
+        algebra, _ = free_nilpotent(
+            "class3", CLASS3_GENERATORS, CLASS3_DELTA, 3
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return bracket(*args)
+
+        monkeypatch.setattr("linfty.algebra.bracket", counted)
+        assert algebra.lower_central().dims() == [94, 88, 70, 0]
+        assert len(calls) == 903
 
 
 class TestCurvatureAndTwist:
@@ -528,6 +554,88 @@ def test_tensor_bracket_obeys_graded_leibniz(data):
         algebra, [x, y.d_plus_delta()]
     ).scale((-1) ** degree)
     assert lhs == rhs
+
+
+# -- the lower central filtration against the ordered-product loop --------
+
+
+def ordered_filtration(algebra):
+    """The lower central filtration with no saving: every ordered
+    composition of each level into parts below it, the full rows of each
+    part, one bracket per ordered tuple of rows.  Returns (subspaces,
+    nilpotency index or None)."""
+    rows = [[algebra.basis_vector(s) for s in algebra.symbols]]
+    spaces = [Subspace(algebra.symbols, [v.coeffs for v in rows[0]])]
+    for level in range(2, NILPOTENCY_CAP + 2):
+        vectors = []
+        for arity in range(2, algebra.max_arity + 1):
+            for comp in itertools.product(range(1, level), repeat=arity):
+                if sum(comp) != max(level, arity):
+                    continue
+                for args in itertools.product(*(rows[c - 1] for c in comp)):
+                    value = bracket(algebra, args)
+                    if value:
+                        vectors.append(value.coeffs)
+        space = Subspace(algebra.symbols, vectors)
+        spaces.append(space)
+        rows.append([GVector(algebra, row) for row in space.rows])
+        if space.is_zero():
+            return spaces, level
+    return spaces, None
+
+
+def split_algebra():
+    """sl(2) in the split basis, which is not nilpotent."""
+    return LInftyAlgebra(
+        "split", [("h", 0), ("e", 0), ("f", 0)],
+        {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
+    )
+
+
+@st.composite
+def triangular_presentations(draw):
+    """2-6 symbols of degrees -1..2 and a degree-homogeneous table of
+    arity 2 and 3, a repeated odd symbol allowed in a key.  Each value
+    lies on symbols after every symbol of its key, so the filtration
+    vanishes within dim + 1 levels."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=2, max_size=6))
+    symbols = [f"x{i}" for i in range(len(degrees))]
+    targets = {}
+    for arity in (2, 3):
+        for key in itertools.combinations_with_replacement(range(len(degrees)), arity):
+            if any(a == b and degrees[a] % 2 == 0 for a, b in zip(key, key[1:])):
+                continue
+            degree = sum(degrees[i] for i in key) + 2 - arity
+            later = [symbols[j] for j in range(key[-1] + 1, len(degrees))
+                     if degrees[j] == degree]
+            if later:
+                targets[tuple(symbols[i] for i in key)] = later
+    table = {}
+    if targets:
+        for key in draw(st.lists(st.sampled_from(sorted(targets)), unique=True,
+                                 max_size=10)):
+            table[key] = draw(st.dictionaries(
+                st.sampled_from(targets[key]), rationals, min_size=1
+            ))
+    return LInftyAlgebra("random", list(zip(symbols, degrees)), table)
+
+
+@PROPERTY
+@given(triangular_presentations())
+def test_filtration_is_the_ordered_product_one(algebra):
+    spaces, index = ordered_filtration(algebra)
+    report = algebra.lower_central()
+    assert report.nilpotency_index == index
+    assert report.subspaces == spaces
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("split",))
+def test_fixture_filtration_is_the_ordered_product_one(name):
+    algebra = split_algebra() if name == "split" else get_fixture(name)
+    spaces, index = ordered_filtration(algebra)
+    report = algebra.lower_central()
+    assert report.nilpotency_index == index
+    assert report.subspaces == spaces
 
 
 # -- the vector-space surface that Form, GVector and TensorElement share ----

@@ -201,6 +201,28 @@ class TestHostileInput:
         assert out == ""
         assert "face.json" in err
 
+    # a face of the wrong dimension is named for its dimension, before the
+    # gauge condition (which the first one fails) or the horn's shape check
+    @pytest.mark.parametrize("n, components", [
+        (10, [{"generator": "e1", "form": "t1*dt1"}]),
+        (3, []),
+    ], ids=["not-gauge-fixed", "empty"])
+    def test_face_of_the_wrong_dimension_is_named(self, capsys, tmp_path,
+                                                  monkeypatch, n, components):
+        # a short relative path, which the message quotes whole
+        monkeypatch.chdir(tmp_path)
+        Path("face.json").write_text(json.dumps(
+            {"algebra": "heisenberg", "n": n, "components": components}
+        ))
+        code, out, err = run(
+            capsys, "fill-horn", "--algebra", bundled("heisenberg"),
+            "--n", "2", "--missing", "1", "--faces", "face.json", "face.json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (f"face 0 ('face.json') has dimension {n}, "
+                       "the horn needs dimension 1\n")
+
     def test_zero_denominator_in_vector_file(self, capsys, tmp_path):
         mu_path = tmp_path / "mu.txt"
         mu_path.write_text("1/0*e1\n")
