@@ -16,7 +16,6 @@ from linfty.algebra import (
     check_jacobi,
     curvature,
     is_mc,
-    koszul_sign,
     twist,
 )
 from linfty.bch_groupoid import (
@@ -105,7 +104,6 @@ __all__ = [
     "integrate_chain",
     "is_mc",
     "is_thin",
-    "koszul_sign",
     "load_presentation",
     "matrix_exp",
     "matrix_log",

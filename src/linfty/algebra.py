@@ -38,39 +38,6 @@ _ONE = Fraction(1)
 NILPOTENCY_CAP = 64
 
 
-def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
-    """Koszul sign of a permutation acting on graded symbols.
-
-    permutation[p] is the original position of the element landing in
-    slot p; each inversion of a pair of degrees (d, e) contributes
-    (-1)^(d*e).  Composes multiplicatively.
-    """
-    if len(permutation) != len(degrees):
-        raise ValueError("permutation and degree list have different lengths")
-    sign = 1
-    for p in range(len(permutation)):
-        for q in range(p + 1, len(permutation)):
-            if permutation[p] > permutation[q]:
-                if (degrees[permutation[p]] * degrees[permutation[q]]) % 2:
-                    sign = -sign
-    return sign
-
-
-def permutation_parity(permutation: Sequence[int]) -> int:
-    sign = 1
-    for p in range(len(permutation)):
-        for q in range(p + 1, len(permutation)):
-            if permutation[p] > permutation[q]:
-                sign = -sign
-    return sign
-
-
-def antisymmetric_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
-    """Sign for rearranging arguments of a graded antisymmetric bracket:
-    permutation parity times the Koszul sign."""
-    return permutation_parity(permutation) * koszul_sign(permutation, degrees)
-
-
 class LInftyAlgebra:
     """A finitely presented L-infinity algebra.
 
@@ -93,6 +60,9 @@ class LInftyAlgebra:
         self.degrees = {sym: int(deg) for sym, deg in generators}
         self.index = {sym: i for i, sym in enumerate(self.symbols)}
         self.dim = len(self.symbols)
+        self._odd = frozenset(
+            i for i, sym in enumerate(self.symbols) if self.degrees[sym] % 2
+        )
 
         table: dict = {}
         arities = [1]
@@ -151,23 +121,15 @@ class LInftyAlgebra:
     def _canonical_key(self, args: Sequence[str]):
         """Sort argument symbols into storage order, with the
         antisymmetric Koszul sign; sign 0 on a repeated even symbol."""
-        order = [self.index[s] for s in args]
-        degs = [self.degrees[s] for s in args]
-        items = list(zip(order, degs))
-        sign = 1
-        for i in range(1, len(items)):
-            j = i
-            while j > 0 and items[j - 1][0] > items[j][0]:
-                # a transposition costs -(-1)^(|a||b|): none for two odd symbols
-                if not (items[j - 1][1] * items[j][1]) % 2:
-                    sign = -sign
-                items[j - 1], items[j] = items[j], items[j - 1]
-                j -= 1
-        for i in range(1, len(items)):
-            if items[i - 1][0] == items[i][0] and items[i][1] % 2 == 0:
-                return (), 0
-        key = tuple(self.symbols[idx] for idx, _ in items)
-        return key, sign
+        order, sign = kernel.sort_word(map(self.index.__getitem__, args), self._odd)
+        return tuple(self.symbols[i] for i in order), sign
+
+    def canonical_tuples(self, arity: int):
+        """The bracket's domain at one arity: the sorted symbol tuples
+        that repeat no even symbol, in storage order."""
+        for key in itertools.combinations_with_replacement(self.symbols, arity):
+            if self._canonical_key(key)[1]:
+                yield key
 
     def bracket_on_basis(self, args: Sequence[str]) -> "GVector":
         """Bracket of basis symbols, via the stored canonical table."""
@@ -258,9 +220,6 @@ class LInftyAlgebra:
                 f"algebra {self.name!r} is not nilpotent (cap {NILPOTENCY_CAP})"
             )
         return report.nilpotency_index
-
-    def require_nilpotent(self):
-        self.nilpotency_index()
 
     def __repr__(self):
         return (
@@ -458,7 +417,7 @@ def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
     with alternating and Koszul signs.  Works through the cached table
     to keep exhaustive sweeps cheap."""
     n = len(syms)
-    degs = [algebra.degrees[s] for s in syms]
+    odd = frozenset(p for p in range(n) if algebra.degrees[syms[p]] % 2)
     total: dict = {}
     for k in range(1, n + 1):
         for head in itertools.combinations(range(n), k):
@@ -466,7 +425,7 @@ def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
             if inner.is_zero():
                 continue
             tail = tuple(p for p in range(n) if p not in head)
-            sign = (-1) ** k * antisymmetric_sign(head + tail, degs)
+            sign = (-1) ** k * kernel.sort_word(head + tail, odd)[1]
             tail_syms = tuple(syms[p] for p in tail)
             for mid, c in inner.coeffs.items():
                 outer = algebra.bracket_on_basis((mid,) + tail_syms)
@@ -475,27 +434,27 @@ def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
     return total
 
 
+def jacobi_arity(algebra: LInftyAlgebra) -> int:
+    """The largest arity whose n-Jacobi rule can fail: the rule pairs
+    l_k with l_(n-k+1), so it is 2 * max_arity - 1."""
+    return max(1, 2 * algebra.max_arity - 1)
+
+
 def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
     """Evaluate every n-Jacobi rule, n <= n_max, on basis tuples.
 
-    The Jacobi sum is multilinear and graded antisymmetric, so sorted
-    tuples (with repetition) span the general case; tuples repeating an
-    even-degree symbol are skipped because antisymmetry forces their
-    residual to vanish identically.  One case per tuple; the report
-    stops at the first offending tuple and names it with its residual.
+    The Jacobi sum is multilinear and graded antisymmetric, so the
+    canonical tuples span the general case: a tuple repeating an
+    even-degree symbol has a residual that vanishes identically.  One
+    case per tuple; the report stops at the first offending tuple and
+    names it with its residual.  The default n_max is jacobi_arity.
     """
     if n_max is None:
-        n_max = algebra.max_arity + 2
+        n_max = jacobi_arity(algebra)
     report = Report(f"Jacobi({algebra.name}) up to arity {n_max}")
     zero = algebra.zero_vector()
-    even = {s for s in algebra.symbols if algebra.degrees[s] % 2 == 0}
     for n in range(1, n_max + 1):
-        for syms in itertools.combinations_with_replacement(algebra.symbols, n):
-            if any(
-                syms[p] == syms[p + 1] and syms[p] in even
-                for p in range(n - 1)
-            ):
-                continue
+        for syms in algebra.canonical_tuples(n):
             residual = GVector(algebra, jacobiator(algebra, syms))
             if not report.record(f"tuple {syms}", residual, zero):
                 return report
@@ -556,10 +515,7 @@ def twist(algebra: LInftyAlgebra, mu: GVector) -> LInftyAlgebra:
         raise ValueError("twisting element does not satisfy Maurer-Cartan")
     new_table: dict = {}
     for arity in range(1, algebra.max_arity + 1):
-        for key in itertools.combinations_with_replacement(algebra.symbols, arity):
-            canon, sign = algebra._canonical_key(key)
-            if sign == 0 or canon != key:
-                continue
+        for key in algebra.canonical_tuples(arity):
             value = twisted_bracket(
                 algebra, mu, [algebra.basis_vector(s) for s in key]
             )
@@ -615,9 +571,7 @@ class Morphism:
     def _check_strict(self):
         arity_bound = max(self.source.max_arity, self.target.max_arity)
         for arity in range(1, arity_bound + 1):
-            for key in itertools.combinations_with_replacement(
-                self.source.symbols, arity
-            ):
+            for key in self.source.canonical_tuples(arity):
                 lhs = self.apply(self.source.bracket_on_basis(key))
                 rhs = bracket(self.target, [self.images[s] for s in key])
                 if lhs != rhs:

@@ -145,7 +145,6 @@ def tree_exponential(algebra: LInftyAlgebra, mu: GVector, x: GVector,
     weighted by its monotone-order coefficient.  Vanishes once k reaches
     the nilpotency index.
     """
-    algebra.require_nilpotent()
     if not is_mc(algebra, mu):
         raise ValueError("base point does not satisfy Maurer-Cartan")
     if k >= algebra.nilpotency_index():
@@ -297,7 +296,6 @@ def deligne_action(algebra: LInftyAlgebra, x: GVector,
     alpha - sum_n ad(x)^n (delta(x) + [alpha, x]) / (n+1)!."""
     if algebra.max_arity > 2:
         raise ValueError("the exponential action is for dg Lie algebras")
-    algebra.require_nilpotent()
     if not is_mc(algebra, alpha):
         raise ValueError("action input does not satisfy Maurer-Cartan")
     if not x.is_zero() and not x.is_homogeneous(0):

@@ -8,7 +8,9 @@ vectors of ``linalg`` key it by column.  ``add_into``, ``add_term``
 (one term), ``scale_terms`` and ``drop_zeros`` are the only places a
 term dict is added into, scaled or cleared of zeros (``add_into`` and
 ``mul_terms``, the innermost loops, inline ``add_term``); the word
-helpers carry the signs of the exterior product.
+helpers carry every reordering sign: ``sort_word`` for dt-words and for
+the arguments of a graded antisymmetric bracket, ``merge_words`` for
+the exterior product.
 
 Exact arithmetic: the package's four internal primitives compute
 from numerators and denominators: ``frac_add``, ``frac_mul`` and
@@ -105,21 +107,25 @@ def as_fraction(value):
     return value if type(value) is Fraction else Fraction(value)
 
 
-def sort_word(word):
-    """Sort a dt-index word, returning (sorted_word, sign).
+def sort_word(word, commuting=()):
+    """Sort a word of letters, returning (sorted_word, sign).
 
-    The sign is the parity of the sorting permutation; a repeated index
-    gives sign 0 (odd generators square to zero).
+    Swapping two neighbours costs -1 unless both letters are in
+    ``commuting``: the sign of a graded antisymmetric bracket whose odd
+    arguments are the commuting letters, and with no commuting letter
+    the parity of the sorting permutation (dt-words).  A repeated letter
+    outside ``commuting`` gives ((), 0): it squares to zero.
     """
     w = list(word)
     sign = 1
     for i in range(1, len(w)):
         j = i
         while j > 0 and w[j - 1] > w[j]:
+            if w[j] not in commuting or w[j - 1] not in commuting:
+                sign = -sign
             w[j - 1], w[j] = w[j], w[j - 1]
-            sign = -sign
             j -= 1
-        if j > 0 and w[j - 1] == w[j]:
+        if j > 0 and w[j - 1] == w[j] and w[j] not in commuting:
             return (), 0
     return tuple(w), sign
 

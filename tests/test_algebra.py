@@ -16,7 +16,6 @@ from linfty.algebra import (
     LInftyAlgebra,
     Morphism,
     TensorElement,
-    antisymmetric_sign,
     bianchi_residual,
     bracket,
     check_jacobi,
@@ -24,13 +23,13 @@ from linfty.algebra import (
     curvature,
     is_mc,
     jacobiator,
-    koszul_sign,
     tensor_bracket,
     tensor_curvature,
     twist,
     twisted_bracket,
     zero_tensor,
 )
+from linfty.bch_groupoid import deligne_action, tree_exponential
 from linfty.fixtures import (
     CLASS3_DELTA,
     CLASS3_GENERATORS,
@@ -44,6 +43,42 @@ from linfty.fixtures import (
 )
 from linfty.forms import Form
 from linfty.linalg import Subspace
+
+
+# -- the reordering sign, by an independent oracle ---------------------------
+
+
+def koszul_sign(permutation, degrees):
+    """Koszul sign of a permutation acting on graded symbols.
+
+    permutation[p] is the original position of the element landing in
+    slot p; each inversion of a pair of degrees (d, e) contributes
+    (-1)^(d*e).  Composes multiplicatively.
+    """
+    if len(permutation) != len(degrees):
+        raise ValueError("permutation and degree list have different lengths")
+    sign = 1
+    for p in range(len(permutation)):
+        for q in range(p + 1, len(permutation)):
+            if permutation[p] > permutation[q]:
+                if (degrees[permutation[p]] * degrees[permutation[q]]) % 2:
+                    sign = -sign
+    return sign
+
+
+def permutation_parity(permutation):
+    sign = 1
+    for p in range(len(permutation)):
+        for q in range(p + 1, len(permutation)):
+            if permutation[p] > permutation[q]:
+                sign = -sign
+    return sign
+
+
+def antisymmetric_sign(permutation, degrees):
+    """Sign for rearranging arguments of a graded antisymmetric bracket:
+    permutation parity times the Koszul sign."""
+    return permutation_parity(permutation) * koszul_sign(permutation, degrees)
 
 
 class TestKoszulSign:
@@ -725,3 +760,61 @@ def test_package_exports_resolve_once():
     assert len(set(linfty.__all__)) == len(linfty.__all__)
     for name in linfty.__all__:
         assert getattr(linfty, name) is not None, name
+
+
+# -- one reordering sign and one enumeration of the bracket's domain --------
+
+@PROPERTY
+@given(st.data())
+def test_sort_word_is_the_antisymmetric_sign(data):
+    degrees = data.draw(st.lists(st.integers(-2, 2), max_size=7))
+    perm = data.draw(st.permutations(range(len(degrees))))
+    odd = frozenset(p for p, d in enumerate(degrees) if d % 2)
+    assert kernel.sort_word(perm, odd) == (
+        tuple(range(len(degrees))), antisymmetric_sign(perm, degrees)
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_canonical_key_is_the_oracle_sign(data):
+    degrees = data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+    symbols = [f"x{i}" for i in range(len(degrees))]
+    algebra = LInftyAlgebra("graded", list(zip(symbols, degrees)))
+    args = data.draw(st.lists(st.sampled_from(symbols), max_size=7))
+    # the stable sorting permutation: slot p holds the argument at perm[p]
+    perm = sorted(range(len(args)), key=lambda p: algebra.index[args[p]])
+    key = tuple(args[p] for p in perm)
+    repeats_even = any(
+        a == b and algebra.degrees[a] % 2 == 0 for a, b in zip(key, key[1:])
+    )
+    expected = ((), 0) if repeats_even else (
+        key, antisymmetric_sign(perm, [algebra.degrees[a] for a in args])
+    )
+    assert algebra._canonical_key(args) == expected
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_canonical_tuples_skip_exactly_a_repeated_even_symbol(name):
+    algebra = get_fixture(name)
+    even = {s for s in algebra.symbols if algebra.degrees[s] % 2 == 0}
+    top = 3 if name == "free_nilpotent_class3" else 4
+    for m in range(1, top + 1):
+        expected = [
+            syms
+            for syms in itertools.combinations_with_replacement(algebra.symbols, m)
+            if not any(
+                syms[p] == syms[p + 1] and syms[p] in even for p in range(m - 1)
+            )
+        ]
+        assert list(algebra.canonical_tuples(m)) == expected
+
+
+def test_series_on_a_non_nilpotent_algebra_are_refused():
+    algebra = split_algebra()
+    zero, x = algebra.zero_vector(), algebra.basis_vector("e")
+    message = r"algebra 'split' is not nilpotent \(cap 64\)"
+    with pytest.raises(ValueError, match=message):
+        tree_exponential(algebra, zero, x, 1)
+    with pytest.raises(ValueError, match=message):
+        deligne_action(algebra, x, zero)

@@ -8,7 +8,7 @@ import pytest
 
 from linfty import acceptance, cli
 from linfty.cli import main
-from linfty.fixtures import Sampler, get_fixture
+from linfty.fixtures import FIXTURE_NAMES, Sampler, get_fixture
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
 from linfty.serialize import save_presentation, save_simplex
 
@@ -64,6 +64,49 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check-jacobi", "--algebra", str(path))
         assert code == 1
         assert "FAIL" in out
+
+    def test_default_arity_reaches_the_paired_rule(self, capsys, tmp_path):
+        # the n-Jacobi rule pairs l_k with l_(n-k+1): two quaternary
+        # brackets first meet at arity 7
+        from linfty.algebra import LInftyAlgebra
+        l4l4 = LInftyAlgebra(
+            "l4l4",
+            [(s, 0) for s in "abcd"] + [("e", -2)]
+            + [(s, 0) for s in "fgh"] + [("z", -4)],
+            {("a", "b", "c", "d"): {"e": 1}, ("e", "f", "g", "h"): {"z": 1}},
+        )
+        path = tmp_path / "l4l4.json"
+        save_presentation(l4l4, path)
+        code, out, _ = run(capsys, "check-jacobi", "--algebra", str(path))
+        assert code == 1
+        assert ("FAIL  Jacobi(l4l4) up to arity 7" in out
+                and "tuple ('a', 'b', 'c', 'd', 'f', 'g', 'h'): z != 0" in out)
+
+    def test_default_arity_of_three_bracket(self, capsys):
+        code, out, _ = run(capsys, "check-jacobi", "--algebra",
+                           bundled("three_bracket"))
+        assert code == 0
+        assert "up to arity 5: 101 cases" in out
+
+    def test_jacobi_over_the_budget_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "class3.json"
+        save_presentation(get_fixture("free_nilpotent_class3"), path)
+        code, out, err = run(capsys, "check-jacobi", "--algebra", str(path),
+                             "--n-max", "4")
+        assert code == 2
+        assert out == ""
+        assert "3399040 tuples, over the budget" in err and "--n-max" in err
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_jacobi_size_counts_the_canonical_tuples(self, name):
+        # the empty algebra "zero" and the all-even ones included
+        algebra = get_fixture(name)
+        top = 2 if name == "free_nilpotent_class3" else 4
+        for n_max in range(top + 1):
+            assert cli.jacobi_size(algebra, n_max) == sum(
+                1 for n in range(1, n_max + 1)
+                for _ in algebra.canonical_tuples(n)
+            )
 
 
 class TestHostileInput:
