@@ -40,6 +40,7 @@ from linfty.mc_gamma import (
     Horn,
     SimplexElement,
     fill_horn_gamma,
+    incompatible_faces,
     solve_gauge_fixed,
 )
 from linfty.report import Report
@@ -561,24 +562,22 @@ class NerveTruncation:
     """The nerve of a finite groupoid up to a dimension bound.
 
     n-simplices are composable chains [g_1, ..., g_n]; face maps drop or
-    compose, degeneracies insert identities.  Provides exhaustive
-    unique-filler lookup and the coskeletal reconstruction check.
+    compose.  Provides exhaustive unique-filler lookup, and checks
+    against every compatible family of faces that horns have unique
+    fillers and that boundaries determine their simplices.
     """
 
     def __init__(self, groupoid: FiniteGroupoid, bound: int):
         self.groupoid = groupoid
-        self.bound = bound
-        self.simplices = {0: [(obj,) for obj in groupoid.objects]}
-        for n in range(1, bound + 1):
-            chains = []
-            if n == 1:
-                chains = [(g,) for g in groupoid.morphisms]
-            else:
-                for chain in self.simplices[n - 1]:
-                    for g in groupoid.morphisms:
-                        if groupoid.source[chain[-1]] == groupoid.target[g]:
-                            chains.append(chain + (g,))
-            self.simplices[n] = chains
+        self.simplices = {0: [(obj,) for obj in groupoid.objects],
+                          1: [(g,) for g in groupoid.morphisms]}
+        for n in range(2, bound + 1):
+            self.simplices[n] = [
+                chain + (g,)
+                for chain in self.simplices[n - 1]
+                for g in groupoid.morphisms
+                if groupoid.source[chain[-1]] == groupoid.target[g]
+            ]
 
     def face(self, n: int, k: int, simplex):
         g = self.groupoid
@@ -594,84 +593,43 @@ class NerveTruncation:
             + simplex[k + 1 :]
         )
 
-    def degeneracy(self, n: int, k: int, simplex):
-        """Insert an identity: from an n-simplex to an (n+1)-simplex."""
-        g = self.groupoid
-        if n == 0:
-            return (g.identity[simplex[0]],)
-        if k == 0:
-            return (g.identity[g.target[simplex[0]]],) + simplex
-        return simplex[:k] + (g.identity[g.source[simplex[k - 1]]],) + simplex[k:]
-
-    def horn_of(self, n: int, i: int, simplex):
-        return tuple(
-            self.face(n, k, simplex) if k != i else None for k in range(n + 1)
-        )
-
-    def fillers(self, n: int, i: int, horn):
-        return [
-            s
-            for s in self.simplices[n]
-            if self.horn_of(n, i, s) == tuple(horn)
-        ]
+    def faces(self, n: int, simplex, missing=None):
+        """The faces of an n-simplex, with None at position missing."""
+        return tuple(None if k == missing else self.face(n, k, simplex)
+                     for k in range(n + 1))
 
     def unique_filler(self, n: int, i: int, horn):
-        found = self.fillers(n, i, horn)
+        horn = tuple(horn)
+        found = [s for s in self.simplices[n] if self.faces(n, s, i) == horn]
         if len(found) != 1:
             raise ValueError(
                 f"horn has {len(found)} fillers; expected exactly one"
             )
         return found[0]
 
-    def check_filler_bijectivity(self, n: int) -> bool:
-        """Every horn of every n-simplex has exactly one filler, and the
-        horn map is injective: the nerve property in dimension n."""
-        for i in range(n + 1):
-            seen = {}
-            for s in self.simplices[n]:
-                horn = self.horn_of(n, i, s)
-                if horn in seen:
-                    return False
-                seen[horn] = s
-            # surjectivity onto compatible horns: every tuple of faces
-            # agreeing on overlaps is hit
-            for horn, s in seen.items():
-                if self.unique_filler(n, i, horn) != s:
-                    return False
-        return True
+    def _faces_biject(self, n: int, missing=None) -> bool:
+        """Whether the faces (None at missing) of the n-simplices are a
+        bijection onto the compatible families of (n-1)-simplices: the
+        horns at missing, or the boundaries when missing is None."""
+        images = [self.faces(n, s, missing) for s in self.simplices[n]]
+        slots = [(None,) if k == missing else self.simplices[n - 1]
+                 for k in range(n + 1)]
+        families = {
+            family for family in itertools.product(*slots)
+            if incompatible_faces(
+                family, lambda x, j: self.face(n - 1, j, x)) is None
+        }
+        return len(images) == len(families) and set(images) == families
 
-    def compatible_boundaries(self, n: int):
-        """All (n+1)-tuples of (n-1)-simplices satisfying the simplicial
-        compatibility conditions: the coskeleton's n-cells."""
-        out = []
-        lower = self.simplices[n - 1]
-        for combo in itertools.product(lower, repeat=n + 1):
-            ok = True
-            for j in range(n + 1):
-                for k in range(j + 1, n + 1):
-                    if self.face(n - 1, j, combo[k]) != self.face(
-                        n - 1, k - 1, combo[j]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(combo)
-        return out
+    def check_filler_bijectivity(self, n: int) -> bool:
+        """Every compatible horn of dimension n, at every position, has
+        exactly one filler: Duskin's condition in dimension n."""
+        return all(self._faces_biject(n, i) for i in range(n + 1))
 
     def check_coskeletal(self, n: int = 3) -> bool:
         """The boundary map from n-simplices to compatible boundary
         tuples is a bijection: the nerve is determined by its 2-skeleton."""
-        boundaries = [
-            tuple(self.face(n, k, s) for k in range(n + 1))
-            for s in self.simplices[n]
-        ]
-        if len(set(boundaries)) != len(boundaries):
-            return False
-        return sorted(boundaries) == sorted(
-            map(tuple, self.compatible_boundaries(n))
-        )
+        return self._faces_biject(n)
 
 
 def group_as_groupoid(elements, multiply, identity) -> FiniteGroupoid:

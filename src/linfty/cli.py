@@ -41,6 +41,16 @@ def _verdict(reports, verbose: bool = False) -> int:
     return PASS if all(r.passed for r in reports) else CHECK_FAILURE
 
 
+def _fits_budget(work: str, size: int, unit: str, budget: int,
+                 options: str) -> bool:
+    """Whether work of the given size is within its budget; if not, say
+    so on stderr, naming the options that lower it."""
+    if size > budget:
+        print(f"{work} would check {size} {unit}, over the budget of "
+              f"{budget}; lower {options}", file=sys.stderr)
+    return size <= budget
+
+
 # The most canonical tuples one check-jacobi run evaluates.  The free
 # class-3 algebra has 142,974 up to arity 3 (several seconds) and
 # 3,399,040 up to arity 4.
@@ -63,14 +73,10 @@ def jacobi_size(algebra, n_max: int) -> int:
 def cmd_check_jacobi(args) -> int:
     algebra = load_presentation(args.algebra)
     n_max = jacobi_arity(algebra) if args.n_max is None else args.n_max
-    size = jacobi_size(algebra, n_max)
-    if size > JACOBI_BUDGET:
-        print(
-            f"check-jacobi on {quote(algebra.name)} up to arity {n_max} "
-            f"would check {size} tuples, over the budget of "
-            f"{JACOBI_BUDGET}; lower --n-max",
-            file=sys.stderr,
-        )
+    if not _fits_budget(
+        f"check-jacobi on {quote(algebra.name)} up to arity {n_max}",
+        jacobi_size(algebra, n_max), "tuples", JACOBI_BUDGET, "--n-max",
+    ):
         return USAGE_ERROR
     index = algebra.lower_central().nilpotency_index
     nil = ("NOT nilpotent within the iteration cap" if index is None
@@ -99,15 +105,11 @@ def harness_size(dims, max_degree: int) -> int:
 
 
 def _within_budget(command: str, dims, max_degree: int, options: str) -> bool:
-    size = harness_size(dims, max_degree)
-    if size > HARNESS_BUDGET:
-        print(
-            f"{command} on dimension {', '.join(map(str, dims))} at degree "
-            f"{max_degree} would check {size} monomial x vertex-sequence "
-            f"pairs, over the budget of {HARNESS_BUDGET}; lower {options}",
-            file=sys.stderr,
-        )
-    return size <= HARNESS_BUDGET
+    return _fits_budget(
+        f"{command} on dimension {', '.join(map(str, dims))} at degree "
+        f"{max_degree}", harness_size(dims, max_degree),
+        "monomial x vertex-sequence pairs", HARNESS_BUDGET, options,
+    )
 
 
 def cmd_verify_contraction(args) -> int:
@@ -171,8 +173,29 @@ def cmd_fill_horn(args) -> int:
     return PASS
 
 
+# The most columns one dold-kan comparison builds: abelian_chain has 135
+# at n = 3, 994 at n = 6 (0.7 s) and 2,520 at n = 8 (3.9 s).
+DOLD_KAN_BUDGET = 1_000
+
+
+def dold_kan_size(algebra, n: int) -> int:
+    """Whitney cells (x) symbols of total degree 1 and 2, plus degree
+    <= 2 monomials (x) symbols x with a dt-word of length 1 - |x|."""
+    cells = sum(
+        comb(n + 1, size) * len(algebra.basis_of_degree(total + 1 - size))
+        for total in (1, 2) for size in range(1, n + 2)
+    )
+    words = sum(comb(n, 1 - d) for d in algebra.degrees.values() if d <= 1)
+    return cells + comb(n + 2, 2) * words
+
+
 def cmd_dold_kan(args) -> int:
     algebra = load_presentation(args.algebra)
+    if not _fits_budget(
+        f"dold-kan on {quote(algebra.name)} at n = {args.n}",
+        dold_kan_size(algebra, args.n), "columns", DOLD_KAN_BUDGET, "--n",
+    ):
+        return USAGE_ERROR
     return _verdict([dold_kan_compare(algebra, args.n)], verbose=True)
 
 

@@ -269,6 +269,18 @@ def gamma_data(simplex: SimplexElement, i: int) -> GaugeParameter:
 # -- horns -------------------------------------------------------------
 
 
+def incompatible_faces(faces, face):
+    """The first pair j < k of present positions whose faces break the
+    simplicial identity d_j d_k = d_{k-1} d_j, or None if there is none.
+    faces[k] is the k-th face x_k (None where absent) of an n-simplex,
+    and face(x, i) is the i-th face of x."""
+    present = [k for k, x in enumerate(faces) if x is not None]
+    for j, k in itertools.combinations(present, 2):
+        if face(faces[k], j) != face(faces[j], k - 1):
+            return j, k
+    return None
+
+
 class Horn:
     """Index i plus n compatible (n-1)-simplices: a map from the i-th
     horn of the n-simplex."""
@@ -286,21 +298,18 @@ class Horn:
         self.n = n
         self.missing = missing
         self.faces = dict(faces)
-        first = faces[expected[0]]
-        self.algebra = first.algebra
+        self.algebra = faces[expected[0]].algebra
         for j, face in faces.items():
             if face.algebra is not self.algebra or face.n != n - 1:
                 raise ValueError(f"face {j} has the wrong shape")
-        for j in expected:
-            for k in expected:
-                if j < k:
-                    left = self.faces[k].face(j)
-                    right = self.faces[j].face(k - 1)
-                    if left != right:
-                        raise ValueError(
-                            f"incompatible horn: face {j} of x_{k} differs "
-                            f"from face {k - 1} of x_{j}"
-                        )
+        pair = incompatible_faces([faces.get(j) for j in range(n + 1)],
+                                  SimplexElement.face)
+        if pair is not None:
+            j, k = pair
+            raise ValueError(
+                f"incompatible horn: face {j} of x_{k} differs "
+                f"from face {k - 1} of x_{j}"
+            )
 
     def vertex_value(self, i: int) -> GVector:
         """Value of the underlying form at vertex e_i of the big simplex."""
@@ -319,9 +328,6 @@ class Horn:
         j = outside[0]
         local = tuple(v if v < j else v - 1 for v in seq)
         return self.faces[j].integrate(local)
-
-    def is_gauge_fixed(self) -> bool:
-        return all(f.is_gauge_fixed() for f in self.faces.values())
 
 
 def _degeneracy_extension(horn: Horn) -> TensorElement:

@@ -75,6 +75,9 @@ def rational_to_str(value: Fraction) -> str:
 # any amount of time and memory (1e4000000 is a 13-million-bit integer)
 MAX_DECIMAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+# the largest polynomial degree of a term parse_form accepts; the gauge
+# check s(value) takes 0.11 s at degree 2000 and 3.0 s at 10000
+MAX_FORM_DEGREE = 2000
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -230,7 +233,8 @@ def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
 
 def parse_form(text: str, n: int) -> Form:
     """Inverse of Form.render on its image; accepts any +/- separated
-    list of monomials in t_i, dt_i (i >= 1)."""
+    list of monomials in t_i, dt_i (i >= 1) of polynomial degree at most
+    MAX_FORM_DEGREE."""
     terms: dict = {}
     for coeff, chunk in _signed_chunks(text):
         exps = [0] * n
@@ -258,6 +262,9 @@ def parse_form(text: str, n: int) -> Form:
                 exps[idx - 1] += e
             else:
                 raise ValueError(f"cannot parse factor {quote(factor)}")
+        if sum(exps) > MAX_FORM_DEGREE:
+            raise ValueError(f"term {quote(chunk)} has polynomial degree "
+                             f"{sum(exps)}, beyond {MAX_FORM_DEGREE}")
         sorted_word, wsign = kernel.sort_word(tuple(word))
         kernel.add_into(terms, {(tuple(exps), sorted_word): _ONE}, coeff * wsign)
     return Form(n, terms)

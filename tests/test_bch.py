@@ -552,6 +552,18 @@ class TestGroupoidNerve:
             assert nerve.check_filler_bijectivity(3)
             assert nerve.check_coskeletal(3)
 
+    # a nerve with one simplex deleted leaves that simplex's horns
+    # compatible but unfilled; each deletion must be caught
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("groupoid", [cyclic_group_groupoid(2),
+                                          pair_groupoid()],
+                             ids=["cyclic2", "pair"])
+    def test_deleted_simplex_breaks_filler_bijectivity(self, groupoid, n):
+        for index in range(len(NerveTruncation(groupoid, 3).simplices[n])):
+            nerve = NerveTruncation(groupoid, 3)
+            del nerve.simplices[n][index]
+            assert not nerve.check_filler_bijectivity(n)
+
     def test_invalid_tables_rejected(self):
         with pytest.raises(ValueError):
             group_as_groupoid([0, 1], lambda a, b: 0, 0)  # not a group

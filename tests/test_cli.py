@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from linfty import acceptance, cli
+from linfty import acceptance, cli, dupont
 from linfty.cli import main
 from linfty.fixtures import FIXTURE_NAMES, Sampler, get_fixture
-from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
+from linfty.mc_gamma import GaugeParameter, _whitney_basis, solve_gauge_fixed
 from linfty.serialize import save_presentation, save_simplex
 
 
@@ -218,6 +218,24 @@ class TestHostileInput:
         assert code == 2
         assert out == ""
         assert "face 0" in err and "not gauge-fixed" in err
+
+    # a face whose gauge check alone would run for minutes: the term's
+    # polynomial degree is refused on loading, summed over its factors
+    @pytest.mark.parametrize("form", ["t1^100000*dt1", "t1^1000*t1^1001*dt1"])
+    def test_form_degree_over_the_bound_is_a_usage_error(self, capsys,
+                                                         tmp_path, form):
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps({
+            "algebra": "heisenberg", "n": 1,
+            "components": [{"generator": "e1", "form": form}],
+        }))
+        code, out, err = run(
+            capsys, "fill-horn", "--algebra", bundled("heisenberg"),
+            "--n", "2", "--missing", "1", "--faces", str(path), str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"term {form!r} has polynomial degree" in err
 
     # a simplex field of the wrong type: exit 2, not a traceback (a form
     # that is not text) or a silent cast (a fractional or boolean n)
@@ -500,6 +518,37 @@ class TestEndToEnd:
         )
         assert code == 0
         assert "pass" in out
+
+    @pytest.mark.parametrize("name", ["zero", "abelian_delta", "abelian_chain"])
+    def test_dold_kan_size_counts_the_columns(self, name):
+        # the Whitney cells (x) symbols of total degree 1 and 2 and the
+        # degree <= 2 monomial columns that dold_kan_compare builds
+        algebra = get_fixture(name)
+        for n in range(6):
+            monomials = sum(
+                1 for sym in algebra.symbols
+                for mono in dupont.monomial_basis(n, 2)
+                if len(next(iter(mono.terms))[1]) == 1 - algebra.degrees[sym]
+            )
+            assert cli.dold_kan_size(algebra, n) == (
+                len(_whitney_basis(algebra, n, 1))
+                + len(_whitney_basis(algebra, n, 2)) + monomials
+            )
+
+    def test_dold_kan_budget_admits_the_bundled_abelian_algebras(self):
+        for name in ("zero", "abelian_delta", "abelian_chain"):
+            for n in range(4):
+                assert (cli.dold_kan_size(get_fixture(name), n)
+                        <= cli.DOLD_KAN_BUDGET)
+
+    def test_dold_kan_over_the_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "dold-kan", "--algebra", bundled("abelian_chain"),
+            "--n", "11",
+        )
+        assert code == 2
+        assert out == ""
+        assert "7449 columns, over the budget" in err and "--n" in err
 
     def test_run_suite(self, capsys):
         code, out, _ = run(capsys, "run-suite", "monodromy")

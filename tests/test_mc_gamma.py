@@ -215,6 +215,22 @@ class TestHorns:
             with pytest.raises(ValueError):
                 Horn(2, 1, faces)
 
+    # one face of a 3-simplex's horn swapped for another simplex's: the
+    # first pair j < k of present faces that breaks d_j d_k = d_{k-1} d_j
+    @pytest.mark.parametrize("missing, tampered, pair", [
+        (0, 3, "face 1 of x_3 differs from face 2 of x_1"),
+        (1, 3, "face 0 of x_3 differs from face 2 of x_0"),
+        (3, 2, "face 0 of x_2 differs from face 1 of x_0"),
+    ])
+    def test_tampered_face_names_the_first_broken_pair(self, missing,
+                                                       tampered, pair):
+        simplex, _ = self.fixture_horn("heisenberg", 3, missing)
+        other, _ = self.fixture_horn("heisenberg", 3, missing, seed=12)
+        faces = {j: simplex.face(j) for j in range(4) if j != missing}
+        faces[tampered] = other.face(tampered)
+        with pytest.raises(ValueError, match=f"incompatible horn: {pair}$"):
+            Horn(3, missing, faces)
+
     def test_gamma_fill_all_positions(self):
         for name in ("heisenberg", "dg_lie_01", "heis_exterior", "three_bracket"):
             for n in (2, 3):

@@ -20,6 +20,7 @@ from linfty.forms import Form
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
 from linfty.serialize import (
     MAX_DECIMAL_EXPONENT,
+    MAX_FORM_DEGREE,
     LoadError,
     load_presentation,
     load_simplex,
@@ -176,6 +177,14 @@ class TestMalformedPresentations:
                      "1e" + "9" * 5000):
             with pytest.raises(ValueError, match="decimal exponent"):
                 rational_from_str(text)
+
+    def test_form_degrees_are_capped(self):
+        cap = MAX_FORM_DEGREE
+        assert parse_form(f"t1^{cap - 1}*t2*dt1", 2) == Form(
+            2, {((cap - 1, 1), (1,)): Fraction(1)})
+        for text in (f"t1^{cap + 1}", f"t1^{cap}*t2", f"2*t1 + t1^{cap}*t1"):
+            with pytest.raises(ValueError, match="polynomial degree"):
+                parse_form(text, 2)
 
     def test_messages_quote_a_bounded_prefix_of_the_input(self):
         algebra = get_fixture("heisenberg")
