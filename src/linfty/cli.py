@@ -209,6 +209,8 @@ def cmd_bch(args) -> int:
         for key, text in read_input(args.inputs).items():
             if not isinstance(text, str):
                 raise LoadError(args.inputs, f"input {quote(key)} is not a rendered vector")
+            if not key.isdecimal():
+                raise LoadError(args.inputs, f"input key {quote(key)} is not a string of vertex digits")
             inputs[tuple(int(ch) for ch in key)] = parse_vector(text, algebra)
     result = generalized_ch(algebra, args.n, mu, inputs)
     print(result.value.render())

@@ -199,22 +199,17 @@ BUNDLED = (
 
 FIXTURE_NAMES = BUNDLED + ("free_nilpotent_class3",)
 
-_CACHE: dict = {}
-
-
+@functools.cache
 def get_fixture(name: str) -> LInftyAlgebra:
     if name not in FIXTURE_NAMES:
         raise KeyError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
-    if name not in _CACHE:
-        if name == "free_nilpotent_class3":
-            _CACHE[name] = free_nilpotent_class3()[0]
-        else:
-            _CACHE[name] = load_presentation(
-                Path(__file__).with_name("presentations") / f"{name}.json"
-            )
-    return _CACHE[name]
+    if name == "free_nilpotent_class3":
+        return free_nilpotent_class3()[0]
+    return load_presentation(
+        Path(__file__).with_name("presentations") / f"{name}.json"
+    )
 
 
 # -- matrix representations ----------------------------------------------

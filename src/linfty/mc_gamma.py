@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from linfty import dupont, kernel
+from linfty import dupont
 from linfty.algebra import (
     GVector,
     LInftyAlgebra,
@@ -490,6 +490,15 @@ def _simplicial_coboundary(seq: tuple, n: int):
     return out
 
 
+def _coordinates(element: TensorElement) -> dict:
+    """{(symbol, form key): coefficient} of a tensor element."""
+    return {
+        (sym, key): coeff
+        for sym, form in element.comps.items()
+        for key, coeff in form.terms.items()
+    }
+
+
 def dold_kan_compare(algebra: LInftyAlgebra, n: int) -> Report:
     """Brute-force the isomorphism between gauge-fixed simplices of an
     abelian algebra and normalized cochain cocycles.
@@ -505,14 +514,16 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int) -> Report:
         raise ValueError("cochain comparison needs an abelian algebra")
     basis1 = _whitney_basis(algebra, n, 1)
     basis2 = _whitney_basis(algebra, n, 2)
+    zero = zero_tensor(algebra, n)
 
     # differential on the form side, expanded through the duality
-    columns_forms = []
-    for seq, sym in basis1:
-        element = TensorElement(
-            algebra, n, {sym: dupont.elementary_form(seq, n)}
-        )
-        columns_forms.append(_expand_whitney(element.d_plus_delta(), basis2))
+    cells = [
+        TensorElement(algebra, n, {sym: dupont.elementary_form(seq, n)})
+        for seq, sym in basis1
+    ]
+    columns_forms = [
+        _expand_whitney(cell.d_plus_delta(), basis2) for cell in cells
+    ]
 
     # differential on the cochain side; the simplicial coboundary picks
     # up the Koszul sign of moving past the coefficient symbol.  Both
@@ -542,55 +553,29 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int) -> Report:
         f"dim Z = {len(ker_forms)} (forms) vs {len(ker_cochains)} (cochains)",
     )
 
-    # truncated-degree check: the gauge kernel on bounded-degree forms
-    # is exactly the elementary cocycle space
-    mono_basis = []
-    for sym in algebra.symbols:
-        k = 1 - algebra.degrees[sym]
-        if not 0 <= k <= n:
-            continue
-        for mono in dupont.monomial_basis(n, 2):
-            word = next(iter(mono.terms))[1]
-            if len(word) == k:
-                mono_basis.append((sym, mono))
-    columns = []
-    for sym, mono in mono_basis:
-        element = TensorElement(algebra, n, {sym: mono})
-        image = element.d_plus_delta() + element.s()
-        columns.append({
-            (tsym, key): coeff
-            for tsym, form in image.comps.items()
-            for key, coeff in form.terms.items()
-        })
-    gauge_kernel = kernel_basis(columns)
+    # truncated-degree check: the gauge kernel on forms of polynomial
+    # degree <= 2 is exactly the span of the elementary cocycles, both
+    # in (symbol, monomial) coordinates.  A total-degree-1 elementary
+    # cell has polynomial degree <= 1, so its terms are all columns.
+    monomials = [
+        TensorElement(algebra, n, {sym: mono})
+        for sym in algebra.symbols
+        for mono in dupont.monomial_basis(n, 2)
+        if len(next(iter(mono.terms))[1]) == 1 - algebra.degrees[sym]
+    ]
+    columns = [next(iter(_coordinates(mono))) for mono in monomials]
+    gauge_kernel = kernel_basis(
+        [_coordinates(mono.d_plus_delta() + mono.s()) for mono in monomials]
+    )
 
-    # expand elementary cocycles in the monomial basis for comparison
-    mono_index = {}
-    for p, (sym, mono) in enumerate(mono_basis):
-        key = (sym, next(iter(mono.terms)))
-        mono_index[key] = p
-    elementary_vectors = []
-    for vec in ker_forms:
-        coords: dict = {}
-        ok = True
-        for j, c in vec.items():
-            seq, sym = basis1[j]
-            omega = dupont.elementary_form(seq, n)
-            for key, coeff in omega.terms.items():
-                idx = mono_index.get((sym, key))
-                if idx is None:
-                    ok = False
-                    break
-                kernel.add_term(coords, idx, c * coeff)
-            if not ok:
-                break
-        if ok:
-            elementary_vectors.append(coords)
-    mono_columns = range(len(mono_basis))
+    def span(parts, vectors):
+        return Subspace(columns, [
+            _coordinates(zero.combine((c, parts[j]) for j, c in vec.items()))
+            for vec in vectors
+        ])
+
     report.check(
-        len(elementary_vectors) == len(ker_forms)
-        and Subspace(mono_columns, gauge_kernel)
-        == Subspace(mono_columns, elementary_vectors),
+        span(monomials, gauge_kernel) == span(cells, ker_forms),
         "the degree<=2 gauge kernel is not the elementary "
         "cocycle space",
     )

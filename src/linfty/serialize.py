@@ -66,10 +66,6 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def rational_to_str(value: Fraction) -> str:
-    return str(value)
-
-
 # the largest decimal exponent rational_from_str accepts: 10^1000 has
 # 3322 bits, while an unbounded exponent lets a few bytes of input cost
 # any amount of time and memory (1e4000000 is a 13-million-bit integer)
@@ -115,7 +111,7 @@ def presentation_to_data(algebra: LInftyAlgebra) -> dict:
             {
                 "args": list(key),
                 "value": [
-                    {"symbol": sym, "coeff": rational_to_str(value[sym])}
+                    {"symbol": sym, "coeff": str(value[sym])}
                     for sym in algebra.symbols
                     if sym in value
                 ],
@@ -231,6 +227,21 @@ def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
     return GVector(algebra, coeffs)
 
 
+def _short_int(text: str, bound: int):
+    """int(text), or None when its digits alone put it beyond bound; the
+    length test spares int() a huge digit string, leading zeros too."""
+    text = text.strip().lstrip("0_") or text[-1:]
+    return None if len(text.replace("_", "")) > len(str(bound)) else int(text)
+
+
+def _form_index(text: str, n: int) -> int:
+    """The index 1..n of a t_i or dt_i factor."""
+    idx = _short_int(text, n)
+    if idx is None or not 1 <= idx <= n:
+        raise ValueError(f"index {quote(text)} out of range for n={n}")
+    return idx
+
+
 def parse_form(text: str, n: int) -> Form:
     """Inverse of Form.render on its image; accepts any +/- separated
     list of monomials in t_i, dt_i (i >= 1) of polynomial degree at most
@@ -249,17 +260,17 @@ def parse_form(text: str, n: int) -> Form:
                 for letter in factor.split("^"):
                     if not letter.startswith("dt"):
                         raise ValueError(f"bad dt-word {quote(factor)}")
-                    word.append(int(letter[2:]))
+                    word.append(_form_index(letter[2:], n))
             elif factor.startswith("t"):
                 if "^" in factor:
                     var, power = factor.split("^")
-                    e = int(power)
+                    e = _short_int(power, MAX_FORM_DEGREE)
+                    if e is None:
+                        raise ValueError(f"term {quote(chunk)} has polynomial "
+                                         f"degree beyond {MAX_FORM_DEGREE}")
                 else:
                     var, e = factor, 1
-                idx = int(var[1:])
-                if not 1 <= idx <= n:
-                    raise ValueError(f"index {idx} out of range for n={n}")
-                exps[idx - 1] += e
+                exps[_form_index(var[1:], n) - 1] += e
             else:
                 raise ValueError(f"cannot parse factor {quote(factor)}")
         if sum(exps) > MAX_FORM_DEGREE:
@@ -325,5 +336,5 @@ def render(value) -> str:
     if isinstance(value, (Form, GVector, TensorElement, SimplexElement)):
         return value.render()
     if isinstance(value, Fraction):
-        return rational_to_str(value)
+        return str(value)
     raise TypeError(f"no canonical rendering for {type(value).__name__}")

@@ -10,6 +10,7 @@ from linfty import acceptance, cli, dupont
 from linfty.cli import main
 from linfty.fixtures import FIXTURE_NAMES, Sampler, get_fixture
 from linfty.mc_gamma import GaugeParameter, _whitney_basis, solve_gauge_fixed
+from linfty.report import quote
 from linfty.serialize import save_presentation, save_simplex
 
 
@@ -237,6 +238,30 @@ class TestHostileInput:
         assert out == ""
         assert f"term {form!r} has polynomial degree" in err
 
+    # a t-exponent, t-index or dt-index of 5,000 digits is refused by its
+    # length, before int() reads it, with a message naming the term or index
+    @pytest.mark.parametrize("form, message", [
+        ("t1^" + "9" * 5000 + "*dt1",
+         f"term {quote('t1^' + '9' * 5000 + '*dt1')} has polynomial degree "
+         "beyond 2000"),
+        ("t" + "9" * 5000 + "*dt1", f"index {quote('9' * 5000)} out of range for n=1"),
+        ("dt" + "9" * 5000, f"index {quote('9' * 5000)} out of range for n=1"),
+    ], ids=["exponent", "t-index", "dt-index"])
+    def test_huge_form_digit_strings_are_usage_errors(self, capsys, tmp_path,
+                                                      form, message):
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps({
+            "algebra": "heisenberg", "n": 1,
+            "components": [{"generator": "e1", "form": form}],
+        }))
+        code, out, err = run(
+            capsys, "fill-horn", "--algebra", bundled("heisenberg"),
+            "--n", "2", "--missing", "1", "--faces", str(path), str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     # a simplex field of the wrong type: exit 2, not a traceback (a form
     # that is not text) or a silent cast (a fractional or boolean n)
     @pytest.mark.parametrize("field, value", [
@@ -337,6 +362,13 @@ class TestBadFiles:
         code, _, err = self._bch(capsys, "--inputs", path)
         assert code == 2
         assert "'1'" in err
+
+    def test_bch_input_key_not_digits(self, capsys, tmp_path):
+        path = self._file(tmp_path, "key.json", {"1a": "e1"})
+        code, out, err = self._bch(capsys, "--inputs", path)
+        assert code == 2
+        assert out == ""
+        assert "key.json" in err and "'1a'" in err
 
     def test_fill_horn_missing_face_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nosuch.json")

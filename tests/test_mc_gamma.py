@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfty import mc_gamma
 from linfty.acceptance import SOLVER_FIXTURES
 from linfty.algebra import (
     LInftyAlgebra,
@@ -555,6 +556,37 @@ class TestDoldKan:
     def test_rejects_nonabelian(self):
         with pytest.raises(ValueError):
             dold_kan_compare(get_fixture("heisenberg"), 2)
+
+    def test_report_fingerprint(self):
+        # the exact reports, held fixed across rewrites of the comparison
+        algebras = [get_fixture(name)
+                    for name in ("zero", "abelian_delta", "abelian_chain")]
+        algebras += [LInftyAlgebra("line", [("x", 0)]),
+                     LInftyAlgebra("top", [("y", 1)])]
+        rows = [[algebra.name, n, dold_kan_compare(algebra, n).report()]
+                for algebra in algebras for n in range(5)]
+        assert fingerprint(rows) == "13dd02014e4e7dea"
+
+    def test_fails_without_the_gauge(self, monkeypatch):
+        # with s = 0 the gauge kernel is every d + delta cocycle of
+        # degree <= 2, not only the elementary ones
+        monkeypatch.setattr(TensorElement, "s",
+                            lambda self: zero_tensor(self.algebra, self.n))
+        report = dold_kan_compare(get_fixture("abelian_chain"), 2)
+        assert not report.passed
+        assert ("FAIL: the degree<=2 gauge kernel is not the elementary "
+                "cocycle space") in report.lines
+
+    def test_fails_with_the_coboundary_signs_flipped(self, monkeypatch):
+        coboundary = mc_gamma._simplicial_coboundary
+        monkeypatch.setattr(
+            mc_gamma, "_simplicial_coboundary",
+            lambda seq, n: [(bigger, -sign) for bigger, sign in coboundary(seq, n)],
+        )
+        report = dold_kan_compare(get_fixture("abelian_chain"), 2)
+        assert not report.passed
+        assert ("FAIL: the differentials on elementary forms and on cochains "
+                "differ") in report.lines
 
 
 # -- gauge-fixed data is the chain witness of the simplex's integrals --------

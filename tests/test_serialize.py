@@ -186,6 +186,19 @@ class TestMalformedPresentations:
             with pytest.raises(ValueError, match="polynomial degree"):
                 parse_form(text, 2)
 
+    def test_form_digit_strings_are_bounded_by_length(self):
+        # leading zeros do not count; a longer digit string is refused
+        # before int() reads it, so Python's digit limit is never reached
+        zeros = "0" * 5000
+        assert parse_form(f"t{zeros}1^{zeros}2*dt{zeros}2", 2) == parse_form(
+            "t1^2*dt2", 2)
+        for text in ("t1^" + "9" * 5000, "t1^20001", f"t1^1{zeros}"):
+            with pytest.raises(ValueError, match=r"polynomial degree beyond 2000"):
+                parse_form(text, 2)
+        for text in ("t" + "9" * 5000, "dt" + "9" * 5000, "t10", "dt3", "t0"):
+            with pytest.raises(ValueError, match=r"index '.* out of range for n=2"):
+                parse_form(text, 2)
+
     def test_messages_quote_a_bounded_prefix_of_the_input(self):
         algebra = get_fixture("heisenberg")
         long = 5000
