@@ -163,24 +163,23 @@ def criterion_solver_roundtrip(seed: int = 0, max_degree: int = 4) -> Report:
             sub = Report(f"{name} n={n}")
             for _ in range(20):
                 g = GaugeParameter(
-                    n=n,
                     mu=sampler.mc_element(algebra),
                     witness=sampler.witness(algebra, n),
                 )
-                plain = solve_mc(algebra, n, 0, g)
+                plain = solve_mc(g, 0)
                 sub.check(
                     tensor_curvature(plain.value).is_zero(),
                     "plain solve fails the flatness equation",
                 )
-                again = solve_mc(algebra, n, 0, mc_data(plain, 0))
+                again = solve_mc(mc_data(plain, 0), 0)
                 sub.check(again == plain, "plain data round trip differs")
-                fixed = solve_gauge_fixed(algebra, n, 0, g)
+                fixed = solve_gauge_fixed(g, 0)
                 sub.check(
                     tensor_curvature(fixed.value).is_zero()
                     and fixed.value.s().is_zero(),
                     "gauge-fixed output fails its equations",
                 )
-                again = solve_gauge_fixed(algebra, n, 0, gamma_data(fixed, 0))
+                again = solve_gauge_fixed(gamma_data(fixed, 0), 0)
                 sub.check(again == fixed, "gauge-fixed round trip differs")
             result.include(sub)
     return result
@@ -197,11 +196,10 @@ def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> Report:
             sub = Report(f"{name} n={n}: horns at every position")
             for missing in range(n + 1):
                 g = GaugeParameter(
-                    n=n,
                     mu=sampler.mc_element(algebra),
                     witness=sampler.witness(algebra, n),
                 )
-                simplex = solve_gauge_fixed(algebra, n, 0, g)
+                simplex = solve_gauge_fixed(g, 0)
                 faces = {
                     j: simplex.face(j) for j in range(n + 1) if j != missing
                 }
@@ -225,14 +223,10 @@ def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> Report:
     heis = projection.source
     relative = Report("relative filling along the abelianization")
     for missing in range(3):
-        g = GaugeParameter(
-            n=2, mu=heis.zero_vector(), witness=sampler.witness(heis, 2)
-        )
-        simplex = solve_gauge_fixed(heis, 2, 0, g)
+        g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
+        simplex = solve_gauge_fixed(g, 0)
         horn = Horn(2, missing, {j: simplex.face(j) for j in range(3) if j != missing})
-        target = SimplexElement(
-            projection.target, 2, projection.apply(simplex.value)
-        )
+        target = SimplexElement(projection.apply(simplex.value))
         lifted = fill_horn_relative(projection, horn, target)
         relative.check(
             projection.apply(lifted.value) == target.value,
@@ -429,9 +423,7 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> Report:
                 alg, 1,
                 {s: Form.t(1, 1).scale(-c) for s, c in xv.coeffs.items()},
             )
-            solved = solve_gauge_fixed(
-                alg, 1, 0, GaugeParameter(n=1, mu=mu, witness=witness)
-            )
+            solved = solve_gauge_fixed(GaugeParameter(mu=mu, witness=witness), 0)
             sub.record(f"x={xv.render()}", edge, solved)
         result.include(sub)
 

@@ -190,7 +190,7 @@ def alpha1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> SimplexElement:
         terms.append((Fraction(-1, factorial(k)), tensor_product(eps, t1_power)))
     terms.append((-1, tensor_product(x, Form.dt(1, 1))))
     value = constant_tensor(1, mu).combine(terms)
-    return SimplexElement(algebra, 1, value, validate=True)
+    return SimplexElement(value)
 
 
 def rho1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> GVector:
@@ -241,9 +241,7 @@ def generalized_ch(algebra: LInftyAlgebra, n: int, mu: GVector,
         omega = dupont.elementary_form(seq, n)
         terms.append((Fraction(-1, factorial(k)), tensor_product(vec, omega)))
     witness = zero_tensor(algebra, n).combine(terms)
-    simplex = solve_gauge_fixed(
-        algebra, n, 0, GaugeParameter(n=n, mu=mu, witness=witness)
-    )
+    simplex = solve_gauge_fixed(GaugeParameter(mu=mu, witness=witness), 0)
     value = simplex.integrate(tuple(range(1, n + 1)))
     return CHResult(value=value, simplex=simplex)
 

@@ -131,7 +131,7 @@ def cmd_verify_gauge(args) -> int:
         check
         for n in _dim_list(args.n)
         for check in dupont.check_gauge_identities(n, args.max_degree)
-        + dupont.check_gaugeify_fixed_point(n, min(args.max_degree, 3))
+        + dupont.check_gaugeify_fixed_point(n, args.max_degree)
     )
 
 
@@ -209,9 +209,14 @@ def cmd_bch(args) -> int:
         for key, text in read_input(args.inputs).items():
             if not isinstance(text, str):
                 raise LoadError(args.inputs, f"input {quote(key)} is not a rendered vector")
-            if not key.isdecimal():
-                raise LoadError(args.inputs, f"input key {quote(key)} is not a string of vertex digits")
-            inputs[tuple(int(ch) for ch in key)] = parse_vector(text, algebra)
+            # the key names a face of the n-simplex away from base vertex 0
+            vertices = [int(ch) for ch in key] if key.isdecimal() else []
+            if not (vertices and vertices == sorted(set(vertices))
+                    and vertices[0] >= 1 and vertices[-1] <= args.n):
+                raise LoadError(
+                    args.inputs, f"input key {quote(key)} is not a string of "
+                    f"strictly increasing vertex digits in 1..{args.n}")
+            inputs[tuple(vertices)] = parse_vector(text, algebra)
     result = generalized_ch(algebra, args.n, mu, inputs)
     print(result.value.render())
     return PASS

@@ -135,6 +135,10 @@ def poincare_h(i: int, n: int, f: Form) -> Form:
     """
     if not 0 <= i <= n:
         raise ValueError(f"vertex index {i} out of range 0..{n}")
+    if f.n != n:
+        raise ValueError(
+            f"form lives on the {f.n}-simplex, h^{i} acts on the {n}-simplex"
+        )
     out: dict = {}
     for key, coeff in f.terms.items():
         mono = _H_CACHE.get((n, i, key))
@@ -211,6 +215,10 @@ def whitney_P(n: int, f: Form) -> Form:
     Sends f to sum over vertex subsets of (elementary form) * (chain
     integral of f); idempotent, and dual to chain integration.
     """
+    if f.n != n:
+        raise ValueError(
+            f"form lives on the {f.n}-simplex, P acts on the {n}-simplex"
+        )
     out: dict = {}
     for key, coeff in f.terms.items():
         mono = _P_CACHE.get((n, key))
@@ -246,6 +254,10 @@ def dupont_s(n: int, f: Form) -> Form:
     costs one h application, and the walk stops at a chain that
     vanishes, as do all its extensions.
     """
+    if f.n != n:
+        raise ValueError(
+            f"form lives on the {f.n}-simplex, s acts on the {n}-simplex"
+        )
     out: dict = {}
     for key, coeff in f.terms.items():
         mono = _S_CACHE.get((n, key))

@@ -36,7 +36,7 @@ from linfty.algebra import (
 )
 from linfty.forms import SimplicialMap
 from linfty.linalg import Subspace, kernel_basis
-from linfty.report import Report
+from linfty.report import Report, quote
 
 
 class SolverError(RuntimeError):
@@ -48,23 +48,27 @@ class SimplexElement:
 
     value is a total-degree-1 tensor element with vanishing curvature;
     gauge-fixed simplices additionally satisfy s(value) = 0 and are the
-    points of the nerve this package is about.
+    points of the nerve this package is about.  The algebra and the
+    dimension n are those of value.
     """
 
-    __slots__ = ("algebra", "n", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, algebra: LInftyAlgebra, n: int, value: TensorElement,
-                 validate: bool = True):
-        if value.algebra is not algebra or value.n != n:
-            raise ValueError("value does not live over the given algebra/simplex")
+    def __init__(self, value: TensorElement, validate: bool = True):
         if validate:
             if not value.is_zero() and not value.is_homogeneous(1):
                 raise ValueError("simplex value must have total degree 1")
             if not tensor_curvature(value).is_zero():
                 raise ValueError("value does not satisfy the Maurer-Cartan equation")
-        self.algebra = algebra
-        self.n = n
         self.value = value
+
+    @property
+    def algebra(self) -> LInftyAlgebra:
+        return self.value.algebra
+
+    @property
+    def n(self) -> int:
+        return self.value.n
 
     def is_gauge_fixed(self) -> bool:
         return self.value.s().is_zero()
@@ -77,10 +81,7 @@ class SimplexElement:
         if not 0 <= k <= self.n:
             raise ValueError(f"face index {k} out of range 0..{self.n}")
         return SimplexElement(
-            self.algebra,
-            self.n - 1,
-            self.value.pullback(SimplicialMap.face(k, self.n)),
-            validate=False,
+            self.value.pullback(SimplicialMap.face(k, self.n)), validate=False
         )
 
     def degenerate(self, k: int) -> "SimplexElement":
@@ -88,8 +89,6 @@ class SimplexElement:
         if not 0 <= k <= self.n:
             raise ValueError(f"degeneracy index {k} out of range 0..{self.n}")
         return SimplexElement(
-            self.algebra,
-            self.n + 1,
             self.value.pullback(SimplicialMap.degeneracy(k, self.n + 1)),
             validate=False,
         )
@@ -98,15 +97,10 @@ class SimplexElement:
         return self.value.integrate_chain(seq)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SimplexElement)
-            and self.algebra is other.algebra
-            and self.n == other.n
-            and self.value == other.value
-        )
+        return isinstance(other, SimplexElement) and self.value == other.value
 
     def __hash__(self):
-        return hash((id(self.algebra), self.n, self.value))
+        return hash(self.value)
 
     def render(self) -> str:
         return self.value.render()
@@ -120,46 +114,39 @@ def is_thin(simplex: SimplexElement) -> bool:
     return simplex.integrate(tuple(range(simplex.n + 1))).is_zero()
 
 
-def constant_simplex(algebra: LInftyAlgebra, n: int, mu: GVector) -> SimplexElement:
+def constant_simplex(n: int, mu: GVector) -> SimplexElement:
     """The constant extension of a Maurer-Cartan element."""
-    if not is_mc(algebra, mu):
+    if not is_mc(mu.algebra, mu):
         raise ValueError("vertex value does not satisfy Maurer-Cartan")
-    return SimplexElement(algebra, n, constant_tensor(n, mu), validate=False)
+    return SimplexElement(constant_tensor(n, mu), validate=False)
 
 
 @dataclass
 class GaugeParameter:
     """Prescribed solver data: a Maurer-Cartan vertex value and the
-    witness of the homotopy part.
+    witness of the homotopy part, both over the witness's algebra and
+    simplex.
 
     The actual homotopy datum is (d + delta) of the witness; the solver
     normalizes the witness against its base vertex, and projects it onto
     elementary forms in the gauge-fixed case.
     """
 
-    n: int
     mu: GVector
     witness: TensorElement
 
     def __post_init__(self):
-        if self.witness.n != self.n:
-            raise ValueError("witness lives on the wrong simplex")
+        if self.mu.algebra is not self.witness.algebra:
+            raise ValueError(
+                "vertex value and witness live in different algebras: "
+                f"{quote(self.mu.algebra.name)} and "
+                f"{quote(self.witness.algebra.name)}"
+            )
         if not self.witness.is_zero() and not self.witness.is_homogeneous(0):
             raise ValueError("witness must have total degree 0")
 
 
-def _normalized_witness(g: GaugeParameter, i: int, whitney: bool) -> TensorElement:
-    w = g.witness
-    base = w.evaluate_vertex(i)
-    if not base.is_zero():
-        w = w - constant_tensor(g.n, base)
-    if whitney:
-        w = w.whitney()
-    return w
-
-
-def _solve(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter,
-           gauge: bool) -> SimplexElement:
+def _solve(g: GaugeParameter, i: int, gauge: bool) -> SimplexElement:
     """Solve alpha = alpha0 - c(N(alpha)), N(alpha) = sum_{l>=2}
     [alpha^l]/l!, weight by weight along the lower central filtration
     F^w, with the correction c = h^i, or P h^i + s in the gauge.
@@ -179,13 +166,14 @@ def _solve(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter,
     alpha0 - c(N(alpha))); flatness (d + delta)alpha + N(alpha) = 0;
     and, in the gauge, s(alpha) = 0.
     """
-    if g.n != n:
-        raise ValueError("gauge parameter lives on the wrong simplex")
+    algebra, n = g.witness.algebra, g.witness.n
     if not 0 <= i <= n:
         raise ValueError(f"base vertex {i} out of range 0..{n}")
     if not is_mc(algebra, g.mu):
         raise ValueError("vertex value does not satisfy Maurer-Cartan")
-    witness = _normalized_witness(g, i, whitney=gauge)
+    witness = g.witness - constant_tensor(n, g.witness.evaluate_vertex(i))
+    if gauge:
+        witness = witness.whitney()
     alpha0 = constant_tensor(n, g.mu) + witness.d_plus_delta()
     zero = zero_tensor(algebra, n)
     pieces = {1: alpha0}
@@ -217,10 +205,10 @@ def _solve(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter,
         raise SolverError("solver output fails the Maurer-Cartan equation")
     if gauge and not alpha.s().is_zero():
         raise SolverError("solver output fails the gauge condition")
-    return SimplexElement(algebra, n, alpha, validate=False)
+    return SimplexElement(alpha, validate=False)
 
 
-def solve_mc(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter) -> SimplexElement:
+def solve_mc(g: GaugeParameter, i: int) -> SimplexElement:
     """The unique Maurer-Cartan n-simplex with prescribed vertex value
     at e_i and homotopy data (d+delta)(witness).
 
@@ -230,11 +218,10 @@ def solve_mc(algebra: LInftyAlgebra, n: int, i: int, g: GaugeParameter) -> Simpl
     evaluates to mu at e_i, and returns the normalized data under the
     extraction map mc_data.
     """
-    return _solve(algebra, n, i, g, gauge=False)
+    return _solve(g, i, gauge=False)
 
 
-def solve_gauge_fixed(algebra: LInftyAlgebra, n: int, i: int,
-                      g: GaugeParameter) -> SimplexElement:
+def solve_gauge_fixed(g: GaugeParameter, i: int) -> SimplexElement:
     """The unique gauge-fixed n-simplex with prescribed vertex value at
     e_i and elementary homotopy data.
 
@@ -243,26 +230,20 @@ def solve_gauge_fixed(algebra: LInftyAlgebra, n: int, i: int,
     satisfies the Maurer-Cartan equation and s(alpha) = 0 exactly, and
     round-trips through gamma_data.
     """
-    return _solve(algebra, n, i, g, gauge=True)
+    return _solve(g, i, gauge=True)
 
 
 def mc_data(simplex: SimplexElement, i: int) -> GaugeParameter:
     """Extract (vertex value, homotopy witness) at base vertex i; the
     inverse of solve_mc."""
-    return GaugeParameter(
-        n=simplex.n,
-        mu=simplex.vertex(i),
-        witness=simplex.value.h(i),
-    )
+    return GaugeParameter(mu=simplex.vertex(i), witness=simplex.value.h(i))
 
 
 def gamma_data(simplex: SimplexElement, i: int) -> GaugeParameter:
     """Extract the gauge-fixed data (vertex value, projected homotopy
     witness) at base vertex i; the inverse of solve_gauge_fixed."""
     return GaugeParameter(
-        n=simplex.n,
-        mu=simplex.vertex(i),
-        witness=simplex.value.h(i).whitney(),
+        mu=simplex.vertex(i), witness=simplex.value.h(i).whitney()
     )
 
 
@@ -359,8 +340,9 @@ def fill_horn_mc(horn: Horn) -> SimplexElement:
     """
     i = horn.missing
     rho = _degeneracy_extension(horn)
-    g = GaugeParameter(n=horn.n, mu=rho.evaluate_vertex(i), witness=rho.h(i))
-    filler = solve_mc(horn.algebra, horn.n, i, g)
+    filler = solve_mc(
+        GaugeParameter(mu=rho.evaluate_vertex(i), witness=rho.h(i)), i
+    )
     _check_faces(filler, horn)
     return filler
 
@@ -399,11 +381,9 @@ def _fill_gauge_fixed(horn: Horn, top) -> SimplexElement:
         return top(seq) if len(seq) > horn.n else horn.integrate(seq)
 
     g = GaugeParameter(
-        n=horn.n,
-        mu=horn.vertex_value(i),
-        witness=chain_witness(horn.n, i, integral),
+        mu=horn.vertex_value(i), witness=chain_witness(horn.n, i, integral)
     )
-    filler = solve_gauge_fixed(horn.algebra, horn.n, i, g)
+    filler = solve_gauge_fixed(g, i)
     _check_faces(filler, horn)
     return filler
 

@@ -74,6 +74,8 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 # the largest polynomial degree of a term parse_form accepts; the gauge
 # check s(value) takes 0.11 s at degree 2000 and 3.0 s at 10000
 MAX_FORM_DEGREE = 2000
+# a digit string as int() reads it, underscores only between digits
+_DIGITS = re.compile(r"\d+(?:_\d+)*")
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -227,16 +229,20 @@ def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
     return GVector(algebra, coeffs)
 
 
-def _short_int(text: str, bound: int):
+def _short_int(text: str, bound: int, factor: str):
     """int(text), or None when its digits alone put it beyond bound; the
-    length test spares int() a huge digit string, leading zeros too."""
-    text = text.strip().lstrip("0_") or text[-1:]
-    return None if len(text.replace("_", "")) > len(str(bound)) else int(text)
+    length test spares int() a huge digit string, leading zeros too.
+    Text that is not a decimal integer raises ValueError quoting the
+    factor of a form it was read from."""
+    digits = text.strip().lstrip("0_") or text[-1:]
+    if not _DIGITS.fullmatch(digits):
+        raise ValueError(f"cannot parse factor {quote(factor)}")
+    return None if len(digits.replace("_", "")) > len(str(bound)) else int(digits)
 
 
-def _form_index(text: str, n: int) -> int:
+def _form_index(text: str, n: int, factor: str) -> int:
     """The index 1..n of a t_i or dt_i factor."""
-    idx = _short_int(text, n)
+    idx = _short_int(text, n, factor)
     if idx is None or not 1 <= idx <= n:
         raise ValueError(f"index {quote(text)} out of range for n={n}")
     return idx
@@ -260,17 +266,14 @@ def parse_form(text: str, n: int) -> Form:
                 for letter in factor.split("^"):
                     if not letter.startswith("dt"):
                         raise ValueError(f"bad dt-word {quote(factor)}")
-                    word.append(_form_index(letter[2:], n))
+                    word.append(_form_index(letter[2:], n, factor))
             elif factor.startswith("t"):
-                if "^" in factor:
-                    var, power = factor.split("^")
-                    e = _short_int(power, MAX_FORM_DEGREE)
-                    if e is None:
-                        raise ValueError(f"term {quote(chunk)} has polynomial "
-                                         f"degree beyond {MAX_FORM_DEGREE}")
-                else:
-                    var, e = factor, 1
-                exps[_form_index(var[1:], n) - 1] += e
+                var, caret, power = factor.partition("^")
+                e = _short_int(power, MAX_FORM_DEGREE, factor) if caret else 1
+                if e is None:
+                    raise ValueError(f"term {quote(chunk)} has polynomial "
+                                     f"degree beyond {MAX_FORM_DEGREE}")
+                exps[_form_index(var[1:], n, factor) - 1] += e
             else:
                 raise ValueError(f"cannot parse factor {quote(factor)}")
         if sum(exps) > MAX_FORM_DEGREE:
@@ -316,7 +319,7 @@ def simplex_from_data(data: dict, algebra: LInftyAlgebra) -> SimplexElement:
                 f"{quote(generator)} and {quote(form)}"
             )
         comps[generator] = parse_form(form, n)
-    return SimplexElement(algebra, n, TensorElement(algebra, n, comps))
+    return SimplexElement(TensorElement(algebra, n, comps))
 
 
 def load_simplex(path, algebra: LInftyAlgebra) -> SimplexElement:

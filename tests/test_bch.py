@@ -166,9 +166,7 @@ class TestEdgeFormula:
                     algebra, 1,
                     {s: Form.t(1, 1).scale(-c) for s, c in x.coeffs.items()},
                 )
-                solved = solve_gauge_fixed(
-                    algebra, 1, 0, GaugeParameter(n=1, mu=mu, witness=witness)
-                )
+                solved = solve_gauge_fixed(GaugeParameter(mu=mu, witness=witness), 0)
                 assert alpha1(algebra, mu, x) == solved
 
     def test_rho1_values(self):

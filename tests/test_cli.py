@@ -370,6 +370,24 @@ class TestBadFiles:
         assert out == ""
         assert "key.json" in err and "'1a'" in err
 
+    # digit keys that are not faces of the 2-simplex away from vertex 0
+    @pytest.mark.parametrize("key", ["9", "11", "21", "0"])
+    def test_bch_input_key_not_a_face(self, capsys, tmp_path, key):
+        path = self._file(tmp_path, "key.json", {key: "e1"})
+        code, out, err = self._bch(capsys, "--inputs", path)
+        assert code == 2
+        assert out == ""
+        assert "key.json" in err and f"input key {quote(key)}" in err
+
+    def test_fill_horn_face_with_malformed_factor(self, capsys, tmp_path):
+        face = {"algebra": "dg_lie_01", "n": 1,
+                "components": [{"generator": "e1", "form": "t*dt1"}]}
+        path = self._file(tmp_path, "face.json", face)
+        code, out, err = self._fill_horn(capsys, path, path)
+        assert code == 2
+        assert out == ""
+        assert "face.json" in err and "cannot parse factor 't'" in err
+
     def test_fill_horn_missing_face_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nosuch.json")
         code, _, err = self._fill_horn(capsys, missing, missing)
@@ -454,6 +472,18 @@ class TestVerifiers:
         assert code == 0
         assert "s s = 0" in out
 
+    def test_gauge_checks_the_fixed_point_on_the_suite_cases(self, capsys):
+        # verify-gauge and criterion 3 check gaugeification on the same
+        # monomials at the default degree
+        def fixed_point_lines(out):
+            return [line.strip() for line in out.splitlines()
+                    if "gaugeified s = s" in line]
+
+        _, gauge, _ = run(capsys, "verify-gauge")
+        _, suite, _ = run(capsys, "run-suite", "gaugeify", "--verbose")
+        assert fixed_point_lines(gauge) == fixed_point_lines(suite)
+        assert len(fixed_point_lines(gauge)) == len(acceptance.HARNESS_DIMS)
+
     @pytest.mark.parametrize("argv", [
         ("--max-degree", "2", "verify-gauge", "--n", "5"),
         ("verify-contraction", "--n", "4"),
@@ -514,10 +544,10 @@ class TestEndToEnd:
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(5)
         g = GaugeParameter(
-            n=2, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 2),
         )
-        simplex = solve_gauge_fixed(algebra, 2, 0, g)
+        simplex = solve_gauge_fixed(g, 0)
         paths = []
         for j in (0, 2):
             path = tmp_path / f"face{j}.json"

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,18 @@ class TestChainIntegrals:
     def test_empty_sequence(self):
         with pytest.raises(ValueError):
             integrate_chain((), Form.t(1, 1))
+
+
+# each operator refuses a form on another simplex, naming both dimensions
+@pytest.mark.parametrize("apply, op", [
+    (lambda n, f: poincare_h(0, n, f), "h^0"),
+    (whitney_P, "P"),
+    (dupont_s, "s"),
+], ids=["h", "P", "s"])
+def test_operators_refuse_a_form_on_another_simplex(apply, op):
+    with pytest.raises(ValueError, match=(
+            rf"^form lives on the 1-simplex, {re.escape(op)} acts on the 2-simplex$")):
+        apply(2, Form.t(1, 1))
 
 
 class TestPoincareHomotopy:

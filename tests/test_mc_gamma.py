@@ -56,8 +56,8 @@ class TestSolvers:
         ab = get_fixture("abelian_delta")
         sampler = Sampler(1)
         witness = sampler.witness(ab, 2)
-        g = GaugeParameter(n=2, mu=ab.zero_vector(), witness=witness)
-        alpha = solve_mc(ab, 2, 0, g)
+        g = GaugeParameter(mu=ab.zero_vector(), witness=witness)
+        alpha = solve_mc(g, 0)
         base = witness.evaluate_vertex(0)
         normalized = witness - constant_tensor(2, base)
         assert alpha.value == normalized.d_plus_delta()
@@ -67,8 +67,8 @@ class TestSolvers:
         heis = get_fixture("heisenberg")
         sampler = Sampler(2)
         witness = sampler.witness(heis, 1)
-        g = GaugeParameter(n=1, mu=heis.zero_vector(), witness=witness)
-        alpha = solve_mc(heis, 1, 0, g)
+        g = GaugeParameter(mu=heis.zero_vector(), witness=witness)
+        alpha = solve_mc(g, 0)
         normalized = witness - constant_tensor(
             1, witness.evaluate_vertex(0)
         )
@@ -79,10 +79,10 @@ class TestSolvers:
         witness = TensorElement(
             heis, 2, {"e1": Form.t(1, 2), "e2": Form.t(2, 2)}
         )
-        g = GaugeParameter(n=2, mu=heis.zero_vector(), witness=witness)
-        alpha = solve_mc(heis, 2, 0, g)
+        g = GaugeParameter(mu=heis.zero_vector(), witness=witness)
+        alpha = solve_mc(g, 0)
         assert tensor_curvature(alpha.value).is_zero()
-        fixed = solve_gauge_fixed(heis, 2, 0, g)
+        fixed = solve_gauge_fixed(g, 0)
         assert fixed.value.s().is_zero()
         assert tensor_curvature(fixed.value).is_zero()
 
@@ -91,42 +91,40 @@ class TestSolvers:
         sampler = Sampler(3)
         for n in (1, 2, 3):
             g = GaugeParameter(
-                n=n, mu=sampler.mc_element(algebra),
+                mu=sampler.mc_element(algebra),
                 witness=sampler.witness(algebra, n),
             )
-            plain = solve_mc(algebra, n, 0, g)
-            fixed = solve_gauge_fixed(algebra, n, 0, g)
+            plain = solve_mc(g, 0)
+            fixed = solve_gauge_fixed(g, 0)
             for base in range(n + 1):
-                assert solve_mc(algebra, n, base, mc_data(plain, base)) == plain
+                assert solve_mc(mc_data(plain, base), base) == plain
                 assert (
-                    solve_gauge_fixed(algebra, n, base, gamma_data(fixed, base))
+                    solve_gauge_fixed(gamma_data(fixed, base), base)
                     == fixed
                 )
 
     def test_determinism(self):
         dg = get_fixture("dg_lie_01")
         sampler = Sampler(4)
-        g = GaugeParameter(
-            n=2, mu=sampler.mc_element(dg), witness=sampler.witness(dg, 2)
-        )
-        assert solve_gauge_fixed(dg, 2, 0, g) == solve_gauge_fixed(dg, 2, 0, g)
+        g = GaugeParameter(mu=sampler.mc_element(dg), witness=sampler.witness(dg, 2))
+        assert solve_gauge_fixed(g, 0) == solve_gauge_fixed(g, 0)
 
     def test_rejects_non_mc_vertex(self):
         shifted = LInftyAlgebra(
             "shifted", [("p", 1), ("q", 2)], {("p",): {"q": 1}}
         )
         g = GaugeParameter(
-            n=1, mu=shifted.basis_vector("p"),
+            mu=shifted.basis_vector("p"),
             witness=TensorElement(shifted, 1, {}),
         )
         with pytest.raises(ValueError):
-            solve_mc(shifted, 1, 0, g)
+            solve_mc(g, 0)
 
     def test_witness_degree_validated(self):
         heis = get_fixture("heisenberg")
         with pytest.raises(ValueError):
             GaugeParameter(
-                n=1, mu=heis.zero_vector(),
+                mu=heis.zero_vector(),
                 witness=TensorElement(heis, 1, {"e1": Form.dt(1, 1)}),
             )
 
@@ -136,21 +134,32 @@ class TestFacesAndThinness:
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(5)
         g = GaugeParameter(
-            n=2, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 2),
         )
-        x = solve_gauge_fixed(algebra, 2, 0, g)
+        x = solve_gauge_fixed(g, 0)
         for k in (0, 1, 2):
             assert x.degenerate(k).face(k) == x
+
+    def test_faces_read_their_algebra_and_dimension_off_the_value(self):
+        algebra = get_fixture("heis_exterior")
+        sampler = Sampler(6)
+        g = GaugeParameter(mu=sampler.mc_element(algebra),
+                           witness=sampler.witness(algebra, 3))
+        x = solve_gauge_fixed(g, 0)
+        assert x.algebra is algebra and x.n == 3
+        for k in range(4):
+            assert x.face(k).n == x.n - 1
+            assert x.face(k).algebra is x.algebra
 
     def test_faces_preserve_equations(self):
         algebra = get_fixture("heis_exterior")
         sampler = Sampler(6)
         g = GaugeParameter(
-            n=3, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 3),
         )
-        x = solve_gauge_fixed(algebra, 3, 0, g)
+        x = solve_gauge_fixed(g, 0)
         for k in range(4):
             face = x.face(k)
             assert tensor_curvature(face.value).is_zero()
@@ -160,8 +169,8 @@ class TestFacesAndThinness:
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(7)
         mu = sampler.mc_element(algebra)
-        g = GaugeParameter(n=1, mu=mu, witness=sampler.witness(algebra, 1))
-        edge = solve_mc(algebra, 1, 0, g)
+        g = GaugeParameter(mu=mu, witness=sampler.witness(algebra, 1))
+        edge = solve_mc(g, 0)
         assert edge.vertex(0) == mu
         assert edge.face(1).value == constant_tensor(0, mu)
         assert edge.face(0).value == constant_tensor(0, edge.vertex(1))
@@ -170,10 +179,10 @@ class TestFacesAndThinness:
         algebra = get_fixture("heis_exterior")
         sampler = Sampler(8)
         g = GaugeParameter(
-            n=1, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 1),
         )
-        edge = solve_gauge_fixed(algebra, 1, 0, g)
+        edge = solve_gauge_fixed(g, 0)
         for k in (0, 1):
             assert is_thin(edge.degenerate(k))
 
@@ -181,16 +190,14 @@ class TestFacesAndThinness:
         # no degree -1 part: every 2-simplex is thin
         heis = get_fixture("heisenberg")
         sampler = Sampler(9)
-        g = GaugeParameter(
-            n=2, mu=heis.zero_vector(), witness=sampler.witness(heis, 2)
-        )
-        assert is_thin(solve_gauge_fixed(heis, 2, 0, g))
+        g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
+        assert is_thin(solve_gauge_fixed(g, 0))
 
     def test_constant_simplex(self):
         algebra = get_fixture("heis_exterior")
         sampler = Sampler(10)
         mu = sampler.mc_element(algebra)
-        simplex = constant_simplex(algebra, 2, mu)
+        simplex = constant_simplex(2, mu)
         assert simplex.is_gauge_fixed()
         for i in range(3):
             assert simplex.vertex(i) == mu
@@ -201,10 +208,10 @@ class TestHorns:
         algebra = get_fixture(name)
         sampler = Sampler(seed)
         g = GaugeParameter(
-            n=n, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, n),
         )
-        simplex = solve_gauge_fixed(algebra, n, 0, g)
+        simplex = solve_gauge_fixed(g, 0)
         faces = {j: simplex.face(j) for j in range(n + 1) if j != missing}
         return simplex, Horn(n, missing, faces)
 
@@ -245,9 +252,7 @@ class TestHorns:
         algebra = get_fixture("heis_exterior")
         sampler = Sampler(13)
         mu = sampler.mc_element(algebra)
-        vertex = SimplexElement(
-            algebra, 0, constant_tensor(0, mu), validate=False
-        )
+        vertex = SimplexElement(constant_tensor(0, mu), validate=False)
         for missing in (0, 1):
             horn = Horn(1, missing, {1 - missing: vertex})
             filler = fill_horn_gamma(horn)
@@ -257,9 +262,7 @@ class TestHorns:
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(50)
         mu = sampler.mc_element(algebra)
-        vertex = SimplexElement(
-            algebra, 0, constant_tensor(0, mu), validate=False
-        )
+        vertex = SimplexElement(constant_tensor(0, mu), validate=False)
         for missing in (0, 1):
             horn = Horn(1, missing, {1 - missing: vertex})
             filler = fill_horn_mc(horn)
@@ -269,10 +272,10 @@ class TestHorns:
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(51)
         g = GaugeParameter(
-            n=2, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 2),
         )
-        simplex = solve_gauge_fixed(algebra, 2, 0, g)
+        simplex = solve_gauge_fixed(g, 0)
         with pytest.raises(ValueError):
             Horn(2, 1, {0: simplex.face(0)})
         with pytest.raises(ValueError):
@@ -283,13 +286,16 @@ class TestHorns:
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(52)
         g = GaugeParameter(
-            n=2, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 2),
         )
+        # the simplex is the witness's; a vertex value from another
+        # algebra is the one mismatch left to refuse
+        with pytest.raises(ValueError, match="different algebras"):
+            GaugeParameter(mu=get_fixture("heisenberg").zero_vector(),
+                           witness=g.witness)
         with pytest.raises(ValueError):
-            solve_mc(algebra, 3, 0, g)
-        with pytest.raises(ValueError):
-            solve_gauge_fixed(algebra, 2, 5, g)
+            solve_gauge_fixed(g, 5)
 
     def test_non_nilpotent_rejected_by_solver(self):
         split = LInftyAlgebra(
@@ -302,20 +308,20 @@ class TestHorns:
             },
         )
         g = GaugeParameter(
-            n=1, mu=split.zero_vector(),
+            mu=split.zero_vector(),
             witness=TensorElement(split, 1, {"e": Form.t(1, 1)}),
         )
         with pytest.raises(ValueError):
-            solve_mc(split, 1, 0, g)
+            solve_mc(g, 0)
 
     def test_mc_fill_degenerate_faces(self):
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(14)
         g = GaugeParameter(
-            n=1, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 1),
         )
-        edge = solve_mc(algebra, 1, 0, g)
+        edge = solve_mc(g, 0)
         simplex = edge.degenerate(0)
         horn = Horn(2, 1, {0: simplex.face(0), 2: simplex.face(2)})
         filler = fill_horn_mc(horn)
@@ -335,7 +341,8 @@ class TestHorns:
         def edge(vec):
             wit = make_edge_witness(ab, vec)
             return solve_gauge_fixed(
-                ab, 1, 0, GaugeParameter(n=1, mu=ab.zero_vector(), witness=wit)
+                GaugeParameter(mu=ab.zero_vector(), witness=wit),
+                0,
             )
         x = sampler.vector(ab, 0)
         y = sampler.vector(ab, 0)
@@ -354,17 +361,13 @@ class TestRelativeFill:
         heis = projection.source
         sampler = Sampler(16)
         for missing in (0, 1, 2):
-            g = GaugeParameter(
-                n=2, mu=heis.zero_vector(), witness=sampler.witness(heis, 2)
-            )
-            simplex = solve_gauge_fixed(heis, 2, 0, g)
+            g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
+            simplex = solve_gauge_fixed(g, 0)
             horn = Horn(
                 2, missing,
                 {j: simplex.face(j) for j in range(3) if j != missing},
             )
-            target = SimplexElement(
-                projection.target, 2, projection.apply(simplex.value)
-            )
+            target = SimplexElement(projection.apply(simplex.value))
             lifted = fill_horn_relative(projection, horn, target)
             assert projection.apply(lifted.value) == target.value
 
@@ -375,17 +378,15 @@ class TestRelativeFill:
         exercised = 0
         for missing in (0, 1, 2):
             g = GaugeParameter(
-                n=2, mu=source.zero_vector(),
+                mu=source.zero_vector(),
                 witness=sampler.witness(source, 2),
             )
-            simplex = solve_gauge_fixed(source, 2, 0, g)
+            simplex = solve_gauge_fixed(g, 0)
             horn = Horn(
                 2, missing,
                 {j: simplex.face(j) for j in range(3) if j != missing},
             )
-            target = SimplexElement(
-                projection.target, 2, projection.apply(simplex.value)
-            )
+            target = SimplexElement(projection.apply(simplex.value))
             lifted = fill_horn_relative(projection, horn, target)
             assert projection.apply(lifted.value) == target.value
             exercised += not target.integrate((0, 1, 2)).is_zero()
@@ -409,15 +410,15 @@ class TestRelativeFill:
         sampler = Sampler(18)
         for missing in range(4):
             g = GaugeParameter(
-                n=3, mu=source.zero_vector(),
+                mu=source.zero_vector(),
                 witness=sampler.witness(source, 3, 2),
             )
-            simplex = solve_gauge_fixed(source, 3, 0, g)
+            simplex = solve_gauge_fixed(g, 0)
             horn = Horn(
                 3, missing,
                 {j: simplex.face(j) for j in range(4) if j != missing},
             )
-            image = SimplexElement(target, 3, f.apply(simplex.value))
+            image = SimplexElement(f.apply(simplex.value))
             lifted = fill_horn_relative(f, horn, image)
             assert f.apply(lifted.value) == image.value
 
@@ -427,10 +428,8 @@ class TestRelativeFill:
             heis, heis, {s: heis.basis_vector(s) for s in heis.symbols}
         )
         sampler = Sampler(19)
-        g = GaugeParameter(
-            n=2, mu=heis.zero_vector(), witness=sampler.witness(heis, 2)
-        )
-        simplex = solve_gauge_fixed(heis, 2, 0, g)
+        g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
+        simplex = solve_gauge_fixed(g, 0)
         horn = Horn(2, 1, {0: simplex.face(0), 2: simplex.face(2)})
         assert fill_horn_relative(ident, horn, simplex) == simplex
 
@@ -443,17 +442,16 @@ class TestRelativeFill:
         simplex = None
         while True:
             g = GaugeParameter(
-                n=2, mu=source.zero_vector(), witness=sampler.witness(source, 2)
+                mu=source.zero_vector(),
+                witness=sampler.witness(source, 2),
             )
-            simplex = solve_gauge_fixed(source, 2, 0, g)
+            simplex = solve_gauge_fixed(g, 0)
             if not projection.apply(
                 simplex.value
             ).integrate_chain((0, 1, 2)).is_zero():
                 break
         horn = Horn(2, 1, {0: simplex.face(0), 2: simplex.face(2)})
-        target = SimplexElement(
-            projection.target, 2, projection.apply(simplex.value)
-        )
+        target = SimplexElement(projection.apply(simplex.value))
         lifted = fill_horn_relative(projection, horn, target)
         # shift the section of the top integral by the kernel generator w
         shifted = projection.section(
@@ -465,8 +463,8 @@ class TestRelativeFill:
 
         witness = chain_witness(2, 1, integral)
         other = solve_gauge_fixed(
-            source, 2, 1,
-            GaugeParameter(n=2, mu=horn.vertex_value(1), witness=witness),
+            GaugeParameter(mu=horn.vertex_value(1), witness=witness),
+            1,
         )
         assert all(other.face(j) == horn.faces[j] for j in horn.faces)
         assert projection.apply(other.value) == target.value
@@ -477,14 +475,10 @@ class TestRelativeFill:
         projection = heisenberg_abelianization()
         heis = projection.source
         sampler = Sampler(23)
-        g = GaugeParameter(
-            n=2, mu=heis.zero_vector(), witness=sampler.witness(heis, 2)
-        )
-        simplex = solve_gauge_fixed(heis, 2, 0, g)
+        g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
+        simplex = solve_gauge_fixed(g, 0)
         horn = Horn(2, 1, {0: simplex.face(0), 2: simplex.face(2)})
-        target = SimplexElement(
-            projection.target, 2, projection.apply(simplex.value)
-        )
+        target = SimplexElement(projection.apply(simplex.value))
         # no degree -1 downstairs: the target is automatically thin and
         # the relative fill collapses onto the absolute thin filler
         lifted = fill_horn_relative(projection, horn, target)
@@ -502,12 +496,10 @@ class TestRelativeFill:
             },
         )
         sampler = Sampler(21)
-        g = GaugeParameter(
-            n=2, mu=heis.zero_vector(), witness=sampler.witness(heis, 2)
-        )
-        simplex = solve_gauge_fixed(heis, 2, 0, g)
+        g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
+        simplex = solve_gauge_fixed(g, 0)
         horn = Horn(2, 1, {0: simplex.face(0), 2: simplex.face(2)})
-        image = SimplexElement(target, 2, f.apply(simplex.value))
+        image = SimplexElement(f.apply(simplex.value))
         with pytest.raises(ValueError):
             fill_horn_relative(f, horn, image)
 
@@ -603,9 +595,10 @@ def test_gamma_data_is_the_chain_witness(name, n, vertex, seed):
     algebra = get_fixture(name)
     sampler = Sampler(seed)
     g = GaugeParameter(
-        n=n, mu=sampler.mc_element(algebra), witness=sampler.witness(algebra, n)
+        mu=sampler.mc_element(algebra),
+        witness=sampler.witness(algebra, n),
     )
-    simplex = solve_gauge_fixed(algebra, n, 0, g)
+    simplex = solve_gauge_fixed(g, 0)
     i = vertex % (n + 1)
     assert gamma_data(simplex, i).witness == chain_witness(n, i, simplex.integrate)
 
@@ -650,11 +643,12 @@ def test_graded_solve_is_the_fixed_point(name, n, vertex, gauge, seed):
     algebra = get_fixture(name)
     sampler = Sampler(seed)
     g = GaugeParameter(
-        n=n, mu=sampler.mc_element(algebra), witness=sampler.witness(algebra, n)
+        mu=sampler.mc_element(algebra),
+        witness=sampler.witness(algebra, n),
     )
     i = vertex % (n + 1)
     solve = solve_gauge_fixed if gauge else solve_mc
-    assert solve(algebra, n, i, g).value == fixed_point_solve(algebra, n, i, g, gauge)
+    assert solve(g, i).value == fixed_point_solve(algebra, n, i, g, gauge)
 
 
 # -- the solver outputs pinned by fingerprint --------------------------------
@@ -674,11 +668,11 @@ def _solver_outputs():
             sampler = Sampler(100 + n)
             for _ in range(2):
                 g = GaugeParameter(
-                    n=n, mu=sampler.mc_element(algebra),
+                    mu=sampler.mc_element(algebra),
                     witness=sampler.witness(algebra, n),
                 )
-                rows.append([name, n, solve_mc(algebra, n, 0, g).render(),
-                             solve_gauge_fixed(algebra, n, 0, g).render()])
+                rows.append([name, n, solve_mc(g, 0).render(),
+                             solve_gauge_fixed(g, 0).render()])
     return rows
 
 

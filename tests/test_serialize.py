@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -18,6 +19,7 @@ from linfty.fixtures import (
 )
 from linfty.forms import Form
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
+from linfty.report import quote
 from linfty.serialize import (
     MAX_DECIMAL_EXPONENT,
     MAX_FORM_DEGREE,
@@ -199,6 +201,16 @@ class TestMalformedPresentations:
             with pytest.raises(ValueError, match=r"index '.* out of range for n=2"):
                 parse_form(text, 2)
 
+    # a t-factor with an empty index or exponent, a bare dt and a
+    # repeated exponent are refused with the factor quoted
+    @pytest.mark.parametrize("text, factor", [
+        ("t*dt1", "t"), ("t1^", "t1^"), ("dt", "dt"), ("t1^2^3", "t1^2^3"),
+    ])
+    def test_malformed_form_factor_is_quoted(self, text, factor):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot parse factor {quote(factor)}")):
+            parse_form(text, 2)
+
     def test_messages_quote_a_bounded_prefix_of_the_input(self):
         algebra = get_fixture("heisenberg")
         long = 5000
@@ -363,9 +375,10 @@ def test_simplex_data_round_trip(name, n, data):
     algebra = get_fixture(name)
     sampler = Sampler(data.draw(st.integers(0, 10**6)))
     g = GaugeParameter(
-        n=n, mu=sampler.mc_element(algebra), witness=sampler.witness(algebra, n)
+        mu=sampler.mc_element(algebra),
+        witness=sampler.witness(algebra, n),
     )
-    simplex = solve_gauge_fixed(algebra, n, data.draw(st.integers(0, n)), g)
+    simplex = solve_gauge_fixed(g, data.draw(st.integers(0, n)))
     data_out = simplex_to_data(simplex)
     loaded = simplex_from_data(data_out, algebra)
     assert loaded == simplex
@@ -408,10 +421,10 @@ class TestSimplexFiles:
         algebra = get_fixture("dg_lie_01")
         sampler = Sampler(2)
         g = GaugeParameter(
-            n=2, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 2),
         )
-        simplex = solve_gauge_fixed(algebra, 2, 0, g)
+        simplex = solve_gauge_fixed(g, 0)
         path = tmp_path / "simplex.json"
         save_simplex(simplex, path)
         loaded = load_simplex(path, algebra)
@@ -461,10 +474,10 @@ class TestRenderDispatch:
         algebra = get_fixture("heis_exterior")
         sampler = Sampler(3)
         g = GaugeParameter(
-            n=2, mu=sampler.mc_element(algebra),
+            mu=sampler.mc_element(algebra),
             witness=sampler.witness(algebra, 2),
         )
-        simplex = solve_gauge_fixed(algebra, 2, 0, g)
+        simplex = solve_gauge_fixed(g, 0)
         assert json.dumps(simplex_to_data(simplex)) == json.dumps(
             simplex_to_data(simplex)
         )
