@@ -98,6 +98,17 @@ class LInftyAlgebra:
             arities.append(len(key))
         self.brackets = table
         self.max_arity = max(arities)
+        # the support index: per arity, a trie of the orderings of the
+        # stored keys.  The node a proper prefix reaches maps each symbol
+        # that can come next to the next node; a last symbol maps to the
+        # whole ordering.
+        self._support = {k: {} for k in range(1, self.max_arity + 1)}
+        for key in table:
+            for order in set(itertools.permutations(key)):
+                node = self._support[len(key)]
+                for sym in order[:-1]:
+                    node = node.setdefault(sym, {})
+                node[order[-1]] = order
         self._filtration = None
         self._basis_bracket_cache: dict = {}
 
@@ -330,9 +341,10 @@ class GVector(kernel.Linear):
 def bracket(algebra: LInftyAlgebra, args: Sequence):
     """Multilinear bracket of vectors or tensor elements.
 
-    Arity above the presentation bound gives zero; mixing algebras or
-    simplex dimensions is an error.  A run of one odd vector repeated,
-    as in [mu^l], is summed over multisets of its terms (_atom_tuples).
+    Only the basis tuples that order a stored key are looked up
+    (_atom_tuples), so an arity above the presentation bound gives zero;
+    mixing algebras or simplex dimensions is an error.  A run of one odd
+    vector repeated, as in [mu^l], is summed over multisets of its terms.
     """
     if not args:
         raise ValueError("bracket needs at least one argument")
@@ -341,60 +353,71 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
     for a in args:
         if not isinstance(a, GVector) or a.algebra is not algebra:
             raise ValueError("bracket arguments must live in the given algebra")
-    if len(args) > algebra.max_arity or not all(a.coeffs for a in args):
+    if not all(a.coeffs for a in args):
         return algebra.zero_vector()
     degrees = algebra.degrees
-    combos, runs = _atom_tuples(
-        args, lambda a: list(a.coeffs.items()), lambda atom: degrees[atom[0]] % 2
+    walk, runs = _atom_tuples(
+        algebra, args, lambda a: list(a.coeffs.items()),
+        lambda atom: degrees[atom[0]] % 2,
     )
     total: dict = {}
-    for combo in combos:
-        value = algebra.bracket_on_basis([s for s, _ in combo])
-        if value.coeffs:
-            coeff = _ONE
-            for _, c in combo:
-                coeff *= c
-            if runs:
-                coeff *= _run_weight(runs, combo)
-            kernel.add_into(total, value.coeffs, coeff)
+    for syms, combo in walk:
+        coeff = _ONE
+        for _, c in combo:
+            coeff *= c
+        if runs:
+            coeff *= _run_weight(runs, combo)
+        kernel.add_into(total, algebra.bracket_on_basis(syms).coeffs, coeff)
     return GVector(algebra, total)
 
 
-def _atom_tuples(args: Sequence, atoms_of, is_odd):
-    """(atom tuples, runs): the atom tuples of a bracket's expansion,
-    enumerated lazily, and the runs that _run_weight weights them by.
+def _atom_tuples(algebra: LInftyAlgebra, args: Sequence, atoms_of, is_odd):
+    """(walk, runs): the (symbols, atoms) pairs of a bracket's expansion
+    whose symbols order a stored key of the algebra, and the runs that
+    _run_weight weights them by.  Atom tuples off the table's support
+    bracket to zero and are never built.  atoms_of(arg) is the list of an
+    argument's atoms, each with its symbol first.
+
+    The walk goes through the argument positions once, keeping at each
+    the atoms whose symbol the support index allows after the symbols
+    already chosen (the children of the trie node they reach); the
+    pairs come in the order of the full product.
 
     A run is one object repeated m > 1 times in a row whose atoms all
     have odd total degree.  Moving two such atoms past each other costs
     -(-1)^((|x|+|a|)(|y|+|b|)) = +1, so the summand is symmetric over the
-    run and one multiset of its atoms (a combination with replacement)
-    stands for all of its m!/prod(mult!) orderings.  With no run, the
-    tuples are the plain ordered product and runs is None.
+    run and one multiset of its atoms (indices that never decrease along
+    the run) stands for all of its m!/prod(mult!) orderings.  With no
+    run, runs is None.
     """
     if len(set(map(id, args))) == len(args):
-        return itertools.product(*map(atoms_of, args)), None
-    runs: list = []
-    for _, group in itertools.groupby(args, id):
-        group = list(group)
-        atoms = atoms_of(group[0])
-        if len(group) > 1 and all(map(is_odd, atoms)):
-            runs.append((atoms, len(group)))
-        else:
-            runs.extend((atoms, 1) for _ in group)
-    if len(runs) == len(args):
-        return itertools.product(*(atoms for atoms, _ in runs)), None
-    return _run_product(runs), runs
-
-
-def _run_product(runs: list):
-    atoms, m = runs[0]
-    if m == 1:
-        heads = zip(atoms)
+        positions, runs = [(atoms_of(a), None) for a in args], None
     else:
-        heads = itertools.combinations_with_replacement(atoms, m)
-    if len(runs) == 1:
-        return heads
-    return (head + tail for head in heads for tail in _run_product(runs[1:]))
+        # a position that continues a run carries its atoms' ranks
+        positions, runs = [], []
+        for _, group in itertools.groupby(args, id):
+            group = list(group)
+            atoms = atoms_of(group[0])
+            if len(group) > 1 and all(map(is_odd, atoms)):
+                rank = {id(atom): i for i, atom in enumerate(atoms)}
+                runs.append((atoms, len(group)))
+                positions += [(atoms, None)] + [(atoms, rank)] * (len(group) - 1)
+            else:
+                runs += [(atoms, 1)] * len(group)
+                positions += [(atoms, None)] * len(group)
+        if len(runs) == len(args):
+            runs = None
+    # (trie node, atoms so far); after the last position the node is the
+    # ordering of a stored key that the atoms' symbols spell
+    walk = [(algebra._support.get(len(args), {}), ())]
+    for atoms, rank in positions:
+        walk = [
+            (node[atom[0]], combo + (atom,))
+            for node, combo in walk
+            for atom in (atoms if rank is None else atoms[rank[id(combo[-1])]:])
+            if atom[0] in node
+        ]
+    return walk, runs
 
 
 def _run_weight(runs: list, combo: tuple) -> int:
@@ -587,7 +610,7 @@ class Morphism:
                 (c, self.images[sym]) for sym, c in value.coeffs.items()
             )
         if isinstance(value, TensorElement):
-            return _map_symbols(value, self.target, self.images.__getitem__)
+            return _map_symbols(value, self.target, self.images)
         raise TypeError(f"cannot apply morphism to {type(value).__name__}")
 
     def is_surjective(self) -> bool:
@@ -728,9 +751,14 @@ class TensorElement(kernel.Linear):
         return self.apply_even(lambda f: dupont.whitney_P(self.n, f))
 
     def delta(self) -> "TensorElement":
-        return _map_symbols(
-            self, self.algebra, lambda sym: self.algebra.bracket_on_basis((sym,))
-        )
+        """The unary bracket on the algebra factor, looked up only on the
+        symbols that have one (the support index's arity-1 entry)."""
+        algebra = self.algebra
+        unary = algebra._support[1]
+        return _map_symbols(self, algebra, {
+            sym: algebra.bracket_on_basis((sym,))
+            for sym in self.comps if sym in unary
+        })
 
     def d_plus_delta(self) -> "TensorElement":
         return self.d() + self.delta()
@@ -779,13 +807,16 @@ class TensorElement(kernel.Linear):
         )
 
 
-def _map_symbols(x: TensorElement, target: LInftyAlgebra, image) -> TensorElement:
-    """Apply the linear map sym -> image(sym), a vector of target, to the
-    algebra factor of x."""
+def _map_symbols(
+    x: TensorElement, target: LInftyAlgebra, images: Mapping[str, GVector]
+) -> TensorElement:
+    """Apply the linear map sym -> images[sym], a vector of target (zero
+    off the mapping), to the algebra factor of x."""
     acc: dict = {}
     for sym, form in x.comps.items():
-        for tsym, c in image(sym).coeffs.items():
-            kernel.add_into(acc.setdefault(tsym, {}), form.terms, c)
+        if sym in images:
+            for tsym, c in images[sym].coeffs.items():
+                kernel.add_into(acc.setdefault(tsym, {}), form.terms, c)
     return TensorElement.from_terms(target, x.n, acc)
 
 
@@ -815,9 +846,10 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
     Koszul sign (-1)^(sum_{i<j} |a_i| |x_j|) of commuting each form
     past the later elements.  This is the unique sign compatible with
     the unary convention: the total differential is then a graded
-    derivation of the bracket (an exact test in the suite).  A run of
-    one total-degree-odd element repeated, as in [alpha^l], is summed
-    over multisets of its atoms (_atom_tuples).
+    derivation of the bracket (an exact test in the suite).  Only the
+    atom tuples whose symbols order a stored key are formed
+    (_atom_tuples), and a run of one total-degree-odd element repeated,
+    as in [alpha^l], is summed over multisets of its atoms.
     """
     for a in args:
         if not isinstance(a, TensorElement) or a.algebra is not algebra:
@@ -827,22 +859,19 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
     n = args[0].n
     if len(args) == 1:
         return args[0].delta() + args[0].d()
-    if len(args) > algebra.max_arity or not all(a.comps for a in args):
+    if not all(a.comps for a in args):
         return zero_tensor(algebra, n)
     degrees = algebra.degrees
-    combos, runs = _atom_tuples(
-        args, TensorElement.atoms, lambda atom: (degrees[atom[0]] + atom[1]) % 2
+    walk, runs = _atom_tuples(
+        algebra, args, TensorElement.atoms,
+        lambda atom: (degrees[atom[0]] + atom[1]) % 2,
     )
     total: dict = {}
-    for combo in combos:
-        syms = [sym for sym, _, _ in combo]
-        value = algebra.bracket_on_basis(syms)
-        if value.is_zero():
-            continue
+    for syms, combo in walk:
         sign = 1
         for i in range(len(combo)):
             for j in range(i + 1, len(combo)):
-                if (combo[i][1] * algebra.degrees[combo[j][0]]) % 2:
+                if (combo[i][1] * degrees[combo[j][0]]) % 2:
                     sign = -sign
         form = combo[0][2]
         for _, _, piece in combo[1:]:
@@ -853,7 +882,7 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
             continue
         if runs:
             sign *= _run_weight(runs, combo)
-        for tsym, c in value.coeffs.items():
+        for tsym, c in algebra.bracket_on_basis(syms).coeffs.items():
             kernel.add_into(
                 total.setdefault(tsym, {}), form.terms,
                 c if sign == 1 else -c if sign == -1 else sign * c,

@@ -232,12 +232,14 @@ def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
 def _short_int(text: str, bound: int, factor: str):
     """int(text), or None when its digits alone put it beyond bound; the
     length test spares int() a huge digit string, leading zeros too.
-    Text that is not a decimal integer raises ValueError quoting the
-    factor of a form it was read from."""
-    digits = text.strip().lstrip("0_") or text[-1:]
-    if not _DIGITS.fullmatch(digits):
+    Text that is not a decimal integer (matched before any zero is
+    stripped) raises ValueError quoting the factor of a form it was read
+    from."""
+    text = text.strip()
+    if not _DIGITS.fullmatch(text):
         raise ValueError(f"cannot parse factor {quote(factor)}")
-    return None if len(digits.replace("_", "")) > len(str(bound)) else int(digits)
+    digits = text.replace("_", "").lstrip("0") or "0"
+    return None if len(digits) > len(str(bound)) else int(digits)
 
 
 def _form_index(text: str, n: int, factor: str) -> int:

@@ -1,8 +1,11 @@
 """Presentations, brackets, filtrations, twisting, tensor structure."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +27,18 @@ from linfty.algebra import (
     is_mc,
     jacobiator,
     tensor_bracket,
+    tensor_product,
     tensor_curvature,
     twist,
     twisted_bracket,
     zero_tensor,
 )
-from linfty.bch_groupoid import deligne_action, tree_exponential
+from linfty.bch_groupoid import (
+    compose,
+    deligne_action,
+    generalized_ch,
+    tree_exponential,
+)
 from linfty.fixtures import (
     CLASS3_DELTA,
     CLASS3_GENERATORS,
@@ -41,7 +50,7 @@ from linfty.fixtures import (
     heisenberg_abelianization,
     three_bracket_projection,
 )
-from linfty.forms import Form
+from linfty.forms import Form, wedge
 from linfty.linalg import Subspace
 
 
@@ -569,12 +578,179 @@ def test_runs_merge_only_a_repeated_odd_argument():
     y = TensorElement(algebra, 1, {"e1": Form.t(1, 1)})
 
     def runs(args):
-        return _atom_tuples(args, TensorElement.atoms,
+        return _atom_tuples(algebra, args, TensorElement.atoms,
                             lambda atom: (algebra.degrees[atom[0]] + atom[1]) % 2)[1]
 
-    # x has total degree 1 and forms one run; y (degree 0) repeats unmerged
+    # x has total degree 1 and forms one run; y (degree 0) repeats unmerged;
+    # dg_lie_01 stores no key of arity 5, which must not hide the runs
     assert [m for _, m in runs([x, x, x, y, y])] == [3, 1, 1]
     assert runs([y, y]) is None and runs([x, x.scale(1)]) is None
+
+
+# -- the support walk against the full expansion ----------------------------
+
+
+def full_expansion(args, atoms_of, is_odd):
+    """(atom tuple, number of orderings it stands for) over the full
+    product of the arguments' atoms: a run (one odd argument repeated)
+    takes the multisets of its atoms, each weighted m!/prod(mult!)."""
+    groups = []
+    for _, group in itertools.groupby(args, id):
+        group = list(group)
+        atoms = atoms_of(group[0])
+        if len(group) > 1 and all(map(is_odd, atoms)):
+            groups.append(list(itertools.combinations_with_replacement(
+                atoms, len(group))))
+        else:
+            groups.extend([(atom,) for atom in atoms] for _ in group)
+    for parts in itertools.product(*groups):
+        weight = 1
+        for part in parts:
+            weight *= factorial(len(part))
+            for count in Counter(map(id, part)).values():
+                weight //= factorial(count)
+        yield sum(parts, ()), weight
+
+
+def expanded_bracket(algebra, args):
+    """The vector bracket, one basis lookup per tuple of the full
+    expansion."""
+    total = algebra.zero_vector()
+    for combo, weight in full_expansion(
+        args, lambda a: list(a.coeffs.items()),
+        lambda atom: algebra.degrees[atom[0]] % 2,
+    ):
+        coeff = weight * math.prod(c for _, c in combo)
+        total += algebra.bracket_on_basis([s for s, _ in combo]).scale(coeff)
+    return total
+
+
+def expanded_tensor_bracket(algebra, args):
+    """The tensor bracket, one basis lookup per tuple of the full
+    expansion; the unary one looks up every symbol."""
+    n = args[0].n
+    if len(args) == 1:
+        total = args[0].d()
+        for sym, form in args[0].comps.items():
+            total += tensor_product(algebra.bracket_on_basis((sym,)), form)
+        return total
+    total = zero_tensor(algebra, n)
+    degrees = algebra.degrees
+    for combo, weight in full_expansion(
+        args, TensorElement.atoms, lambda atom: (degrees[atom[0]] + atom[1]) % 2
+    ):
+        # the Koszul sign of moving each form past the later symbols
+        sign = (-1) ** sum(combo[i][1] * degrees[combo[j][0]]
+                           for i in range(len(combo))
+                           for j in range(i + 1, len(combo)))
+        form = Form.one(n)
+        for _, _, piece in combo:
+            form = wedge(form, piece)
+        value = algebra.bracket_on_basis([sym for sym, _, _ in combo])
+        total += tensor_product(value, form).scale(sign * weight)
+    return total
+
+
+@st.composite
+def graded_presentations(draw):
+    """2-5 symbols of degrees -1..2 and a degree-homogeneous table of
+    arity 1 to 4, a repeated odd symbol allowed in a key; not nilpotent
+    in general, which the bracket does not need."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=2, max_size=5))
+    symbols = [f"x{i}" for i in range(len(degrees))]
+    table = {}
+    for arity in range(1, 5):
+        targets = {}
+        for key in itertools.combinations_with_replacement(range(len(degrees)), arity):
+            if any(a == b and degrees[a] % 2 == 0 for a, b in zip(key, key[1:])):
+                continue
+            degree = sum(degrees[i] for i in key) + 2 - arity
+            fits = [s for s, d in zip(symbols, degrees) if d == degree]
+            if fits:
+                targets[tuple(symbols[i] for i in key)] = fits
+        if not targets:
+            continue
+        for key in draw(st.lists(st.sampled_from(sorted(targets)), unique=True,
+                                 max_size=4)):
+            table[key] = draw(st.dictionaries(
+                st.sampled_from(targets[key]), rationals, min_size=1
+            ))
+    return LInftyAlgebra("random", list(zip(symbols, degrees)), table)
+
+
+@st.composite
+def sparse_vectors(draw, algebra, odd=False):
+    """A vector on at most four symbols, all of odd degree if odd."""
+    symbols = [s for s in algebra.symbols
+               if not odd or algebra.degrees[s] % 2] or algebra.symbols
+    if not symbols:
+        return algebra.zero_vector()
+    return GVector(algebra, draw(st.dictionaries(
+        st.sampled_from(symbols), rationals, max_size=4)))
+
+
+@st.composite
+def argument_lists(draw, elements):
+    """1-4 arguments drawn from a pool of up to three elements, so that
+    one object may repeat, next to itself (a run if it is odd) or not."""
+    pool = draw(st.lists(elements, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=4))
+    return [pool[i] for i in picks]
+
+
+def assert_brackets_are_the_full_expansion(data, algebra):
+    # each argument list and its first argument alone (the unary bracket)
+    args = data.draw(argument_lists(st.one_of(
+        sparse_vectors(algebra), sparse_vectors(algebra, odd=True))))
+    assert bracket(algebra, args) == expanded_bracket(algebra, args)
+    assert bracket(algebra, args[:1]) == expanded_bracket(algebra, args[:1])
+    walk, _ = _atom_tuples(algebra, args, lambda a: list(a.coeffs.items()),
+                           lambda atom: algebra.degrees[atom[0]] % 2)
+    for syms, combo in walk:
+        assert syms == tuple(s for s, _ in combo)
+        assert algebra._canonical_key(syms)[0] in algebra.brackets
+    n = data.draw(st.integers(1, 2))
+    tensors = st.integers(-1, 3).flatmap(
+        lambda degree: homogeneous_tensors(algebra, n, degree))
+    args = data.draw(argument_lists(tensors))
+    assert tensor_bracket(algebra, args) == expanded_tensor_bracket(algebra, args)
+    assert tensor_bracket(algebra, args[:1]) == expanded_tensor_bracket(
+        algebra, args[:1])
+
+
+@PROPERTY
+@given(graded_presentations(), st.data())
+def test_brackets_are_the_full_expansion(algebra, data):
+    assert_brackets_are_the_full_expansion(data, algebra)
+
+
+@PROPERTY
+@given(st.sampled_from(FIXTURE_NAMES), st.data())
+def test_fixture_brackets_are_the_full_expansion(name, data):
+    assert_brackets_are_the_full_expansion(data, get_fixture(name))
+
+
+def test_the_series_look_up_only_nonzero_brackets(monkeypatch):
+    # every tuple the walk returns orders a stored key, and delta looks up
+    # only the symbols with a stored unary bracket
+    lookup = LInftyAlgebra.bracket_on_basis
+    values = []
+
+    def counted(algebra, args):
+        values.append(lookup(algebra, args))
+        return values[-1]
+
+    ut4, free = get_fixture("ut4"), get_fixture("free_nilpotent_class3")
+    free.nilpotency_index()
+    sampler = Sampler(5)
+    monkeypatch.setattr(LInftyAlgebra, "bracket_on_basis", counted)
+    compose(ut4, ut4.zero_vector(), sampler.vector(ut4, 0), sampler.vector(ut4, 0))
+    generalized_ch(free, 2, free.zero_vector(), {
+        (1,): sampler.vector(free, 0), (2,): sampler.vector(free, 0),
+        (1, 2): sampler.vector(free, -1),
+    })
+    assert values and all(values)
 
 
 @PROPERTY

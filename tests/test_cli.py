@@ -388,6 +388,32 @@ class TestBadFiles:
         assert out == ""
         assert "face.json" in err and "cannot parse factor 't'" in err
 
+    # an underscore may stand only between two digits, as int() reads them
+    @pytest.mark.parametrize("form", ["t_1", "dt_1", "t1^_2"])
+    def test_fill_horn_face_with_a_leading_underscore(self, capsys, tmp_path, form):
+        face = {"algebra": "dg_lie_01", "n": 1,
+                "components": [{"generator": "e1", "form": form}]}
+        path = self._file(tmp_path, "face.json", face)
+        code, out, err = self._fill_horn(capsys, path, path)
+        assert code == 2
+        assert out == ""
+        assert f"cannot parse factor {quote(form)}" in err
+
+    # a leading zero, also one before an underscore, is read as int() reads it
+    @pytest.mark.parametrize("spelled, plain", [
+        ("t01", "t1"), ("t1^02", "t1^2"), ("t1^0_2", "t1^2"),
+    ])
+    def test_fill_horn_face_with_a_leading_zero(self, capsys, tmp_path,
+                                                spelled, plain):
+        results = []
+        for form in (plain, spelled):
+            face = {"algebra": "dg_lie_01", "n": 1,
+                    "components": [{"generator": "f1", "form": form}]}
+            path = self._file(tmp_path, "face.json", face)
+            results.append(self._fill_horn(capsys, path, path))
+        assert results[0] == results[1]
+        assert "cannot parse" not in results[0][2]
+
     def test_fill_horn_missing_face_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nosuch.json")
         code, _, err = self._fill_horn(capsys, missing, missing)
