@@ -1,11 +1,10 @@
 """Presentations, brackets, filtrations, twisting, tensor structure."""
 
 import itertools
-import math
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -620,7 +619,7 @@ def expanded_bracket(algebra, args):
         args, lambda a: list(a.coeffs.items()),
         lambda atom: algebra.degrees[atom[0]] % 2,
     ):
-        coeff = weight * math.prod(c for _, c in combo)
+        coeff = weight * prod(c for _, c in combo)
         total += algebra.bracket_on_basis([s for s, _ in combo]).scale(coeff)
     return total
 
