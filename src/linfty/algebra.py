@@ -7,8 +7,9 @@ other evaluation order is reduced to the stored one by the Koszul sign
 convention.  On top of the presentations live vectors, derived
 structure (Jacobi verification, the lower central filtration and
 nilpotency, curvature and the Maurer-Cartan condition, twisting by a
-Maurer-Cartan element), strict morphisms, and the tensor algebra with
-polynomial forms on a simplex.
+Maurer-Cartan element), strict morphisms and the quotients by the
+filtration's terms, and the tensor algebra with polynomial forms on a
+simplex.
 """
 
 from __future__ import annotations
@@ -192,9 +193,11 @@ class LInftyAlgebra:
             vectors = []
             for arity in range(2, self.max_arity + 1):
                 weight = max(level, arity)
-                for comp in _compositions(weight, arity):
-                    # one order per multiset of levels: the nondecreasing one
-                    if comp != tuple(sorted(comp)) or comp[-1] >= level:
+                # one order per multiset of levels: the nondecreasing one
+                for comp in itertools.combinations_with_replacement(
+                    range(1, level), arity
+                ):
+                    if sum(comp) != weight:
                         continue
                     runs = [
                         (factors[c - 1], len(list(group)))
@@ -237,21 +240,6 @@ class LInftyAlgebra:
             f"LInftyAlgebra({self.name!r}, dim={self.dim}, "
             f"max_arity={self.max_arity})"
         )
-
-
-def _compositions(total: int, parts: int):
-    """Ordered compositions of total into the given number of positive parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @dataclass
@@ -579,6 +567,9 @@ class Morphism:
     ):
         self.source = source
         self.target = target
+        for sym in images:
+            if sym not in source.index:
+                raise ValueError(f"unknown symbol {quote(sym)} in images")
         self.images = {}
         for sym in source.symbols:
             img = images.get(sym)
@@ -645,6 +636,32 @@ class Morphism:
             # the degrees have disjoint supports, so nothing cancels
             coeffs.update((sources[j], x) for j, x in solution.items())
         return GVector(self.source, coeffs)
+
+
+def quotient(algebra: LInftyAlgebra, level: int) -> Morphism:
+    """The surjection g -> g/F^level onto the quotient by a term of the
+    lower central filtration, an ideal closed under the unary bracket.
+
+    The quotient, named g/F<level>, keeps the symbols off the pivots of
+    F^level; its brackets are the stored values reduced modulo F^level,
+    and each symbol maps to its reduction.  Level 1 gives the zero
+    algebra, the nilpotency index an isomorphic copy.
+    """
+    algebra.nilpotency_index()  # raises on an algebra that is not nilpotent
+    spaces = algebra.lower_central().subspaces
+    if not 1 <= level <= len(spaces):
+        raise ValueError(f"level {level} is outside 1..{len(spaces)}")
+    space = spaces[level - 1]
+    killed = set(space.pivots)
+    target = LInftyAlgebra(
+        f"{algebra.name}/F{level}",
+        [(s, algebra.degrees[s]) for s in algebra.symbols if s not in killed],
+        {key: space.reduce(value) for key, value in algebra.brackets.items()
+         if killed.isdisjoint(key)},
+    )
+    return Morphism(algebra, target, {
+        s: GVector(target, space.reduce({s: _ONE})) for s in algebra.symbols
+    })
 
 
 # -- tensor elements over simplicial forms -----------------------------

@@ -291,6 +291,18 @@ def positive(text: str) -> int:
     return value
 
 
+def vertex_count(text: str) -> int:
+    """The argparse type of bch's --n: an integer in 1..9, as an input
+    key names each vertex of its face by one digit."""
+    value = positive(text)
+    if value > 9:
+        raise argparse.ArgumentTypeError(
+            f"must be <= 9, got {value}: an input key names each vertex "
+            "by one digit"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linfty",
@@ -344,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bch", help="generalized Campbell-Hausdorff value")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--n", type=vertex_count, required=True)
     p.add_argument("--mu", default=None,
                    help="file with the rendered base Maurer-Cartan element")
     p.add_argument("--inputs", default=None,

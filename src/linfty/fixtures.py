@@ -6,9 +6,10 @@ presentations/<name>.json, which get_fixture loads with the command
 line's own load_presentation), the word product and graded commutator
 of the free associative algebra and the free nilpotent dg Lie algebras
 of any class built on them (class 3 is the series fixture), the
-faithful matrix representations for the group-law oracles, surjections
-for relative horn filling, and the seeded deterministic samplers
-(coefficients drawn from a fixed set of small rationals).
+faithful matrix representations for the group-law oracles, and the
+seeded deterministic samplers (coefficients drawn from a fixed set of
+small rationals).  The surjections for relative horn filling are the
+quotients by the lower central filtration, algebra.quotient.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pathlib import Path
 from linfty.algebra import (
     GVector,
     LInftyAlgebra,
-    Morphism,
     TensorElement,
     bracket,
     is_mc,
@@ -238,45 +238,6 @@ def get_representation(name: str) -> MatrixRepresentation:
                       for i, j in itertools.combinations(range(4), 2)}
         )
     raise KeyError(f"no matrix representation for {name!r}")
-
-
-# -- morphisms for relative filling ---------------------------------------
-
-
-def heisenberg_abelianization():
-    """Heisenberg onto its abelianization (the commutator killed)."""
-    heis = get_fixture("heisenberg")
-    target = LInftyAlgebra("heis_ab", [("a1", 0), ("a2", 0)])
-    return Morphism(
-        heis,
-        target,
-        {
-            "e1": target.basis_vector("a1"),
-            "e2": target.basis_vector("a2"),
-            "e3": target.zero_vector(),
-        },
-    )
-
-
-def three_bracket_projection():
-    """three_bracket onto an abelian quotient keeping the spectator
-    degree -1 generator; exercises the lifted top integral."""
-    source = get_fixture("three_bracket")
-    target = LInftyAlgebra(
-        "three_bracket_ab",
-        [("ab", 0), ("bb", 0), ("cb", 0), ("vb", -1)],
-    )
-    return Morphism(
-        source,
-        target,
-        {
-            "a": target.basis_vector("ab"),
-            "b": target.basis_vector("bb"),
-            "c": target.basis_vector("cb"),
-            "w": target.zero_vector(),
-            "v": target.basis_vector("vb"),
-        },
-    )
 
 
 # -- finite groupoids ------------------------------------------------------

@@ -25,6 +25,7 @@ from linfty.algebra import (
     curvature,
     is_mc,
     jacobiator,
+    quotient,
     tensor_bracket,
     tensor_product,
     tensor_curvature,
@@ -46,8 +47,6 @@ from linfty.fixtures import (
     free_nilpotent,
     free_nilpotent_class3,
     get_fixture,
-    heisenberg_abelianization,
-    three_bracket_projection,
 )
 from linfty.forms import Form, wedge
 from linfty.linalg import Subspace
@@ -441,7 +440,7 @@ class TestTensorStructure:
 
 class TestMorphisms:
     def test_abelianization_is_strict_and_surjective(self):
-        f = heisenberg_abelianization()
+        f = quotient(get_fixture("heisenberg"), 2)
         assert f.is_surjective()
 
     def test_non_strict_rejected(self):
@@ -458,9 +457,16 @@ class TestMorphisms:
                 },
             )
 
+    def test_unknown_image_symbol_rejected(self):
+        heis = get_fixture("heisenberg")
+        target = LInftyAlgebra("ab", [("a1", 0), ("a2", 0)])
+        a1, a2 = target.basis_vector("a1"), target.basis_vector("a2")
+        with pytest.raises(ValueError, match="unknown symbol 'e33' in images"):
+            Morphism(heis, target, {"e1": a1, "e2": a2, "e33": a1})
+
     def test_section_is_canonical_preimage(self):
-        f = three_bracket_projection()
-        target_vec = f.target.vector({"ab": Fraction(2), "vb": Fraction(-1, 2)})
+        f = quotient(get_fixture("three_bracket"), 2)
+        target_vec = f.target.vector({"a": Fraction(2), "v": Fraction(-1, 2)})
         lift = f.section(target_vec)
         assert f.apply(lift) == target_vec
         # deterministic: repeated calls agree
@@ -481,6 +487,47 @@ class TestMorphisms:
         assert not f.is_surjective()
         with pytest.raises(ValueError):
             f.section(target.basis_vector("z"))
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_level_is_a_strict_surjection_killing_its_term(self, name):
+        algebra = get_fixture(name)
+        spaces = algebra.lower_central().subspaces
+        for level in range(1, algebra.nilpotency_index() + 1):
+            f = quotient(algebra, level)  # Morphism checks strictness
+            space = spaces[level - 1]
+            assert f.target.name == f"{name}/F{level}"
+            assert f.is_surjective()
+            assert f.target.dim == algebra.dim - space.dim
+            for sym in algebra.symbols:
+                assert f.images[sym].is_zero() == space.contains({sym: 1})
+
+    def test_ends_of_the_filtration(self):
+        heis = get_fixture("heisenberg")
+        assert quotient(heis, 1).target.dim == 0
+        top = quotient(heis, 3)
+        assert top.target.symbols == heis.symbols
+        assert top.target.brackets == heis.brackets
+        assert all(top.images[s] == top.target.basis_vector(s)
+                   for s in heis.symbols)
+
+    def test_known_kernels(self):
+        assert quotient(get_fixture("heisenberg"), 2).target.symbols == (
+            "e1", "e2")
+        three = quotient(get_fixture("three_bracket"), 2)
+        assert three.target.symbols == ("a", "b", "c", "v")
+        assert three.target.max_arity == 1
+        assert three.images["w"].is_zero()
+
+    @pytest.mark.parametrize("level", [0, -1, 4, 5])
+    def test_level_out_of_range_rejected(self, level):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            quotient(get_fixture("heisenberg"), level)
+
+    def test_not_nilpotent_rejected(self):
+        with pytest.raises(ValueError, match="is not nilpotent"):
+            quotient(split_algebra(), 2)
 
 
 # -- random tensors: multiset brackets and the graded Leibniz rule ----------

@@ -474,6 +474,21 @@ class TestNegativeSizes:
             assert out == ""
             assert "must be >= 1" in err
 
+    def test_bch_n_above_nine_is_usage_error(self, capsys, tmp_path):
+        # an input key names each vertex by one digit, so vertex 10 has
+        # no name; --n 9 is the largest simplex a key can reach
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"10": "e1"}))
+        argv = ("bch", "--algebra", bundled("heisenberg"))
+        for extra in ((), ("--inputs", str(inputs))):
+            code, out, err = run(capsys, *argv, "--n", "10", *extra)
+            assert code == 2
+            assert out == ""
+            assert "must be <= 9" in err and "one digit" in err
+        code, out, _ = run(capsys, *argv, "--n", "9")
+        assert code == 0
+        assert out == "0\n"
+
 
 def test_bad_input_message_is_bounded(capsys, tmp_path):
     mu = tmp_path / "mu.txt"

@@ -14,13 +14,10 @@ from linfty.algebra import (
     bracket,
     constant_tensor,
     curvature,
+    quotient,
     tensor_bracket,
 )
-from linfty.fixtures import (
-    get_fixture,
-    heisenberg_abelianization,
-    three_bracket_projection,
-)
+from linfty.fixtures import BUNDLED, get_fixture
 from linfty.dupont import _h_monomial, integrate_chain
 from linfty.forms import Form, SimplicialMap, exterior_d, pullback
 
@@ -315,10 +312,17 @@ def test_curvature_of_constants_is_constant(case):
     )
 
 
+# the seven proper quotients g -> g/F^k, 2 <= k < nilpotency index
+QUOTIENTS = [
+    (name, level) for name in BUNDLED
+    for level in range(2, get_fixture(name).nilpotency_index())
+]
+
+
 @st.composite
 def morphism_and_tensors(draw):
-    f = draw(st.sampled_from([heisenberg_abelianization(),
-                              three_bracket_projection()]))
+    name, level = draw(st.sampled_from(QUOTIENTS))
+    f = quotient(get_fixture(name), level)
     return f, draw(tensors(f.source)), draw(tensors(f.source))
 
 

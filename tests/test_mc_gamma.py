@@ -14,17 +14,13 @@ from linfty.algebra import (
     Morphism,
     TensorElement,
     constant_tensor,
+    quotient,
     tensor_bracket,
     tensor_curvature,
     zero_tensor,
 )
 from linfty.bch_groupoid import compose, generalized_ch
-from linfty.fixtures import (
-    Sampler,
-    get_fixture,
-    heisenberg_abelianization,
-    three_bracket_projection,
-)
+from linfty.fixtures import BUNDLED, Sampler, get_fixture
 from linfty.forms import Form
 from linfty.mc_gamma import (
     GaugeParameter,
@@ -356,9 +352,9 @@ class TestHorns:
 
 
 class TestRelativeFill:
-    def test_heisenberg_abelianization(self):
-        projection = heisenberg_abelianization()
-        heis = projection.source
+    def test_heisenberg_quotient(self):
+        heis = get_fixture("heisenberg")
+        projection = quotient(heis, 2)
         sampler = Sampler(16)
         for missing in (0, 1, 2):
             g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
@@ -372,8 +368,8 @@ class TestRelativeFill:
             assert projection.apply(lifted.value) == target.value
 
     def test_lift_exercises_the_top_integral(self):
-        projection = three_bracket_projection()
-        source = projection.source
+        source = get_fixture("three_bracket")
+        projection = quotient(source, 2)
         sampler = Sampler(17)
         exercised = 0
         for missing in (0, 1, 2):
@@ -391,6 +387,27 @@ class TestRelativeFill:
             assert projection.apply(lifted.value) == target.value
             exercised += not target.integrate((0, 1, 2)).is_zero()
         assert exercised > 0
+
+    # the seven proper quotients g -> g/F^k, 2 <= k < nilpotency index
+    @pytest.mark.parametrize("name, level", [
+        (name, level) for name in BUNDLED
+        for level in range(2, get_fixture(name).nilpotency_index())
+    ])
+    def test_lift_along_every_proper_quotient(self, name, level):
+        algebra = get_fixture(name)
+        f = quotient(algebra, level)
+        sampler = Sampler(24)
+        for n in (2, 3):
+            for missing in range(n + 1):
+                g = GaugeParameter(mu=sampler.mc_element(algebra),
+                                   witness=sampler.witness(algebra, n))
+                simplex = solve_gauge_fixed(g, 0)
+                horn = Horn(n, missing, {
+                    j: simplex.face(j) for j in range(n + 1) if j != missing
+                })
+                target = SimplexElement(f.apply(simplex.value))
+                lifted = fill_horn_relative(f, horn, target)
+                assert f.apply(lifted.value) == target.value
 
     def test_three_dimensional_lift(self):
         source = LInftyAlgebra(
@@ -436,8 +453,8 @@ class TestRelativeFill:
     def test_two_lifts_differ_by_a_kernel_section(self):
         # moving the chosen preimage of the top integral by a kernel
         # element gives a different filler over the same target
-        projection = three_bracket_projection()
-        source = projection.source
+        source = get_fixture("three_bracket")
+        projection = quotient(source, 2)
         sampler = Sampler(20)
         simplex = None
         while True:
@@ -472,8 +489,8 @@ class TestRelativeFill:
         assert projection.apply(other.value - lifted.value).is_zero()
 
     def test_thin_target_lift_is_the_plain_fill(self):
-        projection = heisenberg_abelianization()
-        heis = projection.source
+        heis = get_fixture("heisenberg")
+        projection = quotient(heis, 2)
         sampler = Sampler(23)
         g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
         simplex = solve_gauge_fixed(g, 0)
