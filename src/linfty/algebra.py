@@ -138,10 +138,40 @@ class LInftyAlgebra:
 
     def canonical_tuples(self, arity: int):
         """The bracket's domain at one arity: the sorted symbol tuples
-        that repeat no even symbol, in storage order."""
-        for key in itertools.combinations_with_replacement(self.symbols, arity):
-            if self._canonical_key(key)[1]:
-                yield key
+        that repeat no even symbol, in storage order.
+
+        Built in that order without filtering, as runs of one symbol:
+        an even symbol is taken at most once, an odd one repeated, and a
+        run gives up its last place to the next symbol only when the
+        symbols from that one on can still fill the tuple.
+        """
+        symbols, odd = self.symbols, self._odd
+        # room[i]: the most places the symbols from index i on can fill
+        room = [0] * (self.dim + 1)
+        for i in reversed(range(self.dim)):
+            room[i] = arity if i in odd else min(arity, room[i + 1] + 1)
+        if room[0] < arity:
+            return
+        # runs (index, count) spell word; rest places are left to fill
+        # from index i on, each symbol taking as many as it can
+        runs, word, i, rest = [], [], 0, arity
+        while True:
+            while rest:
+                count = rest if i in odd else 1
+                runs.append((i, count))
+                word += [symbols[i]] * count
+                rest -= count
+                i += 1
+            yield tuple(word)
+            while runs and room[runs[-1][0] + 1] <= rest:
+                rest += runs.pop()[1]
+            if not runs:
+                return
+            i, count = runs.pop()
+            if count > 1:
+                runs.append((i, count - 1))
+            i, rest = i + 1, rest + 1
+            del word[arity - rest:]
 
     def bracket_on_basis(self, args: Sequence[str]) -> "GVector":
         """Bracket of basis symbols, via the stored canonical table."""
@@ -451,21 +481,49 @@ def jacobi_arity(algebra: LInftyAlgebra) -> int:
     return max(1, 2 * algebra.max_arity - 1)
 
 
+def jacobi_candidates(algebra: LInftyAlgebra, n_max: int) -> set:
+    """The canonical tuples of arity <= n_max whose Jacobi sum can be
+    nonzero.  A term [[head], tail] of the sum needs the head to order a
+    stored key K1 and (m,) + tail to order a stored key K2 for a symbol
+    m of the value on K1, so the tuple orders K1 + (K2 - m)."""
+    keys_with: dict = {}
+    for key in algebra.brackets:
+        for sym in set(key):
+            keys_with.setdefault(sym, []).append(key)
+    found = set()
+    for head, value in algebra.brackets.items():
+        for mid in value:
+            for outer in keys_with.get(mid, ()):
+                if len(head) + len(outer) - 1 <= n_max:
+                    tail = list(outer)
+                    tail.remove(mid)
+                    key, sign = algebra._canonical_key(head + tuple(tail))
+                    if sign:
+                        found.add(key)
+    return found
+
+
 def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
     """Evaluate every n-Jacobi rule, n <= n_max, on basis tuples.
 
     The Jacobi sum is multilinear and graded antisymmetric, so the
     canonical tuples span the general case: a tuple repeating an
-    even-degree symbol has a residual that vanishes identically.  One
-    case per tuple; the report stops at the first offending tuple and
-    names it with its residual.  The default n_max is jacobi_arity.
+    even-degree symbol has a residual that vanishes identically.  So
+    does a canonical tuple off jacobi_candidates, term by term: it
+    counts as a case without being evaluated.  One case per canonical
+    tuple; the report stops at the first offending tuple and names it
+    with its residual.  The default n_max is jacobi_arity.
     """
     if n_max is None:
         n_max = jacobi_arity(algebra)
     report = Report(f"Jacobi({algebra.name}) up to arity {n_max}")
+    candidates = jacobi_candidates(algebra, n_max)
     zero = algebra.zero_vector()
     for n in range(1, n_max + 1):
         for syms in algebra.canonical_tuples(n):
+            if syms not in candidates:
+                report.cases += 1
+                continue
             residual = GVector(algebra, jacobiator(algebra, syms))
             if not report.record(f"tuple {syms}", residual, zero):
                 return report

@@ -58,15 +58,16 @@ JACOBI_BUDGET = 200_000
 
 
 def jacobi_size(algebra, n_max: int) -> int:
-    """The number of canonical tuples of arity 1..n_max: j distinct even
-    symbols and a multiset of n - j odd ones (the empty multiset counted
-    apart, since comb(-1, 0) raises when there is no odd symbol)."""
+    """The number of canonical tuples of arity 1..n_max: j <= even
+    distinct even symbols and a multiset of n - j odd ones (the empty
+    multiset counted apart, since comb(-1, 0) raises when there is no
+    odd symbol)."""
     odd = sum(algebra.degrees[s] % 2 for s in algebra.symbols)
     even = algebra.dim - odd
     return sum(
         comb(even, j) * (comb(odd + n - j - 1, n - j) if n > j else 1)
         for n in range(1, n_max + 1)
-        for j in range(n + 1)
+        for j in range(min(n, even) + 1)
     )
 
 

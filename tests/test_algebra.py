@@ -24,6 +24,8 @@ from linfty.algebra import (
     constant_tensor,
     curvature,
     is_mc,
+    jacobi_arity,
+    jacobi_candidates,
     jacobiator,
     quotient,
     tensor_bracket,
@@ -50,6 +52,7 @@ from linfty.fixtures import (
 )
 from linfty.forms import Form, wedge
 from linfty.linalg import Subspace
+from linfty.report import Report
 
 
 # -- the reordering sign, by an independent oracle ---------------------------
@@ -894,6 +897,71 @@ def test_filtration_is_the_ordered_product_one(algebra):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_filtration_is_the_ordered_product_one(name):
     assert_filtration_is_the_ordered_product_one(get_fixture(name))
+
+
+# -- the Jacobi check on the support, against the full sweep ----------------
+
+
+def full_jacobi_sweep(algebra, n_max):
+    """check_jacobi without the support argument: the Jacobi sum on
+    every sorted tuple that repeats no even symbol, in storage order,
+    stopping at the first nonzero one."""
+    report = Report(f"Jacobi({algebra.name}) up to arity {n_max}")
+    zero = algebra.zero_vector()
+    for n in range(1, n_max + 1):
+        for syms in itertools.combinations_with_replacement(algebra.symbols, n):
+            if not algebra._canonical_key(syms)[1]:
+                continue
+            residual = GVector(algebra, jacobiator(algebra, syms))
+            if not report.record(f"tuple {syms}", residual, zero):
+                return report
+    return report
+
+
+def l4l4():
+    """Two quaternary brackets that first meet in the 7-Jacobi rule,
+    where they fail it."""
+    return LInftyAlgebra(
+        "l4l4",
+        [(s, 0) for s in "abcd"] + [("e", -2)]
+        + [(s, 0) for s in "fgh"] + [("z", -4)],
+        {("a", "b", "c", "d"): {"e": 1}, ("e", "f", "g", "h"): {"z": 1}},
+    )
+
+
+# about one graded presentation in five fails the Jacobi rules, so the
+# property sees passing and failing ones
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(triangular_presentations(), graded_presentations()),
+       st.integers(1, 5))
+def test_jacobi_check_is_the_full_sweep(algebra, n_max):
+    assert check_jacobi(algebra, n_max) == full_jacobi_sweep(algebra, n_max)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_jacobi_check_is_the_full_sweep(name):
+    algebra = get_fixture(name)
+    n_max = 2 if name == "free_nilpotent_class3" else 5
+    assert check_jacobi(algebra, n_max) == full_jacobi_sweep(algebra, n_max)
+
+
+def test_failing_jacobi_check_is_the_full_sweep():
+    report = check_jacobi(l4l4(), 7)
+    assert report == full_jacobi_sweep(l4l4(), 7)
+    assert report.lines == [
+        "FAIL: tuple ('a', 'b', 'c', 'd', 'f', 'g', 'h'): z != 0"
+    ]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_jacobi_sum_vanishes_off_its_candidates(name):
+    algebra = get_fixture(name)
+    n_max = jacobi_arity(algebra)
+    candidates = jacobi_candidates(algebra, n_max)
+    for n in range(1, n_max + 1):
+        for syms in algebra.canonical_tuples(n):
+            if syms not in candidates:
+                assert jacobiator(algebra, syms) == {}
 
 
 # -- the vector-space surface that Form, GVector and TensorElement share ----

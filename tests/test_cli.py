@@ -89,6 +89,21 @@ class TestExitCodes:
         assert code == 0
         assert "up to arity 5: 101 cases" in out
 
+    @pytest.mark.parametrize("name, n_max, cases", [
+        ("heisenberg", 3000, 7),
+        ("dg_lie_01", 20, 1601),
+        ("dg_lie_01", 200, 160001),
+    ])
+    def test_jacobi_within_the_budget_finishes(self, capsys, name, n_max,
+                                               cases):
+        # the budget counts canonical tuples: arities with none cost
+        # nothing, and a tuple off the bracket table's support is
+        # decided without evaluating its 2^n splittings
+        code, out, _ = run(capsys, "check-jacobi", "--algebra",
+                           bundled(name), "--n-max", str(n_max))
+        assert code == 0
+        assert f"up to arity {n_max}: {cases} cases" in out
+
     def test_jacobi_over_the_budget_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "class3.json"
         save_presentation(get_fixture("free_nilpotent_class3"), path)
