@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, Sequence
 
 from linfty.forms import (
@@ -172,6 +172,34 @@ class LInftyAlgebra:
                 runs.append((i, count - 1))
             i, rest = i + 1, rest + 1
             del word[arity - rest:]
+
+    def canonical_count(self, arity: int, start: int = 0) -> int:
+        """The number of canonical tuples of one arity over the symbols
+        from index start on: j distinct even symbols and a multiset of
+        arity - j odd ones (the empty multiset counted apart, since
+        comb(-1, 0) raises when there is no odd symbol)."""
+        odd = sum(1 for i in self._odd if i >= start)
+        even = max(self.dim - start, 0) - odd
+        return sum(
+            comb(even, j) * (comb(odd + arity - j - 1, arity - j)
+                             if arity > j else 1)
+            for j in range(min(arity, even) + 1)
+        )
+
+    def canonical_rank(self, syms: Sequence[str]) -> int:
+        """The number of canonical tuples of len(syms) that come before
+        the canonical tuple syms in storage order.  Those that first
+        differ at position p have there a symbol from lo (the first one
+        that may follow syms[:p]) to just before syms[p], and with it
+        and their tail form a tuple of the remaining size whose symbols
+        start at lo but not all at syms[p]."""
+        rank, lo = 0, 0
+        for p, sym in enumerate(syms):
+            i = self.index[sym]
+            rest = len(syms) - p
+            rank += self.canonical_count(rest, lo) - self.canonical_count(rest, i)
+            lo = i if i in self._odd else i + 1
+        return rank
 
     def bracket_on_basis(self, args: Sequence[str]) -> "GVector":
         """Bracket of basis symbols, via the stored canonical table."""
@@ -503,6 +531,12 @@ def jacobi_candidates(algebra: LInftyAlgebra, n_max: int) -> set:
     return found
 
 
+def jacobi_cases(algebra: LInftyAlgebra, n_max: int) -> int:
+    """The number of canonical tuples of arity 1..n_max: the cases of a
+    passing check_jacobi(algebra, n_max)."""
+    return sum(algebra.canonical_count(n) for n in range(1, n_max + 1))
+
+
 def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
     """Evaluate every n-Jacobi rule, n <= n_max, on basis tuples.
 
@@ -510,23 +544,26 @@ def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
     canonical tuples span the general case: a tuple repeating an
     even-degree symbol has a residual that vanishes identically.  So
     does a canonical tuple off jacobi_candidates, term by term: it
-    counts as a case without being evaluated.  One case per canonical
-    tuple; the report stops at the first offending tuple and names it
-    with its residual.  The default n_max is jacobi_arity.
+    counts as a case without being evaluated or built.  One case per
+    canonical tuple, swept by arity and then in storage order; the
+    report stops at the first offending tuple, counts the tuples up to
+    it by its rank, and names it with its residual.  The default n_max
+    is jacobi_arity.
     """
     if n_max is None:
         n_max = jacobi_arity(algebra)
     report = Report(f"Jacobi({algebra.name}) up to arity {n_max}")
-    candidates = jacobi_candidates(algebra, n_max)
-    zero = algebra.zero_vector()
-    for n in range(1, n_max + 1):
-        for syms in algebra.canonical_tuples(n):
-            if syms not in candidates:
-                report.cases += 1
-                continue
-            residual = GVector(algebra, jacobiator(algebra, syms))
-            if not report.record(f"tuple {syms}", residual, zero):
-                return report
+    index = algebra.index
+    candidates = sorted(jacobi_candidates(algebra, n_max),
+                        key=lambda syms: (len(syms), [index[s] for s in syms]))
+    for syms in candidates:
+        residual = GVector(algebra, jacobiator(algebra, syms))
+        if not residual.is_zero():
+            report.cases = (jacobi_cases(algebra, len(syms) - 1)
+                            + algebra.canonical_rank(syms))
+            report.record(f"tuple {syms}", residual, algebra.zero_vector())
+            return report
+    report.cases = jacobi_cases(algebra, n_max)
     return report
 
 

@@ -15,7 +15,7 @@ import sys
 from math import comb
 
 from linfty import acceptance, dupont
-from linfty.algebra import check_jacobi, jacobi_arity
+from linfty.algebra import check_jacobi, jacobi_arity, jacobi_cases
 from linfty.bch_groupoid import compose, generalized_ch, monodromy_report
 from linfty.fixtures import Sampler, get_representation
 from linfty.mc_gamma import Horn, dold_kan_compare, fill_horn_gamma, is_thin
@@ -58,17 +58,9 @@ JACOBI_BUDGET = 200_000
 
 
 def jacobi_size(algebra, n_max: int) -> int:
-    """The number of canonical tuples of arity 1..n_max: j <= even
-    distinct even symbols and a multiset of n - j odd ones (the empty
-    multiset counted apart, since comb(-1, 0) raises when there is no
-    odd symbol)."""
-    odd = sum(algebra.degrees[s] % 2 for s in algebra.symbols)
-    even = algebra.dim - odd
-    return sum(
-        comb(even, j) * (comb(odd + n - j - 1, n - j) if n > j else 1)
-        for n in range(1, n_max + 1)
-        for j in range(min(n, even) + 1)
-    )
+    """The number of canonical tuples of arity 1..n_max, the cases of
+    check-jacobi (counted by algebra.jacobi_cases)."""
+    return jacobi_cases(algebra, n_max)
 
 
 def cmd_check_jacobi(args) -> int:
@@ -87,19 +79,24 @@ def cmd_check_jacobi(args) -> int:
     return _verdict([check_jacobi(algebra, n_max)])
 
 
-# The most Dupont harness work one check starts, in monomial x
+# The most Dupont harness work one check may start, in monomial x
 # gauge-sequence pairs (harness_size): verify-contraction and
-# verify-gauge, and criteria 1-4 of run-suite and run-all.  The benchmark
-# sweep (n = 4, degree 3) is 16,800 pairs and the default dimensions 1..3
-# at degree 4 are 4,300; over the budget are n = 4 at degree 4 (33,600),
-# n = 5 at degree 2 (41,664) and dimensions 1..3 at degree 9 (26,000),
-# each a check of several seconds or more.
+# verify-gauge, and criteria 1-4 of run-suite and run-all.  The pairs
+# bound the work rather than count it: dupont_s walks the sequences once
+# per orbit of the monomials under permutations of the vertices 1..n (the
+# sweep below applies s to 1,200 monomials and walks 162 times).  The
+# benchmark sweep (n = 4, degree 3) is 16,800 pairs and the default
+# dimensions 1..3 at degree 4 are 4,300; over the budget are n = 4 at
+# degree 4 (33,600), n = 5 at degree 2 (41,664) and dimensions 1..3 at
+# degree 9 (26,000), each a check of seconds or more.
 HARNESS_BUDGET = 20_000
 
 
 def harness_size(dims, max_degree: int) -> int:
     """Monomials of degree <= max_degree times the increasing vertex
-    sequences of sizes 1..n that dupont_s walks, summed over dims."""
+    sequences of sizes 1..n that the gauge walk of dupont_s can visit,
+    summed over dims: a bound on a harness run, whose walks run once per
+    vertex-permutation orbit of the monomials."""
     return sum(
         2 ** n * comb(max_degree + n, n) * (2 ** (n + 1) - 2) for n in dims
     )

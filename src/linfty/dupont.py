@@ -7,6 +7,13 @@ Lambe-Stasheff gaugeification of an arbitrary contraction.  The
 operator identities these satisfy (ds + sd = Id - P, s^2 = 0, ...) are
 checked exactly on monomial generator sets by the harness at the
 bottom; those checks are the core of the acceptance suite.
+
+h^i, P and s act monomial by monomial through caches.  They commute
+with renaming the vertices 1..n (vertex 0, eliminated in the reduced
+coordinates, stays put; h^i becomes h^sigma(i)), so a cache miss is
+filled from the operator's value on one representative of the
+monomial's orbit under those renamings, computed once per orbit
+(_orbit_fill).
 """
 
 from __future__ import annotations
@@ -132,6 +139,8 @@ def poincare_h(i: int, n: int, f: Form) -> Form:
     Satisfies d h + h d = Id - (evaluation at e_i).  Computed by
     contracting with the dilation field, substituting the dilation
     parameter, dividing by it exactly, and integrating it over [0,1].
+    A monomial missing from the cache is filled by _orbit_fill from
+    h^sigma(i) of its orbit's representative.
     """
     if not 0 <= i <= n:
         raise ValueError(f"vertex index {i} out of range 0..{n}")
@@ -143,8 +152,8 @@ def poincare_h(i: int, n: int, f: Form) -> Form:
     for key, coeff in f.terms.items():
         mono = _H_CACHE.get((n, i, key))
         if mono is None:
-            mono = _h_monomial(i, n, key)
-            _H_CACHE[(n, i, key)] = mono
+            mono = _H_CACHE[(n, i, key)] = _orbit_fill(
+                _H_ORBITS, _h_monomial, i, n, key)
         kernel.add_into(out, mono.terms, coeff)
     return Form(n, out, _validated=True)
 
@@ -213,7 +222,9 @@ def whitney_P(n: int, f: Form) -> Form:
     """Projection onto the span of elementary forms.
 
     Sends f to sum over vertex subsets of (elementary form) * (chain
-    integral of f); idempotent, and dual to chain integration.
+    integral of f); idempotent, and dual to chain integration.  A
+    monomial missing from the cache is filled by _orbit_fill from P of
+    its orbit's representative.
     """
     if f.n != n:
         raise ValueError(
@@ -223,16 +234,22 @@ def whitney_P(n: int, f: Form) -> Form:
     for key, coeff in f.terms.items():
         mono = _P_CACHE.get((n, key))
         if mono is None:
-            single = Form(n, {key: _ONE}, _validated=True)
-            terms: dict = {}
-            k = len(key[1])
-            for seq in itertools.combinations(range(n + 1), k + 1):
-                weight = integrate_chain(seq, single)
-                if weight:
-                    kernel.add_into(terms, elementary_form(seq, n).terms, weight)
-            mono = _P_CACHE[(n, key)] = Form(n, terms, _validated=True)
+            mono = _P_CACHE[(n, key)] = _orbit_fill(
+                _P_ORBITS, _p_monomial, 0, n, key)
         kernel.add_into(out, mono.terms, coeff)
     return Form(n, out, _validated=True)
+
+
+def _p_monomial(i: int, n: int, key) -> Form:
+    """P of one monomial, by its chain integrals; i is 0 (P marks no
+    vertex)."""
+    single = Form(n, {key: _ONE}, _validated=True)
+    terms: dict = {}
+    for seq in itertools.combinations(range(n + 1), len(key[1]) + 1):
+        weight = integrate_chain(seq, single)
+        if weight:
+            kernel.add_into(terms, elementary_form(seq, n).terms, weight)
+    return Form(n, terms, _validated=True)
 
 
 # -- the Dupont gauge --------------------------------------------------
@@ -252,7 +269,8 @@ def dupont_s(n: int, f: Form) -> Form:
     depth-first walk over the increasing sequences of sizes 1..n: the
     chain of a sequence is h of the chain of its prefix, so every chain
     costs one h application, and the walk stops at a chain that
-    vanishes, as do all its extensions.
+    vanishes, as do all its extensions.  A monomial missing from the
+    cache is filled by _orbit_fill, so the walk runs once per orbit.
     """
     if f.n != n:
         raise ValueError(
@@ -262,11 +280,18 @@ def dupont_s(n: int, f: Form) -> Form:
     for key, coeff in f.terms.items():
         mono = _S_CACHE.get((n, key))
         if mono is None:
-            terms: dict = {}
-            _gauge_walk(n, (), Form(n, {key: _ONE}, _validated=True), terms)
-            mono = _S_CACHE[(n, key)] = Form(n, terms, _validated=True)
+            mono = _S_CACHE[(n, key)] = _orbit_fill(
+                _S_ORBITS, _s_monomial, 0, n, key)
         kernel.add_into(out, mono.terms, coeff)
     return Form(n, out, _validated=True)
+
+
+def _s_monomial(i: int, n: int, key) -> Form:
+    """s of one monomial, by the gauge walk; i is 0 (s marks no
+    vertex)."""
+    terms: dict = {}
+    _gauge_walk(n, (), Form(n, {key: _ONE}, _validated=True), terms)
+    return Form(n, terms, _validated=True)
 
 
 def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
@@ -282,6 +307,50 @@ def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
         sign = -1 if len(longer) % 2 == 0 else 1
         kernel.add_into(terms, (elementary_form(longer, n) * ext).terms, sign)
         _gauge_walk(n, longer, ext, terms)
+
+
+# -- filling the caches once per vertex-permutation orbit -------------
+
+# per operator: (i, n, representative key) -> the operator's value on it
+_H_ORBITS: dict = {}
+_P_ORBITS: dict = {}
+_S_ORBITS: dict = {}
+
+
+def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
+    """The operator on the monomial t^e dt_W (key = (e, W)), computed as
+    compute(i, n, key) once per orbit of (i, key) under the permutations
+    sigma of the vertices 1..n.
+
+    sigma renames t_j, dt_j to t_sigma(j), dt_sigma(j); it fixes vertex
+    0, so it maps reduced forms to reduced forms, and h^i, P and s
+    commute with it, h^i turning into h^sigma(i) (i = 0 for P and s).
+    The representative sorts the vertices 1..n stably by (j == i, e_j,
+    j in W), so the orbit's members share it.  Its value is kept in
+    orbits and renamed back by sigma^-1, each dt-word re-sorted with
+    its sign; when sigma is the identity the value itself is returned.
+    """
+    exps, word = key
+    order = sorted(range(1, n + 1),
+                   key=lambda j: (j == i, exps[j - 1], j in word))
+    rank = [0] * (n + 1)  # rank[j] = sigma(j); sigma(0) = 0
+    for position, j in enumerate(order, 1):
+        rank[j] = position
+    rep_word, sign = kernel.sort_word([rank[j] for j in word])
+    rep = (tuple(exps[j - 1] for j in order), rep_word)
+    form = orbits.get((rank[i], n, rep))
+    if form is None:
+        form = orbits[rank[i], n, rep] = compute(rank[i], n, rep)
+    if rank[i] == i and rep == key:
+        return form
+    # sigma(t^e dt_W) = sign * rep, so op_i(t^e dt_W) is sign times
+    # sigma^-1 of op_sigma(i)(rep)
+    terms: dict = {}
+    for (rep_exps, rep_w), coeff in form.terms.items():
+        w, w_sign = kernel.sort_word([order[k - 1] for k in rep_w])
+        terms[tuple(rep_exps[k - 1] for k in rank[1:]), w] = (
+            coeff if w_sign == sign else kernel.frac_neg(coeff))
+    return Form(n, terms, _validated=True)
 
 
 # -- monomial bases and gaugeification -------------------------------

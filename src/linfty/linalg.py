@@ -16,22 +16,23 @@ from typing import Iterable, Mapping, Sequence
 from linfty import kernel
 
 
-def _eliminate(v: dict, rows) -> dict:
-    """In place: clear v at the pivot of each (pivot, row) pair by
-    subtracting that multiple of the row; returns v."""
-    for pivot, row in rows:
-        c = v.get(pivot)
-        if c:
-            kernel.add_into(v, row, -c)
+def _eliminate(v: dict, rows: Mapping) -> dict:
+    """In place: clear v at every pivot of rows (pivot -> row, each row
+    zero at the other pivots) by subtracting that multiple of the row;
+    returns v.  A subtraction leaves v's other pivot entries unchanged,
+    so one pass over the pivots present in v clears them all."""
+    for pivot in [p for p in v if p in rows]:
+        kernel.add_into(v, rows[pivot], -v[pivot])
     return v
 
 
 def rref(rows: Iterable[Mapping], columns: Sequence):
     """Reduced row echelon form of the span of term dicts.
 
-    Inserts one row at a time: it is reduced by the rows already kept,
-    normalised at its leftmost column in the given order, and then
-    eliminated from the other kept rows.  Returns (rows, pivots): the
+    Inserts one row at a time: it is reduced by the kept rows whose
+    pivots it holds, normalised at its leftmost column in the given
+    order, and then eliminated from the kept rows that hold that
+    column.  Returns (rows, pivots): the
     nonzero rows, each with a 1 at its pivot and 0 at every other pivot,
     and their pivot columns, sorted by rank in columns.  Input rows are
     not modified.
@@ -39,14 +40,16 @@ def rref(rows: Iterable[Mapping], columns: Sequence):
     rank = {col: i for i, col in enumerate(columns)}
     kept: dict = {}  # pivot -> row
     for row in rows:
-        v = _eliminate(kernel.drop_zeros(row), kept.items())
+        v = _eliminate(kernel.drop_zeros(row), kept)
         if not v:
             continue
         lead = min(v, key=rank.__getitem__)
         if v[lead] != 1:
             v = kernel.scale_terms(v, 1 / v[lead])
         for other in kept.values():
-            _eliminate(other, ((lead, v),))
+            c = other.get(lead)
+            if c:
+                kernel.add_into(other, v, -c)
         kept[lead] = v
     pivots = sorted(kept, key=rank.__getitem__)
     return [kept[p] for p in pivots], pivots
@@ -58,6 +61,7 @@ class Subspace:
     def __init__(self, columns: Sequence, vectors: Iterable[Mapping] = ()):
         self.columns = tuple(columns)
         self.rows, self.pivots = rref(vectors, self.columns)
+        self._by_pivot = dict(zip(self.pivots, self.rows))
 
     @property
     def dim(self) -> int:
@@ -71,7 +75,7 @@ class Subspace:
 
     def reduce(self, vector: Mapping) -> dict:
         """Remainder of a vector modulo the span (canonical coset rep)."""
-        return _eliminate(kernel.drop_zeros(vector), zip(self.pivots, self.rows))
+        return _eliminate(kernel.drop_zeros(vector), self._by_pivot)
 
     def __eq__(self, other):
         return (

@@ -945,6 +945,16 @@ def test_fixture_jacobi_check_is_the_full_sweep(name):
     assert check_jacobi(algebra, n_max) == full_jacobi_sweep(algebra, n_max)
 
 
+def test_jacobi_check_counts_the_tuples_without_building_them(monkeypatch):
+    def refuse(self, arity):
+        raise AssertionError("check_jacobi built the canonical tuples")
+
+    monkeypatch.setattr(LInftyAlgebra, "canonical_tuples", refuse)
+    report = check_jacobi(get_fixture("dg_lie_01"), 200)
+    assert report.passed and report.cases == 160_001
+    assert check_jacobi(l4l4(), 7) == full_jacobi_sweep(l4l4(), 7)
+
+
 def test_failing_jacobi_check_is_the_full_sweep():
     report = check_jacobi(l4l4(), 7)
     assert report == full_jacobi_sweep(l4l4(), 7)
@@ -1098,6 +1108,17 @@ def test_canonical_tuples_skip_exactly_a_repeated_even_symbol(name):
             )
         ]
         assert list(algebra.canonical_tuples(m)) == expected
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_canonical_count_and_rank_follow_the_storage_order(name):
+    algebra = get_fixture(name)
+    top = 2 if name == "free_nilpotent_class3" else 4
+    for m in range(1, top + 1):
+        tuples = list(algebra.canonical_tuples(m))
+        assert algebra.canonical_count(m) == len(tuples)
+        assert [algebra.canonical_rank(t) for t in tuples] == list(
+            range(len(tuples)))
 
 
 def test_series_on_a_non_nilpotent_algebra_are_refused():

@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linfty import dupont
 from linfty.dupont import (
@@ -332,6 +332,119 @@ def test_chain_integral_equals_the_integral_of_the_pullback(case):
     value = integrate_chain(seq, form)
     assert type(value) is Fraction
     assert value == _integral_by_pullback(seq, form)
+
+
+# -- the caches filled once per vertex-permutation orbit -------------------
+
+
+def _direct_h(i, n, f, memo):
+    """h^i of f term by term through _h_monomial, memoised per monomial
+    (no orbit)."""
+    out = Form.zero(n)
+    for key, coeff in f.terms.items():
+        if (i, key) not in memo:
+            memo[i, key] = dupont._h_monomial(i, n, key)
+        out = out + memo[i, key].scale(coeff)
+    return out
+
+
+def _direct_s(n, f, h_memo):
+    """Dupont's sum over the increasing sequences I of sizes 1..n of
+    (-1)^(|I|-1) omega_I h^{i_k}...h^{i_0} f, each chain h of its
+    prefix's."""
+    chains = {(): f}
+    total = Form.zero(n)
+    for size in range(1, n + 1):
+        for seq in itertools.combinations(range(n + 1), size):
+            chains[seq] = _direct_h(seq[-1], n, chains[seq[:-1]], h_memo)
+            term = elementary_form(seq, n) * chains[seq]
+            total = total + term if size % 2 else total - term
+    return total
+
+
+def _direct_P(n, f):
+    """The sum of omega_I times the chain integral of f over I."""
+    return Form.zero(n).combine(
+        (integrate_chain(seq, f), elementary_form(seq, n))
+        for size in range(1, n + 2)
+        for seq in itertools.combinations(range(n + 1), size))
+
+
+@pytest.mark.parametrize("n, max_degree",
+                         [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3)])
+def test_orbit_filled_operators_equal_the_direct_computation(
+        n, max_degree, cold_operator_caches):
+    h_memo = {}
+    monos = monomial_basis(n, max_degree)
+    for m in monos:
+        for i in range(n + 1):
+            assert poincare_h(i, n, m) == _direct_h(i, n, m, h_memo), (i, m)
+        assert whitney_P(n, m) == _direct_P(n, m), m
+        assert dupont_s(n, m) == _direct_s(n, m, h_memo), m
+    # one orbit-table entry per orbit of the missed monomials
+    assert len(dupont._H_ORBITS) == len(
+        {_orbit(n, i, key) for _, i, key in dupont._H_CACHE})
+    for orbits, cache in ((dupont._S_ORBITS, dupont._S_CACHE),
+                          (dupont._P_ORBITS, dupont._P_CACHE)):
+        assert len(orbits) == len({_orbit(n, 0, key) for _, key in cache})
+    if n >= 2:
+        assert len(dupont._S_ORBITS) < len(monos) == len(dupont._S_CACHE)
+
+
+def _orbit(n, i, key):
+    """The least image of (i, key) under the permutations of 1..n."""
+    exps, word = key
+    images = []
+    for rest in itertools.permutations(range(1, n + 1)):
+        sigma = (0, *rest)
+        moved = [0] * n
+        for j, e in enumerate(exps, start=1):
+            moved[sigma[j] - 1] = e
+        images.append((sigma[i], tuple(moved),
+                       tuple(sorted(sigma[j] for j in word))))
+    return min(images)
+
+
+def _permuted(sigma, f):
+    """sigma f: each t_j and dt_j renamed t_sigma(j) and dt_sigma(j), as
+    the product of the renamed generators."""
+    n = f.n
+    total = Form.zero(n)
+    for (exps, word), coeff in f.terms.items():
+        image = Form.constant(n, coeff)
+        for j, e in enumerate(exps, start=1):
+            for _ in range(e):
+                image = image * Form.t(sigma[j], n)
+        for j in word:
+            image = image * Form.dt(sigma[j], n)
+        total = total + image
+    return total
+
+
+@st.composite
+def permuted_forms(draw):
+    """(n, sigma, f, i): a permutation sigma of 0..n fixing 0, a random
+    sparse form on the n-simplex and a vertex; n = 1..4."""
+    n = draw(st.integers(1, 4))
+    sigma = (0, *draw(st.permutations(range(1, n + 1))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        word = tuple(i for i in range(1, n + 1) if draw(st.booleans()))
+        terms[(exps, word)] = draw(rationals)
+    return n, sigma, Form(n, terms), draw(st.integers(0, n))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(permuted_forms())
+def test_operators_commute_with_permuting_the_vertices(
+        cold_operator_caches, case):
+    n, sigma, f, i = case
+    g = _permuted(sigma, f)
+    assert poincare_h(sigma[i], n, g) == _permuted(sigma, poincare_h(i, n, f))
+    assert dupont_s(n, g) == _permuted(sigma, dupont_s(n, f))
+    assert whitney_P(n, g) == _permuted(sigma, whitney_P(n, f))
 
 
 # -- the operators pinned by fingerprint ---------------------------------
