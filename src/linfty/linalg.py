@@ -32,10 +32,9 @@ def rref(rows: Iterable[Mapping], columns: Sequence):
     Inserts one row at a time: it is reduced by the kept rows whose
     pivots it holds, normalised at its leftmost column in the given
     order, and then eliminated from the kept rows that hold that
-    column.  Returns (rows, pivots): the
-    nonzero rows, each with a 1 at its pivot and 0 at every other pivot,
-    and their pivot columns, sorted by rank in columns.  Input rows are
-    not modified.
+    column.  Returns (rows, pivots): the nonzero rows, each with a 1 at
+    its pivot and 0 at every other pivot, and their pivot columns,
+    sorted by rank in columns.  Input rows are not modified.
     """
     rank = {col: i for i, col in enumerate(columns)}
     kept: dict = {}  # pivot -> row
