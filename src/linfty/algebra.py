@@ -2,14 +2,14 @@
 
 A presentation is a finite graded basis together with tables for the
 multilinear brackets [x_1,...,x_k], each graded antisymmetric of degree
-2-k.  Brackets are stored only on canonically sorted basis tuples; any
-other evaluation order is reduced to the stored one by the Koszul sign
-convention.  On top of the presentations live vectors, derived
-structure (Jacobi verification, the lower central filtration and
-nilpotency, curvature and the Maurer-Cartan condition, twisting by a
-Maurer-Cartan element), strict morphisms and the quotients by the
-filtration's terms, and the tensor algebra with polynomial forms on a
-simplex.
+2-k.  Brackets are stored only on canonically sorted basis tuples; every
+other evaluation order differs from the stored one by a Koszul sign,
+and a trie over the orderings holds each signed value.  On top of the
+presentations live vectors, derived structure (Jacobi verification, the
+lower central filtration and nilpotency, curvature and the Maurer-Cartan
+condition, twisting by a Maurer-Cartan element), strict morphisms and
+the quotients by the filtration's terms, and the tensor algebra with
+polynomial forms on a simplex.
 """
 
 from __future__ import annotations
@@ -99,19 +99,21 @@ class LInftyAlgebra:
             arities.append(len(key))
         self.brackets = table
         self.max_arity = max(arities)
-        # the support index: per arity, a trie of the orderings of the
-        # stored keys.  The node a proper prefix reaches maps each symbol
-        # that can come next to the next node; a last symbol maps to the
-        # whole ordering.
+        # the support trie, the table of bracket values: per arity, a
+        # trie of the orderings of the stored keys.  The node a proper
+        # prefix reaches maps each symbol that can come next to the next
+        # node; a last symbol maps to the bracket on the whole ordering,
+        # the stored value times the ordering's Koszul sign.
         self._support = {k: {} for k in range(1, self.max_arity + 1)}
-        for key in table:
+        for key, value in table.items():
+            stored = GVector(self, value)
+            signed = {1: stored, -1: -stored}
             for order in set(itertools.permutations(key)):
                 node = self._support[len(key)]
                 for sym in order[:-1]:
                     node = node.setdefault(sym, {})
-                node[order[-1]] = order
+                node[order[-1]] = signed[self._canonical_key(order)[1]]
         self._filtration = None
-        self._basis_bracket_cache: dict = {}
 
     # -- basic structure ----------------------------------------------
 
@@ -138,40 +140,13 @@ class LInftyAlgebra:
 
     def canonical_tuples(self, arity: int):
         """The bracket's domain at one arity: the sorted symbol tuples
-        that repeat no even symbol, in storage order.
-
-        Built in that order without filtering, as runs of one symbol:
-        an even symbol is taken at most once, an odd one repeated, and a
-        run gives up its last place to the next symbol only when the
-        symbols from that one on can still fill the tuple.
-        """
-        symbols, odd = self.symbols, self._odd
-        # room[i]: the most places the symbols from index i on can fill
-        room = [0] * (self.dim + 1)
-        for i in reversed(range(self.dim)):
-            room[i] = arity if i in odd else min(arity, room[i + 1] + 1)
-        if room[0] < arity:
-            return
-        # runs (index, count) spell word; rest places are left to fill
-        # from index i on, each symbol taking as many as it can
-        runs, word, i, rest = [], [], 0, arity
-        while True:
-            while rest:
-                count = rest if i in odd else 1
-                runs.append((i, count))
-                word += [symbols[i]] * count
-                rest -= count
-                i += 1
-            yield tuple(word)
-            while runs and room[runs[-1][0] + 1] <= rest:
-                rest += runs.pop()[1]
-            if not runs:
-                return
-            i, count = runs.pop()
-            if count > 1:
-                runs.append((i, count - 1))
-            i, rest = i + 1, rest + 1
-            del word[arity - rest:]
+        that repeat no even symbol, in storage order."""
+        odd = self._odd
+        for word in itertools.combinations_with_replacement(
+            range(self.dim), arity
+        ):
+            if all(a != b or a in odd for a, b in zip(word, word[1:])):
+                yield tuple(self.symbols[i] for i in word)
 
     def canonical_count(self, arity: int, start: int = 0) -> int:
         """The number of canonical tuples of one arity over the symbols
@@ -202,24 +177,12 @@ class LInftyAlgebra:
         return rank
 
     def bracket_on_basis(self, args: Sequence[str]) -> "GVector":
-        """Bracket of basis symbols, via the stored canonical table."""
-        args = tuple(args)
-        cached = self._basis_bracket_cache.get(args)
-        if cached is not None:
-            return cached
-        if len(args) > self.max_arity:
-            result = self.zero_vector()
-        else:
-            key, sign = self._canonical_key(args)
-            value = self.brackets.get(key) if sign else None
-            if not value:
-                result = self.zero_vector()
-            elif sign == 1:
-                result = GVector(self, dict(value))
-            else:
-                result = GVector(self, {s: -c for s, c in value.items()})
-        self._basis_bracket_cache[args] = result
-        return result
+        """Bracket of basis symbols: the leaf of the support trie that
+        args spell, or zero when they leave it."""
+        node = self._support.get(len(args), {})
+        for sym in args:
+            node = node.get(sym, {})
+        return node if isinstance(node, GVector) else self.zero_vector()
 
     # -- the lower central filtration ----------------------------------
 
@@ -407,27 +370,29 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
         lambda atom: degrees[atom[0]] % 2,
     )
     total: dict = {}
-    for syms, combo in walk:
+    for value, combo in walk:
         coeff = _ONE
         for _, c in combo:
             coeff *= c
         if runs:
             coeff *= _run_weight(runs, combo)
-        kernel.add_into(total, algebra.bracket_on_basis(syms).coeffs, coeff)
+        kernel.add_into(total, value.coeffs, coeff)
     return GVector(algebra, total)
 
 
 def _atom_tuples(algebra: LInftyAlgebra, args: Sequence, atoms_of, is_odd):
-    """(walk, runs): the (symbols, atoms) pairs of a bracket's expansion
-    whose symbols order a stored key of the algebra, and the runs that
-    _run_weight weights them by.  Atom tuples off the table's support
-    bracket to zero and are never built.  atoms_of(arg) is the list of an
-    argument's atoms, each with its symbol first.
+    """(walk, runs): the (value, atoms) pairs of a bracket's expansion
+    whose symbols order a stored key of the algebra, value the bracket on
+    those symbols, and the runs that _run_weight weights them by.  Atom
+    tuples off the table's support bracket to zero and are never built.
+    atoms_of(arg) is the list of an argument's atoms, each with its
+    symbol first.
 
     The walk goes through the argument positions once, keeping at each
-    the atoms whose symbol the support index allows after the symbols
-    already chosen (the children of the trie node they reach); the
-    pairs come in the order of the full product.
+    the atoms whose symbol the support trie allows after the symbols
+    already chosen (the children of the trie node they reach), and ends
+    at the trie's leaves; the pairs come in the order of the full
+    product.
 
     A run is one object repeated m > 1 times in a row whose atoms all
     have odd total degree.  Moving two such atoms past each other costs
@@ -454,7 +419,7 @@ def _atom_tuples(algebra: LInftyAlgebra, args: Sequence, atoms_of, is_odd):
         if len(runs) == len(args):
             runs = None
     # (trie node, atoms so far); after the last position the node is the
-    # ordering of a stored key that the atoms' symbols spell
+    # leaf that the atoms' symbols spell, the bracket on them
     walk = [(algebra._support.get(len(args), {}), ())]
     for atoms, rank in positions:
         walk = [
@@ -483,8 +448,8 @@ def _run_weight(runs: list, combo: tuple) -> int:
 def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
     """The n-Jacobi sum on basis symbols, as a plain coefficient dict:
     over all splittings into a bracketed head and remaining arguments,
-    with alternating and Koszul signs.  Works through the cached table
-    to keep exhaustive sweeps cheap."""
+    with alternating and Koszul signs.  Each bracket is a walk of the
+    support trie, which holds the value on every ordering."""
     n = len(syms)
     odd = frozenset(p for p in range(n) if algebra.degrees[syms[p]] % 2)
     total: dict = {}
@@ -863,14 +828,9 @@ class TensorElement(kernel.Linear):
         return self.apply_even(lambda f: dupont.whitney_P(self.n, f))
 
     def delta(self) -> "TensorElement":
-        """The unary bracket on the algebra factor, looked up only on the
-        symbols that have one (the support index's arity-1 entry)."""
-        algebra = self.algebra
-        unary = algebra._support[1]
-        return _map_symbols(self, algebra, {
-            sym: algebra.bracket_on_basis((sym,))
-            for sym in self.comps if sym in unary
-        })
+        """The unary bracket on the algebra factor, read from the support
+        trie's arity-1 entry: the symbols that have one, with its value."""
+        return _map_symbols(self, self.algebra, self.algebra._support[1])
 
     def d_plus_delta(self) -> "TensorElement":
         return self.d() + self.delta()
@@ -979,7 +939,7 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
         lambda atom: (degrees[atom[0]] + atom[1]) % 2,
     )
     total: dict = {}
-    for syms, combo in walk:
+    for value, combo in walk:
         sign = 1
         for i in range(len(combo)):
             for j in range(i + 1, len(combo)):
@@ -994,7 +954,7 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
             continue
         if runs:
             sign *= _run_weight(runs, combo)
-        for tsym, c in algebra.bracket_on_basis(syms).coeffs.items():
+        for tsym, c in value.coeffs.items():
             kernel.add_into(
                 total.setdefault(tsym, {}), form.terms,
                 c if sign == 1 else -c if sign == -1 else sign * c,

@@ -57,18 +57,12 @@ def _fits_budget(work: str, size: int, unit: str, budget: int,
 JACOBI_BUDGET = 200_000
 
 
-def jacobi_size(algebra, n_max: int) -> int:
-    """The number of canonical tuples of arity 1..n_max, the cases of
-    check-jacobi (counted by algebra.jacobi_cases)."""
-    return jacobi_cases(algebra, n_max)
-
-
 def cmd_check_jacobi(args) -> int:
     algebra = load_presentation(args.algebra)
     n_max = jacobi_arity(algebra) if args.n_max is None else args.n_max
     if not _fits_budget(
         f"check-jacobi on {quote(algebra.name)} up to arity {n_max}",
-        jacobi_size(algebra, n_max), "tuples", JACOBI_BUDGET, "--n-max",
+        jacobi_cases(algebra, n_max), "tuples", JACOBI_BUDGET, "--n-max",
     ):
         return USAGE_ERROR
     index = algebra.lower_central().nilpotency_index

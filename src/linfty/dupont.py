@@ -144,18 +144,7 @@ def poincare_h(i: int, n: int, f: Form) -> Form:
     """
     if not 0 <= i <= n:
         raise ValueError(f"vertex index {i} out of range 0..{n}")
-    if f.n != n:
-        raise ValueError(
-            f"form lives on the {f.n}-simplex, h^{i} acts on the {n}-simplex"
-        )
-    out: dict = {}
-    for key, coeff in f.terms.items():
-        mono = _H_CACHE.get((n, i, key))
-        if mono is None:
-            mono = _H_CACHE[(n, i, key)] = _orbit_fill(
-                _H_ORBITS, _h_monomial, i, n, key)
-        kernel.add_into(out, mono.terms, coeff)
-    return Form(n, out, _validated=True)
+    return _apply(f"h^{i}", _H_CACHE, _H_ORBITS, _h_monomial, i, n, f)
 
 
 def _h_monomial(i: int, n: int, key) -> Form:
@@ -226,18 +215,7 @@ def whitney_P(n: int, f: Form) -> Form:
     monomial missing from the cache is filled by _orbit_fill from P of
     its orbit's representative.
     """
-    if f.n != n:
-        raise ValueError(
-            f"form lives on the {f.n}-simplex, P acts on the {n}-simplex"
-        )
-    out: dict = {}
-    for key, coeff in f.terms.items():
-        mono = _P_CACHE.get((n, key))
-        if mono is None:
-            mono = _P_CACHE[(n, key)] = _orbit_fill(
-                _P_ORBITS, _p_monomial, 0, n, key)
-        kernel.add_into(out, mono.terms, coeff)
-    return Form(n, out, _validated=True)
+    return _apply("P", _P_CACHE, _P_ORBITS, _p_monomial, 0, n, f)
 
 
 def _p_monomial(i: int, n: int, key) -> Form:
@@ -272,18 +250,7 @@ def dupont_s(n: int, f: Form) -> Form:
     vanishes, as do all its extensions.  A monomial missing from the
     cache is filled by _orbit_fill, so the walk runs once per orbit.
     """
-    if f.n != n:
-        raise ValueError(
-            f"form lives on the {f.n}-simplex, s acts on the {n}-simplex"
-        )
-    out: dict = {}
-    for key, coeff in f.terms.items():
-        mono = _S_CACHE.get((n, key))
-        if mono is None:
-            mono = _S_CACHE[(n, key)] = _orbit_fill(
-                _S_ORBITS, _s_monomial, 0, n, key)
-        kernel.add_into(out, mono.terms, coeff)
-    return Form(n, out, _validated=True)
+    return _apply("s", _S_CACHE, _S_ORBITS, _s_monomial, 0, n, f)
 
 
 def _s_monomial(i: int, n: int, key) -> Form:
@@ -315,6 +282,25 @@ def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
 _H_ORBITS: dict = {}
 _P_ORBITS: dict = {}
 _S_ORBITS: dict = {}
+
+
+def _apply(name: str, cache: dict, orbits: dict, compute: Callable,
+           i: int, n: int, f: Form) -> Form:
+    """The operator name (h^i, P or s, i = 0 for the last two) on a form
+    of the n-simplex, monomial by monomial through cache, keyed (n, i,
+    monomial key); a miss is filled by _orbit_fill from orbits and
+    compute, and only the missed monomial's value is cached."""
+    if f.n != n:
+        raise ValueError(
+            f"form lives on the {f.n}-simplex, {name} acts on the {n}-simplex"
+        )
+    out: dict = {}
+    for key, coeff in f.terms.items():
+        mono = cache.get((n, i, key))
+        if mono is None:
+            mono = cache[n, i, key] = _orbit_fill(orbits, compute, i, n, key)
+        kernel.add_into(out, mono.terms, coeff)
+    return Form(n, out, _validated=True)
 
 
 def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:

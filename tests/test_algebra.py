@@ -661,8 +661,15 @@ def full_expansion(args, atoms_of, is_odd):
         yield sum(parts, ()), weight
 
 
+def table_bracket(algebra, syms):
+    """The bracket on basis symbols from the stored table and the
+    reordering sign alone, apart from the support trie."""
+    key, sign = algebra._canonical_key(syms)
+    return algebra.vector(algebra.brackets.get(key, {})).scale(sign)
+
+
 def expanded_bracket(algebra, args):
-    """The vector bracket, one basis lookup per tuple of the full
+    """The vector bracket, one table lookup per tuple of the full
     expansion."""
     total = algebra.zero_vector()
     for combo, weight in full_expansion(
@@ -670,18 +677,18 @@ def expanded_bracket(algebra, args):
         lambda atom: algebra.degrees[atom[0]] % 2,
     ):
         coeff = weight * prod(c for _, c in combo)
-        total += algebra.bracket_on_basis([s for s, _ in combo]).scale(coeff)
+        total += table_bracket(algebra, [s for s, _ in combo]).scale(coeff)
     return total
 
 
 def expanded_tensor_bracket(algebra, args):
-    """The tensor bracket, one basis lookup per tuple of the full
+    """The tensor bracket, one table lookup per tuple of the full
     expansion; the unary one looks up every symbol."""
     n = args[0].n
     if len(args) == 1:
         total = args[0].d()
         for sym, form in args[0].comps.items():
-            total += tensor_product(algebra.bracket_on_basis((sym,)), form)
+            total += tensor_product(table_bracket(algebra, (sym,)), form)
         return total
     total = zero_tensor(algebra, n)
     degrees = algebra.degrees
@@ -695,7 +702,7 @@ def expanded_tensor_bracket(algebra, args):
         form = Form.one(n)
         for _, _, piece in combo:
             form = wedge(form, piece)
-        value = algebra.bracket_on_basis([sym for sym, _, _ in combo])
+        value = table_bracket(algebra, [sym for sym, _, _ in combo])
         total += tensor_product(value, form).scale(sign * weight)
     return total
 
@@ -756,8 +763,9 @@ def assert_brackets_are_the_full_expansion(data, algebra):
     assert bracket(algebra, args[:1]) == expanded_bracket(algebra, args[:1])
     walk, _ = _atom_tuples(algebra, args, lambda a: list(a.coeffs.items()),
                            lambda atom: algebra.degrees[atom[0]] % 2)
-    for syms, combo in walk:
-        assert syms == tuple(s for s, _ in combo)
+    for value, combo in walk:
+        syms = tuple(s for s, _ in combo)
+        assert value and value == algebra.bracket_on_basis(syms)
         assert algebra._canonical_key(syms)[0] in algebra.brackets
     n = data.draw(st.integers(1, 2))
     tensors = st.integers(-1, 3).flatmap(
@@ -781,25 +789,68 @@ def test_fixture_brackets_are_the_full_expansion(name, data):
 
 
 def test_the_series_look_up_only_nonzero_brackets(monkeypatch):
-    # every tuple the walk returns orders a stored key, and delta looks up
-    # only the symbols with a stored unary bracket
-    lookup = LInftyAlgebra.bracket_on_basis
-    values = []
+    # every leaf the walk reaches is a nonzero bracket, and the series
+    # read the brackets off those leaves (delta off the trie's unary
+    # entry) without one basis lookup
+    walk_atoms = linfty.algebra._atom_tuples
+    leaves = []
 
-    def counted(algebra, args):
-        values.append(lookup(algebra, args))
-        return values[-1]
+    def recorded(*args):
+        walk, runs = walk_atoms(*args)
+        leaves.extend(value for value, _ in walk)
+        return walk, runs
+
+    def refuse(algebra, args):
+        raise AssertionError(f"the series looked up the bracket on {args}")
 
     ut4, free = get_fixture("ut4"), get_fixture("free_nilpotent_class3")
     free.nilpotency_index()
     sampler = Sampler(5)
-    monkeypatch.setattr(LInftyAlgebra, "bracket_on_basis", counted)
+    monkeypatch.setattr(linfty.algebra, "_atom_tuples", recorded)
+    monkeypatch.setattr(LInftyAlgebra, "bracket_on_basis", refuse)
     compose(ut4, ut4.zero_vector(), sampler.vector(ut4, 0), sampler.vector(ut4, 0))
     generalized_ch(free, 2, free.zero_vector(), {
         (1,): sampler.vector(free, 0), (2,): sampler.vector(free, 0),
         (1, 2): sampler.vector(free, -1),
     })
-    assert values and all(values)
+    assert leaves and all(leaves)
+
+
+def assert_the_trie_is_the_signed_table(data, algebra):
+    # every ordering of a stored key is its value times the reordering
+    # sign; the empty tuple, an arity above the bound and a tuple off the
+    # table bracket to zero
+    for key, value in algebra.brackets.items():
+        for order in itertools.permutations(key):
+            sign = algebra._canonical_key(order)[1]
+            assert algebra.bracket_on_basis(order) == algebra.vector(
+                value).scale(sign), order
+    zero = algebra.zero_vector()
+    assert algebra.bracket_on_basis(()) == zero
+    if not algebra.symbols:
+        return
+    top = algebra.max_arity
+    symbols = st.sampled_from(algebra.symbols)
+    above = data.draw(st.lists(symbols, min_size=top + 1, max_size=top + 2))
+    assert algebra.bracket_on_basis(above) == zero
+    off = data.draw(st.lists(symbols, min_size=1, max_size=top).filter(
+        lambda syms: algebra._canonical_key(syms)[0] not in algebra.brackets))
+    assert algebra.bracket_on_basis(off) == zero
+    syms = data.draw(st.lists(symbols, max_size=top + 1))
+    assert algebra.bracket_on_basis(syms) == table_bracket(algebra, syms)
+
+
+@PROPERTY
+@given(graded_presentations(), st.data())
+def test_the_support_trie_is_the_signed_table(algebra, data):
+    assert_the_trie_is_the_signed_table(data, algebra)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_fixture_support_trie_is_the_signed_table(name, data):
+    assert_the_trie_is_the_signed_table(data, get_fixture(name))
 
 
 @PROPERTY

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from linfty import acceptance, cli, dupont
+from linfty.algebra import jacobi_cases
 from linfty.cli import main
 from linfty.fixtures import FIXTURE_NAMES, Sampler, get_fixture
 from linfty.mc_gamma import GaugeParameter, _whitney_basis, solve_gauge_fixed
@@ -119,7 +120,7 @@ class TestExitCodes:
         algebra = get_fixture(name)
         top = 2 if name == "free_nilpotent_class3" else 4
         for n_max in range(top + 1):
-            assert cli.jacobi_size(algebra, n_max) == sum(
+            assert jacobi_cases(algebra, n_max) == sum(
                 1 for n in range(1, n_max + 1)
                 for _ in algebra.canonical_tuples(n)
             )

@@ -386,7 +386,7 @@ def test_orbit_filled_operators_equal_the_direct_computation(
         {_orbit(n, i, key) for _, i, key in dupont._H_CACHE})
     for orbits, cache in ((dupont._S_ORBITS, dupont._S_CACHE),
                           (dupont._P_ORBITS, dupont._P_CACHE)):
-        assert len(orbits) == len({_orbit(n, 0, key) for _, key in cache})
+        assert len(orbits) == len({_orbit(n, 0, key) for _, _, key in cache})
     if n >= 2:
         assert len(dupont._S_ORBITS) < len(monos) == len(dupont._S_CACHE)
 
