@@ -498,8 +498,16 @@ def jacobi_candidates(algebra: LInftyAlgebra, n_max: int) -> set:
 
 def jacobi_cases(algebra: LInftyAlgebra, n_max: int) -> int:
     """The number of canonical tuples of arity 1..n_max: the cases of a
-    passing check_jacobi(algebra, n_max)."""
-    return sum(algebra.canonical_count(n) for n in range(1, n_max + 1))
+    passing check_jacobi(algebra, n_max).  In closed form, so that a
+    huge n_max costs nothing: padding each tuple to arity n_max with one
+    extra odd symbol makes them the canonical tuples of arity exactly
+    n_max over one more odd symbol, less the all-padding one."""
+    odd = len(algebra._odd)
+    even = algebra.dim - odd
+    return sum(
+        comb(even, j) * comb(odd + n_max - j, n_max - j)
+        for j in range(min(n_max, even) + 1)
+    ) - 1
 
 
 def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
@@ -930,7 +938,7 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
             raise ValueError("tensor elements on different simplices")
     n = args[0].n
     if len(args) == 1:
-        return args[0].delta() + args[0].d()
+        return args[0].d_plus_delta()
     if not all(a.comps for a in args):
         return zero_tensor(algebra, n)
     degrees = algebra.degrees

@@ -18,6 +18,7 @@ the nose and composition reads compose(x, y) = log(exp(x) exp(y)).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,127 +52,79 @@ _ONE = Fraction(1)
 
 # -- rooted trees -------------------------------------------------------
 
-# a rooted tree is a tuple of child subtrees, children kept in canonical
-# order; the leaf is the empty tuple
-
-
-def tree_size(tree) -> int:
-    return 1 + sum(tree_size(c) for c in tree)
-
-
-def tree_key(tree):
-    """Canonical order: vertex count first, then children lexicographically."""
-    return (tree_size(tree), tuple(tree_key(c) for c in tree))
+# a rooted tree is the sorted tuple of its child subtrees; the leaf is ()
 
 
 def canonical_tree(children) -> tuple:
-    return tuple(sorted(children, key=tree_key))
+    return tuple(sorted(children))
+
+
+def _grown(tree):
+    """The tree with one more leaf, once for each vertex it can hang from."""
+    yield canonical_tree(tree + ((),))
+    for i, child in enumerate(tree):
+        for bigger in _grown(child):
+            yield canonical_tree(tree[:i] + (bigger,) + tree[i + 1:])
 
 
 @lru_cache(maxsize=None)
-def _trees_of_size(k: int) -> tuple:
-    """All rooted trees with k vertices, canonically ordered."""
+def enumerate_trees(k: int) -> tuple:
+    """The rooted trees with k vertices, sorted, each with its
+    monotone-order coefficient: the number of ways to grow it from the
+    root one leaf at a time, i.e. of its increasing vertex labelings."""
     if k < 1:
         raise ValueError("trees need at least one vertex")
     if k == 1:
-        return ((),)
-    out = set()
-    for child_multiset in _child_multisets(k - 1, None):
-        out.add(canonical_tree(child_multiset))
-    return tuple(sorted(out, key=tree_key))
-
-
-def _child_multisets(total: int, bound):
-    """Multisets of trees with the given total size, nonincreasing in
-    the canonical order to avoid duplicates."""
-    if total == 0:
-        yield ()
-        return
-    for size in range(total, 0, -1):
-        for tree in _trees_of_size(size):
-            key = tree_key(tree)
-            if bound is not None and key > bound:
-                continue
-            for rest in _child_multisets(total - size, key):
-                yield (tree,) + rest
-
-
-def _subtree_size_product(tree) -> int:
-    prod = tree_size(tree)
-    for c in tree:
-        prod *= _subtree_size_product(c)
-    return prod
-
-
-def _automorphisms(tree) -> int:
-    count = 1
-    for shape, group in itertools.groupby(sorted(tree, key=tree_key)):
-        mult = len(list(group))
-        count *= factorial(mult) * _automorphisms(shape) ** mult
-    return count
-
-
-@dataclass(frozen=True)
-class TreeTerm:
-    """A rooted tree with its monotone-order coefficient: the number of
-    vertex orders compatible with the tree, counted up to automorphism
-    (so repeated branches are not double counted)."""
-
-    tree: tuple
-    coefficient: int
-
-
-def enumerate_trees(k: int) -> list[TreeTerm]:
-    """All rooted-tree terms with k vertices in canonical order."""
-    if k < 1:
-        raise ValueError("trees need at least one vertex")
-    terms = []
-    for tree in _trees_of_size(k):
-        coeff = factorial(k) // (
-            _subtree_size_product(tree) * _automorphisms(tree)
-        )
-        terms.append(TreeTerm(tree=tree, coefficient=coeff))
-    return terms
+        return (((), 1),)
+    counts = Counter()
+    for tree, coefficient in enumerate_trees(k - 1):
+        for bigger in _grown(tree):
+            counts[bigger] += coefficient
+    return tuple(sorted(counts.items()))
 
 
 # -- the rooted-tree exponential ---------------------------------------
 
 
-def tree_exponential(algebra: LInftyAlgebra, mu: GVector, x: GVector,
-                     k: int) -> GVector:
-    """The k-th coefficient of the gauge flow generated by x at mu.
+def gauge_flow_terms(algebra: LInftyAlgebra, mu: GVector, x: GVector):
+    """The tree exponentials [epsilon^1, epsilon^2, ...] below the
+    nilpotency index: the coefficients of the gauge flow generated by x
+    at mu.
 
     Each tree contributes the nested twisted bracket obtained by reading
     a vertex with children a_1..a_i as [x, a_1, ..., a_i] twisted by mu,
-    weighted by its monotone-order coefficient.  Vanishes once k reaches
-    the nilpotency index.
+    weighted by its monotone-order coefficient.  A subtree's bracket is
+    evaluated once and shared by every k.
     """
     if not is_mc(algebra, mu):
         raise ValueError("base point does not satisfy Maurer-Cartan")
-    if k >= algebra.nilpotency_index():
-        return algebra.zero_vector()
-    cache: dict = {}
+    values: dict = {}
 
     def evaluate(tree) -> GVector:
-        cached = cache.get(tree)
-        if cached is None:
-            args = [x] + [evaluate(c) for c in tree]
-            cached = twisted_bracket(algebra, mu, args)
-            cache[tree] = cached
-        return cached
+        value = values.get(tree)
+        if value is None:
+            value = twisted_bracket(
+                algebra, mu, [x] + [evaluate(c) for c in tree])
+            values[tree] = value
+        return value
 
-    return algebra.zero_vector().combine(
-        (term.coefficient, evaluate(term.tree)) for term in enumerate_trees(k)
-    )
-
-
-def gauge_flow_terms(algebra: LInftyAlgebra, mu: GVector, x: GVector):
-    """Nonzero tree exponentials [epsilon^1, epsilon^2, ...] up to the
-    nilpotency cutoff."""
     return [
-        tree_exponential(algebra, mu, x, k)
+        algebra.zero_vector().combine(
+            (coefficient, evaluate(tree))
+            for tree, coefficient in enumerate_trees(k))
         for k in range(1, algebra.nilpotency_index())
     ]
+
+
+def tree_exponential(algebra: LInftyAlgebra, mu: GVector, x: GVector,
+                     k: int) -> GVector:
+    """The k-th coefficient of the gauge flow generated by x at mu, the
+    k-th entry of gauge_flow_terms; zero once k reaches the nilpotency
+    index."""
+    if k < 1:
+        raise ValueError("trees need at least one vertex")
+    terms = gauge_flow_terms(algebra, mu, x)
+    return terms[k - 1] if k <= len(terms) else algebra.zero_vector()
 
 
 def alpha1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> SimplexElement:

@@ -26,6 +26,7 @@ from linfty.algebra import (
     is_mc,
     jacobi_arity,
     jacobi_candidates,
+    jacobi_cases,
     jacobiator,
     quotient,
     tensor_bracket,
@@ -1170,6 +1171,15 @@ def test_canonical_count_and_rank_follow_the_storage_order(name):
         assert algebra.canonical_count(m) == len(tuples)
         assert [algebra.canonical_rank(t) for t in tuples] == list(
             range(len(tuples)))
+
+
+@PROPERTY
+@given(st.lists(st.integers(-2, 2), max_size=6), st.integers(0, 8))
+def test_jacobi_cases_is_the_per_arity_sum(degrees, n_max):
+    symbols = [f"x{i}" for i in range(len(degrees))]
+    algebra = LInftyAlgebra("graded", list(zip(symbols, degrees)))
+    assert jacobi_cases(algebra, n_max) == sum(
+        algebra.canonical_count(n) for n in range(1, n_max + 1))
 
 
 def test_series_on_a_non_nilpotent_algebra_are_refused():

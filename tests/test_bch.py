@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from linfty import kernel
+from linfty import bch_groupoid, kernel
 from linfty.algebra import (
     LInftyAlgebra,
     TensorElement,
@@ -36,7 +36,6 @@ from linfty.bch_groupoid import (
     rho1,
     rho3_associativity_check,
     tree_exponential,
-    tree_size,
 )
 from linfty.fixtures import (
     Sampler,
@@ -51,6 +50,31 @@ from linfty.fixtures import (
 )
 from linfty.forms import Form
 from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
+
+
+def tree_size(tree) -> int:
+    return 1 + sum(tree_size(c) for c in tree)
+
+
+def weight_formula_coefficient(tree) -> int:
+    """k!/(prod of subtree sizes * |Aut T|) for a tree T of k vertices:
+    the monotone-order coefficient in closed form (Hairer-Lubich-Wanner,
+    Geometric Numerical Integration, III.1)."""
+
+    def size_product(t):
+        prod = tree_size(t)
+        for c in t:
+            prod *= size_product(c)
+        return prod
+
+    def automorphisms(t):
+        count = 1
+        for shape, group in itertools.groupby(sorted(t)):
+            mult = len(list(group))
+            count *= factorial(mult) * automorphisms(shape) ** mult
+        return count
+
+    return factorial(tree_size(tree)) // (size_product(tree) * automorphisms(tree))
 
 
 def brute_force_tree_coefficients(k):
@@ -77,32 +101,37 @@ class TestTrees:
         assert [len(enumerate_trees(k)) for k in range(1, 6)] == [1, 1, 2, 4, 9]
 
     def test_small_coefficients(self):
-        assert [t.coefficient for t in enumerate_trees(1)] == [1]
-        assert [t.coefficient for t in enumerate_trees(2)] == [1]
-        assert sorted(t.coefficient for t in enumerate_trees(3)) == [1, 1]
+        assert [c for _, c in enumerate_trees(1)] == [1]
+        assert [c for _, c in enumerate_trees(2)] == [1]
+        assert sorted(c for _, c in enumerate_trees(3)) == [1, 1]
 
     def test_coefficients_match_brute_force(self):
         for k in range(1, 7):
             expected = brute_force_tree_coefficients(k)
-            computed = {t.tree: t.coefficient for t in enumerate_trees(k)}
+            computed = dict(enumerate_trees(k))
             assert computed == dict(expected)
 
+    def test_coefficients_match_the_weight_formula(self):
+        for k in range(1, 10):
+            for tree, coefficient in enumerate_trees(k):
+                assert coefficient == weight_formula_coefficient(tree)
+
     def test_total_weight_is_factorial(self):
-        from math import factorial
         for k in range(1, 7):
-            assert sum(t.coefficient for t in enumerate_trees(k)) == factorial(
-                k - 1
-            )
+            assert sum(c for _, c in enumerate_trees(k)) == factorial(k - 1)
 
     def test_canonical_order_is_stable(self):
-        first = [t.tree for t in enumerate_trees(5)]
-        second = [t.tree for t in enumerate_trees(5)]
+        first = [tree for tree, _ in enumerate_trees(5)]
+        second = [tree for tree, _ in enumerate_trees(5)]
         assert first == second
         assert all(tree_size(t) == 5 for t in first)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             enumerate_trees(0)
+        heis = get_fixture("heisenberg")
+        with pytest.raises(ValueError):
+            tree_exponential(heis, heis.zero_vector(), heis.basis_vector("e1"), 0)
 
 
 class TestGaugeFlow:
@@ -125,6 +154,25 @@ class TestGaugeFlow:
         x = heis.vector({"e1": 1, "e2": Fraction(1, 2)})
         for k in range(3, 6):
             assert tree_exponential(heis, heis.zero_vector(), x, k).is_zero()
+
+    def test_one_edge_evaluates_each_tree_once(self, monkeypatch):
+        # ut4 has nilpotency index 4: the four trees with 1-3 vertices
+        # each cost one twisted bracket, and the base point one MC check
+        ut4 = get_fixture("ut4")
+        assert ut4.nilpotency_index() == 4
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(bch_groupoid, name, wrapper)
+
+        counted("twisted_bracket", bch_groupoid.twisted_bracket)
+        counted("is_mc", bch_groupoid.is_mc)
+        x = ut4.vector({"E12": 1, "E23": Fraction(1, 2), "E34": -1})
+        alpha1(ut4, ut4.zero_vector(), x)
+        assert calls == {"twisted_bracket": 4, "is_mc": 1}
 
     def test_degree_zero_lie_flow_is_trivial(self):
         heis = get_fixture("heisenberg")

@@ -114,6 +114,16 @@ class TestExitCodes:
         assert out == ""
         assert "3399040 tuples, over the budget" in err and "--n-max" in err
 
+    def test_a_huge_arity_is_refused_at_once(self, capsys):
+        # jacobi_cases is a closed form: no loop over the arities
+        assert jacobi_cases(get_fixture("dg_lie_01"), 10**9) == 4 * 10**18 + 1
+        code, out, err = run(capsys, "check-jacobi", "--algebra",
+                             bundled("dg_lie_01"), "--n-max", "1000000000")
+        assert code == 2
+        assert out == ""
+        assert "4000000000000000001 tuples, over the budget" in err
+        assert "--n-max" in err
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_jacobi_size_counts_the_canonical_tuples(self, name):
         # the empty algebra "zero" and the all-even ones included
