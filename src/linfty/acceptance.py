@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from linfty import dupont
@@ -34,6 +35,7 @@ from linfty.bch_groupoid import (
     compose,
     deligne_action,
     enumerate_trees,
+    gauge_flow_terms,
     generalized_ch,
     monodromy_report,
     oracle_bch,
@@ -76,52 +78,39 @@ SOLVER_FIXTURES = (
 )
 
 
-# criteria 1-4 run the Dupont harness on these simplex dimensions (for
-# naturality, the targets of its pullbacks); the command line bounds
-# their work before it starts
-HARNESS_CRITERIA = ("contraction", "gauge", "gaugeify", "naturality")
+# criteria 1-4 run the Dupont harness: name -> (number, title, dupont
+# check, the simplex dimensions it runs on).  Naturality checks pullbacks
+# into every dimension up to its argument, so it runs once on the
+# largest; the command line bounds the work on HARNESS_DIMS before it
+# starts.
 HARNESS_DIMS = (1, 2, 3)
+HARNESS = {
+    "contraction": (1, "contraction identities (n <= 3, degree <= {})",
+                    dupont.check_contraction_identities, HARNESS_DIMS),
+    "gauge": (2, "gauge theorem (s^2 = 0 and homotopy identities)",
+              dupont.check_gauge_identities, HARNESS_DIMS),
+    "gaugeify": (3, "gaugeification fixed point",
+                 dupont.check_gaugeify_fixed_point, HARNESS_DIMS),
+    "naturality": (4, "naturality under face/degeneracy pullbacks",
+                   dupont.check_naturality, (max(HARNESS_DIMS),)),
+}
 
 
 def _criterion(number: int, title: str) -> Report:
     return Report(f"criterion {number:2d}: {title}", number)
 
 
-def criterion_contraction(seed: int = 0, max_degree: int = 4) -> Report:
-    """1: the homotopy/projection identities on monomial generators."""
-    result = _criterion(
-        1, "contraction identities (n <= 3, degree <= %d)" % max_degree
-    )
-    for n in HARNESS_DIMS:
-        for check in dupont.check_contraction_identities(n, max_degree):
-            result.include(check)
-    return result
+def harness_reports(names, dims, max_degree: int) -> list[Report]:
+    """The reports of the named harness checks, dimension by dimension."""
+    return [report for n in dims for name in names
+            for report in HARNESS[name][2](n, max_degree)]
 
 
-def criterion_gauge(seed: int = 0, max_degree: int = 4) -> Report:
-    """2: the gauge property, homotopy anticommutation, and chain
-    integrals through homotopy strings."""
-    result = _criterion(2, "gauge theorem (s^2 = 0 and homotopy identities)")
-    for n in HARNESS_DIMS:
-        for check in dupont.check_gauge_identities(n, max_degree):
-            result.include(check)
-    return result
-
-
-def criterion_gaugeify(seed: int = 0, max_degree: int = 4) -> Report:
-    """3: gaugeification fixes the simplicial gauge."""
-    result = _criterion(3, "gaugeification fixed point")
-    for n in HARNESS_DIMS:
-        for check in dupont.check_gaugeify_fixed_point(n, max_degree):
-            result.include(check)
-    return result
-
-
-def criterion_naturality(seed: int = 0, max_degree: int = 4) -> Report:
-    """4: the gauge and projection commute with simplicial pullbacks."""
-    result = _criterion(4, "naturality under face/degeneracy pullbacks")
-    for check in dupont.check_naturality(max(HARNESS_DIMS), max_degree):
-        result.include(check)
+def _harness_criterion(name: str, seed: int = 0, max_degree: int = 4) -> Report:
+    number, title, _, dims = HARNESS[name]
+    result = _criterion(number, title.format(max_degree))
+    for report in harness_reports((name,), dims, max_degree):
+        result.include(report)
     return result
 
 
@@ -391,9 +380,8 @@ def criterion_tree_exponential(seed: int = 0, max_degree: int = 4) -> Report:
         alg = get_fixture(name)
         mu = sampler.mc_element(alg)
         xv = sampler.vector(alg, 0)
-        eps = {
-            k: tree_exponential(alg, mu, xv, k) for k in range(1, 6)
-        }
+        # eps[k] for k = 1..5: the flow's terms, zero from the index on
+        eps = [None, *gauge_flow_terms(alg, mu, xv)] + [alg.zero_vector()] * 5
         sub = Report(f"{name}: flow recursion for k <= 4")
         for k in range(1, 5):
             terms = []
@@ -490,10 +478,7 @@ def criterion_groupoid_nerve(seed: int = 0, max_degree: int = 4) -> Report:
 
 
 CRITERIA = {
-    "contraction": criterion_contraction,
-    "gauge": criterion_gauge,
-    "gaugeify": criterion_gaugeify,
-    "naturality": criterion_naturality,
+    **{name: partial(_harness_criterion, name) for name in HARNESS},
     "jacobi-twist": criterion_jacobi_twist,
     "solver-roundtrip": criterion_solver_roundtrip,
     "horn-filling": criterion_horn_filling,

@@ -14,7 +14,7 @@ import json
 import sys
 from math import comb
 
-from linfty import acceptance, dupont
+from linfty import acceptance
 from linfty.algebra import check_jacobi, jacobi_arity, jacobi_cases
 from linfty.bch_groupoid import compose, generalized_ch, monodromy_report
 from linfty.fixtures import Sampler, get_representation
@@ -104,31 +104,22 @@ def _within_budget(command: str, dims, max_degree: int, options: str) -> bool:
     )
 
 
-def cmd_verify_contraction(args) -> int:
-    if not _within_budget("verify-contraction", _dim_list(args.n),
-                          args.max_degree, "--n or --max-degree"):
-        return USAGE_ERROR
-    return _verdict(
-        check
-        for n in _dim_list(args.n)
-        for check in dupont.check_contraction_identities(n, args.max_degree)
-    )
+# verify command -> (help, the harness checks it runs per dimension)
+VERIFY = {
+    "verify-contraction": ("homotopy/projection identities on monomials",
+                           ("contraction",)),
+    "verify-gauge": ("gauge property and homotopy identities",
+                     ("gauge", "gaugeify")),
+}
 
 
-def cmd_verify_gauge(args) -> int:
-    if not _within_budget("verify-gauge", _dim_list(args.n), args.max_degree,
+def cmd_verify(args) -> int:
+    dims = acceptance.HARNESS_DIMS if args.n is None else (args.n,)
+    if not _within_budget(args.command, dims, args.max_degree,
                           "--n or --max-degree"):
         return USAGE_ERROR
-    return _verdict(
-        check
-        for n in _dim_list(args.n)
-        for check in dupont.check_gauge_identities(n, args.max_degree)
-        + dupont.check_gaugeify_fixed_point(n, args.max_degree)
-    )
-
-
-def _dim_list(n):
-    return (1, 2, 3) if n is None else (n,)
+    return _verdict(acceptance.harness_reports(
+        VERIFY[args.command][1], dims, args.max_degree))
 
 
 def cmd_fill_horn(args) -> int:
@@ -245,7 +236,7 @@ def cmd_verify_monodromy(args) -> int:
 
 
 def cmd_run_suite(args) -> int:
-    if args.suite in acceptance.HARNESS_CRITERIA and not _within_budget(
+    if args.suite in acceptance.HARNESS and not _within_budget(
         f"run-suite {args.suite}", acceptance.HARNESS_DIMS, args.max_degree,
         "--max-degree",
     ):
@@ -319,19 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "rule can fail)")
     p.set_defaults(fn=cmd_check_jacobi)
 
-    p = sub.add_parser("verify-contraction",
-                       help="homotopy/projection identities on monomials")
-    p.add_argument("--n", type=non_negative, default=None)
-    p.add_argument("--max-degree", dest="max_degree", type=non_negative,
-                   default=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_verify_contraction)
-
-    p = sub.add_parser("verify-gauge",
-                       help="gauge property and homotopy identities")
-    p.add_argument("--n", type=non_negative, default=None)
-    p.add_argument("--max-degree", dest="max_degree", type=non_negative,
-                   default=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_verify_gauge)
+    for command, (text, _) in VERIFY.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--n", type=non_negative, default=None)
+        p.add_argument("--max-degree", dest="max_degree", type=non_negative,
+                       default=argparse.SUPPRESS)
+        p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("fill-horn", help="fill a gauge-fixed horn")
     p.add_argument("--algebra", required=True)

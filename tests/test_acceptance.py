@@ -15,7 +15,7 @@ import pytest
 
 from linfty import acceptance, kernel
 from linfty.algebra import GVector, bracket
-from linfty.bch_groupoid import generalized_ch
+from linfty.bch_groupoid import generalized_ch, tree_exponential
 from linfty.fixtures import (
     CLASS3_DELTA,
     CLASS3_GENERATORS,
@@ -85,6 +85,20 @@ def test_criterion_10_associativity():
 
 def test_criterion_11_tree_exponential():
     _run("tree-exponential")
+
+
+def test_criterion_11_reads_one_flow_per_fixture(monkeypatch):
+    # the flow recursion takes every k from one gauge_flow_terms call;
+    # only the three low-order records ask for a single tree exponential
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return tree_exponential(*args)
+
+    monkeypatch.setattr(acceptance, "tree_exponential", counted)
+    assert acceptance.run_criterion("tree-exponential").passed
+    assert calls == [1, 2, 3]
 
 
 def test_criterion_12_dold_kan():

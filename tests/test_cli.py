@@ -540,16 +540,24 @@ class TestVerifiers:
         assert "s s = 0" in out
 
     def test_gauge_checks_the_fixed_point_on_the_suite_cases(self, capsys):
-        # verify-gauge and criterion 3 check gaugeification on the same
-        # monomials at the default degree
-        def fixed_point_lines(out):
-            return [line.strip() for line in out.splitlines()
-                    if "gaugeified s = s" in line]
+        # at the default degree every line verify-contraction and
+        # verify-gauge print is a sub-report line of criteria 1-3, so
+        # both run the suite's checks on the suite's monomials
+        def sub_report_lines(*suites):
+            lines = []
+            for suite in suites:
+                _, out, _ = run(capsys, "run-suite", suite, "--verbose")
+                lines += [line.strip() for line in out.splitlines()[1:]]
+            return sorted(lines)
 
-        _, gauge, _ = run(capsys, "verify-gauge")
-        _, suite, _ = run(capsys, "run-suite", "gaugeify", "--verbose")
-        assert fixed_point_lines(gauge) == fixed_point_lines(suite)
-        assert len(fixed_point_lines(gauge)) == len(acceptance.HARNESS_DIMS)
+        for command, suites in (("verify-contraction", ("contraction",)),
+                                ("verify-gauge", ("gauge", "gaugeify"))):
+            code, out, _ = run(capsys, command)
+            assert code == 0
+            assert sorted(out.splitlines()) == sub_report_lines(*suites)
+        fixed_point = [line for line in out.splitlines()
+                       if "gaugeified s = s" in line]
+        assert len(fixed_point) == len(acceptance.HARNESS_DIMS)
 
     @pytest.mark.parametrize("argv", [
         ("--max-degree", "2", "verify-gauge", "--n", "5"),
@@ -572,6 +580,8 @@ class TestVerifiers:
         ("--max-degree", "10", "run-suite", "contraction"),
         ("--max-degree", "9", "run-suite", "naturality"),
         ("--max-degree", "10", "run-all"),
+        ("--max-degree", "10", "run-suite", "gauge"),
+        ("--max-degree", "10", "run-suite", "gaugeify"),
     ])
     def test_suite_work_over_the_budget_is_a_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
