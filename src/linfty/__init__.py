@@ -21,7 +21,6 @@ from linfty.algebra import (
 )
 from linfty.bch_groupoid import (
     CHResult,
-    FiniteGroupoid,
     NerveTruncation,
     NilMatrix,
     alpha1,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHResult",
-    "FiniteGroupoid",
     "Form",
     "GVector",
     "GaugeParameter",

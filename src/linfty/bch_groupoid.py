@@ -229,14 +229,14 @@ def compose(algebra: LInftyAlgebra, mu: GVector, x: GVector,
 
 
 def rho3_associativity_check(algebra: LInftyAlgebra, mu: GVector,
-                             x1: GVector, x2: GVector, x3: GVector):
+                             x1: GVector, x2: GVector,
+                             x3: GVector) -> GVector:
     """The degree -1 associator: the top series value with all interior
     slots zero.  Exactly zero for dg Lie algebras; may be nonzero when a
     ternary bracket is present."""
-    result = generalized_ch(
+    return generalized_ch(
         algebra, 3, mu, {(1,): x1, (2,): x2, (3,): x3}
-    )
-    return result.value.is_zero(), result
+    ).value
 
 
 # -- the gauge action on Maurer-Cartan elements -------------------------
@@ -441,106 +441,43 @@ def monodromy_report(name: str, rep: MatrixRepresentation, sampler,
 # -- nerves of finite groupoids -----------------------------------------
 
 
-class FiniteGroupoid:
-    """A finite groupoid presentation: objects, morphisms, source and
-    target maps, identities, and a composition table.
-
-    compose[(g, h)] with source(g) = target(h) is the composite "h then
-    g"; validation checks identities, associativity, and inverses.
-    """
-
-    def __init__(self, objects, morphisms, source, target, identity, compose):
-        self.objects = list(objects)
-        self.morphisms = list(morphisms)
-        self.source = dict(source)
-        self.target = dict(target)
-        self.identity = dict(identity)
-        self.compose = dict(compose)
-        self._validate()
-
-    def _validate(self):
-        for g in self.morphisms:
-            if self.source[g] not in self.objects or self.target[g] not in self.objects:
-                raise ValueError(f"morphism {g!r} has bad endpoints")
-        for obj in self.objects:
-            e = self.identity[obj]
-            if self.source[e] != obj or self.target[e] != obj:
-                raise ValueError(f"identity of {obj!r} has wrong endpoints")
-        for g in self.morphisms:
-            for h in self.morphisms:
-                defined = (g, h) in self.compose
-                composable = self.source[g] == self.target[h]
-                if defined != composable:
-                    raise ValueError(
-                        f"composition table mismatch at ({g!r}, {h!r})"
-                    )
-                if defined:
-                    gh = self.compose[(g, h)]
-                    if (
-                        self.source[gh] != self.source[h]
-                        or self.target[gh] != self.target[g]
-                    ):
-                        raise ValueError(f"composite ({g!r}, {h!r}) has wrong endpoints")
-        for g in self.morphisms:
-            e_t = self.identity[self.target[g]]
-            e_s = self.identity[self.source[g]]
-            if self.compose[(e_t, g)] != g or self.compose[(g, e_s)] != g:
-                raise ValueError(f"identity laws fail at {g!r}")
-        for g in self.morphisms:
-            for h in self.morphisms:
-                for k in self.morphisms:
-                    if (
-                        self.source[g] == self.target[h]
-                        and self.source[h] == self.target[k]
-                    ):
-                        if self.compose[(self.compose[(g, h)], k)] != self.compose[
-                            (g, self.compose[(h, k)])
-                        ]:
-                            raise ValueError("composition is not associative")
-        for g in self.morphisms:
-            has_inverse = any(
-                self.source[h] == self.target[g]
-                and self.target[h] == self.source[g]
-                and self.compose[(h, g)] == self.identity[self.source[g]]
-                and self.compose[(g, h)] == self.identity[self.target[g]]
-                for h in self.morphisms
-            )
-            if not has_inverse:
-                raise ValueError(f"morphism {g!r} has no inverse")
-
-
 class NerveTruncation:
-    """The nerve of a finite groupoid up to a dimension bound.
+    """The nerve of a finite composition table up to a dimension bound.
 
+    The morphisms are the keys of source; compose[(g, h)] is "h then g".
     n-simplices are composable chains [g_1, ..., g_n]; face maps drop or
     compose.  Provides exhaustive unique-filler lookup, and checks
     against every compatible family of faces that horns have unique
-    fillers and that boundaries determine their simplices.
+    fillers and that boundaries determine their simplices.  Following
+    Duskin, a table in which every object carries a morphism is a
+    groupoid exactly when every horn of dimension 2 and 3 has one
+    filler; nothing else checks the groupoid axioms.
     """
 
-    def __init__(self, groupoid: FiniteGroupoid, bound: int):
-        self.groupoid = groupoid
-        self.simplices = {0: [(obj,) for obj in groupoid.objects],
-                          1: [(g,) for g in groupoid.morphisms]}
+    def __init__(self, objects, source, target, compose, bound: int):
+        self.source = dict(source)
+        self.target = dict(target)
+        self.compose = dict(compose)
+        self.simplices = {0: [(obj,) for obj in objects],
+                          1: [(g,) for g in self.source]}
         for n in range(2, bound + 1):
             self.simplices[n] = [
                 chain + (g,)
                 for chain in self.simplices[n - 1]
-                for g in groupoid.morphisms
-                if groupoid.source[chain[-1]] == groupoid.target[g]
+                for g in self.source
+                if self.source[chain[-1]] == self.target[g]
             ]
 
     def face(self, n: int, k: int, simplex):
-        g = self.groupoid
         if n == 1:
-            return (g.source[simplex[0]],) if k == 0 else (g.target[simplex[0]],)
+            return ((self.source if k == 0 else self.target)[simplex[0]],)
         if k == 0:
             return simplex[1:]
         if k == n:
             return simplex[:-1]
         return (
             simplex[: k - 1]
-            + (g.compose[(simplex[k - 1], simplex[k])],)
+            + (self.compose[(simplex[k - 1], simplex[k])],)
             + simplex[k + 1 :]
         )
 
@@ -577,23 +514,20 @@ class NerveTruncation:
         exactly one filler: Duskin's condition in dimension n."""
         return all(self._faces_biject(n, i) for i in range(n + 1))
 
-    def check_coskeletal(self, n: int = 3) -> bool:
+    def check_coskeletal(self, n: int) -> bool:
         """The boundary map from n-simplices to compatible boundary
         tuples is a bijection: the nerve is determined by its 2-skeleton."""
         return self._faces_biject(n)
 
 
-def group_as_groupoid(elements, multiply, identity) -> FiniteGroupoid:
-    """One-object groupoid from a finite group given by a multiplication
-    function."""
-    compose = {
-        (g, h): multiply(g, h) for g in elements for h in elements
-    }
-    return FiniteGroupoid(
+def group_nerve(elements, multiply, bound: int) -> NerveTruncation:
+    """The nerve of a finite group given by a multiplication function:
+    the one-object groupoid with a morphism per element."""
+    elements = list(elements)
+    return NerveTruncation(
         objects=["*"],
-        morphisms=list(elements),
         source={g: "*" for g in elements},
         target={g: "*" for g in elements},
-        identity={"*": identity},
-        compose=compose,
+        compose={(g, h): multiply(g, h) for g in elements for h in elements},
+        bound=bound,
     )

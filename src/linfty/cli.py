@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Subcommands: check-jacobi, verify-contraction, verify-gauge, fill-horn,
-dold-kan, bch, compose-table, verify-monodromy, run-all.  Exit codes:
-0 pass, 1 check failure, 2 usage or validation error.  Output is
-byte-stable for fixed inputs and seed; counterexamples are printed in
-the canonical rendering so they can be replayed.
+dold-kan, bch, compose-table, verify-monodromy, run-suite, run-all.
+Exit codes: 0 pass, 1 check failure, 2 usage or validation error.
+Output is byte-stable for fixed inputs and seed; counterexamples are
+printed in the canonical rendering so they can be replayed.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ from linfty.algebra import (
     is_mc,
 )
 from linfty.bch_groupoid import (
-    FiniteGroupoid,
     MatrixRepresentation,
-    group_as_groupoid,
+    NerveTruncation,
+    group_nerve,
 )
 from linfty.forms import Form
 from linfty.linalg import Subspace
@@ -243,27 +243,22 @@ def get_representation(name: str) -> MatrixRepresentation:
 # -- finite groupoids ------------------------------------------------------
 
 
-def cyclic_group_groupoid(order: int = 2) -> FiniteGroupoid:
-    return group_as_groupoid(range(order), lambda g, h: (g + h) % order, 0)
+def cyclic_group_nerve(order: int, bound: int) -> NerveTruncation:
+    return group_nerve(range(order), lambda g, h: (g + h) % order, bound)
 
 
-def pair_groupoid() -> FiniteGroupoid:
-    """The indiscrete groupoid on two objects: one morphism between any
-    ordered pair."""
+def pair_groupoid_nerve(bound: int) -> NerveTruncation:
+    """The nerve of the indiscrete groupoid on two objects: one morphism
+    between any ordered pair."""
     objects = ["p", "q"]
     morphisms = [(a, b) for a in objects for b in objects]  # target, source
-    compose = {}
-    for g in morphisms:
-        for h in morphisms:
-            if g[1] == h[0]:
-                compose[(g, h)] = (g[0], h[1])
-    return FiniteGroupoid(
+    return NerveTruncation(
         objects=objects,
-        morphisms=morphisms,
         source={g: g[1] for g in morphisms},
         target={g: g[0] for g in morphisms},
-        identity={obj: (obj, obj) for obj in objects},
-        compose=compose,
+        compose={(g, h): (g[0], h[1])
+                 for g in morphisms for h in morphisms if g[1] == h[0]},
+        bound=bound,
     )
 
 

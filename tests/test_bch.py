@@ -5,6 +5,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -18,7 +19,6 @@ from linfty.algebra import (
     twisted_bracket,
 )
 from linfty.bch_groupoid import (
-    FiniteGroupoid,
     NerveTruncation,
     NilMatrix,
     alpha1,
@@ -29,7 +29,7 @@ from linfty.bch_groupoid import (
     edge_value,
     enumerate_trees,
     generalized_ch,
-    group_as_groupoid,
+    group_nerve,
     matrix_exp,
     matrix_log,
     oracle_bch,
@@ -39,12 +39,12 @@ from linfty.bch_groupoid import (
 )
 from linfty.fixtures import (
     Sampler,
-    cyclic_group_groupoid,
+    cyclic_group_nerve,
     free_nilpotent,
     free_nilpotent_class3,
     get_fixture,
     get_representation,
-    pair_groupoid,
+    pair_groupoid_nerve,
     word_commutator,
     word_product,
 )
@@ -94,6 +94,22 @@ def brute_force_tree_coefficients(k):
 
         counts[shape(k - 1)] += 1
     return counts
+
+
+def is_group(rows) -> bool:
+    """The group axioms, by brute force, for the table rows[a][b] = ab
+    on range(len(rows)): associativity, a two-sided identity, and a
+    two-sided inverse of every element."""
+    elements = range(len(rows))
+    if any(rows[rows[a][b]][c] != rows[a][rows[b][c]]
+           for a in elements for b in elements for c in elements):
+        return False
+    e = next((e for e in elements
+              if all(rows[e][g] == g == rows[g][e] for g in elements)), None)
+    return e is not None and all(
+        any(rows[g][h] == e == rows[h][g] for h in elements)
+        for g in elements
+    )
 
 
 class TestTrees:
@@ -459,18 +475,17 @@ class TestAssociativity:
             algebra = get_fixture(name)
             mu = sampler.mc_element(algebra)
             xs = [sampler.vector(algebra, 0) for _ in range(3)]
-            ok, _ = rho3_associativity_check(algebra, mu, *xs)
-            assert ok
+            assert rho3_associativity_check(algebra, mu, *xs).is_zero()
 
     def test_three_bracket_associator_reported(self):
         tb = get_fixture("three_bracket")
-        ok, result = rho3_associativity_check(
+        associator = rho3_associativity_check(
             tb, tb.zero_vector(),
             tb.basis_vector("a"), tb.basis_vector("b"), tb.basis_vector("c"),
         )
         # the genuine ternary bracket shows up in the associator
-        assert not ok
-        assert set(result.value.coeffs) == {"w"}
+        assert not associator.is_zero()
+        assert set(associator.coeffs) == {"w"}
 
 
 class TestGaugeAction:
@@ -564,36 +579,35 @@ class TestNilMatrices:
 
 class TestGroupoidNerve:
     def test_cyclic_two_element_nerve(self):
-        nerve = NerveTruncation(cyclic_group_groupoid(2), 3)
+        nerve = cyclic_group_nerve(2, 3)
         assert len(nerve.simplices[2]) == 4
         filler = nerve.unique_filler(2, 1, ((1,), None, (1,)))
         assert nerve.face(2, 1, filler) == (0,)
 
     def test_composite_edge_of_inner_horn(self):
-        z4 = NerveTruncation(cyclic_group_groupoid(4), 3)
+        z4 = cyclic_group_nerve(4, 3)
         for g in range(4):
             for h in range(4):
                 filler = z4.unique_filler(2, 1, ((g,), None, (h,)))
                 assert z4.face(2, 1, filler) == ((h + g) % 4,)
 
     def test_discrete_groupoid_nerve_constant(self):
-        discrete = FiniteGroupoid(
+        nerve = NerveTruncation(
             objects=["p", "q"],
-            morphisms=[("p", "p"), ("q", "q")],
             source={("p", "p"): "p", ("q", "q"): "q"},
             target={("p", "p"): "p", ("q", "q"): "q"},
-            identity={"p": ("p", "p"), "q": ("q", "q")},
             compose={
                 (("p", "p"), ("p", "p")): ("p", "p"),
                 (("q", "q"), ("q", "q")): ("q", "q"),
             },
+            bound=3,
         )
-        nerve = NerveTruncation(discrete, 3)
         assert all(len(nerve.simplices[n]) == 2 for n in range(4))
+        assert nerve.check_filler_bijectivity(2)
+        assert nerve.check_filler_bijectivity(3)
 
     def test_bijectivity_and_coskeletal(self):
-        for groupoid in (cyclic_group_groupoid(2), pair_groupoid()):
-            nerve = NerveTruncation(groupoid, 3)
+        for nerve in (cyclic_group_nerve(2, 3), pair_groupoid_nerve(3)):
             assert nerve.check_filler_bijectivity(2)
             assert nerve.check_filler_bijectivity(3)
             assert nerve.check_coskeletal(3)
@@ -601,18 +615,62 @@ class TestGroupoidNerve:
     # a nerve with one simplex deleted leaves that simplex's horns
     # compatible but unfilled; each deletion must be caught
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("groupoid", [cyclic_group_groupoid(2),
-                                          pair_groupoid()],
+    @pytest.mark.parametrize("make_nerve", [partial(cyclic_group_nerve, 2),
+                                            pair_groupoid_nerve],
                              ids=["cyclic2", "pair"])
-    def test_deleted_simplex_breaks_filler_bijectivity(self, groupoid, n):
-        for index in range(len(NerveTruncation(groupoid, 3).simplices[n])):
-            nerve = NerveTruncation(groupoid, 3)
+    def test_deleted_simplex_breaks_filler_bijectivity(self, make_nerve, n):
+        for index in range(len(make_nerve(3).simplices[n])):
+            nerve = make_nerve(3)
             del nerve.simplices[n][index]
             assert not nerve.check_filler_bijectivity(n)
 
     def test_invalid_tables_rejected(self):
-        with pytest.raises(ValueError):
-            group_as_groupoid([0, 1], lambda a, b: 0, 0)  # not a group
+        nerve = group_nerve([0, 1], lambda a, b: 0, 3)  # not a group
+        assert not nerve.check_filler_bijectivity(2)
+
+    def test_duskin_condition_matches_group_axioms(self):
+        tables = [
+            rows
+            for order in (1, 2)
+            for rows in itertools.product(
+                itertools.product(range(order), repeat=order), repeat=order)
+        ]
+        latin = [
+            rows
+            for rows in itertools.product(
+                itertools.permutations(range(3)), repeat=3)
+            if all(len(set(column)) == 3 for column in zip(*rows))
+        ]
+        assert (len(tables), len(latin)) == (17, 12)
+        verdicts = []
+        for rows in tables + latin:
+            nerve = group_nerve(range(len(rows)),
+                                lambda a, b: rows[a][b], 3)
+            duskin = (nerve.check_filler_bijectivity(2)
+                      and nerve.check_filler_bijectivity(3))
+            assert duskin == is_group(rows), rows
+            verdicts.append(duskin)
+        # one group table on one element, two on two, three on three
+        assert sum(verdicts) == 6
+
+    def test_non_associative_latin_square_fails_at_three(self):
+        nerve = group_nerve(range(3), lambda a, b: (-a - b) % 3, 3)
+        assert nerve.check_filler_bijectivity(2)
+        assert not nerve.check_filler_bijectivity(3)
+        assert not nerve.check_coskeletal(3)
+
+    def test_non_invertible_element_fails_at_two(self):
+        nerve = group_nerve([0, 1], lambda a, b: a * b, 3)
+        assert not nerve.check_filler_bijectivity(2)
+
+    def test_wrong_endpoint_composite_fails_at_two(self):
+        pair = pair_groupoid_nerve(3)
+        compose = dict(pair.compose)
+        # ("q", "p") after ("p", "q") is ("q", "q"); give it target p
+        compose[(("q", "p"), ("p", "q"))] = ("p", "q")
+        nerve = NerveTruncation(["p", "q"], pair.source, pair.target,
+                                compose, 3)
+        assert not nerve.check_filler_bijectivity(2)
 
     def test_monodromy_checks(self):
         for name in ("heisenberg", "ut4"):
