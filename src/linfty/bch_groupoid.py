@@ -212,7 +212,9 @@ def compose(algebra: LInftyAlgebra, mu: GVector, x: GVector,
     The edges generated by y (from mu) and x (from the endpoint of y)
     form a horn at position 1; the missing face of its thin filler is
     the composed edge.  Under the frozen orientation this is
-    log(exp(x) exp(y)) in the matrix model.
+    log(exp(x) exp(y)) in the matrix model.  The edge's value is read
+    off the filler's chain integral over (0, 2), with no pullback:
+    integration commutes with the face pullback.
     """
     if algebra.basis_of_degree(-1):
         # interior slot must vanish; guaranteed when the algebra is
@@ -225,7 +227,7 @@ def compose(algebra: LInftyAlgebra, mu: GVector, x: GVector,
     edge_x = alpha1(algebra, mu_y, x)
     horn = Horn(2, 1, {0: edge_x, 2: edge_y})
     filler = fill_horn_gamma(horn)
-    return edge_value(filler.face(1))
+    return -filler.integrate((0, 2))
 
 
 def rho3_associativity_check(algebra: LInftyAlgebra, mu: GVector,
@@ -310,9 +312,13 @@ class NilMatrix:
 
 
 def _mat_mul(a, b):
+    """The product of two upper-triangular matrices: entry (i, j) sums
+    over i <= k <= j only, and every entry below the diagonal is zero."""
     m = len(a)
     return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m)]
+        [_ZERO] * i
+        + [sum(a[i][k] * b[k][j] for k in range(i, j + 1))
+           for j in range(i, m)]
         for i in range(m)
     ]
 

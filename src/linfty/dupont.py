@@ -13,7 +13,8 @@ with renaming the vertices 1..n (vertex 0, eliminated in the reduced
 coordinates, stays put; h^i becomes h^sigma(i)), so a cache miss is
 filled from the operator's value on one representative of the
 monomial's orbit under those renamings, computed once per orbit
-(_orbit_fill).
+(_orbit_fill).  The cached terms share their keys and coefficients
+through kernel.share.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def elementary_form(seq: Sequence[int], n: int) -> Form:
         word = seq[:j] + seq[j + 1 :]
         coeff = factorial(k) * (-1) ** j
         raw.append((coeff, tuple(exps), word))
-    form = reduce_barycentric(raw, n)
+    form = Form(n, kernel.share(reduce_barycentric(raw, n).terms),
+                _validated=True)
     _ELEMENTARY_CACHE[key] = form
     return form
 
@@ -315,6 +317,9 @@ def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
     j in W), so the orbit's members share it.  Its value is kept in
     orbits and renamed back by sigma^-1, each dt-word re-sorted with
     its sign; when sigma is the identity the value itself is returned.
+    Both the kept value and the renamed one share their keys and
+    coefficients (kernel.share), so the tables hold one object per
+    monomial and per coefficient value.
     """
     exps, word = key
     order = sorted(range(1, n + 1),
@@ -326,7 +331,8 @@ def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
     rep = (tuple(exps[j - 1] for j in order), rep_word)
     form = orbits.get((rank[i], n, rep))
     if form is None:
-        form = orbits[rank[i], n, rep] = compute(rank[i], n, rep)
+        form = orbits[rank[i], n, rep] = Form(
+            n, kernel.share(compute(rank[i], n, rep).terms), _validated=True)
     if rank[i] == i and rep == key:
         return form
     # sigma(t^e dt_W) = sign * rep, so op_i(t^e dt_W) is sign times
@@ -336,7 +342,7 @@ def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
         w, w_sign = kernel.sort_word([order[k - 1] for k in rep_w])
         terms[tuple(rep_exps[k - 1] for k in rank[1:]), w] = (
             coeff if w_sign == sign else kernel.frac_neg(coeff))
-    return Form(n, terms, _validated=True)
+    return Form(n, kernel.share(terms), _validated=True)
 
 
 # -- monomial bases and gaugeification -------------------------------
@@ -410,7 +416,8 @@ def check_contraction_identities(n: int, max_degree: int) -> list[Report]:
     pp = Report(f"P P = P on {n}-simplex")
     zero = Form.zero(n)
     for mono in monos:
-        label = mono.render()
+        # labels are callables that Report.record calls only on failure
+        label = mono.render
         d_mono = exterior_d(mono)
         s_mono = dupont_s(n, mono)
         p_mono = whitney_P(n, mono)
@@ -423,7 +430,7 @@ def check_contraction_identities(n: int, max_degree: int) -> list[Report]:
             h_mono = poincare_h(i, n, mono)
             lhs = exterior_d(h_mono) + poincare_h(i, n, d_mono)
             rhs = mono - Form.constant(n, evaluate_vertex(i, mono))
-            poincare.record(f"h^{i} on {label}", lhs, rhs)
+            poincare.record(lambda: f"h^{i} on {label()}", lhs, rhs)
     return [main, poincare, ps, sp, pp]
 
 
@@ -439,7 +446,7 @@ def check_gauge_identities(n: int, max_degree: int) -> list[Report]:
     zero = Form.zero(n)
     vertices = range(n + 1)
     for mono in monos:
-        label = mono.render()
+        label = mono.render  # called by Report.record only on failure
         square.record(label, dupont_s(n, dupont_s(n, mono)), zero)
         # the homotopy strings of length <= 2, keyed by their vertex
         # sequence: strings[i, j] = h^j h^i mono, each computed once
@@ -452,7 +459,7 @@ def check_gauge_identities(n: int, max_degree: int) -> list[Report]:
         for i in vertices:
             for j in range(i, n + 1):
                 lhs = strings[i, j] + strings[j, i]
-                anti.record(f"h^{i},h^{j} on {label}", lhs, zero)
+                anti.record(lambda: f"h^{i},h^{j} on {label()}", lhs, zero)
         # chain integrals through homotopy strings: at the duality
         # normalization I_seq(elementary_form(seq)) = 1 the string
         # carries no alternating sign
@@ -460,7 +467,7 @@ def check_gauge_identities(n: int, max_degree: int) -> list[Report]:
             for seq in itertools.combinations(vertices, size):
                 value = evaluate_vertex(seq[-1], strings[seq[:-1]])
                 integrals.record(
-                    f"I_{''.join(map(str, seq))} on {label}",
+                    lambda: f"I_{''.join(map(str, seq))} on {label()}",
                     Form.constant(n, value),
                     Form.constant(n, integrate_chain(seq, mono)),
                 )
@@ -474,7 +481,7 @@ def check_gaugeify_fixed_point(n: int, max_degree: int) -> list[Report]:
                        max_degree=min(max_degree, 3))
     fixed = Report(f"gaugeified s = s on {n}-simplex")
     for mono in monomial_basis(n, max_degree):
-        fixed.record(mono.render(), twisted(mono), dupont_s(n, mono))
+        fixed.record(mono.render, twisted(mono), dupont_s(n, mono))
     return [fixed]
 
 
@@ -489,7 +496,10 @@ def check_naturality(max_dim: int, max_degree: int) -> list[Report]:
         maps.extend(SimplicialMap.degeneracy(k, n) for k in range(n))
     for f in maps:
         for mono in monomial_basis(f.target, max_degree):
-            label = f"{f.values} on {mono.render()}"
+            # called by Report.record only on failure
+            def label():
+                return f"{f.values} on {mono.render()}"
+
             pulled = pullback(f, mono)
             result_s.record(
                 label,

@@ -301,11 +301,17 @@ class Sampler:
         return zero
 
     def form(self, n: int, exterior_degree: int, max_poly_degree: int) -> Form:
+        """A form of one exterior degree: one draw per monomial t^e dt_W
+        with |W| = exterior_degree, in the order of
+        dupont.monomial_basis."""
         total: dict = {}
-        for mono in dupont.monomial_basis(n, max_poly_degree):
-            word = next(iter(mono.terms))[1]
-            if len(word) == exterior_degree:
-                kernel.add_into(total, mono.terms, self.rational())
+        if exterior_degree < 0:
+            return Form(n, total, _validated=True)
+        for word in itertools.combinations(range(1, n + 1), exterior_degree):
+            for exps in dupont._exponent_vectors(n, max_poly_degree):
+                coeff = self.rational()
+                if coeff:
+                    total[exps, word] = coeff
         return Form(n, total, _validated=True)
 
     def witness(self, algebra: LInftyAlgebra, n: int,

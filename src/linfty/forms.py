@@ -210,13 +210,15 @@ _T_POWER_CACHE: dict = {}
 
 
 def _t_power(i: int, e: int, n: int) -> Form:
-    """t_i^e, each power one product from the cached power below it."""
+    """t_i^e, each power one product from the cached power below it,
+    cached with shared keys and coefficients."""
     below = e
     while below and (n, i, below) not in _T_POWER_CACHE:
         below -= 1
     power = _T_POWER_CACHE[(n, i, below)] if below else Form.one(n)
     for k in range(below + 1, e + 1):
-        power = _T_POWER_CACHE[(n, i, k)] = power * Form.t(i, n)
+        power = _T_POWER_CACHE[(n, i, k)] = Form(
+            n, kernel.share((power * Form.t(i, n)).terms), _validated=True)
     return power
 
 

@@ -12,6 +12,11 @@ helpers carry every reordering sign: ``sort_word`` for dt-words and for
 the arguments of a graded antisymmetric bracket, ``merge_words`` for
 the exterior product.
 
+Cached terms share their keys and coefficients: ``share`` returns a
+term dict whose keys and coefficients come from one module-level table
+(hash-consing), so the long-lived tables of ``dupont`` and ``forms``
+hold one key object per monomial and one Fraction per value.
+
 Exact arithmetic: the package's four internal primitives compute
 from numerators and denominators: ``frac_add``, ``frac_mul`` and
 ``frac_neg`` give a + b, a * b and -a of Fractions, and
@@ -220,6 +225,22 @@ def add_term(dst, key, coeff):
         else:
             del dst[key]
     return dst
+
+
+# the first key and the first coefficient seen for each value, by value
+_SHARED: dict = {}
+
+
+def share(terms):
+    """A term dict equal to terms, in the same order, whose keys and
+    coefficients are the first objects ``share`` saw with their values.
+
+    Called where a form enters a long-lived table, so that the table
+    holds one key object per monomial and one Fraction per value.  The
+    keys must never equal a coefficient (form keys are tuples)."""
+    shared = _SHARED.setdefault
+    return {shared(key, key): shared(coeff, coeff)
+            for key, coeff in terms.items()}
 
 
 def scale_terms(terms, scale):

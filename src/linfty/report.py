@@ -32,11 +32,15 @@ class Report:
         return ok
 
     def record(self, label, lhs, rhs) -> bool:
-        """One case lhs == rhs; both sides are rendered only on failure."""
+        """One case lhs == rhs; both sides are rendered only on failure.
+        The label is a string or a zero-argument callable giving it,
+        called only on failure."""
         self.cases += 1
         if lhs == rhs:
             return True
         self.failures += 1
+        if callable(label):
+            label = label()
         self.lines.append(f"FAIL: {label}: {lhs.render()} != {rhs.render()}")
         return False
 

@@ -2,17 +2,20 @@
 
 import pytest
 
-from linfty import dupont
+from linfty import dupont, kernel
 
-# the Dupont operator caches and the orbit tables that fill them
-OPERATOR_TABLES = ("_H_CACHE", "_P_CACHE", "_S_CACHE",
-                   "_H_ORBITS", "_P_ORBITS", "_S_ORBITS")
+# the Dupont operator caches, the orbit tables that fill them, and the
+# table of shared keys and coefficients their terms are taken from
+OPERATOR_TABLES = ((dupont, "_H_CACHE"), (dupont, "_P_CACHE"),
+                   (dupont, "_S_CACHE"), (dupont, "_H_ORBITS"),
+                   (dupont, "_P_ORBITS"), (dupont, "_S_ORBITS"),
+                   (kernel, "_SHARED"))
 
 
 @pytest.fixture
 def cold_operator_caches(monkeypatch):
-    """Empty the Dupont operator caches and orbit tables for one test, so
-    that its operator calls fill them from scratch; the warm tables are
-    restored afterwards."""
-    for name in OPERATOR_TABLES:
-        monkeypatch.setattr(dupont, name, {})
+    """Empty the Dupont operator caches, their orbit tables and the
+    shared-term table for one test, so that its operator calls fill them
+    from scratch; the warm tables are restored afterwards."""
+    for module, name in OPERATOR_TABLES:
+        monkeypatch.setattr(module, name, {})

@@ -9,6 +9,7 @@ from functools import partial
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfty import bch_groupoid, kernel
 from linfty.algebra import (
@@ -49,7 +50,12 @@ from linfty.fixtures import (
     word_product,
 )
 from linfty.forms import Form
-from linfty.mc_gamma import GaugeParameter, solve_gauge_fixed
+from linfty.mc_gamma import (
+    GaugeParameter,
+    Horn,
+    fill_horn_gamma,
+    solve_gauge_fixed,
+)
 
 
 def tree_size(tree) -> int:
@@ -371,6 +377,20 @@ class TestCompose:
             right = compose(algebra, mu, x, compose(algebra, mu, y, z))
             assert left == right
 
+    @pytest.mark.parametrize("name", ["ut4", "heisenberg", "dg_lie_01"])
+    def test_reads_the_pulled_back_face(self, name):
+        # compose integrates the filler over (0, 2); the composed edge is
+        # the filler's face 1, pulled back
+        algebra = get_fixture(name)
+        sampler = Sampler(70)
+        for _ in range(10):
+            mu = sampler.mc_element(algebra)
+            x, y = sampler.vector(algebra, 0), sampler.vector(algebra, 0)
+            edge_y = alpha1(algebra, mu, y)
+            edge_x = alpha1(algebra, edge_y.vertex(1), x)
+            filler = fill_horn_gamma(Horn(2, 1, {0: edge_x, 2: edge_y}))
+            assert compose(algebra, mu, x, y) == edge_value(filler.face(1))
+
 
 class TestWordOracle:
     """The series on the free nilpotent Lie algebra on two degree-0
@@ -569,6 +589,17 @@ class TestNilMatrices:
         z = oracle_bch(x, y)
         half = x + y
         assert z == half + x.commutator(y).scale(Fraction(1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_triangular_product_equals_the_dense_product(self, data):
+        m = data.draw(st.integers(1, 5))
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        a, b = ([[data.draw(entry) if i <= j else Fraction(0)
+                  for j in range(m)] for i in range(m)] for _ in range(2))
+        dense = [[sum(a[i][k] * b[k][j] for k in range(m))
+                  for j in range(m)] for i in range(m)]
+        assert bch_groupoid._mat_mul(a, b) == dense
 
     def test_validation(self):
         with pytest.raises(ValueError):

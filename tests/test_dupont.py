@@ -447,6 +447,71 @@ def test_operators_commute_with_permuting_the_vertices(
     assert whitney_P(n, g) == _permuted(sigma, whitney_P(n, f))
 
 
+# -- the cached terms share their keys and coefficients -------------------
+
+
+def test_cached_terms_share_one_object_per_key_and_coefficient(
+        cold_operator_caches):
+    for check in (check_contraction_identities, check_gauge_identities):
+        check(3, 3)
+    check_naturality(3, 3)
+    terms = [form.terms for name in ("_H_CACHE", "_P_CACHE", "_S_CACHE",
+                                     "_H_ORBITS", "_P_ORBITS", "_S_ORBITS")
+             for form in getattr(dupont, name).values()]
+    keys = [key for t in terms for key in t]
+    coeffs = [coeff for t in terms for coeff in t.values()]
+    assert len(keys) > 10 * len(set(keys))
+    assert len({id(key) for key in keys}) == len(set(keys))
+    assert len({id(coeff) for coeff in coeffs}) == len(set(coeffs))
+
+
+# -- the harness labels, rendered only on failure ---------------------------
+
+
+def _broken_h(h):
+    """h^i with h^n replaced by (1 + t_1) h^n: the identities that read
+    h^n fail."""
+    def broken(i, n, f):
+        value = h(i, n, f)
+        return value + value * Form.t(1, n) if i == n else value
+    return broken
+
+
+@pytest.mark.parametrize("name, broken, first_failures", [
+    ("poincare_h", _broken_h, {
+        "d s + s d = Id - P on 2-simplex":
+            "FAIL: t2: -t1*t2 + t1*t2^2 != 0",
+        "d h^i + h^i d = Id - eval_i on 2-simplex":
+            "FAIL: h^2 on t2: -1 + t2 - t1 + t1*t2 != -1 + t2",
+        "h^i h^j + h^j h^i = 0 on 2-simplex":
+            "FAIL: h^0,h^2 on dt1^dt2: -1/4*t1^2 != 0",
+        "pullback s = s pullback":
+            "FAIL: (1, 2) on dt1: -t1^2 + t1^3 != t1^2 - t1^3",
+    }),
+    ("integrate_chain", lambda integral: lambda seq, f: integral(seq, f) + 1, {
+        "I_seq = eval h...h on 2-simplex": "FAIL: I_0 on 1: 1 != 2",
+    }),
+], ids=["h", "integral"])
+def test_harness_failure_lines_keep_their_text(
+        monkeypatch, cold_operator_caches, name, broken, first_failures):
+    monkeypatch.setattr(dupont, name, broken(getattr(dupont, name)))
+    reports = (check_contraction_identities(2, 1)
+               + check_gauge_identities(2, 1) + check_naturality(2, 1))
+    first = {r.name: next(line for line in r.lines if line.startswith("FAIL"))
+             for r in reports if r.name in first_failures}
+    assert first == first_failures
+
+
+def test_passing_harness_renders_nothing(monkeypatch):
+    def render(self):
+        raise AssertionError("a passing case rendered a form")
+
+    monkeypatch.setattr(Form, "render", render)
+    for check in (check_contraction_identities, check_gauge_identities,
+                  check_naturality, check_gaugeify_fixed_point):
+        assert all(r.passed for r in check(2, 2))
+
+
 # -- the operators pinned by fingerprint ---------------------------------
 
 

@@ -172,6 +172,23 @@ def test_unit_fast_paths_match_plain_products(a, b, scale):
     _assert_canonical(scaled.values())
 
 
+@settings(max_examples=200, deadline=None)
+@given(term_dicts)
+def test_share_keeps_the_terms_and_reuses_their_objects(terms):
+    shared = kernel.share(terms)
+    assert shared == terms
+    assert list(shared) == list(terms)
+    # sharing the result, or an equal dict of newly built keys and
+    # coefficients, gives back the same objects in the same order
+    rebuilt = {(tuple(list(e)), tuple(list(w))): Fraction(c.numerator,
+                                                          c.denominator)
+               for (e, w), c in terms.items()}
+    for again in (kernel.share(shared), kernel.share(rebuilt)):
+        assert all(a is b for a, b in zip(again, shared, strict=True))
+        assert all(a is b for a, b in zip(again.values(), shared.values(),
+                                          strict=True))
+
+
 def test_containers_store_fractions_for_int_input():
     heis = get_fixture("heisenberg")
     values = [

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfty import mc_gamma
+from linfty import kernel, mc_gamma
 from linfty.acceptance import SOLVER_FIXTURES
 from linfty.algebra import (
     LInftyAlgebra,
@@ -21,6 +21,7 @@ from linfty.algebra import (
 )
 from linfty.bch_groupoid import compose, generalized_ch
 from linfty.fixtures import BUNDLED, Sampler, get_fixture
+from linfty.dupont import monomial_basis
 from linfty.forms import Form
 from linfty.mc_gamma import (
     GaugeParameter,
@@ -533,6 +534,35 @@ class TestOneForms:
                     comps[sym] = form
             alpha = TensorElement(heis, 1, comps)
             assert tensor_curvature(alpha).is_zero()
+
+
+class BasisSampler(Sampler):
+    """The sampler with forms drawn over the whole monomial basis, one
+    draw per monomial of the wanted exterior degree: the reference."""
+
+    def form(self, n, exterior_degree, max_poly_degree):
+        total = {}
+        for mono in monomial_basis(n, max_poly_degree):
+            if len(next(iter(mono.terms))[1]) == exterior_degree:
+                kernel.add_into(total, mono.terms, self.rational())
+        return Form(n, total, _validated=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampler_witnesses_equal_the_basis_reference(seed):
+    sampler, reference = Sampler(seed), BasisSampler(seed)
+    for name in BUNDLED:
+        algebra = get_fixture(name)
+        for n in range(4):
+            for degree in (1, 2):
+                got = sampler.witness(algebra, n, degree)
+                want = reference.witness(algebra, n, degree)
+                assert got == want
+                # the same terms in the same order, so renders agree
+                assert [list(f.terms.items()) for f in got.comps.values()] \
+                    == [list(f.terms.items()) for f in want.comps.values()]
+    assert sampler.rng.getstate() == reference.rng.getstate()
+    assert sampler.form(2, -1, 2) == reference.form(2, -1, 2)
 
 
 class TestDoldKan:
