@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
 from linfty.forms import (
@@ -37,6 +37,28 @@ _ONE = Fraction(1)
 # the deepest level of the lower central filtration that is built; an
 # algebra whose filtration has not vanished by then counts as not nilpotent
 NILPOTENCY_CAP = 64
+
+
+def _compositions(total: int, parts: int, below: int, least: int = 1):
+    """The nondecreasing tuples of parts integers from least to below - 1
+    that sum to total, in lexicographic order."""
+    if parts == 1:
+        if least <= total < below:
+            yield (total,)
+        return
+    for first in range(least, min(total // parts, below - 1) + 1):
+        for rest in _compositions(total - first, parts - 1, below, first):
+            yield (first,) + rest
+
+
+def _tuples_up_to(even: int, odd: int, arity: int) -> int:
+    """The number of sorted tuples of arity at most arity, the empty one
+    included, over even symbols used at most once and odd symbols used
+    any number of times.  Padding each to the full arity with one extra
+    odd symbol makes them the tuples of exactly that arity: j distinct
+    even symbols and a multiset of arity - j of the odd + 1 odd ones."""
+    return sum(comb(even, j) * comb(odd + arity - j, arity - j)
+               for j in range(min(arity, even) + 1))
 
 
 class LInftyAlgebra:
@@ -117,9 +139,6 @@ class LInftyAlgebra:
 
     # -- basic structure ----------------------------------------------
 
-    def degree(self, sym: str) -> int:
-        return self.degrees[sym]
-
     def basis_vector(self, sym: str) -> "GVector":
         return GVector(self, {sym: _ONE})
 
@@ -150,16 +169,11 @@ class LInftyAlgebra:
 
     def canonical_count(self, arity: int, start: int = 0) -> int:
         """The number of canonical tuples of one arity over the symbols
-        from index start on: j distinct even symbols and a multiset of
-        arity - j odd ones (the empty multiset counted apart, since
-        comb(-1, 0) raises when there is no odd symbol)."""
+        from index start on."""
         odd = sum(1 for i in self._odd if i >= start)
         even = max(self.dim - start, 0) - odd
-        return sum(
-            comb(even, j) * (comb(odd + arity - j - 1, arity - j)
-                             if arity > j else 1)
-            for j in range(min(arity, even) + 1)
-        )
+        return (_tuples_up_to(even, odd, arity)
+                - _tuples_up_to(even, odd, arity - 1))
 
     def canonical_rank(self, syms: Sequence[str]) -> int:
         """The number of canonical tuples of len(syms) that come before
@@ -194,49 +208,38 @@ class LInftyAlgebra:
         above the level push the sum up, which keeps the chain
         decreasing).  Nilpotent iff the chain reaches zero.
 
-        Two savings keep the span the same.  The RREF rows of a level
-        are homogeneous, so permuting a bracket's arguments changes only
-        its sign: one nondecreasing composition of levels stands for all
-        its orderings, and a level repeated m times takes the multisets
-        of m of its rows.  A basis tuple holding a symbol that occurs in
-        no stored key of arity >= 2 brackets to zero, so each row enters
-        a bracket cut down to the other (active) symbols; a row with no
-        active symbol is dropped as a factor but kept in its level.
+        The RREF rows of a level are homogeneous, so permuting a
+        bracket's arguments changes only its sign: one nondecreasing
+        composition of levels stands for all its orderings.  Each
+        composition is one walk of the support trie (_atom_tuples) over
+        the atoms (symbol, row number, coefficient) of its levels' rows,
+        and the walk's atom tuples on one tuple of row numbers sum to
+        the bracket of those rows.  The two orders of a pair of rows of
+        one level stay apart, since summed they may cancel.
         """
         if self._filtration is not None:
             return self._filtration
-        active = {s for key in self.brackets if len(key) > 1 for s in key}
         spaces = [Subspace(self.symbols, [{s: _ONE} for s in self.symbols])]
-        # the bracket factors of each level: its rows on the active symbols
-        factors = [[self.basis_vector(s) for s in self.symbols if s in active]]
+        atoms = []
         index = None
         for level in range(2, NILPOTENCY_CAP + 2):
-            vectors = []
+            atoms.append([(s, i, c) for i, row in enumerate(spaces[-1].rows)
+                          for s, c in row.items()])
+            # the bracket of each tuple of rows, keyed by (levels, rows)
+            values: dict = {}
             for arity in range(2, self.max_arity + 1):
-                weight = max(level, arity)
-                # one order per multiset of levels: the nondecreasing one
-                for comp in itertools.combinations_with_replacement(
-                    range(1, level), arity
-                ):
-                    if sum(comp) != weight:
-                        continue
-                    runs = [
-                        (factors[c - 1], len(list(group)))
-                        for c, group in itertools.groupby(comp)
-                    ]
-                    for parts in itertools.product(*(
-                        itertools.combinations_with_replacement(rows, m)
-                        for rows, m in runs
-                    )):
-                        val = bracket(self, sum(parts, ()))
-                        if not val.is_zero():
-                            vectors.append(val.coeffs)
-            space = Subspace(self.symbols, vectors)
+                for comp in _compositions(max(level, arity), arity, level):
+                    walk, _ = _atom_tuples(
+                        self, [atoms[c - 1] for c in comp], lambda a: a,
+                        lambda atom: False,
+                    )
+                    for value, combo in walk:
+                        rows = (comp, tuple(atom[1] for atom in combo))
+                        kernel.add_into(values.setdefault(rows, {}),
+                                        value.coeffs,
+                                        prod(atom[2] for atom in combo))
+            space = Subspace(self.symbols, values.values())
             spaces.append(space)
-            factors.append([
-                GVector(self, cut) for row in space.rows
-                if (cut := {s: c for s, c in row.items() if s in active})
-            ])
             if space.is_zero():
                 index = level
                 break
@@ -499,15 +502,9 @@ def jacobi_candidates(algebra: LInftyAlgebra, n_max: int) -> set:
 def jacobi_cases(algebra: LInftyAlgebra, n_max: int) -> int:
     """The number of canonical tuples of arity 1..n_max: the cases of a
     passing check_jacobi(algebra, n_max).  In closed form, so that a
-    huge n_max costs nothing: padding each tuple to arity n_max with one
-    extra odd symbol makes them the canonical tuples of arity exactly
-    n_max over one more odd symbol, less the all-padding one."""
+    huge n_max costs nothing."""
     odd = len(algebra._odd)
-    even = algebra.dim - odd
-    return sum(
-        comb(even, j) * comb(odd + n_max - j, n_max - j)
-        for j in range(min(n_max, even) + 1)
-    ) - 1
+    return _tuples_up_to(algebra.dim - odd, odd, n_max) - 1
 
 
 def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:

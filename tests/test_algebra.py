@@ -14,6 +14,7 @@ from linfty import kernel
 from linfty.algebra import (
     NILPOTENCY_CAP,
     _atom_tuples,
+    _compositions,
     GVector,
     LInftyAlgebra,
     Morphism,
@@ -247,20 +248,29 @@ class TestLowerCentral:
             ])
 
     def test_free_class3_bracket_count(self, monkeypatch):
-        # one bracket per multiset of active rows: 300 at level 2, 432 at
-        # level 3, 171 at level 4
+        # no bracket call: one support-trie walk per composition of
+        # levels, (1, 1), (1, 2), (1, 3) and (2, 2), forming 348 atom
+        # tuples in all
         algebra, _ = free_nilpotent(
             "class3", CLASS3_GENERATORS, CLASS3_DELTA, 3
         )
-        calls = []
+        calls, walks = [], []
 
         def counted(*args):
             calls.append(None)
             return bracket(*args)
 
+        def walked(*args):
+            walk, runs = _atom_tuples(*args)
+            walks.append(len(walk))
+            return walk, runs
+
         monkeypatch.setattr("linfty.algebra.bracket", counted)
+        monkeypatch.setattr("linfty.algebra._atom_tuples", walked)
         assert algebra.lower_central().dims() == [94, 88, 70, 0]
-        assert len(calls) == 903
+        assert len(calls) == 0
+        assert len(walks) == 4
+        assert sum(walks) == 348
 
 
 class TestCurvatureAndTwist:
@@ -1180,6 +1190,18 @@ def test_jacobi_cases_is_the_per_arity_sum(degrees, n_max):
     algebra = LInftyAlgebra("graded", list(zip(symbols, degrees)))
     assert jacobi_cases(algebra, n_max) == sum(
         algebra.canonical_count(n) for n in range(1, n_max + 1))
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.integers(2, 6))
+def test_compositions_are_the_filtered_combinations(level, arity):
+    # the compositions lower_central walks at one level and arity
+    total = max(level, arity)
+    assert list(_compositions(total, arity, level)) == [
+        comp
+        for comp in itertools.combinations_with_replacement(range(1, level), arity)
+        if sum(comp) == total
+    ]
 
 
 def test_series_on_a_non_nilpotent_algebra_are_refused():

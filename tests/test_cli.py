@@ -32,6 +32,24 @@ class TestExitCodes:
         assert "nilpotent of index 3" in out
         assert "pass" in out
 
+    def test_check_jacobi_on_a_non_nilpotent_algebra(self, capsys, tmp_path):
+        # sl(2) plus u of degree -1 with [h, e, f] = u: the Jacobi rules
+        # hold, and the filtration runs to the cap without vanishing
+        path = tmp_path / "sl2_u3.json"
+        path.write_text(json.dumps({
+            "name": "sl2_u3",
+            "generators": [{"symbol": s, "degree": 0} for s in "hef"]
+            + [{"symbol": "u", "degree": -1}],
+            "brackets": [
+                {"args": list(args), "value": [{"symbol": sym, "coeff": c}]}
+                for args, sym, c in (("he", "e", "2"), ("hf", "f", "-2"),
+                                     ("ef", "h", "1"), ("hef", "u", "1"))
+            ],
+        }))
+        code, out, _ = run(capsys, "check-jacobi", "--algebra", str(path))
+        assert code == 0
+        assert "NOT nilpotent within the iteration cap" in out
+
     def test_validation_error_is_usage(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
