@@ -15,7 +15,6 @@ polynomial forms on a simplex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Mapping, Sequence
@@ -30,7 +29,7 @@ from linfty.forms import (
 )
 from linfty.linalg import Subspace, solve_linear
 from linfty import dupont, kernel
-from linfty.report import Report, quote
+from linfty.report import Record, Report, quote
 
 _ONE = Fraction(1)
 
@@ -266,16 +265,18 @@ class LInftyAlgebra:
         )
 
 
-@dataclass
-class FiltrationReport:
+class FiltrationReport(Record):
     """Lower central filtration: subspaces, nilpotency index (least
     level whose subspace vanishes) or None when the cap was hit."""
 
-    subspaces: list
-    nilpotency_index: int | None
+    _fields = ("subspaces", "nilpotency_index")
     # not a field: every report is built to the one cap; the benchmark's
     # tracer reads it to tell a cached filtration from a new build
     cap = NILPOTENCY_CAP
+
+    def __init__(self, subspaces: list, nilpotency_index: int | None):
+        self.subspaces = subspaces
+        self.nilpotency_index = nilpotency_index
 
     @property
     def diverged(self) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -44,7 +43,7 @@ from linfty.mc_gamma import (
     incompatible_faces,
     solve_gauge_fixed,
 )
-from linfty.report import Report
+from linfty.report import Record, Report
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -59,26 +58,34 @@ def canonical_tree(children) -> tuple:
     return tuple(sorted(children))
 
 
-def _grown(tree):
-    """The tree with one more leaf, once for each vertex it can hang from."""
-    yield canonical_tree(tree + ((),))
+def _grown(tree, width):
+    """The tree with one more leaf, once for each vertex it can hang
+    from: each vertex with fewer than width children (any vertex when
+    width is None)."""
+    if width is None or len(tree) < width:
+        yield canonical_tree(tree + ((),))
     for i, child in enumerate(tree):
-        for bigger in _grown(child):
+        for bigger in _grown(child, width):
             yield canonical_tree(tree[:i] + (bigger,) + tree[i + 1:])
 
 
 @lru_cache(maxsize=None)
-def enumerate_trees(k: int) -> tuple:
-    """The rooted trees with k vertices, sorted, each with its
+def enumerate_trees(k: int, width: int | None = None) -> tuple:
+    """The rooted trees with k vertices and at most width children at
+    each vertex (any number when width is None), sorted, each with its
     monotone-order coefficient: the number of ways to grow it from the
-    root one leaf at a time, i.e. of its increasing vertex labelings."""
+    root one leaf at a time, i.e. of its increasing vertex labelings.
+
+    Removing a leaf never adds a child to a vertex, so every tree of
+    width at most w grows only through trees of width at most w, and
+    its coefficient is the same with or without the bound."""
     if k < 1:
         raise ValueError("trees need at least one vertex")
     if k == 1:
         return (((), 1),)
     counts = Counter()
-    for tree, coefficient in enumerate_trees(k - 1):
-        for bigger in _grown(tree):
+    for tree, coefficient in enumerate_trees(k - 1, width):
+        for bigger in _grown(tree, width):
             counts[bigger] += coefficient
     return tuple(sorted(counts.items()))
 
@@ -93,11 +100,14 @@ def gauge_flow_terms(algebra: LInftyAlgebra, mu: GVector, x: GVector):
 
     Each tree contributes the nested twisted bracket obtained by reading
     a vertex with children a_1..a_i as [x, a_1, ..., a_i] twisted by mu,
-    weighted by its monotone-order coefficient.  A subtree's bracket is
-    evaluated once and shared by every k.
+    weighted by its monotone-order coefficient.  That bracket has arity
+    i + 1 and vanishes above max_arity, so only the trees with at most
+    max_arity - 1 children at each vertex are grown.  A subtree's
+    bracket is evaluated once and shared by every k.
     """
     if not is_mc(algebra, mu):
         raise ValueError("base point does not satisfy Maurer-Cartan")
+    width = algebra.max_arity - 1
     values: dict = {}
 
     def evaluate(tree) -> GVector:
@@ -111,7 +121,7 @@ def gauge_flow_terms(algebra: LInftyAlgebra, mu: GVector, x: GVector):
     return [
         algebra.zero_vector().combine(
             (coefficient, evaluate(tree))
-            for tree, coefficient in enumerate_trees(k))
+            for tree, coefficient in enumerate_trees(k, width))
         for k in range(1, algebra.nilpotency_index())
     ]
 
@@ -160,13 +170,15 @@ def rho1(algebra: LInftyAlgebra, mu: GVector, x: GVector) -> GVector:
 # -- the generalized Campbell-Hausdorff series --------------------------
 
 
-@dataclass
-class CHResult:
+class CHResult(Record):
     """A generalized Campbell-Hausdorff value with the solved simplex
     it was read from."""
 
-    value: GVector
-    simplex: SimplexElement
+    _fields = ("value", "simplex")
+
+    def __init__(self, value: GVector, simplex: SimplexElement):
+        self.value = value
+        self.simplex = simplex
 
 
 def generalized_ch(algebra: LInftyAlgebra, n: int, mu: GVector,

@@ -285,6 +285,9 @@ _H_ORBITS: dict = {}
 _P_ORBITS: dict = {}
 _S_ORBITS: dict = {}
 
+# n -> the one zero form that the tables keep for the n-simplex
+_ZERO_FORMS: dict = {}
+
 
 def _apply(name: str, cache: dict, orbits: dict, compute: Callable,
            i: int, n: int, f: Form) -> Form:
@@ -319,7 +322,8 @@ def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
     its sign; when sigma is the identity the value itself is returned.
     Both the kept value and the renamed one share their keys and
     coefficients (kernel.share), so the tables hold one object per
-    monomial and per coefficient value.
+    monomial and per coefficient value, and every zero value of the
+    n-simplex is one Form.
     """
     exps, word = key
     order = sorted(range(1, n + 1),
@@ -331,9 +335,11 @@ def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
     rep = (tuple(exps[j - 1] for j in order), rep_word)
     form = orbits.get((rank[i], n, rep))
     if form is None:
-        form = orbits[rank[i], n, rep] = Form(
-            n, kernel.share(compute(rank[i], n, rep).terms), _validated=True)
-    if rank[i] == i and rep == key:
+        terms = compute(rank[i], n, rep).terms
+        form = orbits[rank[i], n, rep] = (
+            Form(n, kernel.share(terms), _validated=True) if terms
+            else _ZERO_FORMS.setdefault(n, Form.zero(n)))
+    if not form.terms or (rank[i] == i and rep == key):
         return form
     # sigma(t^e dt_W) = sign * rep, so op_i(t^e dt_W) is sign times
     # sigma^-1 of op_sigma(i)(rep)

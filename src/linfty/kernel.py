@@ -12,10 +12,12 @@ helpers carry every reordering sign: ``sort_word`` for dt-words and for
 the arguments of a graded antisymmetric bracket, ``merge_words`` for
 the exterior product.
 
-Cached terms share their keys and coefficients: ``share`` returns a
-term dict whose keys and coefficients come from one module-level table
+Cached terms share their keys, the parts of their keys and their
+coefficients: ``share`` returns a term dict whose keys, exponent
+tuples, dt-words and coefficients come from one module-level table
 (hash-consing), so the long-lived tables of ``dupont`` and ``forms``
-hold one key object per monomial and one Fraction per value.
+hold one key object per monomial, one tuple per exponent vector or
+word and one Fraction per value.
 
 Exact arithmetic: the package's four internal primitives compute
 from numerators and denominators: ``frac_add``, ``frac_mul`` and
@@ -227,20 +229,29 @@ def add_term(dst, key, coeff):
     return dst
 
 
-# the first key and the first coefficient seen for each value, by value
+# the first object seen for each key, key part and coefficient, by value
 _SHARED: dict = {}
 
 
 def share(terms):
-    """A term dict equal to terms, in the same order, whose keys and
-    coefficients are the first objects ``share`` saw with their values.
+    """A form term dict equal to terms, in the same order, whose keys,
+    the exponent tuples and dt-words of the keys, and coefficients are
+    the first objects ``share`` saw with their values.
 
     Called where a form enters a long-lived table, so that the table
-    holds one key object per monomial and one Fraction per value.  The
-    keys must never equal a coefficient (form keys are tuples)."""
+    holds one object per monomial, per exponent tuple, per word and per
+    coefficient value.  Equal tuples share one object whatever their
+    role; no tuple equals a Fraction."""
     shared = _SHARED.setdefault
-    return {shared(key, key): shared(coeff, coeff)
-            for key, coeff in terms.items()}
+    out = {}
+    for key, coeff in terms.items():
+        first = _SHARED.get(key)
+        if first is None:
+            exps, word = key
+            first = (shared(exps, exps), shared(word, word))
+            _SHARED[first] = first
+        out[first] = shared(coeff, coeff)
+    return out
 
 
 def scale_terms(terms, scale):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
@@ -36,7 +35,7 @@ from linfty.algebra import (
 )
 from linfty.forms import SimplicialMap
 from linfty.linalg import Subspace, kernel_basis
-from linfty.report import Report, quote
+from linfty.report import Record, Report, quote
 
 
 class SolverError(RuntimeError):
@@ -121,8 +120,7 @@ def constant_simplex(n: int, mu: GVector) -> SimplexElement:
     return SimplexElement(constant_tensor(n, mu), validate=False)
 
 
-@dataclass
-class GaugeParameter:
+class GaugeParameter(Record):
     """Prescribed solver data: a Maurer-Cartan vertex value and the
     witness of the homotopy part, both over the witness's algebra and
     simplex.
@@ -132,18 +130,18 @@ class GaugeParameter:
     elementary forms in the gauge-fixed case.
     """
 
-    mu: GVector
-    witness: TensorElement
+    _fields = ("mu", "witness")
 
-    def __post_init__(self):
-        if self.mu.algebra is not self.witness.algebra:
+    def __init__(self, mu: GVector, witness: TensorElement):
+        if mu.algebra is not witness.algebra:
             raise ValueError(
                 "vertex value and witness live in different algebras: "
-                f"{quote(self.mu.algebra.name)} and "
-                f"{quote(self.witness.algebra.name)}"
+                f"{quote(mu.algebra.name)} and {quote(witness.algebra.name)}"
             )
-        if not self.witness.is_zero() and not self.witness.is_homogeneous(0):
+        if not witness.is_zero() and not witness.is_homogeneous(0):
             raise ValueError("witness must have total degree 0")
+        self.mu = mu
+        self.witness = witness
 
 
 def _solve(g: GaugeParameter, i: int, gauge: bool) -> SimplexElement:

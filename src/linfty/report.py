@@ -4,20 +4,46 @@ A Report counts the cases it examined and the ones that failed, and
 keeps its notes and its "FAIL: ..." lines in order.  Its summary line is
 "{pass|FAIL}  {name}: {cases} cases", followed on failure by
 ", {k} failures; first: {message}".  A report with no failure passes.
+
+Report and the package's other plain records (FiltrationReport,
+CHResult, GaugeParameter) derive from Record, which compares and
+renders them field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Record:
+    """A plain record: equality and repr field by field over the
+    attributes named in ``_fields``; mutable, so unhashable."""
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields,
+                                                      self._values()))
+        return f"{type(self).__qualname__}({args})"
 
 
-@dataclass
-class Report:
-    name: str
-    number: int | None = None  # the acceptance criterion, if it is one
-    cases: int = 0
-    failures: int = 0
-    lines: list = field(default_factory=list)
+class Report(Record):
+    _fields = ("name", "number", "cases", "failures", "lines")
+
+    def __init__(self, name: str, number: int | None = None, cases: int = 0,
+                 failures: int = 0, lines: list | None = None):
+        self.name = name
+        self.number = number  # the acceptance criterion, if it is one
+        self.cases = cases
+        self.failures = failures
+        self.lines = [] if lines is None else lines
 
     @property
     def passed(self) -> bool:

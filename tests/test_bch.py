@@ -148,6 +148,19 @@ class TestTrees:
         assert first == second
         assert all(tree_size(t) == 5 for t in first)
 
+    def test_width_keeps_the_narrow_trees_and_their_coefficients(self):
+        # brute force: the unbounded coefficients, restricted to the
+        # trees with at most w children at each vertex
+        def width(tree):
+            return max([len(tree)] + [width(c) for c in tree])
+
+        for k in range(1, 9):
+            unbounded = dict(brute_force_tree_coefficients(k))
+            for w in range(4):
+                assert dict(enumerate_trees(k, w)) == {
+                    tree: c for tree, c in unbounded.items()
+                    if width(tree) <= w}
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             enumerate_trees(0)
@@ -178,8 +191,10 @@ class TestGaugeFlow:
             assert tree_exponential(heis, heis.zero_vector(), x, k).is_zero()
 
     def test_one_edge_evaluates_each_tree_once(self, monkeypatch):
-        # ut4 has nilpotency index 4: the four trees with 1-3 vertices
-        # each cost one twisted bracket, and the base point one MC check
+        # ut4 has nilpotency index 4 and max_arity 2: the three trees of
+        # width 1 with 1-3 vertices (the chains) each cost one twisted
+        # bracket, and the base point one MC check; the two-leaf tree
+        # would be a zero ternary bracket and is not grown
         ut4 = get_fixture("ut4")
         assert ut4.nilpotency_index() == 4
         calls = Counter()
@@ -194,7 +209,7 @@ class TestGaugeFlow:
         counted("is_mc", bch_groupoid.is_mc)
         x = ut4.vector({"E12": 1, "E23": Fraction(1, 2), "E34": -1})
         alpha1(ut4, ut4.zero_vector(), x)
-        assert calls == {"twisted_bracket": 4, "is_mc": 1}
+        assert calls == {"twisted_bracket": 3, "is_mc": 1}
 
     def test_degree_zero_lie_flow_is_trivial(self):
         heis = get_fixture("heisenberg")

@@ -455,14 +455,22 @@ def test_cached_terms_share_one_object_per_key_and_coefficient(
     for check in (check_contraction_identities, check_gauge_identities):
         check(3, 3)
     check_naturality(3, 3)
-    terms = [form.terms for name in ("_H_CACHE", "_P_CACHE", "_S_CACHE",
-                                     "_H_ORBITS", "_P_ORBITS", "_S_ORBITS")
+    forms = [form for name in ("_H_CACHE", "_P_CACHE", "_S_CACHE",
+                               "_H_ORBITS", "_P_ORBITS", "_S_ORBITS")
              for form in getattr(dupont, name).values()]
+    terms = [form.terms for form in forms]
     keys = [key for t in terms for key in t]
     coeffs = [coeff for t in terms for coeff in t.values()]
     assert len(keys) > 10 * len(set(keys))
-    assert len({id(key) for key in keys}) == len(set(keys))
-    assert len({id(coeff) for coeff in coeffs}) == len(set(coeffs))
+    # one object per key, per exponent tuple, per dt-word and per
+    # coefficient value
+    for objects in (keys, coeffs, [exps for exps, _ in keys],
+                    [word for _, word in keys]):
+        assert len({id(obj) for obj in objects}) == len(set(objects))
+    # one zero form per simplex dimension
+    zeros = [form for form in forms if not form.terms]
+    assert zeros
+    assert len({id(form) for form in zeros}) == len({form.n for form in zeros})
 
 
 # -- the harness labels, rendered only on failure ---------------------------
