@@ -56,13 +56,14 @@ from linfty.mc_gamma import (
     GaugeParameter,
     Horn,
     SimplexElement,
+    SolverError,
     dold_kan_compare,
     fill_horn_gamma,
     fill_horn_mc,
     fill_horn_relative,
     gamma_data,
-    is_thin,
     mc_data,
+    refill_report,
     solve_gauge_fixed,
     solve_mc,
 )
@@ -174,38 +175,28 @@ def criterion_solver_roundtrip(seed: int = 0, max_degree: int = 4) -> Report:
 
 
 def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> Report:
-    """7: thin fillers exist at every position with exact faces, are
-    unique under double runs, and relative filling hits its target."""
-    result = _criterion(7, "horn filling (absolute, thin, and relative)")
+    """7: every horn of a sampled gauge-fixed (thin) simplex refills to
+    it, plain fillers exist at every position, and relative filling hits
+    its target."""
+    result = _criterion(7, "horn filling (unique refill, plain, and relative)")
     sampler = Sampler(seed)
     for name in ("heisenberg", "dg_lie_01"):
         algebra = get_fixture(name)
         for n in (2, 3):
-            sub = Report(f"{name} n={n}: horns at every position")
+            g = GaugeParameter(
+                mu=sampler.mc_element(algebra),
+                witness=sampler.witness(algebra, n),
+            )
+            simplex = solve_gauge_fixed(g, 0)
+            sub = refill_report(f"{name} n={n}: horns at every position", n,
+                                [simplex], Horn.of, fill_horn_gamma)
             for missing in range(n + 1):
-                g = GaugeParameter(
-                    mu=sampler.mc_element(algebra),
-                    witness=sampler.witness(algebra, n),
-                )
-                simplex = solve_gauge_fixed(g, 0)
-                faces = {
-                    j: simplex.face(j) for j in range(n + 1) if j != missing
-                }
-                horn = Horn(n, missing, faces)
+                error = None
                 try:
-                    filler = fill_horn_gamma(horn)
-                except Exception as exc:
-                    sub.check(False, f"horn {missing}: {exc}")
-                    continue
-                sub.check(is_thin(filler), f"horn {missing}: filler is not thin")
-                sub.check(
-                    fill_horn_gamma(horn) == filler,
-                    f"horn {missing}: double run differs",
-                )
-                try:
-                    fill_horn_mc(horn)
-                except Exception as exc:
-                    sub.check(False, f"plain horn {missing}: {exc}")
+                    fill_horn_mc(Horn.of(simplex, missing))
+                except (ValueError, SolverError) as exc:
+                    error = exc
+                sub.check(error is None, f"plain horn {missing}: {error}")
             result.include(sub)
     heis = get_fixture("heisenberg")
     projection = quotient(heis, 2)
@@ -213,9 +204,8 @@ def criterion_horn_filling(seed: int = 0, max_degree: int = 4) -> Report:
     for missing in range(3):
         g = GaugeParameter(mu=heis.zero_vector(), witness=sampler.witness(heis, 2))
         simplex = solve_gauge_fixed(g, 0)
-        horn = Horn(2, missing, {j: simplex.face(j) for j in range(3) if j != missing})
         target = SimplexElement(projection.apply(simplex.value))
-        lifted = fill_horn_relative(projection, horn, target)
+        lifted = fill_horn_relative(projection, Horn.of(simplex, missing), target)
         relative.check(
             projection.apply(lifted.value) == target.value,
             f"relative fill at position {missing} misses the target",
@@ -306,9 +296,9 @@ def criterion_monodromy(seed: int = 0, max_degree: int = 4) -> Report:
 
 def criterion_associativity(seed: int = 0, max_degree: int = 4) -> Report:
     """10: the degree -1 associator vanishes for dg Lie fixtures,
-    composition is associative on samples, and the genuine three-bracket
-    fixture's associator is reported."""
-    result = _criterion(10, "associativity (vanishing associator, table check)")
+    composition is associative on samples, and the three-bracket
+    fixture's associator is -l3/6 at mu = 0."""
+    result = _criterion(10, "associativity (associator 0 or -l3/6, table check)")
     sampler = Sampler(seed)
     for name in ("heisenberg", "ut4", "dg_lie_01"):
         algebra = get_fixture(name)
@@ -336,12 +326,13 @@ def criterion_associativity(seed: int = 0, max_degree: int = 4) -> Report:
         result.include(sub)
     tb = get_fixture("three_bracket")
     sampler_tb = Sampler(seed + 1)
-    xs = [sampler_tb.vector(tb, 0) for _ in range(3)]
-    associator = rho3_associativity_check(tb, tb.zero_vector(), *xs)
-    result.note(
-        "three_bracket associator (reported, not asserted): "
-        f"{associator.render()}"
-    )
+    sub = Report("three_bracket: associator -l3/6 on sampled triples")
+    for _ in range(20):
+        xs = [sampler_tb.vector(tb, 0) for _ in range(3)]
+        sub.record(lambda: str([x.render() for x in xs]),
+                   rho3_associativity_check(tb, tb.zero_vector(), *xs),
+                   bracket(tb, xs).scale(Fraction(-1, 6)))
+    result.include(sub)
     return result
 
 

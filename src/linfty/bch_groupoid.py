@@ -246,8 +246,9 @@ def rho3_associativity_check(algebra: LInftyAlgebra, mu: GVector,
                              x1: GVector, x2: GVector,
                              x3: GVector) -> GVector:
     """The degree -1 associator: the top series value with all interior
-    slots zero.  Exactly zero for dg Lie algebras; may be nonzero when a
-    ternary bracket is present."""
+    slots zero.  Exactly zero for dg Lie algebras; at mu = 0 it is
+    -l3(x1, x2, x3)/6 when the ternary bracket l3 is the only bracket
+    on degree 0 (three_bracket, criterion 10)."""
     return generalized_ch(
         algebra, 3, mu, {(1,): x1, (2,): x2, (3,): x3}
     ).value
@@ -464,12 +465,11 @@ class NerveTruncation:
 
     The morphisms are the keys of source; compose[(g, h)] is "h then g".
     n-simplices are composable chains [g_1, ..., g_n]; face maps drop or
-    compose.  Provides exhaustive unique-filler lookup, and checks
-    against every compatible family of faces that horns have unique
-    fillers and that boundaries determine their simplices.  Following
-    Duskin, a table in which every object carries a morphism is a
-    groupoid exactly when every horn of dimension 2 and 3 has one
-    filler; nothing else checks the groupoid axioms.
+    compose.  Checks against every compatible family of faces that
+    horns have unique fillers and that boundaries determine their
+    simplices.  Following Duskin, a table in which every object carries
+    a morphism is a groupoid exactly when every horn of dimension 2 and
+    3 has one filler; nothing else checks the groupoid axioms.
     """
 
     def __init__(self, objects, source, target, compose, bound: int):
@@ -503,15 +503,6 @@ class NerveTruncation:
         """The faces of an n-simplex, with None at position missing."""
         return tuple(None if k == missing else self.face(n, k, simplex)
                      for k in range(n + 1))
-
-    def unique_filler(self, n: int, i: int, horn):
-        horn = tuple(horn)
-        found = [s for s in self.simplices[n] if self.faces(n, s, i) == horn]
-        if len(found) != 1:
-            raise ValueError(
-                f"horn has {len(found)} fillers; expected exactly one"
-            )
-        return found[0]
 
     def _faces_biject(self, n: int, missing=None) -> bool:
         """Whether the faces (None at missing) of the n-simplices are a

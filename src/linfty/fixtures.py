@@ -95,13 +95,14 @@ def free_nilpotent(name: str, generators, delta, top: int):
 
     def add_cells(cells):
         """Per multiset, RREF the rows (word expansion | unit) of the
-        (symbol, letters, expansion) cells.  Its rows with no word part
-        are the RREF of the relations; keep the cells off their pivots."""
+        (symbol, letters, expansion) cells over the words they hold.
+        Its rows with no word part are the RREF of the relations; keep
+        the cells off their pivots."""
         groups: dict = {}
         for sym, letters, lie in cells:
             groups.setdefault(tuple(sorted(letters)), []).append((sym, lie))
         for multiset, group in groups.items():
-            words = sorted(set(itertools.permutations(multiset)))
+            words = sorted(set().union(*(lie for _, lie in group)))
             reader = readers[multiset] = Subspace(
                 words + [sym for sym, _ in group],
                 [{**lie, sym: _ONE} for sym, lie in group],

@@ -260,6 +260,22 @@ def incompatible_faces(faces, face):
     return None
 
 
+def refill_report(label: str, n: int, simplices, horn, fill) -> Report:
+    """Duskin's uniqueness condition on the given n-simplices: one case
+    per simplex x and position k, fill(horn(x, k)) == x, where horn(x, k)
+    is the k-th horn of x.  A ValueError or SolverError raised on the way
+    fails its case with its message."""
+    report = Report(label)
+    for number, x in enumerate(simplices):
+        for k in range(n + 1):
+            try:
+                ok, message = fill(horn(x, k)) == x, "filler differs"
+            except (ValueError, SolverError) as exc:
+                ok, message = False, str(exc)
+            report.check(ok, f"simplex {number}, horn {k}: {message}")
+    return report
+
+
 class Horn:
     """Index i plus n compatible (n-1)-simplices: a map from the i-th
     horn of the n-simplex."""
@@ -290,11 +306,12 @@ class Horn:
                 f"from face {k - 1} of x_{j}"
             )
 
-    def vertex_value(self, i: int) -> GVector:
-        """Value of the underlying form at vertex e_i of the big simplex."""
-        j = next(p for p in self.faces if p != i)
-        local = i if i < j else i - 1
-        return self.faces[j].vertex(local)
+    @classmethod
+    def of(cls, simplex: SimplexElement, missing: int) -> "Horn":
+        """The horn of simplex at missing: all faces but that one."""
+        return cls(simplex.n, missing, {
+            j: simplex.face(j) for j in range(simplex.n + 1) if j != missing
+        })
 
     def integrate(self, seq) -> GVector:
         """Chain integral over a proper subchain, read off any face
@@ -378,9 +395,7 @@ def _fill_gauge_fixed(horn: Horn, top) -> SimplexElement:
     def integral(seq):
         return top(seq) if len(seq) > horn.n else horn.integrate(seq)
 
-    g = GaugeParameter(
-        mu=horn.vertex_value(i), witness=chain_witness(horn.n, i, integral)
-    )
+    g = GaugeParameter(integral((i,)), chain_witness(horn.n, i, integral))
     filler = solve_gauge_fixed(g, i)
     _check_faces(filler, horn)
     return filler

@@ -9,7 +9,6 @@ documented expected failure rather than something to tune away.
 """
 
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -22,8 +21,8 @@ from linfty.fixtures import (
     free_nilpotent,
     free_nilpotent_class3,
     word_commutator,
-    word_product,
 )
+from word_oracle import exp_log
 
 
 def _run(name):
@@ -156,27 +155,7 @@ def test_word_bch_witness_rho2_expansion():
     _, expansion = free_nilpotent(
         "words", CLASS3_GENERATORS, CLASS3_DELTA, 3
     )
-    top = 3
-    one = {(): Fraction(1)}
-
-    def mul(u, v):
-        return {w: c for w, c in word_product(u, v).items() if len(w) <= top}
-
-    def exp(x):
-        total, power = dict(one), one
-        for k in range(1, top + 1):
-            power = mul(power, x)
-            kernel.add_into(total, power, Fraction(1, factorial(k)))
-        return total
-
-    def log(g):
-        z = kernel.add_into(dict(g), one, -1)
-        total, power = {}, one
-        for k in range(1, top + 1):
-            power = mul(power, z)
-            kernel.add_into(total, power, Fraction((-1) ** (k + 1), k))
-        return total
-
+    exp, log, mul = exp_log(3)
     x1, x2 = expansion["x1"], expansion["x2"]
     bch = log(mul(exp(kernel.scale_terms(x2, -1)), exp(x1)))
 

@@ -93,6 +93,20 @@ def antisymmetric_sign(permutation, degrees):
     return permutation_parity(permutation) * koszul_sign(permutation, degrees)
 
 
+def mobius(n):
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p:
+            p += 1
+            continue
+        n //= p
+        if n % p == 0:
+            return 0
+        sign = -sign
+    return sign
+
+
 class TestKoszulSign:
     def test_examples(self):
         assert koszul_sign((0, 1), (1, 1)) == 1
@@ -217,10 +231,17 @@ class TestLowerCentral:
         assert free_nilpotent_class3()[0] is algebra
 
     def test_free_two_generators_has_witt_dimensions(self):
-        # the free Lie algebra on two letters has 2, 1, 2, 3, 6, 9
-        # basis elements of weight 1..6
-        algebra, _ = free_nilpotent("xy", [("x", 0), ("y", 0)], {}, 6)
-        assert algebra.lower_central().dims() == [23, 21, 20, 18, 15, 9, 0]
+        # Witt's necklace formula: the free Lie algebra on two letters
+        # has (1/w) sum over d | w of mobius(d) 2^(w/d) basis elements
+        # of weight w, and level k of its filtration is weights >= k
+        top = 10
+        algebra, _ = free_nilpotent("xy", [("x", 0), ("y", 0)], {}, top)
+        witt = [sum(mobius(d) * 2 ** (w // d)
+                    for d in range(1, w + 1) if w % d == 0) // w
+                for w in range(1, top + 1)]
+        assert witt[:6] == [2, 1, 2, 3, 6, 9]
+        assert algebra.lower_central().dims() == (
+            [sum(witt[k:]) for k in range(top)] + [0])
 
     def test_free_class3_generators_at_weight_two(self):
         algebra, _ = free_nilpotent(

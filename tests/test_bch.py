@@ -47,15 +47,16 @@ from linfty.fixtures import (
     get_representation,
     pair_groupoid_nerve,
     word_commutator,
-    word_product,
 )
 from linfty.forms import Form
 from linfty.mc_gamma import (
     GaugeParameter,
     Horn,
     fill_horn_gamma,
+    refill_report,
     solve_gauge_fixed,
 )
+from word_oracle import exp_log
 
 
 def tree_size(tree) -> int:
@@ -415,56 +416,16 @@ class TestWordOracle:
     LETTERS = [("x", 0), ("y", 0)]
 
     @staticmethod
-    def _exp_log(top):
-        """Truncated exp and log in the free associative algebra, and
-        the product they are truncated in."""
-        one = {(): Fraction(1)}
-
-        def by_length(u):
-            pieces: dict = {}
-            for w, c in u.items():
-                pieces.setdefault(len(w), {})[w] = c
-            return pieces
-
-        def mul(u, v):
-            # word_product piece by piece, skipping the pairs of pieces
-            # whose words are all longer than top
-            out: dict = {}
-            v_pieces = by_length(v)
-            for k, uk in by_length(u).items():
-                for j, vj in v_pieces.items():
-                    if k + j <= top:
-                        kernel.add_into(out, word_product(uk, vj))
-            return out
-
-        def exp(x):
-            total, power = dict(one), one
-            for k in range(1, top + 1):
-                power = mul(power, x)
-                kernel.add_into(total, power, Fraction(1, factorial(k)))
-            return total
-
-        def log(g):
-            z = kernel.add_into(dict(g), one, -1)
-            total, power = {}, one
-            for k in range(1, top + 1):
-                power = mul(power, z)
-                kernel.add_into(total, power, Fraction((-1) ** (k + 1), k))
-            return total
-
-        return exp, log, mul
-
-    @staticmethod
     def _words(expansion, v):
         out: dict = {}
         for sym, c in v.coeffs.items():
             kernel.add_into(out, expansion[sym], c)
         return out
 
-    @pytest.mark.parametrize("top", [5, 6])
+    @pytest.mark.parametrize("top", [5, 6, 7, 8])
     def test_series_are_log_of_exponentials(self, top):
         algebra, expansion = free_nilpotent("xy", self.LETTERS, {}, top)
-        exp, log, mul = self._exp_log(top)
+        exp, log, mul = exp_log(top)
         zero = algebra.zero_vector()
         sampler = Sampler(60 + top)
         for _ in range(3):
@@ -518,9 +479,8 @@ class TestAssociativity:
             tb, tb.zero_vector(),
             tb.basis_vector("a"), tb.basis_vector("b"), tb.basis_vector("c"),
         )
-        # the genuine ternary bracket shows up in the associator
-        assert not associator.is_zero()
-        assert set(associator.coeffs) == {"w"}
+        # the associator at mu = 0 is -l3/6, and l3(a, b, c) = w
+        assert associator == tb.basis_vector("w").scale(Fraction(-1, 6))
 
 
 class TestGaugeAction:
@@ -623,19 +583,42 @@ class TestNilMatrices:
             matrix_log([[2, 0], [0, 1]])
 
 
+def nerve_fill(nerve, n):
+    """The inverse of the face maps of the nerve's n-simplices: a horn
+    (the faces with None at one position) -> the simplex it was cut
+    from.  Where two simplices share a horn it keeps the later one, so
+    a refill of the earlier one fails."""
+    inverse = {nerve.faces(n, s, k): s
+               for s in nerve.simplices[n] for k in range(n + 1)}
+    return inverse.__getitem__
+
+
 class TestGroupoidNerve:
     def test_cyclic_two_element_nerve(self):
         nerve = cyclic_group_nerve(2, 3)
         assert len(nerve.simplices[2]) == 4
-        filler = nerve.unique_filler(2, 1, ((1,), None, (1,)))
+        filler = nerve_fill(nerve, 2)(((1,), None, (1,)))
         assert nerve.face(2, 1, filler) == (0,)
 
     def test_composite_edge_of_inner_horn(self):
         z4 = cyclic_group_nerve(4, 3)
+        fill = nerve_fill(z4, 2)
         for g in range(4):
             for h in range(4):
-                filler = z4.unique_filler(2, 1, ((g,), None, (h,)))
+                filler = fill(((g,), None, (h,)))
                 assert z4.face(2, 1, filler) == ((h + g) % 4,)
+
+    # the refill check that criterion 7 runs on gamma, on every simplex
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("make_nerve", [partial(cyclic_group_nerve, 2),
+                                            pair_groupoid_nerve],
+                             ids=["cyclic2", "pair"])
+    def test_every_horn_refills(self, make_nerve, n):
+        nerve = make_nerve(3)
+        report = refill_report("nerve", n, nerve.simplices[n],
+                               partial(nerve.faces, n), nerve_fill(nerve, n))
+        assert report.passed, report.report()
+        assert report.cases == (n + 1) * len(nerve.simplices[n])
 
     def test_discrete_groupoid_nerve_constant(self):
         nerve = NerveTruncation(
@@ -708,6 +691,12 @@ class TestGroupoidNerve:
     def test_non_invertible_element_fails_at_two(self):
         nerve = group_nerve([0, 1], lambda a, b: a * b, 3)
         assert not nerve.check_filler_bijectivity(2)
+        # 0 * g = g * 0 = 0: the 2-simplex (0, 0) shares its horn at
+        # position 0 with (0, 1) and at position 2 with (1, 0)
+        report = refill_report("nerve", 2, nerve.simplices[2],
+                               partial(nerve.faces, 2), nerve_fill(nerve, 2))
+        assert report.lines == ["FAIL: simplex 0, horn 0: filler differs",
+                                "FAIL: simplex 0, horn 2: filler differs"]
 
     def test_wrong_endpoint_composite_fails_at_two(self):
         pair = pair_groupoid_nerve(3)
