@@ -235,7 +235,7 @@ class LInftyAlgebra:
                     for value, combo in walk:
                         rows = (comp, tuple(atom[1] for atom in combo))
                         kernel.add_into(values.setdefault(rows, {}),
-                                        value.coeffs,
+                                        value.coeffs.items(),
                                         prod(atom[2] for atom in combo))
             space = Subspace(self.symbols, values.values())
             spaces.append(space)
@@ -307,7 +307,7 @@ class GVector(kernel.Linear):
         acc = dict(self.coeffs)
         for c, x in pairs:
             self._check(x)
-            kernel.add_into(acc, x.coeffs, c)
+            kernel.add_into(acc, x.coeffs.items(), c)
         return GVector(self.algebra, acc)
 
     # -- grading -------------------------------------------------------
@@ -380,7 +380,7 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
             coeff *= c
         if runs:
             coeff *= _run_weight(runs, combo)
-        kernel.add_into(total, value.coeffs, coeff)
+        kernel.add_into(total, value.coeffs.items(), coeff)
     return GVector(algebra, total)
 
 
@@ -468,7 +468,7 @@ def jacobiator(algebra: LInftyAlgebra, syms: Sequence[str]) -> dict:
             for mid, c in inner.coeffs.items():
                 outer = algebra.bracket_on_basis((mid,) + tail_syms)
                 if outer.coeffs:
-                    kernel.add_into(total, outer.coeffs, sign * c)
+                    kernel.add_into(total, outer.coeffs.items(), sign * c)
     return total
 
 
@@ -772,7 +772,7 @@ class TensorElement(kernel.Linear):
         for c, x in pairs:
             self._check(x)
             for sym, form in x.comps.items():
-                kernel.add_into(acc.setdefault(sym, {}), form.terms, c)
+                kernel.add_into(acc.setdefault(sym, {}), form.terms.items(), c)
         return TensorElement.from_terms(self.algebra, self.n, acc)
 
     # -- grading -------------------------------------------------------
@@ -894,7 +894,8 @@ def _map_symbols(
     for sym, form in x.comps.items():
         if sym in images:
             for tsym, c in images[sym].coeffs.items():
-                kernel.add_into(acc.setdefault(tsym, {}), form.terms, c)
+                kernel.add_into(acc.setdefault(tsym, {}), form.terms.items(),
+                                c)
     return TensorElement.from_terms(target, x.n, acc)
 
 
@@ -962,7 +963,7 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
             sign *= _run_weight(runs, combo)
         for tsym, c in value.coeffs.items():
             kernel.add_into(
-                total.setdefault(tsym, {}), form.terms,
+                total.setdefault(tsym, {}), form.terms.items(),
                 c if sign == 1 else -c if sign == -1 else sign * c,
             )
     return TensorElement.from_terms(algebra, n, total)

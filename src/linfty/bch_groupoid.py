@@ -271,7 +271,8 @@ def deligne_action(algebra: LInftyAlgebra, x: GVector,
     total = dict(alpha.coeffs)
     k = 1
     while not current.is_zero():
-        kernel.add_into(total, current.coeffs, Fraction(-1, factorial(k)))
+        kernel.add_into(total, current.coeffs.items(),
+                        Fraction(-1, factorial(k)))
         current = bracket(algebra, [x, current])
         k += 1
         if k > algebra.nilpotency_index() + 1:
@@ -413,7 +414,7 @@ class MatrixRepresentation:
     def apply(self, v: GVector) -> NilMatrix:
         total: dict = {}
         for sym, c in v.coeffs.items():
-            kernel.add_into(total, self._entries[sym], c)
+            kernel.add_into(total, self._entries[sym].items(), c)
         m = self.size
         return NilMatrix(
             [[total.get((i, j), _ZERO) for j in range(m)] for i in range(m)]

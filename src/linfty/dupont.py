@@ -13,8 +13,10 @@ with renaming the vertices 1..n (vertex 0, eliminated in the reduced
 coordinates, stays put; h^i becomes h^sigma(i)), so a cache miss is
 filled from the operator's value on one representative of the
 monomial's orbit under those renamings, computed once per orbit
-(_orbit_fill).  The cached terms share their keys and coefficients
-through kernel.share.
+(_orbit_fill).  Each cache maps a monomial key, or (i, key) for h^i,
+to the operator's value on the monomial as one flat tuple (key1, c1,
+key2, c2, ...) of kernel.share, whose keys and coefficients are shared
+objects; a zero value is ().
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ def elementary_form(seq: Sequence[int], n: int) -> Form:
         word = seq[:j] + seq[j + 1 :]
         coeff = factorial(k) * (-1) ** j
         raw.append((coeff, tuple(exps), word))
-    form = Form(n, kernel.share(reduce_barycentric(raw, n).terms),
-                _validated=True)
-    _ELEMENTARY_CACHE[key] = form
+    flat = kernel.share(reduce_barycentric(raw, n).terms.items())
+    form = _ELEMENTARY_CACHE[key] = Form(n, dict(kernel.pairs(flat)),
+                                         _validated=True)
     return form
 
 
@@ -217,18 +219,19 @@ def whitney_P(n: int, f: Form) -> Form:
     monomial missing from the cache is filled by _orbit_fill from P of
     its orbit's representative.
     """
-    return _apply("P", _P_CACHE, _P_ORBITS, _p_monomial, 0, n, f)
+    return _apply("P", _P_CACHE, _P_ORBITS, _p_monomial, None, n, f)
 
 
-def _p_monomial(i: int, n: int, key) -> Form:
-    """P of one monomial, by its chain integrals; i is 0 (P marks no
+def _p_monomial(i, n: int, key) -> Form:
+    """P of one monomial, by its chain integrals; i is None (P marks no
     vertex)."""
     single = Form(n, {key: _ONE}, _validated=True)
     terms: dict = {}
     for seq in itertools.combinations(range(n + 1), len(key[1]) + 1):
         weight = integrate_chain(seq, single)
         if weight:
-            kernel.add_into(terms, elementary_form(seq, n).terms, weight)
+            kernel.add_into(terms, elementary_form(seq, n).terms.items(),
+                            weight)
     return Form(n, terms, _validated=True)
 
 
@@ -252,11 +255,11 @@ def dupont_s(n: int, f: Form) -> Form:
     vanishes, as do all its extensions.  A monomial missing from the
     cache is filled by _orbit_fill, so the walk runs once per orbit.
     """
-    return _apply("s", _S_CACHE, _S_ORBITS, _s_monomial, 0, n, f)
+    return _apply("s", _S_CACHE, _S_ORBITS, _s_monomial, None, n, f)
 
 
-def _s_monomial(i: int, n: int, key) -> Form:
-    """s of one monomial, by the gauge walk; i is 0 (s marks no
+def _s_monomial(i, n: int, key) -> Form:
+    """s of one monomial, by the gauge walk; i is None (s marks no
     vertex)."""
     terms: dict = {}
     _gauge_walk(n, (), Form(n, {key: _ONE}, _validated=True), terms)
@@ -274,26 +277,27 @@ def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
             continue
         longer = seq + (idx,)
         sign = -1 if len(longer) % 2 == 0 else 1
-        kernel.add_into(terms, (elementary_form(longer, n) * ext).terms, sign)
+        term = elementary_form(longer, n) * ext
+        kernel.add_into(terms, term.terms.items(), sign)
         _gauge_walk(n, longer, ext, terms)
 
 
 # -- filling the caches once per vertex-permutation orbit -------------
 
-# per operator: (i, n, representative key) -> the operator's value on it
+# per operator: the representative key, or (i, key) for h^i, -> the
+# operator's value on it, flat
 _H_ORBITS: dict = {}
 _P_ORBITS: dict = {}
 _S_ORBITS: dict = {}
 
-# n -> the one zero form that the tables keep for the n-simplex
-_ZERO_FORMS: dict = {}
-
 
 def _apply(name: str, cache: dict, orbits: dict, compute: Callable,
-           i: int, n: int, f: Form) -> Form:
-    """The operator name (h^i, P or s, i = 0 for the last two) on a form
-    of the n-simplex, monomial by monomial through cache, keyed (n, i,
-    monomial key); a miss is filled by _orbit_fill from orbits and
+           i: int | None, n: int, f: Form) -> Form:
+    """The operator name (h^i, or P or s with i None: they mark no
+    vertex) on a form of the n-simplex, monomial by monomial through
+    cache, keyed by the monomial key, or (i, key) for h^i (the key fixes
+    n); each value is the flat tuple of kernel.share, added by
+    kernel.add_into.  A miss is filled by _orbit_fill from orbits and
     compute, and only the missed monomial's value is cached."""
     if f.n != n:
         raise ValueError(
@@ -301,29 +305,31 @@ def _apply(name: str, cache: dict, orbits: dict, compute: Callable,
         )
     out: dict = {}
     for key, coeff in f.terms.items():
-        mono = cache.get((n, i, key))
-        if mono is None:
-            mono = cache[n, i, key] = _orbit_fill(orbits, compute, i, n, key)
-        kernel.add_into(out, mono.terms, coeff)
+        entry = key if i is None else (i, key)
+        flat = cache.get(entry)
+        if flat is None:  # a zero value, (), is a hit
+            flat = cache[entry] = _orbit_fill(orbits, compute, i, n, key)
+        kernel.add_into(out, kernel.pairs(flat), coeff)
     return Form(n, out, _validated=True)
 
 
-def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
-    """The operator on the monomial t^e dt_W (key = (e, W)), computed as
-    compute(i, n, key) once per orbit of (i, key) under the permutations
-    sigma of the vertices 1..n.
+def _orbit_fill(orbits: dict, compute: Callable, i: int | None, n: int,
+                key) -> tuple:
+    """The operator's flat value on the monomial t^e dt_W (key = (e, W)),
+    computed as compute(i, n, key) once per orbit of (i, key) under the
+    permutations sigma of the vertices 1..n.
 
     sigma renames t_j, dt_j to t_sigma(j), dt_sigma(j); it fixes vertex
     0, so it maps reduced forms to reduced forms, and h^i, P and s
-    commute with it, h^i turning into h^sigma(i) (i = 0 for P and s).
-    The representative sorts the vertices 1..n stably by (j == i, e_j,
-    j in W), so the orbit's members share it.  Its value is kept in
-    orbits and renamed back by sigma^-1, each dt-word re-sorted with
-    its sign; when sigma is the identity the value itself is returned.
-    Both the kept value and the renamed one share their keys and
-    coefficients (kernel.share), so the tables hold one object per
-    monomial and per coefficient value, and every zero value of the
-    n-simplex is one Form.
+    commute with it, h^i turning into h^sigma(i) (i is None for P and
+    s).  The representative sorts the vertices 1..n stably by (j == i,
+    e_j, j in W), so the orbit's members share it.  Its value is kept
+    in orbits, keyed as in the cache, and renamed back by sigma^-1, each
+    dt-word re-sorted with its sign; when sigma is the identity, or the
+    value is the zero value (), the kept tuple itself is returned.  Both
+    the kept value and the renamed one are flat tuples of kernel.share,
+    so the tables hold one object per monomial and per coefficient
+    value, and no dict.
     """
     exps, word = key
     order = sorted(range(1, n + 1),
@@ -333,22 +339,22 @@ def _orbit_fill(orbits: dict, compute: Callable, i: int, n: int, key) -> Form:
         rank[j] = position
     rep_word, sign = kernel.sort_word([rank[j] for j in word])
     rep = (tuple(exps[j - 1] for j in order), rep_word)
-    form = orbits.get((rank[i], n, rep))
-    if form is None:
-        terms = compute(rank[i], n, rep).terms
-        form = orbits[rank[i], n, rep] = (
-            Form(n, kernel.share(terms), _validated=True) if terms
-            else _ZERO_FORMS.setdefault(n, Form.zero(n)))
-    if not form.terms or (rank[i] == i and rep == key):
-        return form
+    rep_i = None if i is None else rank[i]
+    entry = rep if i is None else (rep_i, rep)
+    flat = orbits.get(entry)
+    if flat is None:
+        flat = orbits[entry] = kernel.share(
+            compute(rep_i, n, rep).terms.items())
+    if not flat or (rep_i == i and rep == key):
+        return flat
     # sigma(t^e dt_W) = sign * rep, so op_i(t^e dt_W) is sign times
     # sigma^-1 of op_sigma(i)(rep)
-    terms: dict = {}
-    for (rep_exps, rep_w), coeff in form.terms.items():
+    renamed = []
+    for (rep_exps, rep_w), coeff in kernel.pairs(flat):
         w, w_sign = kernel.sort_word([order[k - 1] for k in rep_w])
-        terms[tuple(rep_exps[k - 1] for k in rank[1:]), w] = (
-            coeff if w_sign == sign else kernel.frac_neg(coeff))
-    return Form(n, kernel.share(terms), _validated=True)
+        renamed.append(((tuple(rep_exps[k - 1] for k in rank[1:]), w),
+                        coeff if w_sign == sign else kernel.frac_neg(coeff)))
+    return kernel.share(renamed)
 
 
 # -- monomial bases and gaugeification -------------------------------

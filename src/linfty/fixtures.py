@@ -68,7 +68,7 @@ def word_commutator(u: dict, v: dict, degrees) -> dict:
     if not u or not v:
         return {}
     odd = all(sum(degrees[g] for g in next(iter(x))) % 2 for x in (u, v))
-    return kernel.add_into(word_product(u, v), word_product(v, u),
+    return kernel.add_into(word_product(u, v), word_product(v, u).items(),
                            1 if odd else -1)
 
 

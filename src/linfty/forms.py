@@ -106,7 +106,7 @@ class Form(kernel.Linear):
         out = dict(self.terms)
         for c, x in pairs:
             self._check(x)
-            kernel.add_into(out, x.terms, c)
+            kernel.add_into(out, x.terms.items(), c)
         return Form(self.n, out, _validated=True)
 
     def __mul__(self, other):
@@ -202,7 +202,7 @@ def reduce_barycentric(raw_terms: Iterable, n: int) -> Form:
             piece = piece * Form.dt(i, n)
             if piece.is_zero():
                 break
-        kernel.add_into(total, piece.terms)
+        kernel.add_into(total, piece.terms.items())
     return Form(n, total, _validated=True)
 
 
@@ -217,8 +217,9 @@ def _t_power(i: int, e: int, n: int) -> Form:
         below -= 1
     power = _T_POWER_CACHE[(n, i, below)] if below else Form.one(n)
     for k in range(below + 1, e + 1):
+        flat = kernel.share((power * Form.t(i, n)).terms.items())
         power = _T_POWER_CACHE[(n, i, k)] = Form(
-            n, kernel.share((power * Form.t(i, n)).terms), _validated=True)
+            n, dict(kernel.pairs(flat)), _validated=True)
     return power
 
 
@@ -455,7 +456,7 @@ def pullback(f: SimplicialMap, form: Form) -> Form:
         # on the point, s_0 = 1
         if p and m:
             group = kernel.mul_terms(_t_power(0, p, m).terms, group)
-        kernel.add_into(out, group)
+        kernel.add_into(out, group.items())
     return Form(m, out, _validated=True)
 
 

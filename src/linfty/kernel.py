@@ -7,17 +7,22 @@ algebra vectors key it by basis symbol; the rows, solutions and kernel
 vectors of ``linalg`` key it by column.  ``add_into``, ``add_term``
 (one term), ``scale_terms`` and ``drop_zeros`` are the only places a
 term dict is added into, scaled or cleared of zeros (``add_into`` and
-``mul_terms``, the innermost loops, inline ``add_term``); the word
+``mul_terms``, the innermost loops, inline ``add_term``; ``add_into``
+adds (key, coefficient) pairs, a term dict's ``items()`` or a flat
+tuple read by ``pairs``); the word
 helpers carry every reordering sign: ``sort_word`` for dt-words and for
 the arguments of a graded antisymmetric bracket, ``merge_words`` for
 the exterior product.
 
-Cached terms share their keys, the parts of their keys and their
-coefficients: ``share`` returns a term dict whose keys, exponent
-tuples, dt-words and coefficients come from one module-level table
-(hash-consing), so the long-lived tables of ``dupont`` and ``forms``
-hold one key object per monomial, one tuple per exponent vector or
-word and one Fraction per value.
+Cached terms are flat and share their keys, the parts of their keys
+and their coefficients: ``share`` returns a form's terms as one flat
+tuple (key1, c1, key2, c2, ...), the zero form as (), whose keys,
+exponent tuples, dt-words and coefficients come from one module-level
+table (hash-consing).  So the long-lived tables of ``dupont`` hold one
+tuple per cached value and no dict, and they and the small ``Form``
+caches of ``dupont`` and ``forms`` (rebuilt from the tuple with
+``dict(pairs(flat))``) hold one key object per monomial, one tuple per
+exponent vector or word and one Fraction per value.
 
 Exact arithmetic: the package's four internal primitives compute
 from numerators and denominators: ``frac_add``, ``frac_mul`` and
@@ -179,12 +184,15 @@ def drop_zeros(terms):
     return {key: as_fraction(value) for key, value in terms.items() if value}
 
 
-def add_into(dst, src, scale=1):
-    """In-place dst += scale * src, dropping coefficients that cancel.
+def add_into(dst, items, scale=1):
+    """In-place dst += scale * (the sum of c * key over the (key, c)
+    pairs of items), dropping coefficients that cancel.
 
-    src must hold no zeros; returns dst.
+    The package's one accumulation loop: a term dict passes
+    ``terms.items()``, a flat tuple from ``share`` passes
+    ``pairs(flat)``.  No c may be zero; returns dst.
     """
-    if not src:
+    if not items:  # an empty dict view; pairs(flat) is always true
         return dst
     # the scale is tested by value as an int and by its slots as a
     # Fraction, so that no test dispatches into ``fractions``
@@ -199,7 +207,7 @@ def add_into(dst, src, scale=1):
         if not scale._numerator:
             return dst
         scaled = scale._numerator != 1 or scale._denominator != 1
-    for key, coeff in src.items():
+    for key, coeff in items:
         if scaled:
             coeff = frac_mul(scale, coeff)
         acc = dst.get(key)
@@ -233,25 +241,34 @@ def add_term(dst, key, coeff):
 _SHARED: dict = {}
 
 
-def share(terms):
-    """A form term dict equal to terms, in the same order, whose keys,
-    the exponent tuples and dt-words of the keys, and coefficients are
-    the first objects ``share`` saw with their values.
+def share(items):
+    """The flat tuple (key1, c1, key2, c2, ...) of a form's (key,
+    coefficient) pairs items, in their order, whose keys, the exponent
+    tuples and dt-words of the keys, and coefficients are the first
+    objects ``share`` saw with their values; the zero form gives ().
 
     Called where a form enters a long-lived table, so that the table
-    holds one object per monomial, per exponent tuple, per word and per
-    coefficient value.  Equal tuples share one object whatever their
-    role; no tuple equals a Fraction."""
+    holds one tuple per form, with one object per monomial, per
+    exponent tuple, per word and per coefficient value, and no dict.
+    Equal tuples share one object whatever their role; no tuple equals a
+    Fraction.  ``pairs`` reads the result back."""
     shared = _SHARED.setdefault
-    out = {}
-    for key, coeff in terms.items():
+    flat = []
+    for key, coeff in items:
         first = _SHARED.get(key)
         if first is None:
             exps, word = key
             first = (shared(exps, exps), shared(word, word))
             _SHARED[first] = first
-        out[first] = shared(coeff, coeff)
-    return out
+        flat.append(first)
+        flat.append(shared(coeff, coeff))
+    return tuple(flat)
+
+
+def pairs(flat):
+    """The (key, coefficient) pairs of a flat tuple from ``share``."""
+    it = iter(flat)
+    return zip(it, it)
 
 
 def scale_terms(terms, scale):

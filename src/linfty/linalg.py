@@ -22,7 +22,7 @@ def _eliminate(v: dict, rows: Mapping) -> dict:
     returns v.  A subtraction leaves v's other pivot entries unchanged,
     so one pass over the pivots present in v clears them all."""
     for pivot in [p for p in v if p in rows]:
-        kernel.add_into(v, rows[pivot], -v[pivot])
+        kernel.add_into(v, rows[pivot].items(), -v[pivot])
     return v
 
 
@@ -48,7 +48,7 @@ def rref(rows: Iterable[Mapping], columns: Sequence):
         for other in kept.values():
             c = other.get(lead)
             if c:
-                kernel.add_into(other, v, -c)
+                kernel.add_into(other, v.items(), -c)
         kept[lead] = v
     pivots = sorted(kept, key=rank.__getitem__)
     return [kept[p] for p in pivots], pivots

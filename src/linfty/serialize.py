@@ -225,7 +225,7 @@ def parse_vector(text: str, algebra: LInftyAlgebra) -> GVector:
         sym = sym.strip()
         if sym not in algebra.index:
             raise ValueError(f"unknown symbol {quote(sym)}")
-        kernel.add_into(coeffs, {sym: _ONE}, coeff)
+        kernel.add_into(coeffs, ((sym, _ONE),), coeff)
     return GVector(algebra, coeffs)
 
 
@@ -282,7 +282,8 @@ def parse_form(text: str, n: int) -> Form:
             raise ValueError(f"term {quote(chunk)} has polynomial degree "
                              f"{sum(exps)}, beyond {MAX_FORM_DEGREE}")
         sorted_word, wsign = kernel.sort_word(tuple(word))
-        kernel.add_into(terms, {(tuple(exps), sorted_word): _ONE}, coeff * wsign)
+        kernel.add_into(terms, (((tuple(exps), sorted_word), _ONE),),
+                        coeff * wsign)
     return Form(n, terms)
 
 

@@ -16,6 +16,14 @@ OPERATOR_TABLES = ((dupont, "_H_CACHE"), (dupont, "_P_CACHE"),
 def cold_operator_caches(monkeypatch):
     """Empty the Dupont operator caches, their orbit tables and the
     shared-term table for one test, so that its operator calls fill them
-    from scratch; the warm tables are restored afterwards."""
+    from scratch; the warm tables are restored afterwards.  Returns a
+    function that empties them again, for a property test whose every
+    example starts cold."""
     for module, name in OPERATOR_TABLES:
         monkeypatch.setattr(module, name, {})
+
+    def empty():
+        for module, name in OPERATOR_TABLES:
+            getattr(module, name).clear()
+
+    return empty

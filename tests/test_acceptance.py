@@ -160,7 +160,7 @@ def test_word_bch_witness_rho2_expansion():
     bch = log(mul(exp(kernel.scale_terms(x2, -1)), exp(x1)))
 
     x1_x2 = word_commutator(x1, x2, algebra.degrees)
-    x1_plus_x2 = kernel.add_into(dict(x1), x2)
+    x1_plus_x2 = kernel.add_into(dict(x1), x2.items())
     expected: dict = {}
     for scale, u in (
         (1, x1),
@@ -168,7 +168,7 @@ def test_word_bch_witness_rho2_expansion():
         (Fraction(1, 2), x1_x2),
         (Fraction(-1, 12), word_commutator(x1_plus_x2, x1_x2, algebra.degrees)),
     ):
-        kernel.add_into(expected, u, scale)
+        kernel.add_into(expected, u.items(), scale)
     assert bch == expected
 
     flipped = -generalized_ch(
@@ -182,5 +182,5 @@ def test_word_bch_witness_rho2_expansion():
     words: dict = {}
     for s, c in flipped.coeffs.items():
         if bracket_count[s] <= 2:
-            kernel.add_into(words, expansion[s], c)
+            kernel.add_into(words, expansion[s].items(), c)
     assert words == bch

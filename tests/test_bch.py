@@ -53,6 +53,7 @@ from linfty.mc_gamma import (
     GaugeParameter,
     Horn,
     fill_horn_gamma,
+    is_thin,
     refill_report,
     solve_gauge_fixed,
 )
@@ -419,7 +420,7 @@ class TestWordOracle:
     def _words(expansion, v):
         out: dict = {}
         for sym, c in v.coeffs.items():
-            kernel.add_into(out, expansion[sym], c)
+            kernel.add_into(out, expansion[sym].items(), c)
         return out
 
     @pytest.mark.parametrize("top", [5, 6, 7, 8])
@@ -460,7 +461,7 @@ class TestWordOracle:
             (Fraction(-1, 12), br(y, xy)),
             (Fraction(-1, 24), br(y, br(x, xy))),
         ):
-            kernel.add_into(expected, u, scale)
+            kernel.add_into(expected, u.items(), scale)
         assert self._words(expansion, z) == expected
 
 
@@ -472,6 +473,28 @@ class TestAssociativity:
             mu = sampler.mc_element(algebra)
             xs = [sampler.vector(algebra, 0) for _ in range(3)]
             assert rho3_associativity_check(algebra, mu, *xs).is_zero()
+
+    @pytest.mark.parametrize("top", [3, 4, 5])
+    def test_free_nilpotent_associator_vanishes(self, top):
+        """The dg Lie half of criterion 10 on the free nilpotent Lie
+        algebra on three generators of degree 0, universal for the
+        nilpotent Lie algebras of class <= top: the associator is zero,
+        the n = 3 series simplex is thin, and compose is associative.
+        The algebra has no degree -1 or -2, so the first two hold by
+        degree; the third is the group law's associativity."""
+        algebra, _ = free_nilpotent(
+            "xyz", (("x", 0), ("y", 0), ("z", 0)), {}, top)
+        zero = algebra.zero_vector()
+        sampler = Sampler(40 + top)
+        x1, x2, x3 = (sampler.vector(algebra, 0) for _ in range(3))
+        assert rho3_associativity_check(algebra, zero, x1, x2, x3).is_zero()
+        series = generalized_ch(algebra, 3, zero,
+                                {(1,): x1, (2,): x2, (3,): x3})
+        assert is_thin(series.simplex)
+        left = compose(algebra, zero, compose(algebra, zero, x1, x2), x3)
+        right = compose(algebra, zero, x1, compose(algebra, zero, x2, x3))
+        assert left == right
+        assert len(left.coeffs) == len(algebra.basis_of_degree(0))
 
     def test_three_bracket_associator_reported(self):
         tb = get_fixture("three_bracket")

@@ -24,6 +24,7 @@ from linfty.dupont import (
     poincare_h,
     whitney_P,
 )
+from linfty.fixtures import SAMPLE_VALUES
 from linfty.forms import (
     Form,
     SimplicialMap,
@@ -194,9 +195,11 @@ rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
-def simplex_forms(draw):
-    """(n, a random sparse form on the n-simplex), n = 1..3."""
-    n = draw(st.integers(1, 3))
+def simplex_forms(draw, n=None):
+    """(n, a random sparse form on the n-simplex), n = 1..3 unless
+    given."""
+    if n is None:
+        n = draw(st.integers(1, 3))
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         exps = tuple(draw(st.integers(0, 2)) for _ in range(n))
@@ -211,6 +214,36 @@ def test_contraction_identity_on_random_forms(nf):
     n, f = nf
     lhs = exterior_d(dupont_s(n, f)) + dupont_s(n, exterior_d(f))
     assert lhs == f - whitney_P(n, f)
+
+
+@st.composite
+def linear_combinations(draw):
+    """(n, f, g, a, b): random sparse forms f and g on one n-simplex, g
+    holding a multiple of f so that a f + b g can cancel, and a and b
+    from the sample pool."""
+    n, f = draw(simplex_forms())
+    _, g = draw(simplex_forms(n))
+    pool = st.sampled_from(SAMPLE_VALUES)
+    g = g + f.scale(draw(pool))
+    return n, f, g, draw(pool), draw(pool)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(linear_combinations())
+def test_operators_are_linear_through_the_tables(cold_operator_caches, case):
+    """h^i, P and s are linear, with cancellation, on cold tables and on
+    the warm tables the same calls filled."""
+    n, f, g, a, b = case
+    operators = [lambda x, i=i: poincare_h(i, n, x) for i in range(n + 1)]
+    operators += [lambda x: whitney_P(n, x), lambda x: dupont_s(n, x)]
+    zero = Form.zero(n)
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        for op in operators:
+            assert op(f.scale(a) + g.scale(b)) == (
+                op(f).scale(a) + op(g).scale(b))
+            assert op(f - f) == zero
 
 
 @PROPERTY
@@ -383,10 +416,10 @@ def test_orbit_filled_operators_equal_the_direct_computation(
         assert dupont_s(n, m) == _direct_s(n, m, h_memo), m
     # one orbit-table entry per orbit of the missed monomials
     assert len(dupont._H_ORBITS) == len(
-        {_orbit(n, i, key) for _, i, key in dupont._H_CACHE})
+        {_orbit(n, i, key) for i, key in dupont._H_CACHE})
     for orbits, cache in ((dupont._S_ORBITS, dupont._S_CACHE),
                           (dupont._P_ORBITS, dupont._P_CACHE)):
-        assert len(orbits) == len({_orbit(n, 0, key) for _, _, key in cache})
+        assert len(orbits) == len({_orbit(n, 0, key) for key in cache})
     if n >= 2:
         assert len(dupont._S_ORBITS) < len(monos) == len(dupont._S_CACHE)
 
@@ -455,22 +488,23 @@ def test_cached_terms_share_one_object_per_key_and_coefficient(
     for check in (check_contraction_identities, check_gauge_identities):
         check(3, 3)
     check_naturality(3, 3)
-    forms = [form for name in ("_H_CACHE", "_P_CACHE", "_S_CACHE",
-                               "_H_ORBITS", "_P_ORBITS", "_S_ORBITS")
-             for form in getattr(dupont, name).values()]
-    terms = [form.terms for form in forms]
-    keys = [key for t in terms for key in t]
-    coeffs = [coeff for t in terms for coeff in t.values()]
+    values = [flat for name in ("_H_CACHE", "_P_CACHE", "_S_CACHE",
+                                "_H_ORBITS", "_P_ORBITS", "_S_ORBITS")
+              for flat in getattr(dupont, name).values()]
+    # each value is a flat tuple (key1, c1, key2, c2, ...)
+    assert all(type(flat) is tuple and len(flat) % 2 == 0 for flat in values)
+    keys = [key for flat in values for key in flat[::2]]
+    coeffs = [coeff for flat in values for coeff in flat[1::2]]
     assert len(keys) > 10 * len(set(keys))
     # one object per key, per exponent tuple, per dt-word and per
     # coefficient value
     for objects in (keys, coeffs, [exps for exps, _ in keys],
                     [word for _, word in keys]):
         assert len({id(obj) for obj in objects}) == len(set(objects))
-    # one zero form per simplex dimension
-    zeros = [form for form in forms if not form.terms]
+    # every zero value is the one empty tuple
+    zeros = [flat for flat in values if not flat]
     assert zeros
-    assert len({id(form) for form in zeros}) == len({form.n for form in zeros})
+    assert len({id(flat) for flat in zeros}) == 1
 
 
 # -- the harness labels, rendered only on failure ---------------------------

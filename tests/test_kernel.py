@@ -43,7 +43,7 @@ def test_merge_words_signs():
 def test_add_into_drops_zeros():
     a = {((1,), ()): Fraction(1)}
     b = {((1,), ()): Fraction(-1, 2)}
-    out = kernel.add_into(dict(a), b, Fraction(2))
+    out = kernel.add_into(dict(a), b.items(), Fraction(2))
     assert out == {}
 
 
@@ -156,7 +156,7 @@ def test_unit_fast_paths_match_plain_products(a, b, scale):
     """mul_terms, add_into, add_term and scale_terms on unit, small and
     wide coefficients equal plain Fraction arithmetic."""
     product = kernel.mul_terms(a, b)
-    summed = kernel.add_into(dict(a), b, scale)
+    summed = kernel.add_into(dict(a), b.items(), scale)
     single = dict(a)
     for key, coeff in b.items():
         kernel.add_term(single, key, Fraction(scale) * coeff)
@@ -175,18 +175,19 @@ def test_unit_fast_paths_match_plain_products(a, b, scale):
 @settings(max_examples=200, deadline=None)
 @given(term_dicts)
 def test_share_keeps_the_terms_and_reuses_their_objects(terms):
-    shared = kernel.share(terms)
-    assert shared == terms
-    assert list(shared) == list(terms)
+    shared = kernel.share(terms.items())
+    # the flat tuple (key1, c1, key2, c2, ...) of the terms, in order
+    assert type(shared) is tuple
+    assert dict(kernel.pairs(shared)) == terms
+    assert list(kernel.pairs(shared)) == list(terms.items())
     # sharing the result, or an equal dict of newly built keys and
     # coefficients, gives back the same objects in the same order
     rebuilt = {(tuple(list(e)), tuple(list(w))): Fraction(c.numerator,
                                                           c.denominator)
                for (e, w), c in terms.items()}
-    for again in (kernel.share(shared), kernel.share(rebuilt)):
+    for again in (kernel.share(kernel.pairs(shared)),
+                  kernel.share(rebuilt.items())):
         assert all(a is b for a, b in zip(again, shared, strict=True))
-        assert all(a is b for a, b in zip(again.values(), shared.values(),
-                                          strict=True))
 
 
 def test_containers_store_fractions_for_int_input():
@@ -195,7 +196,8 @@ def test_containers_store_fractions_for_int_input():
         *GVector(heis, {"e1": 2, "e3": -1}).coeffs.values(),
         *GVector(heis, {"e1": Fraction(1, 2)}).scale(4).coeffs.values(),
         *Form.constant(2, 3).scale(-1).terms.values(),
-        *kernel.add_into({"x": Fraction(1, 3)}, {"x": Fraction(1)}, 2).values(),
+        *kernel.add_into({"x": Fraction(1, 3)}, {"x": Fraction(1)}.items(),
+                        2).values(),
     ]
     assert values == [2, -1, 2, -3, Fraction(7, 3)]
     _assert_canonical(values)
@@ -230,7 +232,8 @@ def test_hot_paths_make_no_call_into_fractions():
     d0, s1 = SimplicialMap.face(0, 3), SimplicialMap.degeneracy(1, 4)
     scale = Fraction(-2, 3)
     actions = {
-        "add_into": lambda: kernel.add_into(dict(terms), top.terms, scale),
+        "add_into": lambda: kernel.add_into(dict(terms), top.terms.items(),
+                                                scale),
         "exterior_d": lambda: exterior_d(form),
         "pullback along d_0": lambda: pullback(d0, form),
         "pullback along s_1": lambda: pullback(s1, form),

@@ -39,7 +39,8 @@ def systems(draw):
         # a target in the image
         target: dict = {}
         for col in columns:
-            kernel.add_into(target, kernel.drop_zeros(col), draw(rationals))
+            kernel.add_into(target, kernel.drop_zeros(col).items(),
+                            draw(rationals))
     else:
         target = draw(st.dictionaries(st.sampled_from(keys), rationals, max_size=4))
     return keys, columns, target
@@ -49,7 +50,7 @@ def combine(columns, x):
     """sum_j x_j * columns[j] as a term dict."""
     out: dict = {}
     for j, c in x.items():
-        kernel.add_into(out, kernel.drop_zeros(columns[j]), c)
+        kernel.add_into(out, kernel.drop_zeros(columns[j]).items(), c)
     return out
 
 

@@ -545,7 +545,7 @@ class BasisSampler(Sampler):
         total = {}
         for mono in monomial_basis(n, max_poly_degree):
             if len(next(iter(mono.terms))[1]) == exterior_degree:
-                kernel.add_into(total, mono.terms, self.rational())
+                kernel.add_into(total, mono.terms.items(), self.rational())
         return Form(n, total, _validated=True)
 
 

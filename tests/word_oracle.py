@@ -27,22 +27,22 @@ def exp_log(top):
         for k, uk in by_length(u).items():
             for j, vj in v_pieces.items():
                 if k + j <= top:
-                    kernel.add_into(out, word_product(uk, vj))
+                    kernel.add_into(out, word_product(uk, vj).items())
         return out
 
     def exp(x):
         total, power = dict(one), one
         for k in range(1, top + 1):
             power = mul(power, x)
-            kernel.add_into(total, power, Fraction(1, factorial(k)))
+            kernel.add_into(total, power.items(), Fraction(1, factorial(k)))
         return total
 
     def log(g):
-        z = kernel.add_into(dict(g), one, -1)
+        z = kernel.add_into(dict(g), one.items(), -1)
         total, power = {}, one
         for k in range(1, top + 1):
             power = mul(power, z)
-            kernel.add_into(total, power, Fraction((-1) ** (k + 1), k))
+            kernel.add_into(total, power.items(), Fraction((-1) ** (k + 1), k))
         return total
 
     return exp, log, mul
