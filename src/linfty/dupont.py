@@ -309,7 +309,9 @@ def _apply(name: str, cache: dict, orbits: dict, compute: Callable,
         flat = cache.get(entry)
         if flat is None:  # a zero value, (), is a hit
             flat = cache[entry] = _orbit_fill(orbits, compute, i, n, key)
-        kernel.add_into(out, kernel.pairs(flat), coeff)
+        if flat:  # a zero value adds nothing
+            it = iter(flat)  # kernel.pairs, without the call
+            kernel.add_into(out, zip(it, it), coeff)
     return Form(n, out, _validated=True)
 
 

@@ -203,7 +203,8 @@ def add_into(dst, items, scale=1):
         if scaled:
             scale = _fraction(scale, 1)
     else:
-        scale = as_fraction(scale)
+        if type(scale) is not Fraction:  # as_fraction, without the call
+            scale = Fraction(scale)
         if not scale._numerator:
             return dst
         scaled = scale._numerator != 1 or scale._denominator != 1
