@@ -38,7 +38,7 @@ _ONE = Fraction(1)
 NILPOTENCY_CAP = 64
 
 
-def _compositions(total: int, parts: int, below: int, least: int = 1):
+def compositions(total: int, parts: int, below: int, least: int = 1):
     """The nondecreasing tuples of parts integers from least to below - 1
     that sum to total, in lexicographic order."""
     if parts == 1:
@@ -46,18 +46,8 @@ def _compositions(total: int, parts: int, below: int, least: int = 1):
             yield (total,)
         return
     for first in range(least, min(total // parts, below - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, below, first):
+        for rest in compositions(total - first, parts - 1, below, first):
             yield (first,) + rest
-
-
-def _tuples_up_to(even: int, odd: int, arity: int) -> int:
-    """The number of sorted tuples of arity at most arity, the empty one
-    included, over even symbols used at most once and odd symbols used
-    any number of times.  Padding each to the full arity with one extra
-    odd symbol makes them the tuples of exactly that arity: j distinct
-    even symbols and a multiset of arity - j of the odd + 1 odd ones."""
-    return sum(comb(even, j) * comb(odd + arity - j, arity - j)
-               for j in range(min(arity, even) + 1))
 
 
 class LInftyAlgebra:
@@ -166,29 +156,6 @@ class LInftyAlgebra:
             if all(a != b or a in odd for a, b in zip(word, word[1:])):
                 yield tuple(self.symbols[i] for i in word)
 
-    def canonical_count(self, arity: int, start: int = 0) -> int:
-        """The number of canonical tuples of one arity over the symbols
-        from index start on."""
-        odd = sum(1 for i in self._odd if i >= start)
-        even = max(self.dim - start, 0) - odd
-        return (_tuples_up_to(even, odd, arity)
-                - _tuples_up_to(even, odd, arity - 1))
-
-    def canonical_rank(self, syms: Sequence[str]) -> int:
-        """The number of canonical tuples of len(syms) that come before
-        the canonical tuple syms in storage order.  Those that first
-        differ at position p have there a symbol from lo (the first one
-        that may follow syms[:p]) to just before syms[p], and with it
-        and their tail form a tuple of the remaining size whose symbols
-        start at lo but not all at syms[p]."""
-        rank, lo = 0, 0
-        for p, sym in enumerate(syms):
-            i = self.index[sym]
-            rest = len(syms) - p
-            rank += self.canonical_count(rest, lo) - self.canonical_count(rest, i)
-            lo = i if i in self._odd else i + 1
-        return rank
-
     def bracket_on_basis(self, args: Sequence[str]) -> "GVector":
         """Bracket of basis symbols: the leaf of the support trie that
         args spell, or zero when they leave it."""
@@ -227,7 +194,7 @@ class LInftyAlgebra:
             # the bracket of each tuple of rows, keyed by (levels, rows)
             values: dict = {}
             for arity in range(2, self.max_arity + 1):
-                for comp in _compositions(max(level, arity), arity, level):
+                for comp in compositions(max(level, arity), arity, level):
                     walk, _ = _atom_tuples(
                         self, [atoms[c - 1] for c in comp], lambda a: a,
                         lambda atom: False,
@@ -329,20 +296,8 @@ class GVector(kernel.Linear):
         )
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for s in self.algebra.symbols:
-            c = self.coeffs.get(s)
-            if not c:
-                continue
-            mag = -c if c < 0 else c
-            body = s if mag == 1 else f"{mag}*{s}"
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(pieces)
+        return kernel.render_sum((self.coeffs[s], (s,))
+                                 for s in self.algebra.symbols if s in self.coeffs)
 
     def __repr__(self):
         return f"GVector({self.algebra.name!r}, {self.render()!r})"
@@ -501,11 +456,16 @@ def jacobi_candidates(algebra: LInftyAlgebra, n_max: int) -> set:
 
 
 def jacobi_cases(algebra: LInftyAlgebra, n_max: int) -> int:
-    """The number of canonical tuples of arity 1..n_max: the cases of a
-    passing check_jacobi(algebra, n_max).  In closed form, so that a
-    huge n_max costs nothing."""
+    """The number of canonical tuples of arity 1..n_max: the cases of
+    check_jacobi(algebra, n_max), passing or failing.  In closed form,
+    so that a huge n_max costs nothing.  Padding each sorted tuple of
+    arity at most n_max, the empty one included, to n_max with one extra
+    odd symbol makes them the tuples of exactly that arity: j distinct
+    even symbols and a multiset of n_max - j of the odd + 1 odd ones."""
     odd = len(algebra._odd)
-    return _tuples_up_to(algebra.dim - odd, odd, n_max) - 1
+    even = algebra.dim - odd
+    return sum(comb(even, j) * comb(odd + n_max - j, n_max - j)
+               for j in range(min(n_max, even) + 1)) - 1
 
 
 def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
@@ -515,26 +475,23 @@ def check_jacobi(algebra: LInftyAlgebra, n_max: int | None = None) -> Report:
     canonical tuples span the general case: a tuple repeating an
     even-degree symbol has a residual that vanishes identically.  So
     does a canonical tuple off jacobi_candidates, term by term: it
-    counts as a case without being evaluated or built.  One case per
-    canonical tuple, swept by arity and then in storage order; the
-    report stops at the first offending tuple, counts the tuples up to
-    it by its rank, and names it with its residual.  The default n_max
-    is jacobi_arity.
+    counts as a passing case without being evaluated or built.  One case
+    per canonical tuple, jacobi_cases in all, whether the check passes
+    or fails.  The candidates are evaluated by arity and then in storage
+    order, and each with a nonzero residual is one failure, named by its
+    tuple and residual.  The default n_max is jacobi_arity.
     """
     if n_max is None:
         n_max = jacobi_arity(algebra)
-    report = Report(f"Jacobi({algebra.name}) up to arity {n_max}")
-    index = algebra.index
-    candidates = sorted(jacobi_candidates(algebra, n_max),
-                        key=lambda syms: (len(syms), [index[s] for s in syms]))
-    for syms in candidates:
-        residual = GVector(algebra, jacobiator(algebra, syms))
-        if not residual.is_zero():
-            report.cases = (jacobi_cases(algebra, len(syms) - 1)
-                            + algebra.canonical_rank(syms))
-            report.record(f"tuple {syms}", residual, algebra.zero_vector())
-            return report
-    report.cases = jacobi_cases(algebra, n_max)
+    candidates = jacobi_candidates(algebra, n_max)
+    report = Report(f"Jacobi({algebra.name}) up to arity {n_max}",
+                    cases=jacobi_cases(algebra, n_max) - len(candidates))
+    index, zero = algebra.index, algebra.zero_vector()
+    for syms in sorted(candidates,
+                       key=lambda syms: (len(syms), [index[s] for s in syms])):
+        # the label is built only on failure
+        report.record(lambda syms=syms: f"tuple {syms}",
+                      GVector(algebra, jacobiator(algebra, syms)), zero)
     return report
 
 

@@ -51,9 +51,11 @@ def _fits_budget(work: str, size: int, unit: str, budget: int,
     return size <= budget
 
 
-# The most canonical tuples one check-jacobi run evaluates.  The free
-# class-3 algebra has 142,974 up to arity 3 (several seconds) and
-# 3,399,040 up to arity 4.
+# The most canonical tuples one check-jacobi run counts as cases.  It
+# evaluates the Jacobi sum only on jacobi_candidates, so the bound is on
+# the count rather than the work: the free class-3 algebra has 142,974
+# tuples up to arity 3 and 3,399,040 up to arity 4, but 164 candidates
+# at either, checked in about 0.01 s.
 JACOBI_BUDGET = 200_000
 
 

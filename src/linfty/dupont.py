@@ -148,7 +148,7 @@ def poincare_h(i: int, n: int, f: Form) -> Form:
     """
     if not 0 <= i <= n:
         raise ValueError(f"vertex index {i} out of range 0..{n}")
-    return _apply(f"h^{i}", _H_CACHE, _H_ORBITS, _h_monomial, i, n, f)
+    return _apply("h", _H_CACHE, _H_ORBITS, _h_monomial, i, n, f)
 
 
 def _h_monomial(i: int, n: int, key) -> Form:
@@ -293,13 +293,16 @@ _S_ORBITS: dict = {}
 
 def _apply(name: str, cache: dict, orbits: dict, compute: Callable,
            i: int | None, n: int, f: Form) -> Form:
-    """The operator name (h^i, or P or s with i None: they mark no
+    """The operator name at vertex i (h, named h^i only in the error on
+    a form of another simplex; or P or s with i None: they mark no
     vertex) on a form of the n-simplex, monomial by monomial through
     cache, keyed by the monomial key, or (i, key) for h^i (the key fixes
     n); each value is the flat tuple of kernel.share, added by
     kernel.add_into.  A miss is filled by _orbit_fill from orbits and
     compute, and only the missed monomial's value is cached."""
     if f.n != n:
+        if i is not None:
+            name = f"{name}^{i}"
         raise ValueError(
             f"form lives on the {f.n}-simplex, {name} acts on the {n}-simplex"
         )

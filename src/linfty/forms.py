@@ -132,31 +132,14 @@ class Form(kernel.Linear):
 
     def render(self) -> str:
         """Canonical text rendering, e.g. '1/2*t1^2*dt1^dt2'."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (exps, word) in sorted(self.terms, key=lambda k: (k[1], k[0])):
-            coeff = self.terms[(exps, word)]
-            factors = []
-            for i, e in enumerate(exps, start=1):
-                if e == 1:
-                    factors.append(f"t{i}")
-                elif e > 1:
-                    factors.append(f"t{i}^{e}")
+        terms = []
+        for exps, word in sorted(self.terms, key=lambda k: (k[1], k[0])):
+            factors = [f"t{i}" if e == 1 else f"t{i}^{e}"
+                       for i, e in enumerate(exps, start=1) if e]
             if word:
                 factors.append("^".join(f"dt{i}" for i in word))
-            mag = -coeff if coeff < 0 else coeff
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(pieces)
+            terms.append((self.terms[exps, word], factors))
+        return kernel.render_sum(terms)
 
     def __repr__(self):
         return f"Form({self.n}, {self.render()!r})"

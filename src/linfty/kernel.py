@@ -49,6 +49,8 @@ negation, scalar multiple, equality, hash and zero test, written once
 on the dict it holds (``entries``) and the space it lives in
 (``space``).  A container supplies ``scale(c)`` and ``combine(pairs)``,
 the linear combination self + sum of c * x built in one accumulator.
+``render_sum`` is the one canonical text of a signed sum, which
+``Form.render`` and ``GVector.render`` call.
 """
 
 from fractions import Fraction
@@ -302,6 +304,25 @@ def mul_terms(a, b):
                 else:
                     del out[key]
     return out
+
+
+def render_sum(terms):
+    """The canonical text of a sum of (coefficient, factors) pairs, in
+    their order; factors is a sequence of texts, a monomial's variables
+    or a basis symbol, and empty for a constant.  A term is its
+    coefficient's magnitude and its factors joined by '*', the magnitude
+    left out when it is 1 and there are factors.  The first term takes
+    the sign '-' or none, each later one ' - ' or ' + '; the empty sum
+    is '0'."""
+    pieces = []
+    for coeff, factors in terms:
+        mag = -coeff if coeff < 0 else coeff
+        body = "*".join(factors if mag == 1 and factors else [str(mag), *factors])
+        if pieces:
+            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+    return " ".join(pieces) or "0"
 
 
 class Linear:

@@ -26,6 +26,7 @@ from linfty.algebra import (
     Morphism,
     TensorElement,
     bracket_series,
+    compositions,
     constant_tensor,
     is_mc,
     tensor_bracket,
@@ -181,8 +182,8 @@ def _solve(g: GaugeParameter, i: int, gauge: bool) -> SimplexElement:
             (Fraction(1, prod(map(factorial, Counter(parts).values()))),
              tensor_bracket(algebra, [pieces[v] for v in parts]))
             for ell in range(2, algebra.max_arity + 1)
-            for parts in itertools.combinations_with_replacement(pieces, ell)
-            if sum(parts) == w
+            for parts in compositions(w, ell, w)
+            if all(v in pieces for v in parts)
         )
         if part.is_zero():
             continue

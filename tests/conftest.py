@@ -3,6 +3,8 @@
 import pytest
 
 from linfty import dupont, kernel
+from linfty.algebra import LInftyAlgebra
+from linfty.fixtures import get_fixture
 
 # the Dupont operator caches, the orbit tables that fill them, and the
 # table of shared keys and coefficients their terms are taken from
@@ -27,3 +29,14 @@ def cold_operator_caches(monkeypatch):
             getattr(module, name).clear()
 
     return empty
+
+
+@pytest.fixture
+def scaled_class3():
+    """The free class-3 algebra with its bracket on (x1, x2) tripled,
+    which breaks the Jacobi rule on several tuples."""
+    free = get_fixture("free_nilpotent_class3")
+    brackets = {key: dict(value) for key, value in free.brackets.items()}
+    brackets["x1", "x2"] = {s: 3 * c for s, c in brackets["x1", "x2"].items()}
+    return LInftyAlgebra(
+        "scaled", [(s, free.degrees[s]) for s in free.symbols], brackets)

@@ -85,6 +85,15 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in out
 
+    def test_jacobi_failure_counts_every_failing_tuple(self, capsys, tmp_path,
+                                                       scaled_class3):
+        path = tmp_path / "scaled.json"
+        save_presentation(scaled_class3, path)
+        code, out, _ = run(capsys, "check-jacobi", "--algebra", str(path))
+        assert code == 1
+        assert ("FAIL  Jacobi(scaled) up to arity 3: 142974 cases, 5 failures; "
+                "first: tuple ('x1', 'x2'): 2*w[x1,y2] - 2*w[x2,y1] != 0") in out
+
     def test_default_arity_reaches_the_paired_rule(self, capsys, tmp_path):
         # the n-Jacobi rule pairs l_k with l_(n-k+1): two quaternary
         # brackets first meet at arity 7
