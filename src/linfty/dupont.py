@@ -8,15 +8,16 @@ operator identities these satisfy (ds + sd = Id - P, s^2 = 0, ...) are
 checked exactly on monomial generator sets by the harness at the
 bottom; those checks are the core of the acceptance suite.
 
-h^i, P and s act monomial by monomial through caches.  They commute
+h^i, P and s act monomial by monomial through forms.apply_cached, the
+one cached-apply path of the linear operators on forms.  Each cache
+maps a monomial key, or (i, key) for h^i, to the operator's value on
+the monomial as one flat tuple (key1, c1, key2, c2, ...) of
+kernel.share, whose keys and coefficients are shared objects; a zero
+value is ().  An h^i miss is computed by _h_monomial.  P and s commute
 with renaming the vertices 1..n (vertex 0, eliminated in the reduced
-coordinates, stays put; h^i becomes h^sigma(i)), so a cache miss is
-filled from the operator's value on one representative of the
-monomial's orbit under those renamings, computed once per orbit
-(_orbit_fill).  Each cache maps a monomial key, or (i, key) for h^i,
-to the operator's value on the monomial as one flat tuple (key1, c1,
-key2, c2, ...) of kernel.share, whose keys and coefficients are shared
-objects; a zero value is ().
+coordinates, stays put), so a miss of theirs is filled from the
+operator's value on one representative of the monomial's orbit under
+those renamings, computed once per orbit (_orbit_fill).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from linfty.forms import (
     Form,
     Rational,
     SimplicialMap,
+    apply_cached,
     contract_euler,
     evaluate_vertex,
     exterior_d,
@@ -143,12 +145,18 @@ def poincare_h(i: int, n: int, f: Form) -> Form:
     Satisfies d h + h d = Id - (evaluation at e_i).  Computed by
     contracting with the dilation field, substituting the dilation
     parameter, dividing by it exactly, and integrating it over [0,1].
-    A monomial missing from the cache is filled by _orbit_fill from
-    h^sigma(i) of its orbit's representative.
+    A monomial missing from the cache, keyed (i, key), is filled by
+    _h_monomial.
     """
     if not 0 <= i <= n:
         raise ValueError(f"vertex index {i} out of range 0..{n}")
-    return _apply("h", _H_CACHE, _H_ORBITS, _h_monomial, i, n, f)
+    if f.n != n:
+        raise _wrong_simplex(f"h^{i}", n, f)
+
+    def fill(key):
+        return kernel.share(_h_monomial(i, n, key).terms.items())
+
+    return apply_cached(_H_CACHE, fill, f, n, i)
 
 
 def _h_monomial(i: int, n: int, key) -> Form:
@@ -219,12 +227,15 @@ def whitney_P(n: int, f: Form) -> Form:
     monomial missing from the cache is filled by _orbit_fill from P of
     its orbit's representative.
     """
-    return _apply("P", _P_CACHE, _P_ORBITS, _p_monomial, None, n, f)
+    if f.n != n:
+        raise _wrong_simplex("P", n, f)
+    return apply_cached(
+        _P_CACHE, lambda key: _orbit_fill(_P_ORBITS, _p_monomial, n, key),
+        f, n)
 
 
-def _p_monomial(i, n: int, key) -> Form:
-    """P of one monomial, by its chain integrals; i is None (P marks no
-    vertex)."""
+def _p_monomial(n: int, key) -> Form:
+    """P of one monomial, by its chain integrals."""
     single = Form(n, {key: _ONE}, _validated=True)
     terms: dict = {}
     for seq in itertools.combinations(range(n + 1), len(key[1]) + 1):
@@ -255,12 +266,15 @@ def dupont_s(n: int, f: Form) -> Form:
     vanishes, as do all its extensions.  A monomial missing from the
     cache is filled by _orbit_fill, so the walk runs once per orbit.
     """
-    return _apply("s", _S_CACHE, _S_ORBITS, _s_monomial, None, n, f)
+    if f.n != n:
+        raise _wrong_simplex("s", n, f)
+    return apply_cached(
+        _S_CACHE, lambda key: _orbit_fill(_S_ORBITS, _s_monomial, n, key),
+        f, n)
 
 
-def _s_monomial(i, n: int, key) -> Form:
-    """s of one monomial, by the gauge walk; i is None (s marks no
-    vertex)."""
+def _s_monomial(n: int, key) -> Form:
+    """s of one monomial, by the gauge walk."""
     terms: dict = {}
     _gauge_walk(n, (), Form(n, {key: _ONE}, _validated=True), terms)
     return Form(n, terms, _validated=True)
@@ -282,78 +296,50 @@ def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
         _gauge_walk(n, longer, ext, terms)
 
 
-# -- filling the caches once per vertex-permutation orbit -------------
+# -- filling the caches of P and s once per vertex-permutation orbit ----
 
-# per operator: the representative key, or (i, key) for h^i, -> the
-# operator's value on it, flat
-_H_ORBITS: dict = {}
+# per operator: the representative key -> the operator's value on it, flat
 _P_ORBITS: dict = {}
 _S_ORBITS: dict = {}
 
 
-def _apply(name: str, cache: dict, orbits: dict, compute: Callable,
-           i: int | None, n: int, f: Form) -> Form:
-    """The operator name at vertex i (h, named h^i only in the error on
-    a form of another simplex; or P or s with i None: they mark no
-    vertex) on a form of the n-simplex, monomial by monomial through
-    cache, keyed by the monomial key, or (i, key) for h^i (the key fixes
-    n); each value is the flat tuple of kernel.share, added by
-    kernel.add_into.  A miss is filled by _orbit_fill from orbits and
-    compute, and only the missed monomial's value is cached."""
-    if f.n != n:
-        if i is not None:
-            name = f"{name}^{i}"
-        raise ValueError(
-            f"form lives on the {f.n}-simplex, {name} acts on the {n}-simplex"
-        )
-    out: dict = {}
-    for key, coeff in f.terms.items():
-        entry = key if i is None else (i, key)
-        flat = cache.get(entry)
-        if flat is None:  # a zero value, (), is a hit
-            flat = cache[entry] = _orbit_fill(orbits, compute, i, n, key)
-        if flat:  # a zero value adds nothing
-            it = iter(flat)  # kernel.pairs, without the call
-            kernel.add_into(out, zip(it, it), coeff)
-    return Form(n, out, _validated=True)
+def _wrong_simplex(name: str, n: int, f: Form) -> ValueError:
+    """The error of the operator name, acting on the n-simplex, on a
+    form f of another simplex."""
+    return ValueError(
+        f"form lives on the {f.n}-simplex, {name} acts on the {n}-simplex")
 
 
-def _orbit_fill(orbits: dict, compute: Callable, i: int | None, n: int,
-                key) -> tuple:
-    """The operator's flat value on the monomial t^e dt_W (key = (e, W)),
-    computed as compute(i, n, key) once per orbit of (i, key) under the
+def _orbit_fill(orbits: dict, compute: Callable, n: int, key) -> tuple:
+    """P's or s's flat value on the monomial t^e dt_W (key = (e, W)),
+    computed as compute(n, key) once per orbit of the key under the
     permutations sigma of the vertices 1..n.
 
     sigma renames t_j, dt_j to t_sigma(j), dt_sigma(j); it fixes vertex
-    0, so it maps reduced forms to reduced forms, and h^i, P and s
-    commute with it, h^i turning into h^sigma(i) (i is None for P and
-    s).  The representative sorts the vertices 1..n stably by (j == i,
-    e_j, j in W), so the orbit's members share it.  Its value is kept
-    in orbits, keyed as in the cache, and renamed back by sigma^-1, each
-    dt-word re-sorted with its sign; when sigma is the identity, or the
-    value is the zero value (), the kept tuple itself is returned.  Both
-    the kept value and the renamed one are flat tuples of kernel.share,
-    so the tables hold one object per monomial and per coefficient
-    value, and no dict.
+    0, so it maps reduced forms to reduced forms, and P and s commute
+    with it.  The representative sorts the vertices 1..n stably by
+    (e_j, j in W), so the orbit's members share it.  Its value is kept
+    in orbits, keyed by the representative, and renamed back by
+    sigma^-1, each dt-word re-sorted with its sign; when sigma is the
+    identity, or the value is the zero value (), the kept tuple itself
+    is returned.  Both the kept value and the renamed one are flat
+    tuples of kernel.share, so the tables hold one object per monomial
+    and per coefficient value, and no dict.
     """
     exps, word = key
-    order = sorted(range(1, n + 1),
-                   key=lambda j: (j == i, exps[j - 1], j in word))
+    order = sorted(range(1, n + 1), key=lambda j: (exps[j - 1], j in word))
     rank = [0] * (n + 1)  # rank[j] = sigma(j); sigma(0) = 0
     for position, j in enumerate(order, 1):
         rank[j] = position
     rep_word, sign = kernel.sort_word([rank[j] for j in word])
     rep = (tuple(exps[j - 1] for j in order), rep_word)
-    rep_i = None if i is None else rank[i]
-    entry = rep if i is None else (rep_i, rep)
-    flat = orbits.get(entry)
+    flat = orbits.get(rep)
     if flat is None:
-        flat = orbits[entry] = kernel.share(
-            compute(rep_i, n, rep).terms.items())
-    if not flat or (rep_i == i and rep == key):
+        flat = orbits[rep] = kernel.share(compute(n, rep).terms.items())
+    if not flat or rep == key:
         return flat
-    # sigma(t^e dt_W) = sign * rep, so op_i(t^e dt_W) is sign times
-    # sigma^-1 of op_sigma(i)(rep)
+    # sigma(t^e dt_W) = sign * rep, so op(t^e dt_W) is sign times
+    # sigma^-1 of op(rep)
     renamed = []
     for (rep_exps, rep_w), coeff in kernel.pairs(flat):
         w, w_sign = kernel.sort_word([order[k - 1] for k in rep_w])

@@ -6,6 +6,13 @@ coordinates t_0..t_n (degree 0) and their differentials dt_0..dt_n
 the unique reduced representative obtained by eliminating t_0 and dt_0:
 a Form is a sparse map from (exponent vector over t_1..t_n, strictly
 increasing dt-word) to rational coefficients.  All arithmetic is exact.
+
+Every linear operator on forms acts through apply_cached: a table maps
+each monomial to the operator's value on it, a flat tuple of
+kernel.share computed once from the monomial alone, and the values are
+added in with kernel.add_into.  exterior_d keeps one table keyed by the
+monomial, pullback one per SimplicialMap, and the Dupont operators h^i,
+P and s of linfty.dupont keep their own.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from linfty import kernel
 
@@ -217,25 +224,62 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.n, kernel.mul_terms(a.terms, b.terms), _validated=True)
 
 
+# -- the cached-apply path of the linear operators ---------------------
+
+
+def apply_cached(table: dict, fill: Callable, f: Form, n: int,
+                 vertex: int | None = None) -> Form:
+    """A linear operator on f, monomial by monomial through table, with
+    its value on the n-simplex: the one path through which exterior_d,
+    pullback and the Dupont operators h^i, P and s act.
+
+    The table is keyed by the monomial key, or (vertex, key) for an
+    operator that marks a vertex (h^i), and holds the operator's value
+    on the monomial with coefficient 1 as the flat tuple of kernel.share
+    (a zero value is ()).  A miss is filled with fill(key), which
+    returns that tuple; each value is added in, scaled by the monomial's
+    coefficient, with kernel.add_into.
+    """
+    out: dict = {}
+    for key, coeff in f.terms.items():
+        entry = key if vertex is None else (vertex, key)
+        flat = table.get(entry)
+        if flat is None:  # a zero value, (), is a hit
+            flat = table[entry] = fill(key)
+        if flat:  # a zero value adds nothing
+            it = iter(flat)  # kernel.pairs, without the call
+            kernel.add_into(out, zip(it, it), coeff)
+    return Form(n, out, _validated=True)
+
+
 # -- the exterior differential ---------------------------------------
+
+# monomial key -> d of the monomial, flat; the key fixes n
+_D_CACHE: dict = {}
 
 
 def exterior_d(f: Form) -> Form:
     """Exterior differential: degree +1 graded derivation with d(t_i) = dt_i."""
+    return apply_cached(_D_CACHE, _d_monomial, f, f.n)
+
+
+def _d_monomial(key) -> tuple:
+    """d of the monomial t^e dt_W (key = (e, W)), flat: the sum over j
+    with e_j > 0 of e_j t^(e - 1_j) dt_j dt_W.  Each j lowers a different
+    exponent, so the terms have distinct keys and are stored without
+    adding."""
+    exps, word = key
     out: dict = {}
-    for (exps, word), coeff in f.terms.items():
-        for pos, e in enumerate(exps):
-            if not e:
-                continue
-            j = pos + 1
-            new_word, sign = kernel.merge_words((j,), word)
-            if sign == 0:
-                continue
-            new_exps = list(exps)
-            new_exps[pos] -= 1
-            kernel.add_term(out, (tuple(new_exps), new_word),
-                            kernel.frac_mul_int(coeff, e * sign))
-    return Form(f.n, out, _validated=True)
+    for pos, e in enumerate(exps):
+        if not e:
+            continue
+        new_word, sign = kernel.merge_words((pos + 1,), word)
+        if sign == 0:
+            continue
+        new_exps = list(exps)
+        new_exps[pos] -= 1
+        out[tuple(new_exps), new_word] = kernel.frac_mul_int(_ONE, e * sign)
+    return kernel.share(out.items())
 
 
 # -- vertex evaluation and Euler contraction -------------------------
@@ -368,79 +412,93 @@ class SimplicialMap:
         return f"SimplicialMap([{self.source}]->[{self.target}], {self.values})"
 
 
+# SimplicialMap -> its table: monomial key -> the monomial's pullback, flat
+_PULLBACK_CACHE: dict = {}
+
+
 def pullback(f: SimplicialMap, form: Form) -> Form:
     """Pull a form on the target simplex back along f; an algebra map
-    commuting with the differential.
-
-    Substitutes t_j -> sum of s_a and dt_j -> sum of ds_a over the
-    preimage f^-1(j) of each j >= 1.  The preimages are disjoint blocks
-    of consecutive source vertices, so a monomial c t^e dt_W expands
-    into c times a multinomial coefficient for each way of spreading
-    every t_j^e_j over its block and choosing one ds-letter from the
-    block of every letter of W; the chosen letters come out sorted.  Two
-    different expansions, of one monomial or of two, never give the same
-    key, so these terms are stored without adding.  Only the terms that
-    involve s_0 = 1 - s_1 - ... - s_m, eliminated on the source, need
-    reduction; they occur when f(0) > 0, as on a d_0 face.  They are
-    collected by their power p of s_0, with ds_0 = -(ds_1 + ... + ds_m)
-    expanded at once, and each collection is reduced by one product with
-    the cached image of t_0^p.
-    """
+    commuting with the differential.  Applied monomial by monomial
+    through one table per map, filled by _pullback_monomial."""
     if form.n != f.target:
         raise ValueError(
             f"form lives on the {form.n}-simplex, map targets [{f.target}]"
         )
+    table = _PULLBACK_CACHE.get(f)
+    if table is None:
+        table = _PULLBACK_CACHE[f] = {}
+    return apply_cached(table, lambda key: _pullback_monomial(f, key),
+                        form, f.source)
+
+
+def _pullback_monomial(f: SimplicialMap, key) -> tuple:
+    """The pullback along f of the monomial t^e dt_W (key = (e, W)),
+    flat.
+
+    Substitutes t_j -> sum of s_a and dt_j -> sum of ds_a over the
+    preimage f^-1(j) of each j >= 1.  The preimages are disjoint blocks
+    of consecutive source vertices, so the monomial expands into a
+    multinomial coefficient for each way of spreading every t_j^e_j over
+    its block and choosing one ds-letter from the block of every letter
+    of W; the chosen letters come out sorted.  Two different expansions
+    never give the same key, so these terms are stored without adding.
+    Only the terms that involve s_0 = 1 - s_1 - ... - s_m, eliminated on
+    the source, need reduction; they occur when f(0) > 0, as on a d_0
+    face.  They are collected by their power p of s_0, with
+    ds_0 = -(ds_1 + ... + ds_m) expanded at once, and each collection is
+    reduced by one product with the cached image of t_0^p.
+    """
+    exps, word = key
     m = f.source
     blocks = [[] for _ in range(f.target + 1)]
     for a, v in enumerate(f.values):
         blocks[v].append(a)
+    words = list(itertools.product(*[blocks[j] for j in word]))
+    if not words:
+        return ()
+    src = [0] * (m + 1)
+    tables = []
+    for j, e in enumerate(exps, start=1):
+        if not e:
+            continue
+        block = blocks[j]
+        if len(block) == 1:
+            src[block[0]] = e
+        else:
+            tables.append(_spread(block, e))
+    images = [(src, _ONE)]
+    for table in tables:
+        images = [_apply_spread(image, part, count)
+                  for image in images for part, count in table]
     out: dict = {}
     # the terms with a factor s_0^p (p > 0) or ds_0, by p, with s_0^p
     # left out and ds_0 expanded
     pending: dict = {}
-    for (exps, word), coeff in form.terms.items():
-        words = list(itertools.product(*[blocks[j] for j in word]))
-        if not words:
-            continue
-        src = [0] * (m + 1)
-        tables = []
-        for j, e in enumerate(exps, start=1):
-            if not e:
-                continue
-            block = blocks[j]
-            if len(block) == 1:
-                src[block[0]] = e
+    for image, c in images:
+        p = image[0]
+        exps_key = tuple(image[1:])
+        for w in words:
+            if w and not w[0]:
+                # ds_0 = -(ds_1 + ... + ds_m)
+                group = pending.setdefault(p, {})
+                rest = w[1:]
+                for a in range(1, m + 1):
+                    merged, sign = kernel.merge_words((a,), rest)
+                    if sign:
+                        kernel.add_term(
+                            group, (exps_key, merged),
+                            kernel.frac_neg(c) if sign > 0 else c,
+                        )
+            elif p:
+                kernel.add_term(pending.setdefault(p, {}), (exps_key, w), c)
             else:
-                tables.append(_spread(block, e))
-        images = [(src, coeff)]
-        for table in tables:
-            images = [_apply_spread(image, part, count)
-                      for image in images for part, count in table]
-        for image, c in images:
-            p = image[0]
-            exps_key = tuple(image[1:])
-            for w in words:
-                if w and not w[0]:
-                    # ds_0 = -(ds_1 + ... + ds_m)
-                    group = pending.setdefault(p, {})
-                    rest = w[1:]
-                    for a in range(1, m + 1):
-                        merged, sign = kernel.merge_words((a,), rest)
-                        if sign:
-                            kernel.add_term(
-                                group, (exps_key, merged),
-                                kernel.frac_neg(c) if sign > 0 else c,
-                            )
-                elif p:
-                    kernel.add_term(pending.setdefault(p, {}), (exps_key, w), c)
-                else:
-                    out[exps_key, w] = c
+                out[exps_key, w] = c
     for p, group in pending.items():
         # on the point, s_0 = 1
         if p and m:
             group = kernel.mul_terms(_t_power(0, p, m).terms, group)
         kernel.add_into(out, group.items())
-    return Form(m, out, _validated=True)
+    return kernel.share(out.items())
 
 
 def _apply_spread(image, part, count):

@@ -17,12 +17,14 @@ the exterior product.
 Cached terms are flat and share their keys, the parts of their keys
 and their coefficients: ``share`` returns a form's terms as one flat
 tuple (key1, c1, key2, c2, ...), the zero form as (), whose keys,
-exponent tuples, dt-words and coefficients come from one module-level
-table (hash-consing).  So the long-lived tables of ``dupont`` hold one
-tuple per cached value and no dict, and they and the small ``Form``
-caches of ``dupont`` and ``forms`` (rebuilt from the tuple with
-``dict(pairs(flat))``) hold one key object per monomial, one tuple per
-exponent vector or word and one Fraction per value.
+exponent tuples and dt-words come from one module-level table and whose
+coefficients come from another, keyed by (numerator, denominator)
+(hash-consing).  So the long-lived operator tables of ``forms`` (d and
+the pullbacks) and ``dupont`` (h^i, P, s) hold one tuple per cached
+value and no dict, and they and the small ``Form`` caches of ``dupont``
+and ``forms`` (rebuilt from the tuple with ``dict(pairs(flat))``) hold
+one key object per monomial, one tuple per exponent vector or word and
+one Fraction per value.
 
 Exact arithmetic: the package's four internal primitives compute
 from numerators and denominators: ``frac_add``, ``frac_mul`` and
@@ -240,8 +242,10 @@ def add_term(dst, key, coeff):
     return dst
 
 
-# the first object seen for each key, key part and coefficient, by value
+# the first object seen for each key and key part, by value, and for
+# each coefficient, by its (numerator, denominator)
 _SHARED: dict = {}
+_SHARED_COEFFS: dict = {}
 
 
 def share(items):
@@ -253,9 +257,11 @@ def share(items):
     Called where a form enters a long-lived table, so that the table
     holds one tuple per form, with one object per monomial, per
     exponent tuple, per word and per coefficient value, and no dict.
-    Equal tuples share one object whatever their role; no tuple equals a
-    Fraction.  ``pairs`` reads the result back."""
+    Equal tuples share one object whatever their role.  A coefficient
+    is looked up by the pair of its slots, whose hash costs a tenth of
+    ``Fraction.__hash__``.  ``pairs`` reads the result back."""
     shared = _SHARED.setdefault
+    coeffs = _SHARED_COEFFS
     flat = []
     for key, coeff in items:
         first = _SHARED.get(key)
@@ -264,7 +270,11 @@ def share(items):
             first = (shared(exps, exps), shared(word, word))
             _SHARED[first] = first
         flat.append(first)
-        flat.append(shared(coeff, coeff))
+        value = coeff._numerator, coeff._denominator
+        first = coeffs.get(value)
+        if first is None:
+            first = coeffs[value] = coeff
+        flat.append(first)
     return tuple(flat)
 
 

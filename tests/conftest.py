@@ -2,23 +2,25 @@
 
 import pytest
 
-from linfty import dupont, kernel
+from linfty import dupont, forms, kernel
 from linfty.algebra import LInftyAlgebra
 from linfty.fixtures import get_fixture
 
-# the Dupont operator caches, the orbit tables that fill them, and the
-# table of shared keys and coefficients their terms are taken from
-OPERATOR_TABLES = ((dupont, "_H_CACHE"), (dupont, "_P_CACHE"),
-                   (dupont, "_S_CACHE"), (dupont, "_H_ORBITS"),
-                   (dupont, "_P_ORBITS"), (dupont, "_S_ORBITS"),
-                   (kernel, "_SHARED"))
+# the cached operator tables (d, the pullbacks, h^i, P and s), the orbit
+# tables that fill P's and s's, and the tables of shared keys and
+# coefficients their terms are taken from
+OPERATOR_TABLES = ((forms, "_D_CACHE"), (forms, "_PULLBACK_CACHE"),
+                   (dupont, "_H_CACHE"), (dupont, "_P_CACHE"),
+                   (dupont, "_S_CACHE"), (dupont, "_P_ORBITS"),
+                   (dupont, "_S_ORBITS"), (kernel, "_SHARED"),
+                   (kernel, "_SHARED_COEFFS"))
 
 
 @pytest.fixture
 def cold_operator_caches(monkeypatch):
-    """Empty the Dupont operator caches, their orbit tables and the
-    shared-term table for one test, so that its operator calls fill them
-    from scratch; the warm tables are restored afterwards.  Returns a
+    """Empty the operator tables, the orbit tables and the shared-term
+    tables for one test, so that its operator calls fill them from
+    scratch; the warm tables are restored afterwards.  Returns a
     function that empties them again, for a property test whose every
     example starts cold."""
     for module, name in OPERATOR_TABLES:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linfty import dupont
+from linfty import dupont, forms
 from linfty.dupont import (
     check_contraction_identities,
     check_gauge_identities,
@@ -351,11 +351,17 @@ def sequences_and_forms(draw):
     return tuple(seq), Form(n, terms)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(maps_and_forms())
-def test_pullback_equals_the_product_of_generator_images(case):
+def test_pullback_equals_the_product_of_generator_images(
+        cold_operator_caches, case):
+    """On cold tables and on the warm tables the same call filled."""
     f, form = case
-    assert pullback(f, form) == _pullback_by_products(f, form)
+    expected = _pullback_by_products(f, form)
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        assert pullback(f, form) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -415,8 +421,6 @@ def test_orbit_filled_operators_equal_the_direct_computation(
         assert whitney_P(n, m) == _direct_P(n, m), m
         assert dupont_s(n, m) == _direct_s(n, m, h_memo), m
     # one orbit-table entry per orbit of the missed monomials
-    assert len(dupont._H_ORBITS) == len(
-        {_orbit(n, i, key) for i, key in dupont._H_CACHE})
     for orbits, cache in ((dupont._S_ORBITS, dupont._S_CACHE),
                           (dupont._P_ORBITS, dupont._P_CACHE)):
         assert len(orbits) == len({_orbit(n, 0, key) for key in cache})
@@ -488,9 +492,14 @@ def test_cached_terms_share_one_object_per_key_and_coefficient(
     for check in (check_contraction_identities, check_gauge_identities):
         check(3, 3)
     check_naturality(3, 3)
-    values = [flat for name in ("_H_CACHE", "_P_CACHE", "_S_CACHE",
-                                "_H_ORBITS", "_P_ORBITS", "_S_ORBITS")
-              for flat in getattr(dupont, name).values()]
+    tables = [getattr(dupont, name) for name in (
+        "_H_CACHE", "_P_CACHE", "_S_CACHE", "_P_ORBITS", "_S_ORBITS")]
+    tables.append(forms._D_CACHE)
+    tables.extend(forms._PULLBACK_CACHE.values())
+    # d ran, and so did the pullbacks along the 9 faces and 6
+    # degeneracies with target dimension 1..3
+    assert forms._D_CACHE and len(forms._PULLBACK_CACHE) == 9 + 6
+    values = [flat for table in tables for flat in table.values()]
     # each value is a flat tuple (key1, c1, key2, c2, ...)
     assert all(type(flat) is tuple and len(flat) % 2 == 0 for flat in values)
     keys = [key for flat in values for key in flat[::2]]

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linfty import forms, kernel
 from linfty.forms import (
@@ -309,6 +309,12 @@ class TestRendering:
 # -- pullback and d on random sparse forms ---------------------------------
 
 PROPERTY = settings(max_examples=50, deadline=None)
+# a property whose every example empties the operator tables
+# (cold_operator_caches) and checks on the cold tables, then again on the
+# warm tables the cold pass filled
+COLD_AND_WARM = settings(
+    max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
@@ -335,24 +341,60 @@ def maps_and_forms(draw):
     return SimplicialMap(m, n, values), draw(sparse_forms(n)), draw(sparse_forms(n))
 
 
-@PROPERTY
+@COLD_AND_WARM
 @given(maps_and_forms())
-def test_pullback_is_a_dg_algebra_map_on_random_forms(case):
+def test_pullback_is_a_dg_algebra_map_on_random_forms(cold_operator_caches,
+                                                      case):
     f, a, b = case
-    assert pullback(f, a * b) == pullback(f, a) * pullback(f, b)
-    assert pullback(f, exterior_d(a)) == exterior_d(pullback(f, a))
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        assert pullback(f, a * b) == pullback(f, a) * pullback(f, b)
+        assert pullback(f, exterior_d(a)) == exterior_d(pullback(f, a))
 
 
-@PROPERTY
+@COLD_AND_WARM
 @given(maps_and_forms())
-def test_pullback_along_the_factors_on_random_forms(case):
+def test_pullback_along_the_factors_on_random_forms(cold_operator_caches,
+                                                    case):
     f, a, _ = case
-    # f is the composite factors[0] o factors[1] o ..., so the pullbacks
-    # apply in list order
-    pulled = a
-    for factor in f.factorize():
-        pulled = pullback(factor, pulled)
-    assert pulled == pullback(f, a)
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        # f is the composite factors[0] o factors[1] o ..., so the
+        # pullbacks apply in list order
+        pulled = a
+        for factor in f.factorize():
+            pulled = pullback(factor, pulled)
+        assert pulled == pullback(f, a)
+
+
+def _d_by_products(f):
+    """d by the Leibniz rule on each monomial c t^e dt_W written as the
+    product of its generators: the sum over its t-factors of the product
+    with that factor t_j replaced by dt_j.  The t-factors are even and
+    come first, so no sign arises, and d(dt_j) = 0."""
+    n = f.n
+    total = Form.zero(n)
+    for (exps, word), coeff in f.terms.items():
+        ts = [j for j, e in enumerate(exps, start=1) for _ in range(e)]
+        for pos in range(len(ts)):
+            image = Form.constant(n, coeff)
+            for k, j in enumerate(ts):
+                image = image * (Form.dt(j, n) if k == pos else Form.t(j, n))
+            for j in word:
+                image = image * Form.dt(j, n)
+            total = total + image
+    return total
+
+
+@COLD_AND_WARM
+@given(st.integers(1, 3).flatmap(sparse_forms))
+def test_d_is_the_product_rule_and_squares_to_zero_on_random_forms(
+        cold_operator_caches, f):
+    expected = _d_by_products(f)
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        assert exterior_d(f) == expected
+        assert exterior_d(exterior_d(f)).is_zero()
 
 
 @PROPERTY
