@@ -269,7 +269,7 @@ def _d_monomial(key) -> tuple:
     exponent, so the terms have distinct keys and are stored without
     adding."""
     exps, word = key
-    out: dict = {}
+    terms = []
     for pos, e in enumerate(exps):
         if not e:
             continue
@@ -278,8 +278,9 @@ def _d_monomial(key) -> tuple:
             continue
         new_exps = list(exps)
         new_exps[pos] -= 1
-        out[tuple(new_exps), new_word] = kernel.frac_mul_int(_ONE, e * sign)
-    return kernel.share(out.items())
+        terms.append(((tuple(new_exps), new_word),
+                      kernel.frac_mul_int(_ONE, e * sign)))
+    return kernel.share(terms)
 
 
 # -- vertex evaluation and Euler contraction -------------------------
@@ -424,11 +425,8 @@ def pullback(f: SimplicialMap, form: Form) -> Form:
         raise ValueError(
             f"form lives on the {form.n}-simplex, map targets [{f.target}]"
         )
-    table = _PULLBACK_CACHE.get(f)
-    if table is None:
-        table = _PULLBACK_CACHE[f] = {}
-    return apply_cached(table, lambda key: _pullback_monomial(f, key),
-                        form, f.source)
+    return apply_cached(_PULLBACK_CACHE.setdefault(f, {}),
+                        lambda key: _pullback_monomial(f, key), form, f.source)
 
 
 def _pullback_monomial(f: SimplicialMap, key) -> tuple:

@@ -356,12 +356,17 @@ def sequences_and_forms(draw):
 @given(maps_and_forms())
 def test_pullback_equals_the_product_of_generator_images(
         cold_operator_caches, case):
-    """On cold tables and on the warm tables the same call filled."""
+    """On cold tables and on the warm tables the same calls filled,
+    along f and its mirror image, a second map of the same shape whose
+    values a table shared between maps would mix up."""
     f, form = case
-    expected = _pullback_by_products(f, form)
+    mirror = SimplicialMap(f.source, f.target,
+                           [f.target - v for v in reversed(f.values)])
+    expected = {g: _pullback_by_products(g, form) for g in (f, mirror)}
     cold_operator_caches()
     for _ in ("cold", "warm"):
-        assert pullback(f, form) == expected
+        for g, value in expected.items():
+            assert pullback(g, form) == value
 
 
 @settings(max_examples=200, deadline=None)
