@@ -562,10 +562,9 @@ def twist(algebra: LInftyAlgebra, mu: GVector) -> LInftyAlgebra:
     )
 
 
-def twisted_bracket(algebra: LInftyAlgebra, mu, args: Sequence):
-    """Evaluate [args]_mu without materializing the twisted table."""
-    if isinstance(mu, GVector) and args and isinstance(args[0], TensorElement):
-        mu = constant_tensor(args[0].n, mu)
+def twisted_bracket(algebra: LInftyAlgebra, mu: GVector, args: Sequence):
+    """Evaluate [args]_mu on vectors without materializing the twisted
+    table."""
     return bracket_series(algebra, mu, args, 0)
 
 
@@ -741,17 +740,6 @@ class TensorElement(kernel.Linear):
             for k in form.exterior_degrees():
                 out.append((sym, k, form.component(k)))
         return out
-
-    def component(self, total_degree: int) -> "TensorElement":
-        degrees = self.algebra.degrees
-        return TensorElement(
-            self.algebra,
-            self.n,
-            {
-                sym: form.component(total_degree - degrees[sym])
-                for sym, form in self.comps.items()
-            },
-        )
 
     def is_homogeneous(self, total_degree: int) -> bool:
         return all(

@@ -7,6 +7,11 @@ the unique reduced representative obtained by eliminating t_0 and dt_0:
 a Form is a sparse map from (exponent vector over t_1..t_n, strictly
 increasing dt-word) to rational coefficients.  All arithmetic is exact.
 
+reduce_barycentric is the one reduction to that normal form (Form.t,
+Form.dt, the elementary forms and the s_0/ds_0 terms of a pullback go
+through it); it expands dt_0 and multiplies by the powers of t_0 in
+_t0_power, a table of term dicts.
+
 Every linear operator on forms acts through apply_cached: a table maps
 each monomial to the operator's value on it, a flat tuple of
 kernel.share computed once from the monomial alone, and the values are
@@ -85,23 +90,15 @@ class Form(kernel.Linear):
     def t(i: int, n: int) -> "Form":
         """The barycentric coordinate t_i as a reduced form."""
         _check_vertex(i, n)
-        if i == 0:
-            # t_0 = 1 - t_1 - ... - t_n
-            terms = {((0,) * n, ()): _ONE}
-            for j in range(1, n + 1):
-                terms[(_unit_exps(n, j), ())] = -_ONE
-            return Form(n, terms, _validated=True)
-        return Form(n, {(_unit_exps(n, i), ()): _ONE}, _validated=True)
+        exps = [0] * (n + 1)
+        exps[i] = 1
+        return reduce_barycentric([(_ONE, tuple(exps), ())], n)
 
     @staticmethod
     def dt(i: int, n: int) -> "Form":
         """The differential dt_i as a reduced form."""
         _check_vertex(i, n)
-        if i == 0:
-            # dt_0 = -dt_1 - ... - dt_n
-            terms = {((0,) * n, (j,)): -_ONE for j in range(1, n + 1)}
-            return Form(n, terms, _validated=True)
-        return Form(n, {((0,) * n, (i,)): _ONE}, _validated=True)
+        return reduce_barycentric([(_ONE, (0,) * (n + 1), (i,))], n)
 
     # -- the vector-space hooks of kernel.Linear ----------------------
 
@@ -152,10 +149,6 @@ class Form(kernel.Linear):
         return f"Form({self.n}, {self.render()!r})"
 
 
-def _unit_exps(n: int, i: int):
-    return tuple(1 if j == i else 0 for j in range(1, n + 1))
-
-
 def _check_vertex(i: int, n: int):
     if not 0 <= i <= n:
         raise ValueError(f"vertex index {i} out of range 0..{n}")
@@ -165,51 +158,74 @@ def _check_vertex(i: int, n: int):
 
 
 def reduce_barycentric(raw_terms: Iterable, n: int) -> Form:
-    """Reduce a formal polynomial in t_0..t_n, dt_0..dt_n to normal form.
+    """Reduce a formal polynomial in t_0..t_n, dt_0..dt_n to normal form:
+    the one reduction to the coordinates t_1..t_n, dt_1..dt_n.
 
     raw_terms is an iterable of (coeff, exps, word) with exps of length
     n+1 (exponents of t_0..t_n) and word a tuple over 0..n (a formal
-    dt-product, in the given order).  Substitutes t_0 = 1 - sum t_i and
-    dt_0 = -sum dt_i and sorts each dt-word with alternating signs.
-    Idempotent on already-reduced input.
+    dt-product, in the given order).  Each word is sorted with its sign
+    (kernel.sort_word) and dt_0 = -(dt_1 + ... + dt_n) expanded; the
+    terms are then collected by their power p of t_0, and each
+    collection is multiplied once by t_0^p (_t0_power).  Idempotent on
+    already-reduced input.
     """
-    total: dict = {}
+    # p -> the terms with the factor t_0^p, t_0^p left out
+    groups: dict = {}
     for coeff, exps, word in raw_terms:
-        coeff = Fraction(coeff)
+        coeff = kernel.as_fraction(coeff)
         if not coeff:
             continue
         if len(exps) != n + 1:
             raise ValueError(f"raw exponent vector {exps} has length != {n + 1}")
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
         for i in word:
             _check_vertex(i, n)
-        piece = Form.constant(n, coeff)
-        for i, e in enumerate(exps):
-            if e < 0:
-                raise ValueError(f"negative exponent in {exps}")
-            if e:
-                piece = piece * _t_power(i, e, n)
-        for i in word:
-            piece = piece * Form.dt(i, n)
-            if piece.is_zero():
-                break
-        kernel.add_into(total, piece.terms.items())
+        word, sign = kernel.sort_word(word)
+        if not sign:
+            continue
+        if sign < 0:
+            coeff = kernel.frac_neg(coeff)
+        group = groups.setdefault(exps[0], {})
+        rest = tuple(exps[1:])
+        if word and not word[0]:
+            # dt_0 = -(dt_1 + ... + dt_n)
+            negated = kernel.frac_neg(coeff)
+            for a in range(1, n + 1):
+                merged, sign = kernel.merge_words((a,), word[1:])
+                if sign:
+                    kernel.add_term(group, (rest, merged),
+                                    negated if sign > 0 else coeff)
+        else:
+            kernel.add_term(group, (rest, word), coeff)
+    total: dict = {}
+    for p, group in groups.items():
+        if p:
+            group = kernel.mul_terms(_t0_power(p, n), group)
+        kernel.add_into(total, group.items())
     return Form(n, total, _validated=True)
 
 
-_T_POWER_CACHE: dict = {}
+# (n, e) -> t_0^e on the n-simplex, a term dict with shared keys and
+# coefficients
+_T0_POWER_CACHE: dict = {}
 
 
-def _t_power(i: int, e: int, n: int) -> Form:
-    """t_i^e, each power one product from the cached power below it,
-    cached with shared keys and coefficients."""
+def _t0_power(e: int, n: int) -> dict:
+    """t_0^e = (1 - t_1 - ... - t_n)^e as a term dict, each power one
+    product of the cached power below it (t_0^0 = 1) with t_0."""
     below = e
-    while below and (n, i, below) not in _T_POWER_CACHE:
+    while below and (n, below) not in _T0_POWER_CACHE:
         below -= 1
-    power = _T_POWER_CACHE[(n, i, below)] if below else Form.one(n)
-    for k in range(below + 1, e + 1):
-        flat = kernel.share((power * Form.t(i, n)).terms.items())
-        power = _T_POWER_CACHE[(n, i, k)] = Form(
-            n, dict(kernel.pairs(flat)), _validated=True)
+    power = _T0_POWER_CACHE[n, below] if below else {((0,) * n, ()): _ONE}
+    if below < e:
+        # t_0 = 1 - t_1 - ... - t_n
+        t0 = {((0,) * n, ()): _ONE}
+        for j in range(n):
+            t0[(0,) * j + (1,) + (0,) * (n - 1 - j), ()] = -_ONE
+        for k in range(below + 1, e + 1):
+            power = _T0_POWER_CACHE[n, k] = dict(kernel.pairs(
+                kernel.share(kernel.mul_terms(power, t0).items())))
     return power
 
 
@@ -440,11 +456,9 @@ def _pullback_monomial(f: SimplicialMap, key) -> tuple:
     its block and choosing one ds-letter from the block of every letter
     of W; the chosen letters come out sorted.  Two different expansions
     never give the same key, so these terms are stored without adding.
-    Only the terms that involve s_0 = 1 - s_1 - ... - s_m, eliminated on
-    the source, need reduction; they occur when f(0) > 0, as on a d_0
-    face.  They are collected by their power p of s_0, with
-    ds_0 = -(ds_1 + ... + ds_m) expanded at once, and each collection is
-    reduced by one product with the cached image of t_0^p.
+    Only the terms with a factor s_0 or ds_0, eliminated on the source,
+    need reduction; they occur when f(0) > 0, as on a d_0 face, and go
+    through reduce_barycentric.
     """
     exps, word = key
     m = f.source
@@ -469,33 +483,16 @@ def _pullback_monomial(f: SimplicialMap, key) -> tuple:
         images = [_apply_spread(image, part, count)
                   for image in images for part, count in table]
     out: dict = {}
-    # the terms with a factor s_0^p (p > 0) or ds_0, by p, with s_0^p
-    # left out and ds_0 expanded
-    pending: dict = {}
+    raw = []  # the terms with a factor s_0 or ds_0, left to the reducer
     for image, c in images:
-        p = image[0]
         exps_key = tuple(image[1:])
         for w in words:
-            if w and not w[0]:
-                # ds_0 = -(ds_1 + ... + ds_m)
-                group = pending.setdefault(p, {})
-                rest = w[1:]
-                for a in range(1, m + 1):
-                    merged, sign = kernel.merge_words((a,), rest)
-                    if sign:
-                        kernel.add_term(
-                            group, (exps_key, merged),
-                            kernel.frac_neg(c) if sign > 0 else c,
-                        )
-            elif p:
-                kernel.add_term(pending.setdefault(p, {}), (exps_key, w), c)
+            if image[0] or (w and not w[0]):
+                raw.append((c, image, w))
             else:
                 out[exps_key, w] = c
-    for p, group in pending.items():
-        # on the point, s_0 = 1
-        if p and m:
-            group = kernel.mul_terms(_t_power(0, p, m).terms, group)
-        kernel.add_into(out, group.items())
+    if raw:
+        kernel.add_into(out, reduce_barycentric(raw, m).terms.items())
     return kernel.share(out.items())
 
 

@@ -21,10 +21,11 @@ exponent tuples and dt-words come from one module-level table and whose
 coefficients come from another, keyed by (numerator, denominator)
 (hash-consing).  So the long-lived operator tables of ``forms`` (d and
 the pullbacks) and ``dupont`` (h^i, P, s) hold one tuple per cached
-value and no dict, and they and the small ``Form`` caches of ``dupont``
-and ``forms`` (rebuilt from the tuple with ``dict(pairs(flat))``) hold
-one key object per monomial, one tuple per exponent vector or word and
-one Fraction per value.
+value and no dict, and they, the elementary-form cache of ``dupont``
+(``Form``s) and the t_0-power table of ``forms`` (term dicts), both
+rebuilt from the tuple with ``dict(pairs(flat))``, hold one key object
+per monomial, one tuple per exponent vector or word and one Fraction
+per value.
 
 Exact arithmetic: the package's four internal primitives compute
 from numerators and denominators: ``frac_add``, ``frac_mul`` and

@@ -34,6 +34,8 @@ from linfty.forms import (
     pullback,
 )
 
+from form_oracle import dt_form, t_form
+
 
 def mono(n, exps, word=()):
     return Form(n, {(tuple(exps), tuple(word)): Fraction(1)})
@@ -274,13 +276,13 @@ def _pullback_by_products(f, form):
     """The pullback as the product of the images of the generators: each
     monomial maps to its coefficient times the images of its t-factors
     and dt-letters, the image of t_j (dt_j) being the sum of the source
-    t_a (dt_a) over a in f^-1(j)."""
+    t_a (dt_a) over a in f^-1(j), with t_0 and dt_0 written out."""
     m = f.source
     t_images = [Form.zero(m)] * (f.target + 1)
     dt_images = [Form.zero(m)] * (f.target + 1)
     for a, v in enumerate(f.values):
-        t_images[v] = t_images[v] + Form.t(a, m)
-        dt_images[v] = dt_images[v] + Form.dt(a, m)
+        t_images[v] = t_images[v] + t_form(a, m)
+        dt_images[v] = dt_images[v] + dt_form(a, m)
     total = Form.zero(m)
     for (exps, word), coeff in form.terms.items():
         image = Form.constant(m, coeff)

@@ -12,7 +12,7 @@ from linfty import forms, kernel
 from linfty.forms import (
     Form,
     SimplicialMap,
-    _t_power,
+    _t0_power,
     contract_euler,
     evaluate_vertex,
     exterior_d,
@@ -21,6 +21,8 @@ from linfty.forms import (
     wedge,
 )
 from linfty.serialize import parse_form
+
+from form_oracle import dt_form, reduce_by_products, t_form
 
 
 def mono(n, exps, word=()):
@@ -66,6 +68,12 @@ class TestReduction:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             reduce_barycentric([(1, (0, 0), (3,))], 1)
+
+    def test_generators_are_the_written_out_coordinates(self):
+        for n in range(4):
+            for i in range(n + 1):
+                assert Form.t(i, n) == t_form(i, n)
+                assert Form.dt(i, n) == dt_form(i, n)
 
 
 class TestDifferential:
@@ -249,8 +257,8 @@ class TestPullback:
 
 class TestPowersOfT:
     def test_each_power_is_one_product_from_the_one_below(self, monkeypatch):
-        monkeypatch.setattr(forms, "_T_POWER_CACHE", {})
-        _t_power(0, 5, 3)
+        monkeypatch.setattr(forms, "_T0_POWER_CACHE", {})
+        _t0_power(5, 3)
         calls = []
 
         def counted(a, b, mul_terms=kernel.mul_terms):
@@ -258,14 +266,15 @@ class TestPowersOfT:
             return mul_terms(a, b)
 
         monkeypatch.setattr(kernel, "mul_terms", counted)
-        _t_power(0, 6, 3)
+        _t0_power(6, 3)
         assert len(calls) == 1
-        _t_power(0, 6, 3)
+        _t0_power(6, 3)
         assert len(calls) == 1
 
-    def test_powers_are_the_multinomial_expansion(self):
+    def test_powers_are_the_multinomial_expansion(self, monkeypatch):
         # t_0^e = (1 - t_1 - ... - t_n)^e, expanded term by term
-        for n, e in ((1, 7), (2, 5), (3, 4)):
+        monkeypatch.setattr(forms, "_T0_POWER_CACHE", {})
+        for n, e in ((0, 3), (1, 7), (2, 5), (3, 4)):
             terms = {}
             for exps in itertools.product(range(e + 1), repeat=n):
                 rest = e - sum(exps)
@@ -274,8 +283,7 @@ class TestPowersOfT:
                         factorial(rest) * prod(map(factorial, exps))
                     )
                     terms[(exps, ())] = Fraction((-1) ** sum(exps) * count)
-            assert _t_power(0, e, n) == Form(n, terms)
-            assert _t_power(n, e, n) == mono(n, (0,) * (n - 1) + (e,))
+            assert _t0_power(e, n) == terms
 
 
 class TestRendering:
@@ -306,7 +314,7 @@ class TestRendering:
         assert f.render() == f.render()
 
 
-# -- pullback and d on random sparse forms ---------------------------------
+# -- the reducer, pullback and d on random sparse forms -------------------
 
 PROPERTY = settings(max_examples=50, deadline=None)
 # a property whose every example empties the operator tables
@@ -329,6 +337,30 @@ def sparse_forms(n):
     return st.dictionaries(term, rationals, min_size=1, max_size=4).map(
         lambda terms: Form(n, terms)
     )
+
+
+@st.composite
+def raw_barycentric(draw):
+    """(n, raw terms on the n-simplex), n = 0..3: exponents over
+    t_0..t_n and unsorted dt-words over 0..n that may repeat a letter."""
+    n = draw(st.integers(0, 3))
+    term = st.tuples(
+        rationals,
+        st.tuples(*[st.integers(0, 3)] * (n + 1)),
+        st.lists(st.integers(0, n), max_size=n + 1).map(tuple),
+    )
+    return n, draw(st.lists(term, max_size=4))
+
+
+@COLD_AND_WARM
+@given(raw_barycentric())
+def test_reduce_barycentric_is_the_product_of_the_generators(
+        cold_operator_caches, case):
+    n, raw = case
+    expected = reduce_by_products(raw, n)
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        assert reduce_barycentric(raw, n) == expected
 
 
 @st.composite
