@@ -44,6 +44,7 @@ from linfty.bch_groupoid import (
 )
 from linfty.fixtures import (
     BUNDLED,
+    REPRESENTATIONS,
     Sampler,
     cyclic_group_nerve,
     free_nilpotent_class3,
@@ -285,7 +286,7 @@ def criterion_monodromy(seed: int = 0, max_degree: int = 4) -> Report:
     """9: exp(x1) = exp(rho2(x1, x2)) exp(x2) exactly in faithful
     matrix models."""
     result = _criterion(9, "matrix monodromy identity (exact)")
-    for name in ("heisenberg", "ut4"):
+    for name in REPRESENTATIONS:
         rep = get_representation(name)
         result.check(
             rep.check_faithful_bracket(), f"{name}: representation not faithful"

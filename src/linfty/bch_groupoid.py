@@ -313,9 +313,10 @@ class NilMatrix:
         return NilMatrix([[c * v for v in row] for row in self.rows])
 
     def commutator(self, other: "NilMatrix") -> "NilMatrix":
+        ab = _mat_mul(self.rows, other.rows)
+        ba = _mat_mul(other.rows, self.rows)
         return NilMatrix(
-            _mat_sub(_mat_mul(self.rows, other.rows),
-                     _mat_mul(other.rows, self.rows))
+            [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
         )
 
     def __eq__(self, other):
@@ -337,33 +338,33 @@ def _mat_mul(a, b):
     ]
 
 
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _identity(m):
-    return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-
-
-def matrix_exp(n: NilMatrix):
-    """Exact exponential of a nilpotent matrix: the series terminates at
-    the matrix size.  Returns a unipotent matrix as rational rows."""
-    m = n.size
-    result = _identity(m)
-    power = _identity(m)
-    fact = 1
+def _power_series(rows, coefficient):
+    """The sum of coefficient(k) N^k over k < m for the m x m strictly
+    upper-triangular N given by rows, which is the whole series since
+    N^m = 0 (Hall, Lie Groups, Lie Algebras, and Representations, 2.1)."""
+    m = len(rows)
+    c = coefficient(0)
+    result = [[c if i == j else _ZERO for j in range(m)] for i in range(m)]
+    power = rows
     for k in range(1, m):
-        power = _mat_mul(power, n.rows)
-        fact *= k
+        c = coefficient(k)
         result = [
-            [r + p / fact for r, p in zip(rrow, prow)]
+            [r + c * p for r, p in zip(rrow, prow)]
             for rrow, prow in zip(result, power)
         ]
+        power = _mat_mul(power, rows)
     return result
 
 
+def matrix_exp(n: NilMatrix):
+    """Exact exponential of a nilpotent matrix, the series of 1/k!.
+    Returns a unipotent matrix as rational rows."""
+    return _power_series(n.rows, lambda k: Fraction(1, factorial(k)))
+
+
 def matrix_log(unipotent) -> NilMatrix:
-    """Exact logarithm of a unipotent matrix; inverse of matrix_exp."""
+    """Exact logarithm of a unipotent matrix U, the series of
+    (-1)^(k+1)/k on U - I; inverse of matrix_exp."""
     m = len(unipotent)
     rows = [[Fraction(v) for v in row] for row in unipotent]
     for i in range(m):
@@ -371,17 +372,10 @@ def matrix_log(unipotent) -> NilMatrix:
             expected = _ONE if i == j else _ZERO
             if rows[i][j] != expected:
                 raise ValueError("matrix is not unipotent upper triangular")
-    n = [[rows[i][j] - (1 if i == j else 0) for j in range(m)] for i in range(m)]
-    result = [[_ZERO] * m for _ in range(m)]
-    power = _identity(m)
-    for k in range(1, m):
-        power = _mat_mul(power, n)
-        sign = Fraction((-1) ** (k + 1), k)
-        result = [
-            [r + sign * p for r, p in zip(rrow, prow)]
-            for rrow, prow in zip(result, power)
-        ]
-    return NilMatrix(result)
+    n = [[_ZERO if i == j else v for j, v in enumerate(row)]
+         for i, row in enumerate(rows)]
+    return NilMatrix(_power_series(
+        n, lambda k: Fraction((-1) ** (k + 1), k) if k else _ZERO))
 
 
 def oracle_bch(x: NilMatrix, y: NilMatrix) -> NilMatrix:

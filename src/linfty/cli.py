@@ -17,7 +17,7 @@ from math import comb
 from linfty import acceptance
 from linfty.algebra import check_jacobi, jacobi_arity, jacobi_cases
 from linfty.bch_groupoid import compose, generalized_ch, monodromy_report
-from linfty.fixtures import Sampler, get_representation
+from linfty.fixtures import REPRESENTATIONS, Sampler, get_representation
 from linfty.mc_gamma import Horn, dold_kan_compare, fill_horn_gamma, is_thin
 from linfty.report import quote
 from linfty.serialize import (
@@ -167,8 +167,8 @@ def dold_kan_size(algebra, n: int) -> int:
     """Whitney cells (x) symbols of total degree 1 and 2, plus degree
     <= 2 monomials (x) symbols x with a dt-word of length 1 - |x|."""
     cells = sum(
-        comb(n + 1, size) * len(algebra.basis_of_degree(total + 1 - size))
-        for total in (1, 2) for size in range(1, n + 2)
+        comb(n + 1, total + 1 - d)
+        for total in (1, 2) for d in algebra.degrees.values() if d <= total
     )
     words = sum(comb(n, 1 - d) for d in algebra.degrees.values() if d <= 1)
     return cells + comb(n + 2, 2) * words
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-monodromy",
                        help="exact matrix monodromy identity")
-    p.add_argument("--rep", choices=["heisenberg", "ut4"], required=True)
+    p.add_argument("--rep", choices=list(REPRESENTATIONS), required=True)
     p.add_argument("--samples", type=positive, default=20)
     p.set_defaults(fn=cmd_verify_monodromy)
 

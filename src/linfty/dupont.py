@@ -351,11 +351,14 @@ def _orbit_fill(orbits: dict, compute: Callable, n: int, key) -> tuple:
 # -- monomial bases and gaugeification -------------------------------
 
 
-def monomial_basis(n: int, max_degree: int) -> list[Form]:
-    """All monomials t^a dt_S with total polynomial degree <= max_degree."""
+def monomial_basis(n: int, max_degree: int,
+                   word_size: int | None = None) -> list[Form]:
+    """All monomials t^a dt_S with total polynomial degree <= max_degree,
+    or only those with |S| = word_size."""
     monos = []
-    for word_size in range(n + 1):
-        for word in itertools.combinations(range(1, n + 1), word_size):
+    sizes = range(n + 1) if word_size is None else (word_size,)
+    for size in sizes:
+        for word in itertools.combinations(range(1, n + 1), size):
             for exps in _exponent_vectors(n, max_degree):
                 monos.append(
                     Form(n, {(exps, word): _ONE}, _validated=True)

@@ -216,29 +216,27 @@ def get_fixture(name: str) -> LInftyAlgebra:
 # -- matrix representations ----------------------------------------------
 
 
-def matrix_unit_representation(name: str, size: int,
-                               units: dict) -> MatrixRepresentation:
-    """The fixture with each symbol sent to the size x size matrix unit
-    at the (row, column) that units gives it, counted from 0."""
+# the faithful matrix representations, by fixture: the matrix size and
+# the (row, column) of each symbol's matrix unit, counted from 0
+REPRESENTATIONS = {
+    "heisenberg": (3, {"e1": (0, 1), "e2": (1, 2), "e3": (0, 2)}),
+    "ut4": (4, {f"E{i + 1}{j + 1}": (i, j)
+                for i, j in itertools.combinations(range(4), 2)}),
+}
+
+
+def get_representation(name: str) -> MatrixRepresentation:
+    """The fixture with each symbol sent to its matrix unit in
+    REPRESENTATIONS."""
+    if name not in REPRESENTATIONS:
+        raise KeyError(f"no matrix representation for {name!r}")
+    size, units = REPRESENTATIONS[name]
     images = {}
     for sym, (i, j) in units.items():
         m = [[0] * size for _ in range(size)]
         m[i][j] = 1
         images[sym] = m
     return MatrixRepresentation(get_fixture(name), size, images)
-
-
-def get_representation(name: str) -> MatrixRepresentation:
-    if name == "heisenberg":
-        return matrix_unit_representation(
-            name, 3, {"e1": (0, 1), "e2": (1, 2), "e3": (0, 2)}
-        )
-    if name == "ut4":
-        return matrix_unit_representation(
-            name, 4, {f"E{i + 1}{j + 1}": (i, j)
-                      for i, j in itertools.combinations(range(4), 2)}
-        )
-    raise KeyError(f"no matrix representation for {name!r}")
 
 
 # -- finite groupoids ------------------------------------------------------

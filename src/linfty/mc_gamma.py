@@ -78,16 +78,12 @@ class SimplexElement:
 
     def face(self, k: int) -> "SimplexElement":
         """Pullback along the k-th face inclusion."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"face index {k} out of range 0..{self.n}")
         return SimplexElement(
             self.value.pullback(SimplicialMap.face(k, self.n)), validate=False
         )
 
     def degenerate(self, k: int) -> "SimplexElement":
         """Pullback along the k-th degeneracy."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"degeneracy index {k} out of range 0..{self.n}")
         return SimplexElement(
             self.value.pullback(SimplicialMap.degeneracy(k, self.n + 1)),
             validate=False,
@@ -449,13 +445,15 @@ def _is_abelian(algebra: LInftyAlgebra) -> bool:
 
 
 def _whitney_basis(algebra: LInftyAlgebra, n: int, total_degree: int):
-    """Index set for the elementary-form sector of a given total degree."""
-    out = []
-    for size in range(1, n + 2):
-        for seq in itertools.combinations(range(n + 1), size):
-            for sym in algebra.basis_of_degree(total_degree - (size - 1)):
-                out.append((seq, sym))
-    return out
+    """Index set for the elementary-form sector of a given total degree:
+    the cells of each size that some symbol pairs with."""
+    sizes = {total_degree + 1 - d for d in algebra.degrees.values()}
+    return [
+        (seq, sym)
+        for size in sorted(s for s in sizes if 1 <= s <= n + 1)
+        for seq in itertools.combinations(range(n + 1), size)
+        for sym in algebra.basis_of_degree(total_degree + 1 - size)
+    ]
 
 
 def _expand_whitney(element: TensorElement, basis) -> dict:
@@ -554,8 +552,8 @@ def dold_kan_compare(algebra: LInftyAlgebra, n: int) -> Report:
     monomials = [
         TensorElement(algebra, n, {sym: mono})
         for sym in algebra.symbols
-        for mono in dupont.monomial_basis(n, 2)
-        if len(next(iter(mono.terms))[1]) == 1 - algebra.degrees[sym]
+        if 0 <= 1 - algebra.degrees[sym] <= n
+        for mono in dupont.monomial_basis(n, 2, 1 - algebra.degrees[sym])
     ]
     columns = [next(iter(_coordinates(mono))) for mono in monomials]
     gauge_kernel = kernel_basis(

@@ -39,6 +39,7 @@ from linfty.bch_groupoid import (
     tree_exponential,
 )
 from linfty.fixtures import (
+    REPRESENTATIONS,
     Sampler,
     cyclic_group_nerve,
     free_nilpotent,
@@ -496,6 +497,16 @@ class TestAssociativity:
         assert left == right
         assert len(left.coeffs) == len(algebra.basis_of_degree(0))
 
+    def test_free_class3_associator_vanishes(self):
+        # g^-1 has 15 dimensions, so the associator is not zero by degree
+        free = get_fixture("free_nilpotent_class3")
+        assert len(free.basis_of_degree(-1)) == 15
+        zero = free.zero_vector()
+        sampler = Sampler(0)
+        for _ in range(3):
+            xs = [sampler.vector(free, 0) for _ in range(3)]
+            assert rho3_associativity_check(free, zero, *xs).is_zero()
+
     def test_three_bracket_associator_reported(self):
         tb = get_fixture("three_bracket")
         associator = rho3_associativity_check(
@@ -598,6 +609,17 @@ class TestNilMatrices:
         dense = [[sum(a[i][k] * b[k][j] for k in range(m))
                   for j in range(m)] for i in range(m)]
         assert bch_groupoid._mat_mul(a, b) == dense
+
+    def test_representation_table(self):
+        # a matrix unit for each degree-0 symbol, commutators of images
+        # are images of brackets, and no other fixture has an entry
+        for name, (size, units) in REPRESENTATIONS.items():
+            rep = get_representation(name)
+            assert rep.size == size
+            assert sorted(units) == sorted(rep.algebra.basis_of_degree(0))
+            assert rep.check_faithful_bracket()
+        with pytest.raises(KeyError):
+            get_representation("dg_lie_01")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linfty import dupont, forms
+from linfty import dupont, forms, kernel
 from linfty.dupont import (
     check_contraction_identities,
     check_gauge_identities,
@@ -34,6 +34,7 @@ from linfty.forms import (
     pullback,
 )
 
+from conftest import OPERATOR_TABLES
 from form_oracle import dt_form, t_form
 
 
@@ -246,6 +247,20 @@ def test_operators_are_linear_through_the_tables(cold_operator_caches, case):
             assert op(f.scale(a) + g.scale(b)) == (
                 op(f).scale(a) + op(g).scale(b))
             assert op(f - f) == zero
+
+
+def test_cold_operator_caches_empties_every_table():
+    # every private module-level dict of forms, dupont and kernel is a
+    # table an operator call fills, so a cold test must empty each one
+    tables = {
+        (module, name)
+        for module in (forms, dupont, kernel)
+        for name, value in vars(module).items()
+        if name.startswith("_") and not name.startswith("__")
+        and isinstance(value, dict)
+    }
+    assert tables == set(OPERATOR_TABLES)
+    assert len(tables) == 11
 
 
 @PROPERTY

@@ -1,13 +1,14 @@
 """Solvers, horns, thinness, and the abelian cochain comparison."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linfty import kernel, mc_gamma
+from linfty import dupont, kernel, mc_gamma
 from linfty.acceptance import SOLVER_FIXTURES
 from linfty.algebra import (
     LInftyAlgebra,
@@ -20,6 +21,7 @@ from linfty.algebra import (
     zero_tensor,
 )
 from linfty.bch_groupoid import compose, generalized_ch
+from linfty.cli import dold_kan_size
 from linfty.fixtures import BUNDLED, Sampler, get_fixture
 from linfty.dupont import monomial_basis
 from linfty.forms import Form
@@ -138,6 +140,17 @@ class TestFacesAndThinness:
         x = solve_gauge_fixed(g, 0)
         for k in (0, 1, 2):
             assert x.degenerate(k).face(k) == x
+
+    def test_face_and_degeneracy_indices_are_checked(self):
+        x = constant_simplex(2, get_fixture("heisenberg").zero_vector())
+        for k in (-1, 3):
+            with pytest.raises(ValueError,
+                               match=rf"^face index {k} out of range 0\.\.2$"):
+                x.face(k)
+            with pytest.raises(
+                    ValueError,
+                    match=rf"^degeneracy index {k} out of range 0\.\.2$"):
+                x.degenerate(k)
 
     def test_faces_read_their_algebra_and_dimension_off_the_value(self):
         algebra = get_fixture("heis_exterior")
@@ -607,6 +620,30 @@ class TestDoldKan:
                 for algebra in algebras for n in range(5)]
         assert fingerprint(rows) == "13dd02014e4e7dea"
 
+    @pytest.mark.parametrize("algebra", [
+        get_fixture("zero"), LInftyAlgebra("high", [("x", 5)])],
+        ids=["zero", "one symbol in degree 5"])
+    def test_walks_only_what_the_budget_counts(self, monkeypatch, algebra):
+        # no symbol pairs with a cell or a dt-word, so at n = 40 the
+        # budget counts nothing and the comparison must enumerate none
+        # of the 2^41 vertex subsets or the dt-words of the monomials
+        walked = []
+
+        class Enumerations:
+            def __getattr__(self, name):
+                return getattr(itertools, name)
+
+            def combinations(self, pool, r):
+                walked.append((pool, r))
+                return iter(())
+
+        monkeypatch.setattr(mc_gamma, "itertools", Enumerations())
+        monkeypatch.setattr(dupont, "itertools", Enumerations())
+        assert dold_kan_size(algebra, 40) == 0
+        report = dold_kan_compare(algebra, 40)
+        assert report.passed, report.report()
+        assert walked == []
+
     def test_fails_without_the_gauge(self, monkeypatch):
         # with s = 0 the gauge kernel is every d + delta cocycle of
         # degree <= 2, not only the elementary ones
@@ -697,6 +734,44 @@ def test_graded_solve_is_the_fixed_point(name, n, vertex, gauge, seed):
     i = vertex % (n + 1)
     solve = solve_gauge_fixed if gauge else solve_mc
     assert solve(g, i).value == fixed_point_solve(algebra, n, i, g, gauge)
+
+
+# -- the main theorem: where the n-horns of the nerve refill -----------------
+
+def groupoid_level(algebra):
+    """The least l >= 0 such that the algebra vanishes in every degree
+    <= -l."""
+    return max((1 - d for d in algebra.degrees.values() if d <= 0), default=0)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_horns_refill_exactly_where_the_top_degree_vanishes(name):
+    """Getzler's theorem in its sharper form.  The top chain integral of
+    a gauge-fixed n-simplex lies in g^(1-n), so every n-horn has a unique
+    filler where g^(1-n) = 0, as it is for every n > l.  Where
+    g^(1-n) != 0 the sampled simplex is not thin, and the thin filler of
+    each of its horns is a second gauge-fixed simplex with the same
+    horn."""
+    algebra = get_fixture(name)
+    for n in range(1, 5):
+        sampler = Sampler(0)
+        x = solve_gauge_fixed(GaugeParameter(
+            mu=sampler.mc_element(algebra),
+            witness=sampler.witness(algebra, n)), 0)
+        report = refill_report(f"{name}, n = {n}", n, [x], Horn.of,
+                               fill_horn_gamma)
+        if not algebra.basis_of_degree(1 - n):
+            assert report.passed, report.report()
+            continue
+        assert n <= groupoid_level(algebra)
+        assert not is_thin(x)
+        assert report.failures == n + 1, report.report()
+        for k in range(n + 1):
+            y = fill_horn_gamma(Horn.of(x, k))
+            assert y != x and is_thin(y)
+            assert y.is_gauge_fixed()
+            assert tensor_curvature(y.value).is_zero()
+            assert all(y.face(j) == x.face(j) for j in range(n + 1) if j != k)
 
 
 # -- the solver outputs pinned by fingerprint --------------------------------
