@@ -306,18 +306,21 @@ class GVector(kernel.Linear):
 # -- brackets on vectors ----------------------------------------------
 
 
-def bracket(algebra: LInftyAlgebra, args: Sequence):
-    """Multilinear bracket of vectors or tensor elements.
+def bracket(algebra: LInftyAlgebra, args: Sequence, scale=1):
+    """Multilinear bracket of vectors or tensor elements, times scale.
 
     Only the basis tuples that order a stored key are looked up
     (_atom_tuples), so an arity above the presentation bound gives zero;
     mixing algebras or simplex dimensions is an error.  A run of one odd
     vector repeated, as in [mu^l], is summed over multisets of its terms.
+    The scale, such as the 1/l! of a term of bracket_series, is folded
+    into the coefficient of each atom tuple, so that scale * [args] is
+    built in one pass; it defaults to 1.
     """
     if not args:
         raise ValueError("bracket needs at least one argument")
     if isinstance(args[0], TensorElement):
-        return tensor_bracket(algebra, args)
+        return tensor_bracket(algebra, args, scale)
     for a in args:
         if not isinstance(a, GVector) or a.algebra is not algebra:
             raise ValueError("bracket arguments must live in the given algebra")
@@ -329,12 +332,13 @@ def bracket(algebra: LInftyAlgebra, args: Sequence):
         lambda atom: degrees[atom[0]] % 2,
     )
     total: dict = {}
+    scale = kernel.as_fraction(scale)
     for value, combo in walk:
-        coeff = _ONE
+        coeff = scale
         for _, c in combo:
-            coeff *= c
+            coeff = kernel.frac_mul(coeff, c)
         if runs:
-            coeff *= _run_weight(runs, combo)
+            coeff = kernel.frac_mul_int(coeff, _run_weight(runs, combo))
         kernel.add_into(total, value.coeffs.items(), coeff)
     return GVector(algebra, total)
 
@@ -503,7 +507,8 @@ def bracket_series(algebra: LInftyAlgebra, mu, args: Sequence, first: int):
 
     The sum is finite: [mu^l, args] vanishes once its arity exceeds
     max_arity and, with no args, once l reaches the nilpotency index
-    ([mu^l] lies in the l-th term of the lower central series).
+    ([mu^l] lies in the l-th term of the lower central series).  Each
+    bracket takes its 1/l! as its scale, and the terms are added unscaled.
     """
     args = list(args)
     bound = algebra.max_arity - len(args)
@@ -515,7 +520,7 @@ def bracket_series(algebra: LInftyAlgebra, mu, args: Sequence, first: int):
         else algebra.zero_vector()
     )
     return zero.combine(
-        (Fraction(1, factorial(ell)), bracket(algebra, [mu] * ell + args))
+        (1, bracket(algebra, [mu] * ell + args, Fraction(1, factorial(ell))))
         for ell in range(first, bound + 1)
     )
 
@@ -691,36 +696,50 @@ def quotient(algebra: LInftyAlgebra, level: int) -> Morphism:
 
 class TensorElement(kernel.Linear):
     """An element of (algebra) tensor (forms on the n-simplex): a finite
-    map from basis symbols to Forms."""
+    map from basis symbols to Forms.
+
+    The constructor checks that each symbol is the algebra's and each
+    component a Form on the n-simplex, and drops the zero components.
+    The package's own results (from_terms, scale, apply_even, apply_odd)
+    take the trusted path, _validated=True: their dict, whose components
+    are nonzero Forms on the n-simplex by construction, is kept as it is.
+    """
 
     __slots__ = ("algebra", "n")
     comps = kernel.Linear.entries
 
-    def __init__(self, algebra: LInftyAlgebra, n: int, comps: Mapping[str, Form]):
+    def __init__(self, algebra: LInftyAlgebra, n: int,
+                 comps: Mapping[str, Form], _validated: bool = False):
         self.algebra = algebra
         self.n = n
         self.space = (algebra, n)
-        for sym, form in comps.items():
-            if sym not in algebra.index:
-                raise ValueError(f"unknown symbol {quote(sym)}")
-            if form.n != n:
-                raise ValueError("component form has the wrong simplex dimension")
-        self.comps = {sym: form for sym, form in comps.items() if form}
+        if not _validated:
+            for sym, form in comps.items():
+                if sym not in algebra.index:
+                    raise ValueError(f"unknown symbol {quote(sym)}")
+                if not isinstance(form, Form):
+                    raise TypeError(
+                        f"component {form!r} of {quote(sym)} is not a Form")
+                if form.n != n:
+                    raise ValueError(
+                        "component form has the wrong simplex dimension")
+            comps = {sym: form for sym, form in comps.items() if form}
+        self.comps = comps
 
     @classmethod
     def from_terms(cls, algebra: LInftyAlgebra, n: int, acc: Mapping[str, dict]):
-        """Build from a {symbol: term dict} accumulator, one Form each."""
-        return cls(
-            algebra, n, {s: Form(n, t, _validated=True) for s, t in acc.items()}
-        )
+        """Build from a {symbol: term dict} accumulator, one Form each,
+        by the trusted path; a term dict that cancelled to {} is left
+        out."""
+        return cls(algebra, n, {s: Form(n, t, _validated=True)
+                                for s, t in acc.items() if t}, _validated=True)
 
     # -- the vector-space hooks of kernel.Linear ----------------------
 
     def scale(self, c) -> "TensorElement":
         c = kernel.as_fraction(c)
-        return TensorElement(
-            self.algebra, self.n, {s: f.scale(c) for s, f in self.comps.items()}
-        )
+        comps = {s: f.scale(c) for s, f in self.comps.items()} if c else {}
+        return TensorElement(self.algebra, self.n, comps, _validated=True)
 
     def combine(self, pairs) -> "TensorElement":
         """self + sum of c * x over the (c, x) pairs."""
@@ -734,11 +753,25 @@ class TensorElement(kernel.Linear):
     # -- grading -------------------------------------------------------
 
     def atoms(self):
-        """Split into (symbol, exterior-homogeneous form) pieces."""
+        """Split into (symbol, exterior degree k, the form's degree-k
+        part) pieces, by symbol and then by increasing k: one pass over
+        each form's terms, and a form of one exterior degree is its own
+        piece."""
         out = []
+        n = self.n
         for sym, form in self.comps.items():
-            for k in form.exterior_degrees():
-                out.append((sym, k, form.component(k)))
+            parts: dict = {}
+            for key, c in form.terms.items():
+                part = parts.get(len(key[1]))
+                if part is None:
+                    part = parts[len(key[1])] = {}
+                part[key] = c
+            if len(parts) == 1:
+                (k,) = parts
+                out.append((sym, k, form))
+                continue
+            for k in sorted(parts):
+                out.append((sym, k, Form(n, parts[k], _validated=True)))
         return out
 
     def is_homogeneous(self, total_degree: int) -> bool:
@@ -750,21 +783,25 @@ class TensorElement(kernel.Linear):
     # -- formwise operators ---------------------------------------------
 
     def apply_even(self, op) -> "TensorElement":
-        """Apply an even operator on forms componentwise."""
-        return TensorElement(
-            self.algebra, self.n, {s: op(f) for s, f in self.comps.items()}
-        )
-
-    def apply_odd(self, op) -> "TensorElement":
-        """Apply an odd operator on forms, with the sign (-1)^|x| on the
-        component of a degree-|x| symbol."""
+        """Apply an even operator on the forms of the n-simplex
+        componentwise."""
         out = {}
         for sym, form in self.comps.items():
             image = op(form)
-            if self.algebra.degrees[sym] % 2:
-                image = -image
-            out[sym] = image
-        return TensorElement(self.algebra, self.n, out)
+            if image.terms:
+                out[sym] = image
+        return TensorElement(self.algebra, self.n, out, _validated=True)
+
+    def apply_odd(self, op) -> "TensorElement":
+        """Apply an odd operator on the forms of the n-simplex, with the
+        sign (-1)^|x| on the component of a degree-|x| symbol."""
+        out = {}
+        degrees = self.algebra.degrees
+        for sym, form in self.comps.items():
+            image = op(form)
+            if image.terms:
+                out[sym] = -image if degrees[sym] % 2 else image
+        return TensorElement(self.algebra, self.n, out, _validated=True)
 
     def d(self) -> "TensorElement":
         return self.apply_odd(exterior_d)
@@ -784,7 +821,21 @@ class TensorElement(kernel.Linear):
         return _map_symbols(self, self.algebra, self.algebra._support[1])
 
     def d_plus_delta(self) -> "TensorElement":
-        return self.d() + self.delta()
+        """d + delta, built in one accumulator: (-1)^|x| x (x) da plus
+        [x] (x) a for each component x (x) a."""
+        acc: dict = {}
+        degrees, unary = self.algebra.degrees, self.algebra._support[1]
+        for sym, form in self.comps.items():
+            d_terms = exterior_d(form).terms
+            if d_terms:
+                kernel.add_into(acc.setdefault(sym, {}), d_terms.items(),
+                                -1 if degrees[sym] % 2 else 1)
+            value = unary.get(sym)
+            if value is not None:
+                for tsym, c in value.coeffs.items():
+                    kernel.add_into(acc.setdefault(tsym, {}),
+                                    form.terms.items(), c)
+        return TensorElement.from_terms(self.algebra, self.n, acc)
 
     def evaluate_vertex(self, i: int) -> GVector:
         return GVector(
@@ -862,8 +913,9 @@ def constant_tensor(n: int, vector: GVector) -> TensorElement:
     return tensor_product(vector, Form.one(n))
 
 
-def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
-    """Brackets on the tensor algebra.
+def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement],
+                   scale=1):
+    """Brackets on the tensor algebra, times scale.
 
     Unary: [x (x) a] = [x] (x) a + (-1)^|x| x (x) da.  Higher arity:
     the algebra bracket on symbols times the wedge of forms, with the
@@ -873,7 +925,10 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
     derivation of the bracket (an exact test in the suite).  Only the
     atom tuples whose symbols order a stored key are formed
     (_atom_tuples), and a run of one total-degree-odd element repeated,
-    as in [alpha^l], is summed over multisets of its atoms.
+    as in [alpha^l], is summed over multisets of its atoms.  The scale,
+    such as a series factor 1/l! or 1/prod(m_j!), defaults to 1; it is
+    folded with the Koszul sign, the run weight and each coefficient of
+    the bracket value into the one kernel.add_into per target symbol.
     """
     for a in args:
         if not isinstance(a, TensorElement) or a.algebra is not algebra:
@@ -882,9 +937,11 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
             raise ValueError("tensor elements on different simplices")
     n = args[0].n
     if len(args) == 1:
-        return args[0].d_plus_delta()
+        unary = args[0].d_plus_delta()
+        return unary if scale == 1 else unary.scale(scale)
     if not all(a.comps for a in args):
         return zero_tensor(algebra, n)
+    scale = kernel.as_fraction(scale)
     degrees = algebra.degrees
     walk, runs = _atom_tuples(
         algebra, args, TensorElement.atoms,
@@ -906,11 +963,10 @@ def tensor_bracket(algebra: LInftyAlgebra, args: Sequence[TensorElement]):
             continue
         if runs:
             sign *= _run_weight(runs, combo)
+        factor = kernel.frac_mul_int(scale, sign)
         for tsym, c in value.coeffs.items():
-            kernel.add_into(
-                total.setdefault(tsym, {}), form.terms.items(),
-                c if sign == 1 else -c if sign == -1 else sign * c,
-            )
+            kernel.add_into(total.setdefault(tsym, {}), form.terms.items(),
+                            kernel.frac_mul(factor, c))
     return TensorElement.from_terms(algebra, n, total)
 
 

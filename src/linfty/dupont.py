@@ -17,7 +17,10 @@ value is ().  An h^i miss is computed by _h_monomial.  P and s commute
 with renaming the vertices 1..n (vertex 0, eliminated in the reduced
 coordinates, stays put), so a miss of theirs is filled from the
 operator's value on one representative of the monomial's orbit under
-those renamings, computed once per orbit (_orbit_fill).
+those renamings, computed once per orbit (_orbit_fill).  The gauge
+correction P h^i + s of the gauge-fixed solver acts through
+apply_cached too, as one operator with its own cache keyed (i, key),
+whose misses are filled from the cached h^i, P and s of the monomial.
 """
 
 from __future__ import annotations
@@ -294,6 +297,31 @@ def _gauge_walk(n: int, seq: tuple, chain: Form, terms: dict):
         term = elementary_form(longer, n) * ext
         kernel.add_into(terms, term.terms.items(), sign)
         _gauge_walk(n, longer, ext, terms)
+
+
+# -- the correction of the gauge-fixed solver ---------------------------
+
+_GAUGE_CACHE: dict = {}
+
+
+def gauge_correction(i: int, n: int, f: Form) -> Form:
+    """P h^i f + s f, the correction by which the gauge-fixed solver
+    builds each weight of its simplex at base vertex i, as one operator:
+    one cache lookup per monomial where h^i, then P, then s and a sum
+    would take four passes.  A monomial missing from the cache, keyed
+    (i, key), is filled from the cached h^i, P and s of the monomial.
+    """
+    if not 0 <= i <= n:
+        raise ValueError(f"vertex index {i} out of range 0..{n}")
+    if f.n != n:
+        raise _wrong_simplex(f"P h^{i} + s", n, f)
+
+    def fill(key):
+        mono = Form(n, {key: _ONE}, _validated=True)
+        value = whitney_P(n, poincare_h(i, n, mono)) + dupont_s(n, mono)
+        return kernel.share(value.terms.items())
+
+    return apply_cached(_GAUGE_CACHE, fill, f, n, i)
 
 
 # -- filling the caches of P and s once per vertex-permutation orbit ----

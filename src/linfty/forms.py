@@ -17,7 +17,8 @@ each monomial to the operator's value on it, a flat tuple of
 kernel.share computed once from the monomial alone, and the values are
 added in with kernel.add_into.  exterior_d keeps one table keyed by the
 monomial, pullback one per SimplicialMap, and the Dupont operators h^i,
-P and s of linfty.dupont keep their own.
+P and s of linfty.dupont, and the gauge correction P h^i + s of the
+gauge-fixed solver (dupont.gauge_correction), keep their own.
 """
 
 from __future__ import annotations
@@ -247,14 +248,15 @@ def apply_cached(table: dict, fill: Callable, f: Form, n: int,
                  vertex: int | None = None) -> Form:
     """A linear operator on f, monomial by monomial through table, with
     its value on the n-simplex: the one path through which exterior_d,
-    pullback and the Dupont operators h^i, P and s act.
+    pullback, the Dupont operators h^i, P and s and the gauge correction
+    P h^i + s act.
 
     The table is keyed by the monomial key, or (vertex, key) for an
-    operator that marks a vertex (h^i), and holds the operator's value
-    on the monomial with coefficient 1 as the flat tuple of kernel.share
-    (a zero value is ()).  A miss is filled with fill(key), which
-    returns that tuple; each value is added in, scaled by the monomial's
-    coefficient, with kernel.add_into.
+    operator that marks a vertex (h^i, P h^i + s), and holds the
+    operator's value on the monomial with coefficient 1 as the flat tuple
+    of kernel.share (a zero value is ()).  A miss is filled with
+    fill(key), which returns that tuple; each value is added in, scaled
+    by the monomial's coefficient, with kernel.add_into.
     """
     out: dict = {}
     for key, coeff in f.terms.items():

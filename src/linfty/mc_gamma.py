@@ -144,7 +144,8 @@ class GaugeParameter(Record):
 def _solve(g: GaugeParameter, i: int, gauge: bool) -> SimplexElement:
     """Solve alpha = alpha0 - c(N(alpha)), N(alpha) = sum_{l>=2}
     [alpha^l]/l!, weight by weight along the lower central filtration
-    F^w, with the correction c = h^i, or P h^i + s in the gauge.
+    F^w, with the correction c = h^i, or P h^i + s in the gauge, where
+    it is one cached operator (dupont.gauge_correction).
 
     alpha is the sum of pieces alpha_w in F^w (x) forms: alpha_1 =
     alpha0 = mu + (d + delta)(witness), and for w = 2 .. index - 1
@@ -153,13 +154,14 @@ def _solve(g: GaugeParameter, i: int, gauge: bool) -> SimplexElement:
               max_arity, of [alpha_{w_1}, ..., alpha_{w_l}] / prod(m_j!),
         alpha_w = -c(N_w),
 
-    with m_j the multiplicities of the w_j.  Each N_w only needs the
-    pieces below it, c acts on the form factor alone, and brackets of
-    total weight >= index land in F^index = 0, so the sum of the N_w is
-    N(alpha) and alpha is the exact fixed point.  Three exact gates:
-    N(alpha), computed afresh, equals the sum of the N_w (so alpha =
-    alpha0 - c(N(alpha))); flatness (d + delta)alpha + N(alpha) = 0;
-    and, in the gauge, s(alpha) = 0.
+    with m_j the multiplicities of the w_j; each bracket takes its
+    1/prod(m_j!) as its scale, and N_w adds them unscaled.  Each N_w
+    only needs the pieces below it, c acts on the form factor alone, and
+    brackets of total weight >= index land in F^index = 0, so the sum of
+    the N_w is N(alpha) and alpha is the exact fixed point.  Three exact
+    gates: N(alpha), computed afresh, equals the sum of the N_w (so
+    alpha = alpha0 - c(N(alpha))); flatness (d + delta)alpha + N(alpha)
+    = 0; and, in the gauge, s(alpha) = 0.
     """
     algebra, n = g.witness.algebra, g.witness.n
     if not 0 <= i <= n:
@@ -175,8 +177,9 @@ def _solve(g: GaugeParameter, i: int, gauge: bool) -> SimplexElement:
     graded = []
     for w in range(2, algebra.nilpotency_index()):
         part = zero.combine(
-            (Fraction(1, prod(map(factorial, Counter(parts).values()))),
-             tensor_bracket(algebra, [pieces[v] for v in parts]))
+            (1, tensor_bracket(
+                algebra, [pieces[v] for v in parts],
+                Fraction(1, prod(map(factorial, Counter(parts).values())))))
             for ell in range(2, algebra.max_arity + 1)
             for parts in compositions(w, ell, w)
             if all(v in pieces for v in parts)
@@ -184,9 +187,11 @@ def _solve(g: GaugeParameter, i: int, gauge: bool) -> SimplexElement:
         if part.is_zero():
             continue
         graded.append(part)
-        correction = part.h(i)
         if gauge:
-            correction = correction.whitney() + part.s()
+            correction = part.apply_odd(
+                lambda f: dupont.gauge_correction(i, n, f))
+        else:
+            correction = part.h(i)
         if not correction.is_zero():
             pieces[w] = -correction
     alpha = zero.combine((1, piece) for piece in pieces.values())

@@ -6,15 +6,16 @@ from linfty import dupont, forms, kernel
 from linfty.algebra import LInftyAlgebra
 from linfty.fixtures import get_fixture
 
-# the cached operator tables (d, the pullbacks, h^i, P and s), the orbit
-# tables that fill P's and s's, the elementary forms, the powers of t_0
-# the reducer multiplies by, and the tables of shared keys and
-# coefficients their terms are taken from: every module-level table of
-# forms, dupont and kernel
+# the cached operator tables (d, the pullbacks, h^i, P, s and the gauge
+# correction P h^i + s), the orbit tables that fill P's and s's, the
+# elementary forms, the powers of t_0 the reducer multiplies by, and the
+# tables of shared keys and coefficients their terms are taken from:
+# every module-level table of forms, dupont and kernel
 OPERATOR_TABLES = ((forms, "_D_CACHE"), (forms, "_PULLBACK_CACHE"),
                    (forms, "_T0_POWER_CACHE"),
                    (dupont, "_H_CACHE"), (dupont, "_P_CACHE"),
-                   (dupont, "_S_CACHE"), (dupont, "_P_ORBITS"),
+                   (dupont, "_S_CACHE"), (dupont, "_GAUGE_CACHE"),
+                   (dupont, "_P_ORBITS"),
                    (dupont, "_S_ORBITS"), (dupont, "_ELEMENTARY_CACHE"),
                    (kernel, "_SHARED"), (kernel, "_SHARED_COEFFS"))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import linfty
 from linfty import kernel
@@ -377,6 +377,14 @@ class TestCurvatureAndTwist:
 
 
 class TestTensorStructure:
+    def test_a_component_that_is_not_a_form_is_refused(self):
+        heis = get_fixture("heisenberg")
+        with pytest.raises(TypeError,
+                           match="^component 1 of 'e1' is not a Form$"):
+            TensorElement(heis, 1, {"e1": 1})
+        with pytest.raises(ValueError, match="unknown symbol 'x'"):
+            TensorElement(heis, 1, {"x": 1})
+
     def test_unary_examples(self):
         heis = get_fixture("heisenberg")
         te = TensorElement(heis, 1, {"e1": Form.one(1)})
@@ -818,6 +826,53 @@ def test_brackets_are_the_full_expansion(algebra, data):
 @given(st.sampled_from(FIXTURE_NAMES), st.data())
 def test_fixture_brackets_are_the_full_expansion(name, data):
     assert_brackets_are_the_full_expansion(data, get_fixture(name))
+
+
+# -- the one-pass paths against their parts, on cold tables and then warm ----
+
+COLD = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@COLD
+@given(st.sampled_from(FIXTURE_NAMES), rationals, st.data())
+def test_bracket_folds_its_scale(cold_operator_caches, name, scale, data):
+    algebra = get_fixture(name)
+    vectors = data.draw(argument_lists(st.one_of(
+        sparse_vectors(algebra), sparse_vectors(algebra, odd=True))))
+    n = data.draw(st.integers(1, 2))
+    tensors = data.draw(argument_lists(st.integers(-1, 3).flatmap(
+        lambda degree: homogeneous_tensors(algebra, n, degree))))
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        # each argument list and its first argument alone (the unary bracket)
+        for args in (vectors, vectors[:1], tensors, tensors[:1]):
+            assert bracket(algebra, args, scale) == (
+                bracket(algebra, args).scale(scale))
+
+
+def split_atoms(x):
+    """The split of x by exterior degree through Form.exterior_degrees
+    and Form.component: the oracle of TensorElement.atoms."""
+    return [(sym, k, form.component(k)) for sym, form in x.comps.items()
+            for k in form.exterior_degrees()]
+
+
+@COLD
+@given(st.sampled_from(FIXTURE_NAMES), st.data())
+def test_d_plus_delta_and_atoms_against_their_parts(cold_operator_caches,
+                                                    name, data):
+    # a sum of homogeneous parts, so that one symbol's form can mix
+    # exterior degrees
+    algebra = get_fixture(name)
+    n = data.draw(st.integers(1, 3))
+    parts = data.draw(st.lists(st.integers(-1, 3).flatmap(
+        lambda degree: homogeneous_tensors(algebra, n, degree)), max_size=3))
+    x = zero_tensor(algebra, n).combine((1, part) for part in parts)
+    cold_operator_caches()
+    for _ in ("cold", "warm"):
+        assert x.d_plus_delta() == x.d() + x.delta()
+        assert x.atoms() == split_atoms(x)
 
 
 def test_the_series_look_up_only_nonzero_brackets(monkeypatch):

@@ -18,6 +18,7 @@ from linfty.dupont import (
     check_naturality,
     dupont_s,
     elementary_form,
+    gauge_correction,
     gaugeify,
     integrate_chain,
     monomial_basis,
@@ -105,11 +106,27 @@ class TestChainIntegrals:
     (lambda n, f: poincare_h(0, n, f), "h^0"),
     (whitney_P, "P"),
     (dupont_s, "s"),
-], ids=["h", "P", "s"])
+    (lambda n, f: gauge_correction(1, n, f), "P h^1 + s"),
+], ids=["h", "P", "s", "gauge"])
 def test_operators_refuse_a_form_on_another_simplex(apply, op):
     with pytest.raises(ValueError, match=(
             rf"^form lives on the 1-simplex, {re.escape(op)} acts on the 2-simplex$")):
         apply(2, Form.t(1, 1))
+
+
+def test_gauge_correction_is_p_after_h_plus_s(cold_operator_caches):
+    """The solver's correction P h^i + s, one cached operator, equals P
+    after h^i plus s on every monomial of degree <= 3 and every base
+    vertex, n <= 3: first on empty tables, each monomial's correction
+    filled before its oracle, then on the tables those calls filled."""
+    cases = [(n, i, m) for n in range(4) for m in monomial_basis(n, 3)
+             for i in range(n + 1)]
+    for _ in ("cold", "warm"):
+        for n, i, m in cases:
+            assert gauge_correction(i, n, m) == (
+                whitney_P(n, poincare_h(i, n, m)) + dupont_s(n, m))
+    with pytest.raises(ValueError, match="vertex index 3 out of range 0..2"):
+        gauge_correction(3, 2, Form.one(2))
 
 
 class TestPoincareHomotopy:
@@ -260,7 +277,7 @@ def test_cold_operator_caches_empties_every_table():
         and isinstance(value, dict)
     }
     assert tables == set(OPERATOR_TABLES)
-    assert len(tables) == 11
+    assert len(tables) == 12
 
 
 @PROPERTY

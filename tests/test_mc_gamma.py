@@ -736,6 +736,49 @@ def test_graded_solve_is_the_fixed_point(name, n, vertex, gauge, seed):
     assert solve(g, i).value == fixed_point_solve(algebra, n, i, g, gauge)
 
 
+# -- the gates of the gauge-fixed solve catch a wrong correction -------------
+
+
+def without_s(i, n, f):
+    """The gauge correction with its s term dropped: P h^i."""
+    return dupont.whitney_P(n, dupont.poincare_h(i, n, f))
+
+
+def without_p_h(i, n, f):
+    """The gauge correction with its P h^i term dropped: s."""
+    return dupont.dupont_s(n, f)
+
+
+def sampled_data(name, n=2):
+    algebra = get_fixture(name)
+    sampler = Sampler(0)
+    return GaugeParameter(mu=sampler.mc_element(algebra),
+                          witness=sampler.witness(algebra, n))
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("ut4", without_s), ("ut4", without_p_h), ("dg_lie_01", without_p_h),
+])
+def test_the_gates_catch_a_wrong_gauge_correction(monkeypatch, name, wrong):
+    g = sampled_data(name)
+    solve_gauge_fixed(g, 0)
+    monkeypatch.setattr(dupont, "gauge_correction", wrong)
+    with pytest.raises(mc_gamma.SolverError):
+        solve_gauge_fixed(g, 0)
+
+
+def test_s_of_the_nonlinear_part_vanishes_on_dg_lie_01(monkeypatch):
+    # dg_lie_01 has nilpotency index 3, so N = N_2 = [alpha_1, alpha_1]/2
+    # = e3 (x) a^b, with a and b the differentials of Whitney 0-forms:
+    # constant 1-forms.  A constant 2-form is d of a Whitney 1-form, so
+    # s N_2 = 0 and the correction without its s term solves the same
+    # simplex: there is no wrong output for the gates to catch.
+    g = sampled_data("dg_lie_01", 3)
+    expected = solve_gauge_fixed(g, 0)
+    monkeypatch.setattr(dupont, "gauge_correction", without_s)
+    assert solve_gauge_fixed(g, 0) == expected
+
+
 # -- the main theorem: where the n-horns of the nerve refill -----------------
 
 def groupoid_level(algebra):
